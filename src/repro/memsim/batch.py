@@ -624,10 +624,10 @@ def simulate_batch(
     global _LAST_FASTPATH
     faults = faults if (faults is not None and faults.spec.enabled) else None
     if faults is None:
-        # Speculative two-pass engine (C timeline + vectorized sampling);
-        # returns None when ineligible or when a sampling outcome would
-        # have changed the timeline — then the exact-replay loop below
-        # produces the identical result, just slower.
+        # Compiled exact kernel (timeline + policy decisions in C);
+        # returns None when the policy is ineligible or no compiler is
+        # available — then the exact-replay loop below produces the
+        # identical result, just slower.
         from . import fastpath
 
         result = fastpath.try_simulate_speculative(
@@ -635,13 +635,13 @@ def simulate_batch(
         )
         # Provenance only — never a metrics counter here: engine-level
         # telemetry must stay bit-identical to the event oracle's, and
-        # the oracle never speculates. The execution layer counts
+        # the oracle never runs the kernel. The execution layer counts
         # ``fastpath.*`` per simulated run unit from this provenance.
         _LAST_FASTPATH = fastpath.last_attempt()[0]
         if result is not None:
             return result
     else:
-        # Fault injection replays every decision exactly; speculation is
+        # Fault injection replays every decision exactly; the kernel is
         # never attempted, and the ledger records the reason.
         from . import fastpath
 

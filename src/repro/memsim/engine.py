@@ -765,7 +765,7 @@ def last_run_provenance() -> Dict[str, Optional[str]]:
 
     ``{"engine": "batch" | "event" | None, "fastpath": "speculated" |
     "fallback" | "no_native" | None}`` — ``fastpath`` is ``None`` unless
-    the batch engine ran (the event engine never speculates). Read by
+    the batch engine ran (the event engine never runs the kernel). Read by
     the executor right after a unit simulation so ledger records can say
     how each unit was actually produced.
     """

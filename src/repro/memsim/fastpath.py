@@ -1,77 +1,93 @@
-"""Speculative two-pass fast path for the batch engine.
+"""Compiled exact path for the batch engine.
 
 The exact-replay loop in :mod:`repro.memsim.batch` removes Python-object
 overhead but still steps every event in Python (~2-3 us per event). This
-module removes the event loop itself for the policy shapes where that is
-provably safe, with a *speculate-verify-abort* structure:
+module hands the whole run to the C kernel (:mod:`repro.memsim.native`):
+the queueing network — bank queues, write cancellation, waiter release,
+channel arbitration, scrub sweep — *and* every policy decision, in event
+order, in one pass.
 
-Pass 1 (C, :mod:`repro.memsim.native`): run the full queueing network —
-bank queues, write cancellation, waiter release, channel arbitration,
-scrub sweep — assuming every read resolves in the policy's predicted
-sensing mode. For the eligible policies the read decision cannot feed
-back into the timeline *except* through a mode change (ReadDuo-Hybrid's
-R-to-R+M retry), and writes/scrubs return constant decisions, so the
-timeline is a pure function of the trace. The kernel records each
-started read's line age, in bank-start order.
+The kernel is exact, not speculative. It transcribes the loop's policy
+kernels and draws from the policy's own ``Generator`` through numpy's
+shipped distribution library (``random_binomial``, ``next_double``), with
+probabilities taken through numpy's own ``log10`` inner loop and the
+loop's bisect-lerp interpolation. It therefore consumes the random stream
+exactly as the loop does, and its results equal the loop's by
+construction; ``tests/test_batch_equivalence.py`` pins both to the event
+oracle. At commit the policy's state is written back as the loop leaves
+it: ``last_write_s``, the LWT tracker, Scrubbing's survived-interval
+counts and the conversion controller's fields. The RNG state is shared,
+so it is already current.
 
-Pass 2 (numpy): evaluate the drift sampler over the age array as
-vectorized ops — ``log10`` -> grid interpolation -> masked binomial —
-consuming the policy's Generator in exactly the order the scalar loop
-would (property-tested in tests/test_batch_equivalence.py), then check
-the speculation: if any draw would have changed a read's mode, restore
-the Generator state and report failure; the caller reruns on the
-exact-replay loop, whose results are bit-identical by construction.
+Eligibility is by exact policy type (subclasses may override any hook and
+take the loop):
 
-Eligibility (everything else falls back — the fallback is always exact):
+* ``Ideal`` / ``TLC`` without scrubbing: constant clean R-reads.
+* ``ReadDuo-Hybrid`` with scrubbing: R-reads with the R-to-R+M re-read on
+  9-17 errors, M-metric W=0 scrub.
+* ``Scrubbing`` (W=0 and W=1) with scrubbing: R-reads; W=1 draws the
+  renewal hazard per scrub visit.
+* ``M-metric`` with or without scrubbing: M-reads, W>=1 rewrite-on-detect.
+* ``LWT-k`` / ``Select-k:s``: the sub-interval tracker, the adaptive
+  conversion controller and its coin, Select's differential writes, and
+  the W=1 M-sampling scrub.
 
-* ``Ideal`` / ``TLC``: constant clean R-reads, no sampling, no scrub.
-* ``ReadDuo-Hybrid``: R-reads; errors in the detectable band convert the
-  read to R+M — that changes latency, so it *aborts* speculation. In the
-  paper's operating regime (scrubbing keeps ages below the R-read
-  reliability wall) the band is never hit and speculation always lands.
-* ``Scrubbing``/W=0: R-reads whose outcome only flips counters (silent /
-  uncorrectable), never the mode: no abort case at all.
-* ``M-metric`` without scrubbing: M-reads, counter-only outcomes.
+Cost on a traced ``sim-cold`` run (gcc + mcf at 10k requests, seed 1,
+a 2-CPU x86-64 host with AVX-512), in us per request; "before" is the
+speculative kernel this replaced, which sent LWT, Select, Scrubbing W=1
+and scrubbed M-metric to the Python loop (docs/PERFORMANCE.md):
 
-Fault injection always takes the exact-replay path: fault streams are
-consumed per-line inside the event loop and are not worth speculating.
+==============  ======  =====
+scheme          before  after
+==============  ======  =====
+Ideal             0.33   0.25
+TLC               0.27   0.24
+Hybrid            1.22   0.50
+Scrubbing-W0      2.71   1.64
+Scrubbing        31.46   1.33
+M-metric          9.26   0.46
+LWT-2            11.49   0.56
+LWT-4            11.09   0.56
+LWT-4-noconv     10.69   0.56
+Select-4:1       11.75   0.56
+Select-4:2       12.24   0.56
+==============  ======  =====
+
+Fault injection always takes the exact-replay loop: fault streams are
+consumed per-line inside the event loop.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..ecc.regimes import (
-    CORRECTABLE_ERRORS,
-    DETECTABLE_ERRORS,
-    classify_error_counts,
-)
+from ..ecc.regimes import CORRECTABLE_ERRORS, DETECTABLE_ERRORS
 from ..obs import Telemetry
 from ..obs.spans import maybe_span
 from ..traces.trace import OP_READ, Trace
 from .config import MemoryConfig
 from .native import (
-    RETRYABLE_ERRORS,
     TRACE_REC_DTYPE,
+    TimelineConv,
     TimelineOut,
     TimelineParams,
     load_timeline,
+    log10_loop,
 )
 from .policy import SchemePolicy
 from .stats import RunStats
 
 __all__ = ["try_simulate_speculative", "speculation_plan", "last_attempt"]
 
-#: Outcome of this process's most recent speculation attempt:
-#: ``(outcome, reason)`` with outcome in ``{"speculated", "fallback",
-#: "no_native"}``. Read by the batch engine for the ``fastpath.*``
-#: metrics counters and by the executor for run-provenance records —
-#: a silent fall-back to the exact loop is otherwise indistinguishable
-#: from a speculation hit.
+#: Outcome of this process's most recent attempt: ``(outcome, reason)``
+#: with outcome in ``{"speculated", "fallback", "no_native"}``;
+#: ``"speculated"`` means the run went through the compiled kernel. Read
+#: by the batch engine for the ``fastpath.*`` metrics counters and by the
+#: executor for run-provenance records — a silent fall-back to the exact
+#: loop is otherwise indistinguishable from a kernel run.
 _LAST_ATTEMPT: Tuple[str, str] = ("fallback", "not_attempted")
 
 
@@ -81,7 +97,7 @@ def last_attempt() -> Tuple[str, str]:
 
 
 def _miss(reason: str) -> None:
-    """Record a non-speculated outcome; returns ``None`` for tail calls."""
+    """Record a non-kernel outcome; returns ``None`` for tail calls."""
     global _LAST_ATTEMPT
     outcome = "no_native" if reason == "no_native" else "fallback"
     _LAST_ATTEMPT = (outcome, reason)
@@ -92,57 +108,34 @@ def _hit() -> None:
     global _LAST_ATTEMPT
     _LAST_ATTEMPT = ("speculated", "ok")
 
-_CORR = CORRECTABLE_ERRORS
-_DET = DETECTABLE_ERRORS
 
-_ECAT_NAMES = ("read", "write", "scrub_read", "scrub_write")
-_WCAT_NAMES = ("demand", "scrub")
+_ECAT_NAMES = ("read", "write", "scrub_read", "scrub_write", "flags", "conversion")
+_WCAT_NAMES = ("demand", "scrub", "conversion")
+_MODE_NAMES = ("R", "M", "RM")
+_CAUSE_NAMES = ("demand", "conversion")
 
-# Verification modes: how pass-2 outcomes map onto counters, and which
-# outcomes falsify the speculated timeline.
-_VERIFY_NONE = 0  # no sampling at all
-_VERIFY_HYBRID = 1  # CORR < e <= DET would convert the read mode: abort
-_VERIFY_UNCORR_DET = 2  # counters only: uncorr in (CORR, DET], silent > DET
-_VERIFY_UNCORR_CORR = 3  # counters only: uncorr > CORR
-
+# Scheme families (mirror of the FAM_* enum in _timeline.c).
+_FAM_CONST = 0
+_FAM_HYBRID = 1
+_FAM_SCRUB_W0 = 2
+_FAM_SCRUB_W1 = 3
+_FAM_MMETRIC = 4
+_FAM_LWT = 5
+_FAM_SELECT = 6
 
 class _Plan:
-    """Constant decisions + verification rule for one eligible policy."""
+    """Kernel family plus the constants it needs from one policy."""
 
-    __slots__ = (
-        "mode_str",
-        "use_age",
-        "use_spa",
-        "sample_metric",
-        "verify",
-        "write_cells",
-        "scrub_metric",
-        "set_survived",
-    )
+    __slots__ = ("family", "write_cells", "scrub_metric")
 
-    def __init__(
-        self,
-        mode_str: str,
-        use_age: bool,
-        use_spa: bool,
-        sample_metric: Optional[str],
-        verify: int,
-        write_cells: int,
-        scrub_metric: Optional[str],
-        set_survived: bool = False,
-    ) -> None:
-        self.mode_str = mode_str
-        self.use_age = use_age
-        self.use_spa = use_spa
-        self.sample_metric = sample_metric
-        self.verify = verify
+    def __init__(self, family: int, write_cells: int, scrub_metric: str) -> None:
+        self.family = family
         self.write_cells = write_cells
         self.scrub_metric = scrub_metric
-        self.set_survived = set_survived
 
 
 def speculation_plan(policy: SchemePolicy) -> Optional[_Plan]:
-    """The speculative execution plan for ``policy``, or ``None``.
+    """The kernel plan for ``policy``, or ``None`` (run the loop).
 
     Dispatch is on the exact type, like the batch kernel compiler:
     subclasses may override any hook and must take the exact paths.
@@ -150,153 +143,44 @@ def speculation_plan(policy: SchemePolicy) -> Optional[_Plan]:
     from ..baselines.tlc import TlcPolicy
     from ..core.policies.base import IdealPolicy
     from ..core.policies.hybrid import HybridPolicy
+    from ..core.policies.lwt import LwtPolicy
     from ..core.policies.mmetric import MMetricPolicy
     from ..core.policies.scrubbing import ScrubbingPolicy
+    from ..core.policies.select import SelectPolicy
 
     kind = type(policy)
-    interval = policy.scrub_interval_s
-    scrub_on = interval is not None and interval > 0
+    scrub_on = policy.scrub_interval_s is not None and policy.scrub_interval_s > 0
+    rng = getattr(policy, "rng", None)
+    sampler = getattr(policy, "sampler", None)
+    if sampler is None or sampler.rng is not rng:
+        return None
 
-    if kind is IdealPolicy:
+    if kind is IdealPolicy or kind is TlcPolicy:
         if scrub_on:
             return None
-        return _Plan("R", False, False, None, _VERIFY_NONE, policy.full_cells, None)
-    if kind is TlcPolicy:
-        if scrub_on:
-            return None
-        return _Plan("R", False, False, None, _VERIFY_NONE, policy._write_cells, None)
+        cells = policy._write_cells if kind is TlcPolicy else policy.full_cells
+        return _Plan(_FAM_CONST, cells, "R")
     if kind is HybridPolicy:
+        return _Plan(_FAM_HYBRID, policy.full_cells, "M") if scrub_on else None
+    if kind is ScrubbingPolicy:
         if not scrub_on:
             return None
-        return _Plan("R", True, True, "R", _VERIFY_HYBRID, policy.full_cells, "M")
-    if kind is ScrubbingPolicy and policy.w == 0:
-        if not scrub_on:
-            return None
-        return _Plan(
-            "R",
-            True,
-            True,
-            "R",
-            _VERIFY_UNCORR_DET,
-            policy.full_cells,
-            "R",
-            set_survived=True,
-        )
+        family = _FAM_SCRUB_W0 if policy.w == 0 else _FAM_SCRUB_W1
+        return _Plan(family, policy.full_cells, "R")
     if kind is MMetricPolicy:
-        if scrub_on:
+        return _Plan(_FAM_MMETRIC, policy.full_cells, "M")
+    if kind is LwtPolicy or kind is SelectPolicy:
+        if policy.conversion.rng is not rng:
             return None
-        return _Plan("M", True, False, "M", _VERIFY_UNCORR_CORR, policy.full_cells, None)
+        family = _FAM_SELECT if kind is SelectPolicy else _FAM_LWT
+        return _Plan(family, policy.full_cells, "M")
     return None
-
-
-# ------------------------------------------------------------------ births
-
-
-def _splitmix64_vec(values: np.ndarray) -> np.ndarray:
-    v = values + np.uint64(0x9E3779B97F4A7C15)
-    v = (v ^ (v >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return v ^ (v >> np.uint64(31))
-
-
-def _birth_times(policy: SchemePolicy, lines: np.ndarray) -> np.ndarray:
-    """``ctx.epoch_s - InitialAgeModel.age_of(line)`` per line, bit-exact.
-
-    The splitmix hash and the uniform mapping vectorize losslessly in
-    uint64/float64; ``math.log1p`` does *not* equal ``np.log1p`` bit for
-    bit on every input, so the exponential transform stays a scalar loop
-    over the (unique) footprint lines.
-    """
-    ages_model = policy.ages
-    profile = ages_model.profile
-    epoch = policy.ctx.epoch_s
-    births = np.full(len(lines), epoch - profile.cold_age_s, dtype=np.float64)
-    hot = lines < profile.footprint_lines
-    hot_lines = lines[hot]
-    if len(hot_lines):
-        hashed = _splitmix64_vec(
-            (hot_lines.astype(np.uint64) << np.uint64(1)) ^ np.uint64(ages_model.seed)
-        )
-        u = (hashed >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-        u = np.minimum(np.maximum(u, 1e-12), 1.0 - 1e-12)
-        scale = profile.hot_age_scale_s
-        min_age = ages_model.min_age_s
-        log1p = math.log1p
-        ages = [max(-scale * log1p(-x), min_age) for x in u.tolist()]
-        births[hot] = epoch - np.asarray(ages, dtype=np.float64)
-    return births
-
-
-# ------------------------------------------------------------------ pass 2
-
-
-def _interp_probs(tables: Any, metric: str, ages: np.ndarray) -> np.ndarray:
-    """Vectorized sampler probability lookup, bit-equal to the scalar
-    bisect-lerp in ``batch._sampler_fns`` (and to ``np.interp``)."""
-    xs = tables.log_grid
-    ptab = tables.p_r if metric == "R" else tables.p_m
-    slope = np.asarray(tables.slope_r if metric == "R" else tables.slope_m)
-    lo_age = float(tables.grid[0])
-    hi_age = float(tables.grid[-1])
-    p = np.empty(len(ages), dtype=np.float64)
-    lo_mask = ages <= lo_age
-    hi_mask = ages >= hi_age
-    mid = ~(lo_mask | hi_mask)
-    p[lo_mask] = ptab[0]
-    p[hi_mask] = ptab[-1]
-    if mid.any():
-        x = np.log10(ages[mid])
-        j = np.searchsorted(xs, x, side="right") - 1
-        # log10 can map an age strictly below grid[-1] onto exactly
-        # xs[-1] when adjacent doubles collapse in log space; np.interp
-        # returns ptab[-1] there, so match it (and keep j in range).
-        top = j >= len(xs) - 1
-        j[top] = 0
-        vals = slope[j] * (x - xs[j]) + ptab[j]
-        vals[top] = ptab[-1]
-        p[mid] = vals
-    return p
-
-
-def _sample_and_verify(
-    policy: SchemePolicy, plan: _Plan, ages: np.ndarray
-) -> Optional[Tuple[int, int]]:
-    """Draw pass-2 errors; returns ``(silent, uncorrectable)`` or ``None``
-    when a draw falsifies the speculated timeline (RNG state restored)."""
-    if plan.sample_metric is None or len(ages) == 0:
-        return (0, 0)
-    sampler = policy.sampler
-    p = _interp_probs(sampler.tables, plan.sample_metric, ages)
-    need = p > sampler._negligible_p
-    errors = np.zeros(len(ages), dtype=np.int64)
-    codes = np.zeros(len(ages), dtype=np.int8)
-    if need.any():
-        generator = sampler.rng
-        saved_state = generator.bit_generator.state
-        errors[need] = generator.binomial(sampler.cells, p[need])
-        # Regime codes: 0 corrected, 1 detected-uncorrectable, 2 silent.
-        codes = classify_error_counts(errors, _CORR, _DET)
-        if plan.verify == _VERIFY_HYBRID and bool(np.any(codes == 1)):
-            generator.bit_generator.state = saved_state
-            return None
-    if plan.verify == _VERIFY_HYBRID:
-        return (int(np.count_nonzero(codes == 2)), 0)
-    if plan.verify == _VERIFY_UNCORR_DET:
-        return (
-            int(np.count_nonzero(codes == 2)),
-            int(np.count_nonzero(codes == 1)),
-        )
-    if plan.verify == _VERIFY_UNCORR_CORR:
-        return (0, int(np.count_nonzero(codes >= 1)))
-    return (0, 0)
 
 
 # ----------------------------------------------------------------- tracer
 
 
-def _defer_trace_records(
-    tracer: Any, recs: np.ndarray, num_banks: int, mode: str
-) -> None:
+def _defer_trace_records(tracer: Any, recs: np.ndarray, num_banks: int) -> None:
     """Queue lazy materialization of the kernel's compact trace records.
 
     The dict construction (the expensive part) runs only if someone
@@ -310,18 +194,14 @@ def _defer_trace_records(
     dropped = total - take
 
     def build(records: List[Dict[str, Any]]) -> None:
-        appended = 0
-        for f1, f2, f3, line, kind, a, b, c in recs.tolist():
-            if appended >= take:
-                break
-            appended += 1
+        for f1, f2, f3, line, kind, a, b, c in recs[:take].tolist():
             if kind == 0:
                 records.append({
                     "kind": "read",
                     "core": a,
                     "bank": line % num_banks,
                     "line": line,
-                    "mode": mode,
+                    "mode": _MODE_NAMES[c],
                     "queue_depth": b,
                     "issue_ns": f1,
                     "start_ns": f2,
@@ -330,7 +210,7 @@ def _defer_trace_records(
             elif kind == 1:
                 records.append({
                     "kind": "write",
-                    "cause": "demand",
+                    "cause": _CAUSE_NAMES[c],
                     "bank": a,
                     "line": line,
                     "start_ns": f1,
@@ -357,24 +237,17 @@ def _defer_trace_records(
     tracer.defer(take, dropped, build)
 
 
-def _vector_flush(hist: Any, values: np.ndarray) -> None:
-    """Vectorized ``Histogram.record`` bucket counting (integer-exact)."""
-    if len(values) == 0:
-        return
-    edges = np.asarray(hist.boundaries)
-    idx = np.searchsorted(edges, values, side="left")
-    counts = np.bincount(idx, minlength=len(hist.counts))
-    for bucket, count in enumerate(counts.tolist()):
-        if count:
-            hist.counts[bucket] += count
-    hist.count += len(values)
-
-
 # ------------------------------------------------------------------ entry
 
 
-def _ptr(array: np.ndarray, ctype: Any) -> Any:
-    return array.ctypes.data_as(ctypes.POINTER(ctype))
+def _f64(values: Any) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64)
+
+
+def _dict_arrays(entries: Dict[int, Any], dtype: Any) -> Tuple[np.ndarray, np.ndarray]:
+    keys = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
+    vals = np.fromiter(entries.values(), dtype=dtype, count=len(entries))
+    return keys, vals
 
 
 def try_simulate_speculative(
@@ -384,9 +257,9 @@ def try_simulate_speculative(
     epoch_s: float,
     telemetry: Optional[Telemetry],
 ) -> Optional[RunStats]:
-    """Run the speculative two-pass engine; ``None`` means "use the
-    exact-replay loop" (ineligible policy, no compiler, or speculation
-    falsified). On ``None`` all policy/RNG state is untouched.
+    """Run ``trace`` on the compiled kernel; ``None`` means "use the
+    exact-replay loop" (ineligible policy, no compiler, or a kernel
+    error). On ``None`` all policy/RNG state is untouched.
 
     Every call records its ``(outcome, reason)`` in :func:`last_attempt`
     and — when span tracing is active — emits a ``fastpath.speculate``
@@ -418,12 +291,8 @@ def _attempt(
     # ctx; the kernel has one (config, epoch) — they must be the same.
     if policy.ctx.config is not config or policy.ctx.epoch_s != epoch_s:
         return _miss("context_mismatch")
-    # Fixed-capacity queues in the kernel (with headroom for appendleft).
-    if (
-        config.num_cores >= 64
-        or config.write_queue_depth >= 70
-        or config.scrub_backlog_cap >= 70
-    ):
+    # Fixed-capacity queues in the kernel.
+    if config.num_cores >= 64 or config.scrub_backlog_cap >= 70:
         return _miss("config_limits")
 
     if telemetry is not None and telemetry.enabled:
@@ -433,8 +302,6 @@ def _attempt(
     else:
         tele = None
         tracer = None
-    tele_on = tele is not None
-    trace_on = tracer is not None
 
     timing = config.timing
     cycle_ns = timing.cycle_ns
@@ -443,165 +310,206 @@ def _attempt(
     # Flatten the per-core request streams for the kernel.
     per_core = trace.per_core_indices()
     offsets = np.zeros(num_cores + 1, dtype=np.int64)
-    ops_parts = []
-    lines_parts = []
-    gaps_parts = []
+    parts = []
     for core in range(num_cores):
         idx = per_core.get(core)
-        if idx is None or len(idx) == 0:
-            offsets[core + 1] = offsets[core]
-            continue
-        ops_parts.append(np.ascontiguousarray(trace.op[idx], dtype=np.int8))
-        lines_parts.append(np.ascontiguousarray(trace.line[idx], dtype=np.int64))
-        gaps_parts.append(trace.gap[idx].astype(np.float64) * cycle_ns)
-        offsets[core + 1] = offsets[core] + len(idx)
+        count = 0 if idx is None else len(idx)
+        offsets[core + 1] = offsets[core] + count
+        if count:
+            parts.append(idx)
     if offsets[-1] == 0:
         # Empty trace: let the replay loop produce the stats.
         return _miss("empty_trace")
-    ops = np.ascontiguousarray(np.concatenate(ops_parts), dtype=np.int8)
-    lines = np.ascontiguousarray(np.concatenate(lines_parts), dtype=np.int64)
-    gaps = np.ascontiguousarray(np.concatenate(gaps_parts), dtype=np.float64)
-
-    n_read_ops = int(np.count_nonzero(ops == OP_READ))
-    n_write_ops = len(ops) - n_read_ops
-
-    interval = policy.scrub_interval_s
-    scrub_on = interval is not None and interval > 0
-    if scrub_on and interval is not None:
-        scrub_interval = float(interval)
-        ops_per_sweep = config.total_lines / config.lines_per_scrub_op
-        scrub_tick_ns = scrub_interval * 1e9 / ops_per_sweep
-    else:
-        scrub_interval = 1.0
-        scrub_tick_ns = 0.0
-
-    if plan.use_age:
-        unique_lines = np.ascontiguousarray(np.unique(lines), dtype=np.int64)
-        births = np.ascontiguousarray(_birth_times(policy, unique_lines))
-    else:
-        unique_lines = np.zeros(0, dtype=np.int64)
-        births = np.zeros(0, dtype=np.float64)
+    order = np.concatenate(parts)
+    ops = np.ascontiguousarray(trace.op[order], dtype=np.int8)
+    lines = np.ascontiguousarray(trace.line[order], dtype=np.int64)
+    gaps = _f64(trace.gap[order].astype(np.float64) * cycle_ns)
 
     stats = RunStats(scheme=policy.name, workload=trace.name)
     stats.energy.params = config.energy
     stats.wear.cells_per_line = config.cells_per_line_write
     data_bits = stats.energy.data_bits
     eparams = config.energy
+    sampler = policy.sampler
+    tables = sampler.tables
+    ages_model = policy.ages
+    profile = ages_model.profile
+    mask64 = (1 << 64) - 1
+    keep: List[Any] = []  # arrays the kernel points into
 
-    params = TimelineParams()
-    params.n_cores = num_cores
-    params.core_off = _ptr(offsets, ctypes.c_int64)
-    params.ops = _ptr(ops, ctypes.c_int8)
-    params.lines = _ptr(lines, ctypes.c_int64)
-    params.gaps_ns = _ptr(gaps, ctypes.c_double)
-    params.op_read = int(OP_READ)
-    params.num_banks = config.num_banks
-    params.write_queue_depth = config.write_queue_depth
-    params.cancel_threshold = config.cancel_threshold
-    params.write_ns = timing.write_ns
-    params.bus_ns = timing.bus_ns
-    params.read_lat_ns = timing.r_read_ns if plan.mode_str == "R" else timing.m_read_ns
-    params.scrub_on = 1 if scrub_on else 0
-    params.scrub_blocks_channel = 1 if config.scrub_blocks_channel else 0
-    params.scrub_tick_ns = scrub_tick_ns
-    params.lines_per_scrub_op = config.lines_per_scrub_op
-    params.total_lines = config.total_lines
-    params.scrub_backlog_cap = config.scrub_backlog_cap
-    params.scrub_metric_read_ns = (
-        (timing.r_read_ns if plan.scrub_metric == "R" else timing.m_read_ns)
-        if scrub_on
-        else 0.0
-    )
-    params.use_age = 1 if plan.use_age else 0
-    params.use_spa = 1 if plan.use_spa else 0
-    params.scrub_interval_s = scrub_interval
-    params.epoch_s = epoch_s
-    params.half_lines = config.total_lines // 2
-    params.pj_read = eparams.read_energy_pj(plan.mode_str, data_bits)
-    params.pj_per_cell = eparams.write_pj_per_cell
-    params.pj_scrub_read = (
-        eparams.read_energy_pj(plan.scrub_metric, data_bits)
-        if (scrub_on and plan.scrub_metric is not None)
-        else 0.0
-    )
-    params.write_cells = plan.write_cells
-    params.full_cells = config.cells_per_line_write
-    params.n_birth = len(unique_lines)
-    params.birth_lines = _ptr(unique_lines, ctypes.c_int64)
-    params.birth_times = _ptr(births, ctypes.c_double)
-    params.tele_on = 1 if tele_on else 0
-    params.trace_on = 1 if trace_on else 0
+    def arr(values: np.ndarray) -> int:
+        keep.append(values)
+        return values.ctypes.data
 
-    ages = np.zeros(max(n_read_ops, 1), dtype=np.float64)
-    params.ages_cap = len(ages)
-    lat = np.zeros(max(n_read_ops, 1) if tele_on else 1, dtype=np.float64)
-    depth = np.zeros(max(n_read_ops, 1) if tele_on else 1, dtype=np.int32)
+    p = TimelineParams()
+    p.n_cores = num_cores
+    p.core_off = arr(offsets)
+    p.ops = arr(ops)
+    p.lines = arr(lines)
+    p.gaps_ns = arr(gaps)
+    p.op_read = int(OP_READ)
+    p.family = plan.family
+    p.num_banks = config.num_banks
+    p.write_queue_depth = config.write_queue_depth
+    p.cancel_threshold = config.cancel_threshold
+    p.write_ns = timing.write_ns
+    p.bus_ns = timing.bus_ns
+    p.read_ns[:] = (timing.r_read_ns, timing.m_read_ns, timing.rm_read_ns)
+    interval = policy.scrub_interval_s
+    scrub_on = interval is not None and interval > 0
+    if scrub_on:
+        p.scrub_on = 1
+        p.scrub_interval_s = interval
+        p.scrub_tick_ns = interval * 1e9 / (config.total_lines / config.lines_per_scrub_op)
+    p.scrub_blocks_channel = 1 if config.scrub_blocks_channel else 0
+    p.lines_per_scrub_op = config.lines_per_scrub_op
+    p.total_lines = config.total_lines
+    p.scrub_backlog_cap = config.scrub_backlog_cap
+    p.scrub_metric_read_ns = timing.r_read_ns if plan.scrub_metric == "R" else timing.m_read_ns
+    p.pj_read[:] = tuple(eparams.read_energy_pj(m, data_bits) for m in _MODE_NAMES)
+    p.pj_scrub_read = eparams.read_energy_pj(plan.scrub_metric, data_bits)
+    p.pj_per_cell = eparams.write_pj_per_cell
+    p.pj_flag_read = eparams.flag_read_pj + 0.0
+    p.pj_flag_rw = eparams.flag_read_pj + eparams.flag_write_pj
+    p.write_cells = plan.write_cells
+    p.full_cells = policy.full_cells
+    p.epoch_s = epoch_s
+    p.half_lines = config.total_lines // 2
+    p.footprint_lines = profile.footprint_lines
+    p.cold_age_s = profile.cold_age_s
+    p.hot_age_scale_s = profile.hot_age_scale_s
+    p.min_age_s = ages_model.min_age_s
+    p.age_seed = ages_model.seed & mask64
+    p.n_grid = len(tables.log_grid_list)
+    p.xs = arr(_f64(tables.log_grid))
+    p.p_r = arr(_f64(tables.p_r))
+    p.p_m = arr(_f64(tables.p_m))
+    p.slope_r = arr(_f64(tables.slope_r))
+    p.slope_m = arr(_f64(tables.slope_m))
+    p.lo_age = float(tables.grid[0])
+    p.hi_age = float(tables.grid[-1])
+    p.neg_p = sampler._negligible_p
+    p.cells = sampler.cells
+    p.corr = CORRECTABLE_ERRORS
+    p.det = DETECTABLE_ERRORS
+    p.log10_fn, p.log10_data = log10_loop()
+    p.bitgen = policy.rng.bit_generator.ctypes.bit_generator.value
+
+    family = plan.family
+    lw = policy.last_write_s
+    tr: Optional[Dict[int, float]] = None
+    surv: Optional[Dict[int, int]] = None
+    conv = None
+    c = TimelineConv()
+    if family in (_FAM_SCRUB_W0, _FAM_SCRUB_W1):
+        surv = policy._survived
+        p.surv_seed = policy.ctx.seed & mask64
+        p.n_cdf = len(policy._stationary_cdf)
+        p.cdf = arr(_f64(policy._stationary_cdf))
+        p.hazard = arr(_f64(policy._hazard))
+        p.max_m = policy._MAX_INTERVALS - 1
+    elif family == _FAM_MMETRIC:
+        p.w_floor = max(policy.w, 1)
+    elif family in (_FAM_LWT, _FAM_SELECT):
+        tracker = policy.tracker
+        tr = tracker._last_event_s
+        p.sub_len_s = tracker.sub_len_s
+        p.k = policy.k
+        if family == _FAM_SELECT:
+            from ..core.policies.base import DATA_CELLS
+
+            p.s = policy.s
+            p.check_cells = policy._check_cells
+            p.data_cells = DATA_CELLS
+            p.change_fraction = policy.ctx.profile.write_change_fraction
+        conv = policy.conversion
+        c.t = conv.t
+        c.step = conv.step
+        c.window_reads = conv.window_reads
+        c.window_total = conv._window_total
+        c.window_untracked = conv._window_untracked
+        c.last_action = conv._last_action
+        c.stagnant_windows = conv._stagnant_windows
+        c.adjustments = conv.adjustments
+        c.patience = conv.patience
+        c.has_prev_p = conv._prev_p is not None
+        c.prev_p = conv._prev_p if conv._prev_p is not None else 0.0
+        c.improvement_factor = conv.improvement_factor
+        c.enabled = 1 if conv.enabled else 0
+    # Dict entries from before the run (none for a fresh policy).
+    for prefix, entries, dtype in (
+        ("lw", lw, np.float64),
+        ("tr", tr, np.float64),
+        ("surv", surv, np.int64),
+    ):
+        if entries:
+            keys, vals = _dict_arrays(entries, dtype)
+            setattr(p, "n_pre_" + prefix, len(keys))
+            setattr(p, "pre_%s_lines" % prefix, arr(keys))
+            setattr(p, "pre_%s_vals" % prefix, arr(vals))
+    p.trace_on = 1 if tracer is not None else 0
+    hists = (stats.read_latency_hist, stats.queue_depth_hist)
+    counts = [np.zeros(len(hist.counts), dtype=np.int64) for hist in hists]
+    if tele is not None:
+        # The kernel buckets each value as Histogram.record does.
+        p.tele_on = 1
+        p.n_lat_edges, p.n_depth_edges = (len(hist.boundaries) for hist in hists)
+        p.lat_edges, p.depth_edges = (arr(_f64(hist.boundaries)) for hist in hists)
+        p.lat_counts, p.depth_counts = (arr(c) for c in counts)
 
     out = TimelineOut()
-    rep_cap = n_write_ops + 4 * len(ops) + 4096
-    rec_cap = (3 * len(ops) + 4096) if trace_on else 1
+    bit_generator = policy.rng.bit_generator
     with maybe_span("fastpath.timeline", requests=len(ops)):
-        for _retry in range(3):
-            rep_lines = np.zeros(rep_cap, dtype=np.int64)
-            rep_times = np.zeros(rep_cap, dtype=np.float64)
-            rep_kind = np.zeros(rep_cap, dtype=np.int8)
-            recs = np.zeros(rec_cap, dtype=TRACE_REC_DTYPE)
-            params.rep_cap = rep_cap
-            params.rec_cap = rec_cap
-            code = lib.run_timeline(
-                ctypes.byref(params),
-                ctypes.byref(out),
-                _ptr(ages, ctypes.c_double),
-                _ptr(rep_lines, ctypes.c_int64),
-                _ptr(rep_times, ctypes.c_double),
-                _ptr(rep_kind, ctypes.c_int8),
-                _ptr(lat, ctypes.c_double),
-                _ptr(depth, ctypes.c_int32),
-                recs.ctypes.data_as(ctypes.c_void_p),
+        with bit_generator.lock:
+            saved_state = bit_generator.state
+            handle = lib.run_timeline(ctypes.byref(p), ctypes.byref(c), ctypes.byref(out))
+            if handle is None or out.error:
+                # The kernel drew from the Generator; rewind it so the
+                # loop replays the run from the same stream.
+                bit_generator.state = saved_state
+                lib.free_timeline(handle)
+                return _miss("kernel_error")
+        try:
+            recs = np.empty(out.n_rec, dtype=TRACE_REC_DTYPE)
+            lw_lines = np.empty(out.n_lw, dtype=np.int64)
+            lw_vals = np.empty(out.n_lw, dtype=np.float64)
+            tr_lines = np.empty(out.n_tr, dtype=np.int64)
+            tr_vals = np.empty(out.n_tr, dtype=np.float64)
+            surv_lines = np.empty(out.n_surv, dtype=np.int64)
+            surv_vals = np.empty(out.n_surv, dtype=np.int64)
+            lib.export_timeline(
+                handle,
+                recs.ctypes.data,
+                lw_lines.ctypes.data,
+                lw_vals.ctypes.data,
+                tr_lines.ctypes.data,
+                tr_vals.ctypes.data,
+                surv_lines.ctypes.data,
+                surv_vals.ctypes.data,
             )
-            if code == 0:
-                break
-            if code in RETRYABLE_ERRORS:
-                # The kernel is pure (touches no Python state), so a rerun
-                # with bigger buffers is safe.
-                rep_cap *= 8
-                rec_cap *= 8
-                continue
-            return _miss("kernel_error")
-        else:
-            return _miss("kernel_error")
+        finally:
+            lib.free_timeline(handle)
 
-    # ---- pass 2: drift sampling + speculation check
-    with maybe_span("fastpath.verify", reads=int(out.n_ages)) as verify_span:
-        outcome = _sample_and_verify(policy, plan, ages[: out.n_ages])
-        if outcome is None:
-            verify_span.set_attr("aborted", True)
-            with maybe_span("fastpath.abort", scheme=policy.name):
-                pass
-            return _miss("verify_abort")
-        verify_span.set_attr("aborted", False)
-    n_silent, n_uncorrectable = outcome
-
-    # ---- commit: replay policy line state, then fill the stats
-    lw = policy.last_write_s
-    if out.n_rep:
-        rep_l = rep_lines[: out.n_rep].tolist()
-        rep_t = rep_times[: out.n_rep].tolist()
-        if plan.set_survived:
-            survived = policy._survived
-            for line, when, kind in zip(rep_l, rep_t, rep_kind[: out.n_rep].tolist()):
-                lw[line] = when
-                if kind == 0:
-                    survived[line] = 0
-        else:
-            for line, when in zip(rep_l, rep_t):
-                lw[line] = when
+    # ---- commit: policy state as the loop leaves it, then the stats
+    lw.update(zip(lw_lines.tolist(), lw_vals.tolist()))
+    if tr is not None:
+        tr.update(zip(tr_lines.tolist(), tr_vals.tolist()))
+    if surv is not None:
+        surv.update(zip(surv_lines.tolist(), surv_vals.tolist()))
+    if conv is not None:
+        conv.t = c.t
+        conv._window_total = c.window_total
+        conv._window_untracked = c.window_untracked
+        conv._prev_p = c.prev_p if c.has_prev_p else None
+        conv._last_action = c.last_action
+        conv._stagnant_windows = c.stagnant_windows
+        conv.adjustments = c.adjustments
 
     stats.reads = out.n_reads
     stats.writes = out.n_writes
-    stats.conversions = 0
-    stats.silent_corruptions = n_silent
-    stats.uncorrectable_reads = n_uncorrectable
+    stats.conversions = out.n_conversions
+    stats.silent_corruptions = out.n_silent
+    stats.uncorrectable_reads = out.n_uncorrectable
     stats.scrub_ops = out.n_scrub_ops
     stats.scrub_rewrites = out.n_scrub_rewrites
     stats.scrubs_skipped = out.n_scrubs_skipped
@@ -609,36 +517,29 @@ def _attempt(
     stats.total_read_latency_ns = out.total_read_latency
     stats.execution_time_ns = out.exec_time_ns
     stats.instructions = int(trace.gap.sum()) + len(trace)
-    if out.n_reads:
-        stats.reads_by_mode[plan.mode_str] = out.n_reads
-
-    # by-category dicts are rebuilt in the kernel's first-touch order so
-    # their (serialized) insertion order matches the scalar engine's.
-    acc_by_ecat = (
-        out.acc_read_pj,
-        out.acc_write_pj,
-        out.acc_scrub_read_pj,
-        out.acc_scrub_write_pj,
-    )
+    # Dicts are rebuilt in the kernel's first-touch order so their
+    # (serialized) insertion order matches the scalar engine's.
+    for i in range(out.n_mode):
+        mode = out.mode_order[i]
+        stats.reads_by_mode[_MODE_NAMES[mode]] = out.reads_by_mode[mode]
     by_cat = stats.energy.by_category
     for i in range(out.n_ecat):
         cat = out.ecat_order[i]
-        by_cat[_ECAT_NAMES[cat]] = acc_by_ecat[cat]
-    wear_by_wcat = (out.wear_demand, out.wear_scrub)
+        by_cat[_ECAT_NAMES[cat]] = out.energy[cat]
     by_cause = stats.wear.by_cause
     for i in range(out.n_wcat):
         cat = out.wcat_order[i]
-        by_cause[_WCAT_NAMES[cat]] = wear_by_wcat[cat]
+        by_cause[_WCAT_NAMES[cat]] = out.wear[cat]
 
     if tele is not None:
-        _vector_flush(stats.read_latency_hist, lat[: out.n_lat])
-        stats.read_latency_hist.sum += out.lat_sum
-        _vector_flush(stats.queue_depth_hist, depth[: out.n_depth])
-        stats.queue_depth_hist.sum += out.depth_sum
+        for hist, bucket_counts, n, total in zip(
+            hists, counts, (out.n_lat, out.n_depth), (out.lat_sum, out.depth_sum)
+        ):
+            hist.counts[:] = [a + b for a, b in zip(hist.counts, bucket_counts.tolist())]
+            hist.count += n
+            hist.sum += total
         if tracer is not None:
-            _defer_trace_records(
-                tracer, recs[: out.n_rec], config.num_banks, plan.mode_str
-            )
+            _defer_trace_records(tracer, recs, config.num_banks)
         if tele.metrics is not None:
             from .batch import _snapshot_metrics
 

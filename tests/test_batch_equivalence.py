@@ -121,25 +121,215 @@ def test_batch_equals_event_telemetry(trace_and_config):
     assert batch[3] == event[3]
 
 
-def test_batch_equals_fallback_without_native(trace_and_config, monkeypatch):
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_batch_equals_fallback_without_native(scheme, trace_and_config, monkeypatch):
     """The pure-python batch path (no compiled kernel) is also identical."""
     from repro.memsim import native
 
     trace, config, profile = trace_and_config
     fast = simulate(
-        trace, _fresh_policy("Hybrid", profile, config), config, engine="batch"
+        trace, _fresh_policy(scheme, profile, config), config, engine="batch"
     )
     monkeypatch.setenv("READDUO_NO_NATIVE", "1")
     monkeypatch.setattr(native, "_lib", native._UNSET)
     try:
         assert native.load_timeline() is None
         slow = simulate(
-            trace, _fresh_policy("Hybrid", profile, config), config,
+            trace, _fresh_policy(scheme, profile, config), config,
             engine="batch",
         )
     finally:
         monkeypatch.setattr(native, "_lib", native._UNSET)
     assert fast.to_dict() == slow.to_dict()
+
+
+# ------------------------------------------- compiled kernel coverage
+
+
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_every_family_runs_on_the_kernel(scheme, trace_and_config):
+    """With no faults on the default config every registered family runs
+    on the compiled kernel ("speculated" = ran on the kernel)."""
+    from repro.memsim import fastpath
+    from repro.memsim.native import native_available
+
+    if not native_available():
+        pytest.skip("compiled kernel unavailable")
+    trace, config, profile = trace_and_config
+    simulate(trace, _fresh_policy(scheme, profile, config), config, engine="batch")
+    assert fastpath.last_attempt() == ("speculated", "ok")
+
+
+def _policy_state(policy):
+    """Every piece of policy state a run mutates, in dict insertion order."""
+    state = {
+        "last_write_s": list(policy.last_write_s.items()),
+        "rng": policy.rng.bit_generator.state,
+    }
+    tracker = getattr(policy, "tracker", None)
+    if tracker is not None:
+        state["tracker"] = list(tracker._last_event_s.items())
+    survived = getattr(policy, "_survived", None)
+    if survived is not None:
+        state["survived"] = list(survived.items())
+    conv = getattr(policy, "conversion", None)
+    if conv is not None:
+        state["conversion"] = (
+            conv.t,
+            conv._window_total,
+            conv._window_untracked,
+            conv._prev_p,
+            conv._last_action,
+            conv._stagnant_windows,
+            conv.adjustments,
+        )
+    return state
+
+
+def _count_tracked_rm(policy, hits):
+    """Count LWT reads that were tracked yet re-read as R+M (9-17 errors)."""
+    from repro.memsim.policy import ReadMode
+
+    on_read = policy.on_read
+
+    def counting(line, now_s):
+        tracked = policy.tracker.is_tracked(line, now_s, policy.last_write_of(line))
+        decision = on_read(line, now_s)
+        if tracked and decision.mode is ReadMode.RM:
+            hits["tracked_rm"] += 1
+        return decision
+
+    policy.on_read = counting
+
+
+def _aged(ctx, hot_age_scale_s):
+    """``ctx`` with hot lines last written ~``hot_age_scale_s`` ago."""
+    from dataclasses import replace
+
+    return replace(ctx, profile=replace(ctx.profile, hot_age_scale_s=hot_age_scale_s))
+
+
+def _pinned_t(policy, t):
+    """Hold the conversion ratio at ``t``: no measurement window ends."""
+    policy.conversion.t = t
+    policy.conversion.window_reads = 10**9
+    return policy
+
+
+def _unscrubbed(policy):
+    policy.scrub_interval_s = None
+    return policy
+
+
+def _branch_policies():
+    from repro.core.policies.hybrid import HybridPolicy
+    from repro.core.policies.lwt import LwtPolicy
+    from repro.core.policies.mmetric import MMetricPolicy
+    from repro.core.policies.scrubbing import ScrubbingPolicy
+    from repro.core.policies.select import SelectPolicy
+
+    full = MemoryConfig().cells_per_line_write
+    return {
+        # A long W=0 interval lets lines age into the 9-17 R-error band.
+        "hybrid-r-to-rm": (
+            lambda ctx: HybridPolicy(ctx, interval_s=1e6),
+            lambda st, pol, hits: st.reads_by_mode.get("RM", 0),
+        ),
+        # Old hot lines inside a long tracking window: tracked R-reads
+        # that see 9-17 errors.
+        "lwt-tracked-r-to-rm": (
+            lambda ctx: LwtPolicy(_aged(ctx, 2e5), k=4, interval_s=1e6),
+            lambda st, pol, hits: hits["tracked_rm"],
+        ),
+        "lwt-window-controller": (
+            lambda ctx: LwtPolicy(ctx, k=4),
+            lambda st, pol, hits: pol.conversion.adjustments * st.conversions,
+        ),
+        "conversion-coin": (
+            lambda ctx: _pinned_t(LwtPolicy(ctx, k=4), 30),
+            lambda st, pol, hits: st.conversions
+            * (st.conversions < st.reads_by_mode.get("RM", 0)),
+        ),
+        "conversion-t0": (
+            lambda ctx: _pinned_t(LwtPolicy(ctx, k=4), 0),
+            lambda st, pol, hits: st.reads_by_mode.get("RM", 0) * (st.conversions == 0),
+        ),
+        "conversion-t100": (
+            lambda ctx: _pinned_t(LwtPolicy(ctx, k=4), 100),
+            lambda st, pol, hits: st.conversions,
+        ),
+        "select-differential-write": (
+            lambda ctx: SelectPolicy(ctx, k=4, s=2),
+            lambda st, pol, hits: st.writes * full - st.wear.by_cause.get("demand", 0),
+        ),
+        "lwt-w1-scrub-rewrite": (
+            lambda ctx: LwtPolicy(ctx, k=2),
+            lambda st, pol, hits: st.scrub_rewrites,
+        ),
+        "scrubbing-w1-hazard-rewrite": (
+            lambda ctx: ScrubbingPolicy(ctx, w=1),
+            lambda st, pol, hits: st.scrub_rewrites,
+        ),
+        "mmetric-without-scrub": (
+            lambda ctx: _unscrubbed(MMetricPolicy(ctx)),
+            lambda st, pol, hits: st.reads * (st.scrub_ops == 0),
+        ),
+        "lwt-without-scrub": (
+            lambda ctx: _unscrubbed(LwtPolicy(ctx, k=4)),
+            lambda st, pol, hits: st.conversions * (st.scrub_ops == 0),
+        ),
+    }
+
+
+@pytest.mark.parametrize("branch", sorted(_branch_policies()))
+def test_kernel_post_state_equals_event_on_rare_branches(branch, trace_and_config):
+    """Batch engine (the kernel where it is built) and event oracle leave
+    identical policy state — last-write times, tracker, conversion
+    controller, survived counts, RNG — on a config where each rare branch
+    fires (its counter is non-zero, so the equality is not vacuous)."""
+    from repro.memsim import fastpath
+    from repro.memsim.native import native_available
+
+    trace, config, profile = trace_and_config
+    make, fired = _branch_policies()[branch]
+    policies, results = {}, {}
+    hits = {"tracked_rm": 0}
+    for engine in ENGINES:
+        policy = make(PolicyContext(profile=profile, config=config, seed=SEED))
+        if engine == "event" and branch == "lwt-tracked-r-to-rm":
+            _count_tracked_rm(policy, hits)
+        results[engine] = simulate(trace, policy, config, engine=engine)
+        if engine == "batch" and native_available():
+            assert fastpath.last_attempt() == ("speculated", "ok")
+        policies[engine] = policy
+    assert results["batch"].to_dict() == results["event"].to_dict()
+    assert _policy_state(policies["batch"]) == _policy_state(policies["event"])
+    assert fired(results["event"], policies["event"], hits) > 0
+
+
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_kernel_post_state_equals_event_per_scheme(scheme, trace_and_config):
+    trace, config, profile = trace_and_config
+    policies = {}
+    for engine in ENGINES:
+        policies[engine] = _fresh_policy(scheme, profile, config)
+        simulate(trace, policies[engine], config, engine=engine)
+    assert _policy_state(policies["batch"]) == _policy_state(policies["event"])
+
+
+def test_kernel_continues_from_existing_policy_state(trace_and_config):
+    """A policy reused for a second run starts from the state the first
+    left behind, on the kernel exactly as on the oracle."""
+    trace, config, profile = trace_and_config
+    for scheme in ("LWT-4", "Scrubbing", "Select-4:2"):
+        policies, results = {}, {}
+        for engine in ENGINES:
+            policy = _fresh_policy(scheme, profile, config)
+            simulate(trace, policy, config, engine=engine)
+            results[engine] = simulate(trace, policy, config, engine=engine)
+            policies[engine] = policy
+        assert results["batch"].to_dict() == results["event"].to_dict()
+        assert _policy_state(policies["batch"]) == _policy_state(policies["event"])
 
 
 # ------------------------------------------------------ sweep and cache

@@ -240,10 +240,11 @@ class TestFastpathCounters:
     speculates.
     """
 
-    def _run(self, scheme, jobs=1):
+    def _run(self, scheme, jobs=1, faults=None):
         metrics = MetricsRegistry()
         spec = SimSpec(
-            schemes=(scheme,), workloads=("mcf",), target_requests=1_000
+            schemes=(scheme,), workloads=("mcf",), target_requests=1_000,
+            faults=faults,
         )
         execute_plan(
             build_plan([spec]), jobs=jobs, telemetry=Telemetry(metrics=metrics)
@@ -256,7 +257,9 @@ class TestFastpathCounters:
         assert "fastpath.fallback" not in counters
 
     def test_fallback_counter_increments(self):
-        counters = self._run("LWT-4")  # scheme without a native kernel path
+        # Every registered family runs on the kernel; fault injection
+        # always takes the exact-replay loop.
+        counters = self._run("LWT-4", faults={"stuck_line_rate": 0.01})
         assert counters["fastpath.fallback"] == 1
         assert "fastpath.speculated" not in counters
 
