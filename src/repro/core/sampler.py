@@ -31,6 +31,11 @@ class SamplerTables:
     module-level memo serves every sampler (and the batch kernels, which
     read the precomputed slope arrays for a bisect-based interpolation that
     is bit-identical to ``np.interp`` on the same grid).
+
+    The first table build is where a simulating process imports
+    ``scipy.stats``: the drift model imports it inside the functions that
+    evaluate it, so processes that never simulate (listings, fully cached
+    sweeps) never load it.
     """
 
     __slots__ = (

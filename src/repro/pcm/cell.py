@@ -14,7 +14,8 @@ All functions accept scalars or numpy arrays of levels and broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +38,15 @@ def _as_level_array(levels: ArrayLike) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= NUM_LEVELS):
         raise ValueError(f"levels must be in [0, {NUM_LEVELS - 1}]")
     return arr
+
+
+@lru_cache(maxsize=None)
+def _truncation_bounds(width: float) -> Tuple[float, float]:
+    """``(Phi(-width), Phi(width))``: the uniform range whose inverse-CDF
+    image is the program-and-verify window ``z in (-width, width)``."""
+    from scipy.stats import norm
+
+    return norm.cdf(-width), norm.cdf(width)
 
 
 def sample_initial_log10(
@@ -64,8 +74,7 @@ def sample_initial_log10(
     # Inverse-CDF truncated normal: z in (-width, width).
     from scipy.stats import norm
 
-    lo = norm.cdf(-width)
-    hi = norm.cdf(width)
+    lo, hi = _truncation_bounds(width)
     u = rng.uniform(lo, hi, size=arr.shape)
     z = norm.ppf(u)
     return mu + params.sigma * z

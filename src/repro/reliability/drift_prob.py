@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import norm
 
 from ..pcm.params import MetricParams, NUM_LEVELS
 
@@ -43,6 +42,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_QUAD_POINTS)
 
 def _lambda(params: MetricParams, t_s: Union[float, np.ndarray]) -> np.ndarray:
     t = np.asarray(t_s, dtype=np.float64)
+    # NaN would pass through np.maximum and fail every comparison
+    # downstream, reading as "no error"; ages <= t0 clamp to lambda = 0.
+    if np.isnan(t).any():
+        raise ValueError("age must not be NaN")
     return np.log10(np.maximum(t, params.t0) / params.t0)
 
 
@@ -50,6 +53,8 @@ def _truncated_level_probability(
     params: MetricParams, level: int, lam: np.ndarray
 ) -> np.ndarray:
     """Integrate P(alpha > (B - x) / lambda) over the truncated x density."""
+    from scipy.stats import norm
+
     mu = params.mu[level]
     sigma = params.sigma
     width = params.program_width_sigma
@@ -87,6 +92,8 @@ def _untruncated_level_probability(
     params: MetricParams, level: int, lam: np.ndarray
 ) -> np.ndarray:
     """Closed-form normal-sum approximation (no programming truncation)."""
+    from scipy.stats import norm
+
     mu = params.mu[level]
     sigma = params.sigma
     boundary = params.upper_boundary(level)

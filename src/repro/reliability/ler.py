@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import binom
 
 from ..pcm.params import MetricParams
 from .drift_prob import mean_cell_error_probability
@@ -52,6 +51,8 @@ def line_failure_probability(
         cells: Cells per line.
         truncated: Use the truncated programming distribution.
     """
+    from scipy.stats import binom
+
     if ecc_strength < 0:
         raise ValueError("ecc_strength must be >= 0")
     scalar = np.isscalar(age_s)
@@ -126,6 +127,8 @@ def ler_table(
     Each row assumes every line was fully written at the start of the
     interval (condition (i) of the paper's efficient-scrubbing definition).
     """
+    from scipy.stats import binom
+
     intervals = list(intervals_s)
     strengths = list(ecc_strengths)
     if not intervals or not strengths:

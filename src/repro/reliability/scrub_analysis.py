@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from scipy.stats import binom
-
 from ..pcm.params import MetricParams
 from .drift_prob import mean_cell_error_probability
 from .ler import CELLS_PER_LINE
@@ -74,6 +72,8 @@ def relaxed_scrub_risk(
         P(fewer than W errors by ``skipped_intervals * S``, then more than
         ``E - W`` new errors in the following interval).
     """
+    from scipy.stats import binom
+
     if w < 1:
         raise ValueError("w must be >= 1 (W=0 always rewrites; use condition (i))")
     if skipped_intervals < 1:
@@ -114,6 +114,8 @@ def silent_corruption_risk(
     detect returns wrong data with no warning; the design keeps this below
     the DRAM budget by bounding line age to one M-scrub interval (640 s).
     """
+    from scipy.stats import binom
+
     p_cell = float(mean_cell_error_probability(params, age_s, truncated=truncated))
     return float(binom.sf(bch_detection_limit(ecc_strength), cells, p_cell))
 

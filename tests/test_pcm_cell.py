@@ -41,6 +41,19 @@ class TestSampleInitial:
         values = sample_initial_log10(R_METRIC, np.zeros((3, 5), dtype=int), rng)
         assert values.shape == (3, 5)
 
+    @pytest.mark.parametrize("width", [R_METRIC.program_width_sigma, 2.0])
+    def test_memoized_bounds_draw_identically(self, width):
+        from scipy.stats import norm
+
+        params = R_METRIC.replace(program_width_sigma=width)
+        levels = np.arange(64) % 4
+        for _ in range(2):  # the second call reads the memoized bounds
+            got = sample_initial_log10(params, levels, np.random.default_rng(7))
+            rng = np.random.default_rng(7)
+            u = rng.uniform(norm.cdf(-width), norm.cdf(width), size=levels.shape)
+            expected = np.asarray(params.mu)[levels] + params.sigma * norm.ppf(u)
+            assert np.array_equal(got, expected)
+
 
 class TestSampleAlpha:
     def test_nonnegative(self, rng):

@@ -71,6 +71,23 @@ class TestMeanCellProbability:
         with pytest.raises(ValueError):
             mean_cell_error_probability(R_METRIC, 8.0, [0.5, 0.5, 0.5, 0.5])
 
+    def test_rejects_nan_scalar_age(self):
+        with pytest.raises(ValueError, match="NaN"):
+            mean_cell_error_probability(R_METRIC, float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            level_error_probability(R_METRIC, 1, float("nan"))
+
+    def test_rejects_nan_in_age_array(self):
+        ages = np.asarray([8.0, np.nan, 640.0])
+        with pytest.raises(ValueError, match="NaN"):
+            mean_cell_error_probability(R_METRIC, ages)
+        with pytest.raises(ValueError, match="NaN"):
+            level_error_probability(R_METRIC, 2, ages, truncated=False)
+
+    def test_ages_at_or_below_t0_still_clamp_to_zero(self):
+        ages = np.asarray([0.0, 0.5 * R_METRIC.t0, R_METRIC.t0])
+        assert np.all(mean_cell_error_probability(R_METRIC, ages) == 0.0)
+
     def test_m_metric_far_more_reliable(self):
         at = 640.0
         assert mean_cell_error_probability(
