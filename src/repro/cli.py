@@ -59,8 +59,8 @@ daemon serves — so local and served execution share one code path and
 produce bit-for-bit identical results.
 
 ``simulate`` and ``sweep`` accept ``--engine {batch,event}``: ``batch``
-(default) is the vectorized batch kernel, ``event`` the event-level
-scalar oracle. The two are bit-for-bit identical, so the flag never
+(default) is the compiled kernel, falling back to the event engine for
+runs it cannot take; ``event`` is the event-level scalar oracle. The two are bit-for-bit identical, so the flag never
 enters result identity — it only trades speed for step-by-step
 debuggability (see docs/PERFORMANCE.md).
 
@@ -1175,7 +1175,7 @@ def _add_engine_flag(
 
     parser.add_argument(
         "--engine", choices=ENGINES, default=default,
-        help="simulation engine: 'batch' (vectorized kernel, default) or "
+        help="simulation engine: 'batch' (compiled kernel, default) or "
              "'event' (event-level scalar oracle); results are bit-for-bit "
              "identical either way",
     )

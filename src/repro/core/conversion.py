@@ -31,7 +31,7 @@ class AdaptiveConversionController:
     Args:
         rng: Randomness for the per-read conversion coin.
         initial_t: Starting conversion percentage.
-        step: Adjustment granularity (paper: 10).
+        step: Adjustment granularity (paper: 10); 0 holds ``T`` fixed.
         window_reads: Reads per measurement window.
         high_p_threshold: ``P`` above which ``T`` is decreased.
         improvement_factor: Required ``P`` shrink factor to keep raising
@@ -57,8 +57,10 @@ class AdaptiveConversionController:
     ) -> None:
         if not 0 <= initial_t <= 100:
             raise ValueError("initial_t must be in [0, 100]")
-        if step <= 0 or window_reads <= 0:
-            raise ValueError("step and window_reads must be positive")
+        if step < 0:
+            raise ValueError("step must be >= 0")
+        if window_reads <= 0:
+            raise ValueError("window_reads must be positive")
         self.rng = rng if rng is not None else np.random.default_rng()
         self.t = initial_t
         self.step = step

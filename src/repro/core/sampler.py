@@ -11,7 +11,7 @@ RNG entirely.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,9 +28,9 @@ class SamplerTables:
     a 160-point log-age grid per metric — milliseconds of scipy work that
     used to be repeated for every policy instantiation. Tables are pure
     functions of ``(r_params, m_params, grid bounds, grid_points)``, so one
-    module-level memo serves every sampler (and the batch kernels, which
-    read the precomputed slope arrays for a bisect-based interpolation that
-    is bit-identical to ``np.interp`` on the same grid).
+    module-level memo serves every sampler (and the compiled kernel, which
+    reads the precomputed slope arrays for a bisect-based interpolation
+    that is bit-identical to ``np.interp`` on the same grid).
 
     The first table build is where a simulating process imports
     ``scipy.stats``: the drift model imports it inside the functions that
@@ -43,9 +43,6 @@ class SamplerTables:
         "log_grid",
         "p_r",
         "p_m",
-        "log_grid_list",
-        "p_r_list",
-        "p_m_list",
         "slope_r",
         "slope_m",
     )
@@ -62,25 +59,15 @@ class SamplerTables:
         self.log_grid = np.log10(self.grid)
         self.p_r = np.asarray(mean_cell_error_probability(r_params, self.grid))
         self.p_m = np.asarray(mean_cell_error_probability(m_params, self.grid))
-        for arr in (self.grid, self.log_grid, self.p_r, self.p_m):
+        # Per-segment slopes for the compiled kernel's bisect-lerp.
+        # `(p[j+1]-p[j]) / (x[j+1]-x[j])` evaluated once per segment yields
+        # the same double as np.interp computes per query, so
+        # `slope*(q-x[j]) + p[j]` reproduces np.interp bit-for-bit (see
+        # tests/test_batch_equivalence.py).
+        self.slope_r = np.diff(self.p_r) / np.diff(self.log_grid)
+        self.slope_m = np.diff(self.p_m) / np.diff(self.log_grid)
+        for arr in (self.grid, self.log_grid, self.p_r, self.p_m, self.slope_r, self.slope_m):
             arr.setflags(write=False)
-        # Plain-list mirrors + per-segment slopes for the batch kernels'
-        # bisect-lerp fast path. `(p[j+1]-p[j]) / (x[j+1]-x[j])` evaluated
-        # once per segment yields the same double as np.interp computes
-        # per query, so `slope*(q-x[j]) + p[j]` reproduces np.interp
-        # bit-for-bit (see tests/test_batch_equivalence.py).
-        self.log_grid_list: List[float] = self.log_grid.tolist()
-        self.p_r_list: List[float] = self.p_r.tolist()
-        self.p_m_list: List[float] = self.p_m.tolist()
-        xs = self.log_grid_list
-        self.slope_r: List[float] = [
-            (self.p_r_list[j + 1] - self.p_r_list[j]) / (xs[j + 1] - xs[j])
-            for j in range(len(xs) - 1)
-        ]
-        self.slope_m: List[float] = [
-            (self.p_m_list[j + 1] - self.p_m_list[j]) / (xs[j + 1] - xs[j])
-            for j in range(len(xs) - 1)
-        ]
 
 
 _TABLE_MEMO: Dict[

@@ -84,9 +84,8 @@ def classify_error_counts(
 ) -> np.ndarray:
     """Vectorized :func:`classify_error_count` over an array of counts.
 
-    The batch simulation kernel classifies every read of a run in one
-    call, so the split is computed with two array comparisons instead of
-    per-read Python dispatch.
+    Classifies a whole array of reads in one call: the split is two
+    array comparisons instead of per-read Python dispatch.
 
     Args:
         errors: Integer bit-error counts, any shape.

@@ -90,6 +90,7 @@ EXPERIMENT_SPECS: Dict[str, Callable[..., Tuple[SimSpec, ...]]] = {
     "ablation-write-cancellation": write_cancellation_specs,
     "extra-fault-density": fault_density_specs,
     "extra-scrub-interval": scrub_interval_specs,
+    "extra-precise-write": scrub_interval_specs,
 }
 
 __all__ = [

@@ -206,11 +206,10 @@ def ablation_conversion_throttle(
         )
         assert isinstance(policy, LwtPolicy)
         if fixed_t is not None:
+            # Hold the controller at the fixed ratio (step 0 never moves T).
             policy.conversion.t = fixed_t
-            policy.conversion.step = 0 if fixed_t in (0, 100) else policy.conversion.step
-            # Freeze the controller at the fixed ratio.
+            policy.conversion.step = 0
             policy.conversion.enabled = fixed_t > 0
-            policy.conversion.record_read = lambda untracked: None
         stats = simulate(trace, policy, config)
         rows.append(
             [

@@ -178,7 +178,6 @@ def bench_batch_kernel(requests: int) -> Dict:
     both engines' requests/s are normalized per-request so the speedup
     is still comparable.
     """
-    from ..memsim.batch import TELEMETRY_FLUSH_WINDOW
     from ..memsim.engine import simulate
 
     trace, fresh_policy, config = _scenario(requests)
@@ -205,7 +204,6 @@ def bench_batch_kernel(requests: int) -> Dict:
         "batch_s": batch_s,
         "batch_requests_per_s": batch_rps,
         "speedup": scalar_s / batch_s,
-        "batch_window": TELEMETRY_FLUSH_WINDOW,
         "equivalence_check": "bit-for-bit",
     }
 

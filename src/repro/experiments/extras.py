@@ -103,12 +103,14 @@ def scrub_interval_specs(
     target_requests: int = 8_000,
     seed: int = 42,
 ) -> tuple:
-    """The sweep-backed part of the scrub-interval study (Ideal baseline).
+    """The sweep-backed part of the scrub-interval and precise-write
+    studies (their shared Ideal baseline).
 
-    The custom-interval LWT runs are built policy-by-policy and cannot go
-    through the registry/sweep path, but the Ideal baseline can — so it
-    is registered in ``EXPERIMENT_SPECS`` and shared with every other
-    artifact that normalizes against Ideal on the same trace.
+    The custom-interval LWT runs and the precise-write variants are built
+    policy-by-policy and cannot go through the registry/sweep path, but
+    the Ideal baseline can — so it is registered in ``EXPERIMENT_SPECS``
+    and shared with every other artifact that normalizes against Ideal on
+    the same trace.
     """
     return (
         SimSpec(
@@ -192,6 +194,13 @@ def precise_write_comparison(
     from ..baselines.precise import PreciseWritePolicy
 
     profile = workload(workload_name)
+    spec = scrub_interval_specs(
+        workload_name=workload_name, target_requests=target_requests, seed=seed
+    )[0]
+    trace = spec.trace_for(workload_name)
+    # The baseline runs on the default config whatever the variant, so
+    # every row normalizes against the one planned, cached Ideal run.
+    ideal = run_sweep(spec)[workload_name]["Ideal"]
     slow_timing = MemoryConfig().timing
     rows = []
     for label, scheme_config in (
@@ -207,21 +216,6 @@ def precise_write_comparison(
         )),
         ("LWT-4", MemoryConfig()),
     ):
-        variant_spec = SimSpec(
-            schemes=("Ideal",),
-            workloads=(workload_name,),
-            target_requests=target_requests,
-            seed=seed,
-            config=scheme_config,
-        )
-        trace = variant_spec.trace_for(workload_name)
-        ideal = simulate(
-            trace,
-            make_policy(
-                "Ideal", PolicyContext(profile=profile, config=scheme_config)
-            ),
-            MemoryConfig(),
-        )
         if label == "Precise-write":
             policy = PreciseWritePolicy(
                 PolicyContext(profile=profile, config=scheme_config, seed=seed),

@@ -138,8 +138,9 @@ class SimSpec:
             normalized to ``None`` — means no fault injection, and the
             spec hashes exactly as it did before faults existed, so
             fault-free warm caches stay valid.
-        engine: Simulation engine — ``"batch"`` (vectorized kernel, the
-            default) or ``"event"`` (the event-level oracle). The two
+        engine: Simulation engine — ``"batch"`` (the compiled kernel,
+            falling back to the event engine; the default) or
+            ``"event"`` (the event-level oracle). The two
             are bit-for-bit identical, so the flag is *excluded* from
             :meth:`content_hash`: artifacts cached under one engine
             replay under the other, and the pinned sweep digest is

@@ -17,7 +17,7 @@ worker count or scheduling, so fault schedules are bit-identical across
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .models import FaultSpec, line_fault_seed
 
@@ -132,32 +132,6 @@ class FaultInjector:
                     self.spec.write_fail_cells_max
                 )
         return state.residual
-
-    def prefetch_lines(self, lines) -> int:
-        """Materialize fault state for every line in ``lines`` up front.
-
-        The batch engine's gather path: per-line state is a pure function
-        of ``(run_hash, bank, line)``, so deriving it ahead of the event
-        loop cannot change any schedule — it only moves the hashing off
-        the hot path. The scalar engine touches exactly the same lines
-        lazily (every trace request materializes its line), so
-        :attr:`lines_touched` stays identical between engines.
-
-        Args:
-            lines: Iterable of line addresses (numpy arrays accepted).
-
-        Returns:
-            Number of lines whose state was newly derived.
-        """
-        lines_map = self._lines
-        derive = self._derive_line
-        added = 0
-        unique = set(lines.tolist()) if hasattr(lines, "tolist") else set(lines)
-        for line in unique:
-            if line not in lines_map:
-                lines_map[line] = derive(line)
-                added += 1
-        return added
 
     # ------------------------------------------------------------ inspection
 

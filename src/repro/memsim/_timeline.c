@@ -1,16 +1,14 @@
 /* Exact compiled timeline for the batch engine.
  *
- * Transcribes the event loop of repro/memsim/batch.py (itself an exact
- * replay of repro/memsim/engine.py) together with every registered
- * scheme family's policy decisions: drift sampling, ReadDuo-Hybrid's
- * R-to-R+M re-read, the LWT tracker and adaptive conversion controller,
- * Select's differential writes, and every scrub flavour (W=0 sweeps, W=1
- * rewrite-on-detect with M-sampling, and the renewal-hazard draw of
- * Scrubbing W=1). Decisions run in event order in one pass and draw from
- * the policy's own numpy Generator through numpy's shipped distribution
- * library, so the kernel consumes the random stream exactly as the loop
- * does and its results equal the loop's by construction
- * (see repro/memsim/fastpath.py).
+ * Transcribes the event loop of repro/memsim/engine.py together with
+ * every registered scheme family's policy decisions: drift sampling,
+ * ReadDuo-Hybrid's R-to-R+M re-read, the LWT tracker and adaptive
+ * conversion controller, Select's differential writes, and every scrub
+ * flavour (W=0 sweeps, W=1 rewrite-on-detect with M-sampling, and the
+ * renewal-hazard draw of Scrubbing W=1). Decisions run in event order in
+ * one pass and draw from the policy's own numpy Generator through numpy's
+ * shipped distribution library, so the kernel consumes the random stream
+ * exactly as the event engine does (see repro/memsim/fastpath.py).
  *
  * Bit-exactness rules (docs/PERFORMANCE.md):
  *  - all accumulation in IEEE-754 doubles, in the scalar engine's order;
@@ -565,7 +563,8 @@ static double np_log10(void *fn, void *data, double x) {
     return out;
 }
 
-/* batch._sampler_fns: bisect-lerp probability, then the binomial draw. */
+/* DriftErrorSampler.sample_errors: bisect-lerp probability (equal to its
+ * np.interp), then the binomial draw. */
 static int64_t sample_errors(Sim *s, double age, int metric_m) {
     const Params *p = s->p;
     const double *pt = metric_m ? p->p_m : p->p_r;
@@ -883,8 +882,8 @@ static void complete_write(Sim *s, const WrJob *w) {
     add_wear(o, conv ? WCAT_CONVERSION : WCAT_DEMAND, w->cells);
 }
 
-/* batch.account_scrub over one op's decisions, in decision order: the
- * two energy accumulators and the wear count are independent, so the
+/* MemorySystemSim._account_scrub over one op's decisions: the two energy
+ * accumulators and the wear count are independent, so the
  * reads-then-rewrites order adds the same doubles in the same order. */
 static void account_scrub(Sim *s, const ScrubOp *op) {
     Out *o = s->o;
@@ -1033,7 +1032,7 @@ static void try_start_channel(Sim *s, double now) {
     heap_push(s, s->chan_busy_until, EV_CHANNEL_DONE, 0, s->chan_token);
 }
 
-/* batch.simulate_batch's complete_read. */
+/* MemorySystemSim._complete_read. */
 static void complete_read(Sim *s, const RdPay *pay, double now) {
     const Params *p = s->p;
     Out *o = s->o;

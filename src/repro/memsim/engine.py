@@ -255,51 +255,10 @@ class MemorySystemSim:
         )
         self.stats.instructions = int(self.trace.gap.sum()) + len(self.trace)
         if self._tele is not None and self._tele.metrics is not None:
-            self._snapshot_metrics(self._tele.metrics)
-        return self.stats
-
-    def _snapshot_metrics(self, registry) -> None:
-        """Publish the finished run's totals into the metrics registry.
-
-        Counters mirror :class:`RunStats` fields (see
-        docs/OBSERVABILITY.md for the name schema); the latency and
-        queue-depth histograms are adopted as-is so the dump shares the
-        exact objects the stats expose.
-        """
-        stats = self.stats
-        for name, value in (
-            ("sim.reads", stats.reads),
-            ("sim.writes", stats.writes),
-            ("sim.conversions", stats.conversions),
-            ("sim.cancelled_writes", stats.cancelled_writes),
-            ("sim.silent_corruptions", stats.silent_corruptions),
-            ("sim.uncorrectable_reads", stats.uncorrectable_reads),
-            ("sim.scrub.ops", stats.scrub_ops),
-            ("sim.scrub.rewrites", stats.scrub_rewrites),
-            ("sim.scrub.skipped", stats.scrubs_skipped),
-        ):
-            registry.counter(name).inc(value)
-        for mode, count in sorted(stats.reads_by_mode.items()):
-            registry.counter(f"sim.reads.mode.{mode}").inc(count)
-        registry.gauge("sim.execution_time_ns").set(stats.execution_time_ns)
-        registry.gauge("sim.events_scheduled").set(self._seq)
-        if self._tracer is not None:
-            registry.counter("trace.records").inc(len(self._tracer.records))
-            registry.counter("trace.dropped").inc(self._tracer.dropped)
-        registry.adopt_histogram("sim.read_latency_ns", stats.read_latency_hist)
-        registry.adopt_histogram("sim.queue_depth", stats.queue_depth_hist)
-        if self._faults is not None:
-            fc = stats.fault_counters
-            for name, value in (
-                ("sim.faults.injected", fc.injected),
-                ("sim.faults.corrected", fc.corrected),
-                ("sim.faults.detected_uncorrectable", fc.detected_uncorrectable),
-                ("sim.faults.silent", fc.silent),
-            ):
-                registry.counter(name).inc(value)
-            registry.gauge("sim.faults.lines_touched").set(
-                self._faults.lines_touched
+            _snapshot_metrics(
+                self._tele.metrics, self.stats, self._seq, self._tracer, self._faults
             )
+        return self.stats
 
     # ----------------------------------------------------------------- cores
 
@@ -717,6 +676,55 @@ class MemorySystemSim:
             bank.write_q.clear()
 
 
+def _snapshot_metrics(
+    registry,
+    stats: RunStats,
+    seq: int,
+    tracer,
+    faults: Optional[FaultInjector],
+) -> None:
+    """Publish a finished run's totals into the metrics registry.
+
+    Shared by both engines. Counters mirror :class:`RunStats` fields (see
+    docs/OBSERVABILITY.md for the name schema); the latency and
+    queue-depth histograms are adopted as-is so the dump shares the exact
+    objects the stats expose.
+    """
+    for name, value in (
+        ("sim.reads", stats.reads),
+        ("sim.writes", stats.writes),
+        ("sim.conversions", stats.conversions),
+        ("sim.cancelled_writes", stats.cancelled_writes),
+        ("sim.silent_corruptions", stats.silent_corruptions),
+        ("sim.uncorrectable_reads", stats.uncorrectable_reads),
+        ("sim.scrub.ops", stats.scrub_ops),
+        ("sim.scrub.rewrites", stats.scrub_rewrites),
+        ("sim.scrub.skipped", stats.scrubs_skipped),
+    ):
+        registry.counter(name).inc(value)
+    for mode, count in sorted(stats.reads_by_mode.items()):
+        registry.counter(f"sim.reads.mode.{mode}").inc(count)
+    registry.gauge("sim.execution_time_ns").set(stats.execution_time_ns)
+    registry.gauge("sim.events_scheduled").set(seq)
+    if tracer is not None:
+        # len(tracer) counts the kernel's deferred record batches without
+        # materializing their dict records.
+        registry.counter("trace.records").inc(len(tracer))
+        registry.counter("trace.dropped").inc(tracer.dropped)
+    registry.adopt_histogram("sim.read_latency_ns", stats.read_latency_hist)
+    registry.adopt_histogram("sim.queue_depth", stats.queue_depth_hist)
+    if faults is not None:
+        fc = stats.fault_counters
+        for name, value in (
+            ("sim.faults.injected", fc.injected),
+            ("sim.faults.corrected", fc.corrected),
+            ("sim.faults.detected_uncorrectable", fc.detected_uncorrectable),
+            ("sim.faults.silent", fc.silent),
+        ):
+            registry.counter(name).inc(value)
+        registry.gauge("sim.faults.lines_touched").set(faults.lines_touched)
+
+
 #: Engines selectable through :func:`simulate` (and ``SimSpec.engine``).
 ENGINES = ("batch", "event")
 
@@ -732,32 +740,31 @@ def simulate(
 ) -> RunStats:
     """Run one simulation on the selected engine.
 
-    ``engine="batch"`` (default) uses the vectorized batch kernel in
-    :mod:`repro.memsim.batch` — the fast path; ``engine="event"`` runs
-    this module's event-level :class:`MemorySystemSim`, kept as the
-    cross-check oracle. The two are bit-for-bit identical (stats, policy
+    ``engine="batch"`` (default) runs the compiled kernel of
+    :mod:`repro.memsim.fastpath` when the run is eligible and falls back
+    to this module's :class:`MemorySystemSim` otherwise (fault injection,
+    an unrecognized or patched policy, no compiler, ...);
+    ``engine="event"`` always runs :class:`MemorySystemSim`, the
+    cross-check oracle. Both are bit-for-bit identical (stats, policy
     state, telemetry; enforced by tests/test_batch_equivalence.py), which
     is why the flag is deliberately *not* part of ``SimSpec`` identity:
     cached artifacts and sweep digests are engine-independent.
     """
-    global _LAST_ENGINE
-    if engine == "batch":
-        from .batch import simulate_batch
+    from . import fastpath
 
-        _LAST_ENGINE = "batch"
-        return simulate_batch(
-            trace, policy, config, epoch_s=epoch_s, telemetry=telemetry, faults=faults
+    if engine == "batch":
+        stats = fastpath.try_simulate_speculative(
+            trace, policy, config, epoch_s, telemetry, faults
         )
-    if engine != "event":
+        if stats is not None:
+            return stats
+    elif engine == "event":
+        fastpath.record_event_run()
+    else:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    _LAST_ENGINE = "event"
     return MemorySystemSim(
         trace, policy, config, epoch_s=epoch_s, telemetry=telemetry, faults=faults
     ).run()
-
-
-#: Engine used by this process's most recent :func:`simulate` call.
-_LAST_ENGINE: Optional[str] = None
 
 
 def last_run_provenance() -> Dict[str, Optional[str]]:
@@ -765,13 +772,11 @@ def last_run_provenance() -> Dict[str, Optional[str]]:
 
     ``{"engine": "batch" | "event" | None, "fastpath": "speculated" |
     "fallback" | "no_native" | None}`` — ``fastpath`` is ``None`` unless
-    the batch engine ran (the event engine never runs the kernel). Read by
-    the executor right after a unit simulation so ledger records can say
-    how each unit was actually produced.
+    the batch engine ran (the event engine never tries the kernel). Read
+    by the executor right after a unit simulation so ledger records can
+    say how each unit was actually produced.
     """
-    fastpath: Optional[str] = None
-    if _LAST_ENGINE == "batch":
-        from .batch import last_fastpath
+    from . import fastpath
 
-        fastpath = last_fastpath()
-    return {"engine": _LAST_ENGINE, "fastpath": fastpath}
+    engine, outcome, _reason = fastpath.last_run()
+    return {"engine": engine, "fastpath": outcome if engine == "batch" else None}

@@ -1,26 +1,26 @@
 """Compiled exact path for the batch engine.
 
-The exact-replay loop in :mod:`repro.memsim.batch` removes Python-object
-overhead but still steps every event in Python (~2-3 us per event). This
-module hands the whole run to the C kernel (:mod:`repro.memsim.native`):
-the queueing network — bank queues, write cancellation, waiter release,
-channel arbitration, scrub sweep — *and* every policy decision, in event
-order, in one pass.
+The event engine (:class:`repro.memsim.engine.MemorySystemSim`) steps
+every event in Python. This module hands the whole run to the C kernel
+(:mod:`repro.memsim.native`): the queueing network — bank queues, write
+cancellation, waiter release, channel arbitration, scrub sweep — *and*
+every policy decision, in event order, in one pass.
 
-The kernel is exact, not speculative. It transcribes the loop's policy
-kernels and draws from the policy's own ``Generator`` through numpy's
-shipped distribution library (``random_binomial``, ``next_double``), with
-probabilities taken through numpy's own ``log10`` inner loop and the
-loop's bisect-lerp interpolation. It therefore consumes the random stream
-exactly as the loop does, and its results equal the loop's by
-construction; ``tests/test_batch_equivalence.py`` pins both to the event
-oracle. At commit the policy's state is written back as the loop leaves
-it: ``last_write_s``, the LWT tracker, Scrubbing's survived-interval
-counts and the conversion controller's fields. The RNG state is shared,
-so it is already current.
+The kernel is exact, not speculative. It transcribes each eligible
+policy class's hooks and draws from the policy's own ``Generator``
+through numpy's shipped distribution library (``random_binomial``,
+``next_double``), with probabilities taken through numpy's own ``log10``
+inner loop and a bisect-lerp over the sampler's table slopes that
+reproduces ``np.interp`` bit for bit. It therefore consumes the random
+stream exactly as the event engine does; ``tests/test_batch_equivalence.py``
+checks the two against each other, every family and rare branch
+included. At commit the policy's state is written back as the event
+engine leaves it: ``last_write_s``, the LWT tracker, Scrubbing's
+survived-interval counts and the conversion controller's fields. The RNG
+state is shared, so it is already current.
 
-Eligibility is by exact policy type (subclasses may override any hook and
-take the loop):
+Eligibility is by exact policy type (subclasses, and instances whose
+attributes shadow a hook, take the event engine):
 
 * ``Ideal`` / ``TLC`` without scrubbing: constant clean R-reads.
 * ``ReadDuo-Hybrid`` with scrubbing: R-reads with the R-to-R+M re-read on
@@ -35,7 +35,7 @@ take the loop):
 Cost on a traced ``sim-cold`` run (gcc + mcf at 10k requests, seed 1,
 a 2-CPU x86-64 host with AVX-512), in us per request; "before" is the
 speculative kernel this replaced, which sent LWT, Select, Scrubbing W=1
-and scrubbed M-metric to the Python loop (docs/PERFORMANCE.md):
+and scrubbed M-metric to a Python loop (docs/PERFORMANCE.md):
 
 ==============  ======  =====
 scheme          before  after
@@ -53,8 +53,8 @@ Select-4:1       11.75   0.56
 Select-4:2       12.24   0.56
 ==============  ======  =====
 
-Fault injection always takes the exact-replay loop: fault streams are
-consumed per-line inside the event loop.
+Fault injection always takes the event engine: fault streams are
+consumed per line inside the event loop.
 """
 
 from __future__ import annotations
@@ -65,10 +65,12 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..ecc.regimes import CORRECTABLE_ERRORS, DETECTABLE_ERRORS
+from ..faults.injector import FaultInjector
 from ..obs import Telemetry
 from ..obs.spans import maybe_span
 from ..traces.trace import OP_READ, Trace
 from .config import MemoryConfig
+from .engine import _snapshot_metrics
 from .native import (
     TRACE_REC_DTYPE,
     TimelineConv,
@@ -80,33 +82,51 @@ from .native import (
 from .policy import SchemePolicy
 from .stats import RunStats
 
-__all__ = ["try_simulate_speculative", "speculation_plan", "last_attempt"]
+__all__ = [
+    "try_simulate_speculative",
+    "speculation_plan",
+    "last_attempt",
+    "last_run",
+    "record_event_run",
+]
 
-#: Outcome of this process's most recent attempt: ``(outcome, reason)``
-#: with outcome in ``{"speculated", "fallback", "no_native"}``;
-#: ``"speculated"`` means the run went through the compiled kernel. Read
-#: by the batch engine for the ``fastpath.*`` metrics counters and by the
-#: executor for run-provenance records — a silent fall-back to the exact
-#: loop is otherwise indistinguishable from a kernel run.
-_LAST_ATTEMPT: Tuple[str, str] = ("fallback", "not_attempted")
+#: ``(engine, outcome, reason)`` of this process's most recent
+#: :func:`repro.memsim.simulate` call. ``engine`` is ``"batch"`` or
+#: ``"event"``; ``outcome`` is ``"speculated"`` (the run went through the
+#: compiled kernel), ``"fallback"`` or ``"no_native"``, and ``reason`` says
+#: why (``"ok"`` on the kernel). Read for run-provenance records and the
+#: ``fastpath.*`` counters: a fall-back to the event engine is otherwise
+#: indistinguishable from a kernel run.
+_LAST_RUN: Tuple[Optional[str], str, str] = (None, "fallback", "not_attempted")
+
+
+def last_run() -> Tuple[Optional[str], str, str]:
+    """``(engine, outcome, reason)`` of the most recent run in this process."""
+    return _LAST_RUN
 
 
 def last_attempt() -> Tuple[str, str]:
-    """``(outcome, reason)`` of the most recent attempt in this process."""
-    return _LAST_ATTEMPT
+    """``(outcome, reason)`` of the most recent run in this process."""
+    return _LAST_RUN[1], _LAST_RUN[2]
+
+
+def record_event_run() -> None:
+    """Note a run that went straight to the event engine."""
+    global _LAST_RUN
+    _LAST_RUN = ("event", "fallback", "not_attempted")
 
 
 def _miss(reason: str) -> None:
-    """Record a non-kernel outcome; returns ``None`` for tail calls."""
-    global _LAST_ATTEMPT
+    """Record a fall-back to the event engine; returns ``None`` for tail calls."""
+    global _LAST_RUN
     outcome = "no_native" if reason == "no_native" else "fallback"
-    _LAST_ATTEMPT = (outcome, reason)
+    _LAST_RUN = ("batch", outcome, reason)
     return None
 
 
 def _hit() -> None:
-    global _LAST_ATTEMPT
-    _LAST_ATTEMPT = ("speculated", "ok")
+    global _LAST_RUN
+    _LAST_RUN = ("batch", "speculated", "ok")
 
 
 _ECAT_NAMES = ("read", "write", "scrub_read", "scrub_write", "flags", "conversion")
@@ -134,11 +154,27 @@ class _Plan:
         self.scrub_metric = scrub_metric
 
 
-def speculation_plan(policy: SchemePolicy) -> Optional[_Plan]:
-    """The kernel plan for ``policy``, or ``None`` (run the loop).
+def _patched_hook(policy: SchemePolicy) -> bool:
+    """Whether an instance attribute shadows a method the kernel transcribes.
 
-    Dispatch is on the exact type, like the batch kernel compiler:
-    subclasses may override any hook and must take the exact paths.
+    The kernel runs its own copy of each class's hooks, so an instance-
+    level override (``policy.conversion.record_read = ...``) would be
+    silently ignored; such runs take the event engine, which honours it.
+    """
+    parts = (policy, getattr(policy, "conversion", None), getattr(policy, "tracker", None))
+    return any(
+        callable(getattr(type(obj), name, None))
+        for obj in parts
+        for name in getattr(obj, "__dict__", ())
+    )
+
+
+def speculation_plan(policy: SchemePolicy) -> Optional[_Plan]:
+    """The kernel plan for ``policy``, or ``None`` (run the event engine).
+
+    Dispatch is on the exact type: subclasses may override any hook, and
+    so may instance attributes (:func:`_patched_hook`); both take the
+    event engine.
     """
     from ..baselines.tlc import TlcPolicy
     from ..core.policies.base import IdealPolicy
@@ -152,7 +188,7 @@ def speculation_plan(policy: SchemePolicy) -> Optional[_Plan]:
     scrub_on = policy.scrub_interval_s is not None and policy.scrub_interval_s > 0
     rng = getattr(policy, "rng", None)
     sampler = getattr(policy, "sampler", None)
-    if sampler is None or sampler.rng is not rng:
+    if sampler is None or sampler.rng is not rng or _patched_hook(policy):
         return None
 
     if kind is IdealPolicy or kind is TlcPolicy:
@@ -256,19 +292,24 @@ def try_simulate_speculative(
     config: MemoryConfig,
     epoch_s: float,
     telemetry: Optional[Telemetry],
+    faults: Optional[FaultInjector] = None,
 ) -> Optional[RunStats]:
-    """Run ``trace`` on the compiled kernel; ``None`` means "use the
-    exact-replay loop" (ineligible policy, no compiler, or a kernel
-    error). On ``None`` all policy/RNG state is untouched.
+    """Run ``trace`` on the compiled kernel; ``None`` means "use the event
+    engine" (fault injection, an ineligible or patched policy, no
+    compiler, or a kernel error). On ``None`` all policy/RNG state is
+    untouched.
 
-    Every call records its ``(outcome, reason)`` in :func:`last_attempt`
-    and — when span tracing is active — emits a ``fastpath.speculate``
-    span carrying them, so fall-backs are attributable."""
+    Every call records its ``(outcome, reason)`` in :func:`last_attempt`;
+    every kernel attempt also emits a ``fastpath.speculate`` span carrying
+    them when span tracing is active, so fall-backs are attributable."""
+    if faults is not None and faults.spec.enabled:
+        # Fault streams are consumed per line inside the event loop.
+        return _miss("faults")
     with maybe_span(
         "fastpath.speculate", scheme=policy.name, workload=trace.name
     ) as span:
         result = _attempt(trace, policy, config, epoch_s, telemetry)
-        outcome, reason = _LAST_ATTEMPT
+        _engine, outcome, reason = _LAST_RUN
         span.set_attr("outcome", outcome)
         span.set_attr("reason", reason)
         return result
@@ -283,7 +324,7 @@ def _attempt(
 ) -> Optional[RunStats]:
     plan = speculation_plan(policy)
     if plan is None:
-        return _miss("ineligible")
+        return _miss("patched_hook" if _patched_hook(policy) else "ineligible")
     lib = load_timeline()
     if lib is None:
         return _miss("no_native")
@@ -318,7 +359,7 @@ def _attempt(
         if count:
             parts.append(idx)
     if offsets[-1] == 0:
-        # Empty trace: let the replay loop produce the stats.
+        # Empty trace: let the event engine produce the stats.
         return _miss("empty_trace")
     order = np.concatenate(parts)
     ops = np.ascontiguousarray(trace.op[order], dtype=np.int8)
@@ -380,7 +421,7 @@ def _attempt(
     p.hot_age_scale_s = profile.hot_age_scale_s
     p.min_age_s = ages_model.min_age_s
     p.age_seed = ages_model.seed & mask64
-    p.n_grid = len(tables.log_grid_list)
+    p.n_grid = len(tables.log_grid)
     p.xs = arr(_f64(tables.log_grid))
     p.p_r = arr(_f64(tables.p_r))
     p.p_m = arr(_f64(tables.p_m))
@@ -465,7 +506,7 @@ def _attempt(
             handle = lib.run_timeline(ctypes.byref(p), ctypes.byref(c), ctypes.byref(out))
             if handle is None or out.error:
                 # The kernel drew from the Generator; rewind it so the
-                # loop replays the run from the same stream.
+                # event engine replays the run from the same stream.
                 bit_generator.state = saved_state
                 lib.free_timeline(handle)
                 return _miss("kernel_error")
@@ -490,7 +531,7 @@ def _attempt(
         finally:
             lib.free_timeline(handle)
 
-    # ---- commit: policy state as the loop leaves it, then the stats
+    # ---- commit: policy state as the event engine leaves it, then the stats
     lw.update(zip(lw_lines.tolist(), lw_vals.tolist()))
     if tr is not None:
         tr.update(zip(tr_lines.tolist(), tr_vals.tolist()))
@@ -541,8 +582,6 @@ def _attempt(
         if tracer is not None:
             _defer_trace_records(tracer, recs, config.num_banks)
         if tele.metrics is not None:
-            from .batch import _snapshot_metrics
-
             _snapshot_metrics(tele.metrics, stats, int(out.seq), tracer, None)
     _hit()
     return stats

@@ -7,10 +7,9 @@ directory and loaded through :mod:`ctypes`. It includes numpy's headers
 and links numpy's shipped random-distribution library
 (``numpy/random/lib/libnpyrandom.a``) so it draws from a policy's
 ``Generator`` exactly as numpy does. When no compiler, header or library
-is available (or ``READDUO_NO_NATIVE=1`` is set) :func:`load_timeline`
-returns ``None`` and the batch engine transparently falls back to the
-pure-Python exact-replay loop — slower, but bit-identical, so the
-presence of a compiler can never change a result.
+is available :func:`load_timeline` returns ``None`` and the batch engine
+transparently falls back to the event engine — slower, but bit-identical,
+so the presence of a compiler can never change a result.
 
 Compilation deliberately avoids every flag that could alter IEEE-754
 semantics: ``-O2`` only, plus ``-ffp-contract=off`` so no fused
@@ -373,8 +372,6 @@ def load_timeline():
     if _lib is not _UNSET:
         return _lib
     _lib = None
-    if os.environ.get("READDUO_NO_NATIVE"):
-        return None
     so_path = _build()
     if so_path is None:
         return None

@@ -179,8 +179,7 @@ def sense_cells_at(
 
     The vectorized counterpart of :meth:`Cell.sense_at`: one drift
     evaluation and one quantization over the whole batch instead of a
-    Python call per cell (fine-grained Monte-Carlo demos get the same
-    array-at-once treatment as the batch simulation kernel).
+    Python call per cell, for fine-grained Monte-Carlo demos.
 
     Returns:
         ``int64`` array of sensed levels, one per cell.

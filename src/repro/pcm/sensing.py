@@ -76,9 +76,9 @@ class SenseAmplifier:
     def sense_batch(self, log10_values: np.ndarray) -> np.ndarray:
         """Sense a ``(lines, cells)`` batch in one quantization pass.
 
-        Accounting matches ``lines`` sequential :meth:`sense` calls; the
-        batch simulation kernel uses this to amortize the numpy dispatch
-        overhead across a whole read window.
+        Accounting matches ``lines`` sequential :meth:`sense` calls; one
+        call amortizes the numpy dispatch overhead across a whole read
+        window.
         """
         values = np.asarray(log10_values, dtype=np.float64)
         if values.ndim != 2:

@@ -1,12 +1,14 @@
 """Batch kernel == event-level oracle, bit for bit.
 
-The batch engine (``engine="batch"``, the default) must be
-indistinguishable from the event-stepped oracle (``engine="event"``) in
+The batch engine (``engine="batch"``, the default) runs the compiled
+kernel and falls back to the event-stepped oracle (``engine="event"``)
+for runs the kernel cannot take (fault injection, patched or unknown
+policies, no compiler). It must be indistinguishable from the oracle in
 every observable: statistics dicts, telemetry records and metrics,
-granular cache entry bytes, and sweep grids at any worker count — with
-and without fault injection, with and without the compiled fast path.
-That identity is what lets the engine flag stay out of
-:meth:`SimSpec.content_hash` (see docs/PERFORMANCE.md).
+granular cache entry bytes, and sweep grids at any worker count — and
+the recorded fall-back reason must say which path ran. That identity is
+what lets the engine flag stay out of :meth:`SimSpec.content_hash` (see
+docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -28,17 +30,22 @@ WORKLOAD = "mcf"
 SEED = 42
 
 
-@pytest.fixture(scope="module")
-def trace_and_config():
-    config = MemoryConfig()
-    profile = workload(WORKLOAD)
-    instructions = instructions_for_requests(profile, REQUESTS, config.num_cores)
+def _trace(name, requests, config):
+    profile = workload(name)
+    instructions = instructions_for_requests(profile, requests, config.num_cores)
     trace = generate_trace(
         profile,
         instructions_per_core=instructions,
         num_cores=config.num_cores,
         seed=SEED,
     )
+    return trace, profile
+
+
+@pytest.fixture(scope="module")
+def trace_and_config():
+    config = MemoryConfig()
+    trace, profile = _trace(WORKLOAD, REQUESTS, config)
     return trace, config, profile
 
 
@@ -67,8 +74,10 @@ def test_batch_equals_event_per_scheme(scheme, trace_and_config):
 
 @pytest.mark.parametrize("scheme", ["Hybrid", "Scrubbing", "M-metric", "Ideal"])
 def test_batch_equals_event_with_faults(scheme, trace_and_config):
-    """Nonzero fault density: schedules apply identically under batching."""
+    """Nonzero fault density: the batch engine hands the run to the event
+    engine, and says so."""
     from repro.experiments.spec import SimSpec
+    from repro.memsim import fastpath
 
     trace, config, profile = trace_and_config
     spec = SimSpec(
@@ -94,6 +103,8 @@ def test_batch_equals_event_with_faults(scheme, trace_and_config):
             faults=faults,
             engine=engine,
         )
+        if engine == "batch":
+            assert fastpath.last_attempt() == ("fallback", "faults")
     assert results["batch"].to_dict() == results["event"].to_dict()
 
 
@@ -123,24 +134,75 @@ def test_batch_equals_event_telemetry(trace_and_config):
 
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_batch_equals_fallback_without_native(scheme, trace_and_config, monkeypatch):
-    """The pure-python batch path (no compiled kernel) is also identical."""
-    from repro.memsim import native
+    """With no compiled kernel the batch engine falls back to the event
+    engine: identical results, and the reason is recorded."""
+    from repro.memsim import fastpath, native
 
     trace, config, profile = trace_and_config
-    fast = simulate(
+    monkeypatch.setattr(native, "_lib", None)
+    assert native.load_timeline() is None
+    batch = simulate(
         trace, _fresh_policy(scheme, profile, config), config, engine="batch"
     )
-    monkeypatch.setenv("READDUO_NO_NATIVE", "1")
-    monkeypatch.setattr(native, "_lib", native._UNSET)
-    try:
-        assert native.load_timeline() is None
-        slow = simulate(
-            trace, _fresh_policy(scheme, profile, config), config,
-            engine="batch",
+    assert fastpath.last_attempt() == ("no_native", "no_native")
+    event = simulate(
+        trace, _fresh_policy(scheme, profile, config), config, engine="event"
+    )
+    assert batch.to_dict() == event.to_dict()
+
+
+def _throttled_lwt(t, profile, config):
+    """LWT-4 with the conversion ratio held at ``t`` (as the throttle
+    ablation declares it)."""
+    policy = _fresh_policy("LWT-4", profile, config)
+    policy.conversion.t = t
+    policy.conversion.step = 0
+    policy.conversion.enabled = t > 0
+    return policy
+
+
+@pytest.fixture(scope="module")
+def sphinx3_trace():
+    config = MemoryConfig()
+    trace, profile = _trace("sphinx3", 4_000, config)
+    return trace, config, profile
+
+
+@pytest.mark.parametrize("t", [0, 30, 50, 100])
+def test_fixed_conversion_ratio_runs_exactly_on_the_kernel(t, sphinx3_trace):
+    """``step=0`` holds T fixed as a declared parameter, so the throttle
+    ablation's variants stay on the kernel and equal the oracle."""
+    from repro.memsim import fastpath
+    from repro.memsim.native import native_available
+
+    trace, config, profile = sphinx3_trace
+    results = {}
+    for engine in ENGINES:
+        results[engine] = simulate(
+            trace, _throttled_lwt(t, profile, config), config, engine=engine
         )
-    finally:
-        monkeypatch.setattr(native, "_lib", native._UNSET)
-    assert fast.to_dict() == slow.to_dict()
+        if engine == "batch" and native_available():
+            assert fastpath.last_attempt() == ("speculated", "ok")
+    assert results["batch"].to_dict() == results["event"].to_dict()
+
+
+def test_patched_hook_falls_back_to_the_event_engine(sphinx3_trace):
+    """An instance-level override of a hook the kernel transcribes sends
+    the run to the event engine, which honours it (the kernel would
+    ignore it and convert 689 times instead of 671)."""
+    from repro.memsim import fastpath
+
+    trace, config, profile = sphinx3_trace
+    results = {}
+    for engine in ENGINES:
+        policy = _fresh_policy("LWT-4", profile, config)
+        policy.conversion.t = 50
+        policy.conversion.record_read = lambda untracked: None
+        results[engine] = simulate(trace, policy, config, engine=engine)
+        if engine == "batch":
+            assert fastpath.last_attempt() == ("fallback", "patched_hook")
+    assert results["batch"].to_dict() == results["event"].to_dict()
+    assert results["event"].conversions == 671
 
 
 # ------------------------------------------- compiled kernel coverage

@@ -55,6 +55,13 @@ class TestAdjustment:
         _feed_window(controller, 0.1)   # stagnant 1 again (no decay yet)
         assert controller.t == t_now
 
+    def test_step_zero_holds_t_fixed(self):
+        controller = _controller(initial_t=30, step=0)
+        for fraction in (0.4, 0.1, 0.95, 0.95, 0.95, 0.95):
+            _feed_window(controller, fraction)
+        assert controller.t == 30
+        assert controller.adjustments == 0
+
     def test_holds_on_small_p(self):
         controller = _controller(initial_t=30)
         _feed_window(controller, 0.0)
@@ -106,3 +113,7 @@ class TestValidation:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             _controller(window_reads=0)
+
+    def test_rejects_negative_step(self):
+        with pytest.raises(ValueError):
+            _controller(step=-1)

@@ -1,6 +1,6 @@
 """The native kernel's build key, its graceful absence, and its log10.
 
-The compiled kernel must equal the Python loop on every host, so it takes
+The compiled kernel must equal the event engine on every host, so it takes
 ``log10`` from numpy's own inner loop (SIMD where numpy dispatches to it,
 libm elsewhere) rather than from libm, and a cached library is reused
 only for the exact source, compile command and numpy it was built with.
@@ -20,7 +20,6 @@ from repro.memsim import native
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
     """Forget the loaded kernel and build into a private cache."""
-    monkeypatch.delenv("READDUO_NO_NATIVE", raising=False)
     monkeypatch.setenv("READDUO_NATIVE_CACHE", str(tmp_path / "cache"))
     monkeypatch.setattr(native, "_lib", native._UNSET)
     yield tmp_path
@@ -108,5 +107,5 @@ def test_kernel_log10_is_numpy_log10_bit_for_bit():
     # The sampler calls np.log10 on one Python float at a time.
     want = np.asarray([np.log10(age) for age in ages.tolist()])
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    top = float(tables.log_grid_list[-1])
+    top = float(tables.log_grid[-1])
     assert np.count_nonzero(got[len(ages) - 2_000:] == top) > 0

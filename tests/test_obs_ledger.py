@@ -258,7 +258,7 @@ class TestFastpathCounters:
 
     def test_fallback_counter_increments(self):
         # Every registered family runs on the kernel; fault injection
-        # always takes the exact-replay loop.
+        # always takes the event engine.
         counters = self._run("LWT-4", faults={"stuck_line_rate": 0.01})
         assert counters["fastpath.fallback"] == 1
         assert "fastpath.speculated" not in counters
