@@ -54,9 +54,10 @@ def warm_sweep():
     """Run the shared scheme x workload sweep once for all figure benches."""
     from repro.experiments.figures._sweep import sweep_settings
     from repro.experiments.runner import run_sweep
+    from repro.service import ExecutionService
 
     settings = sweep_settings(BENCH_REQUESTS)
-    run_sweep(settings, jobs=BENCH_JOBS)
+    run_sweep(settings, ExecutionService(jobs=BENCH_JOBS, cache=False))
     return settings
 
 

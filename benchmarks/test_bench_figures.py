@@ -39,10 +39,10 @@ def test_figure_fast(benchmark, experiment, results_dir):
 def test_figure9_sweep_cost(benchmark, results_dir):
     """The headline run: every scheme on every workload (one shot)."""
     from repro.experiments.figures import figure9
-    from repro.experiments.runner import clear_sweep_cache
+    from repro.experiments.planner import clear_run_memo
 
     def full_sweep():
-        clear_sweep_cache()
+        clear_run_memo()
         return figure9.run(target_requests=BENCH_REQUESTS)
 
     result = benchmark.pedantic(full_sweep, rounds=1, iterations=1)

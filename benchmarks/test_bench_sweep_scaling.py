@@ -126,26 +126,25 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
     work-stealing executor). On 1-CPU runners the parallel keys are
     omitted entirely instead of recording ``null``.
     """
-    from repro.experiments.cache import SweepCache
-    from repro.experiments.planner import build_plan, execute_plan
-    from repro.experiments.runner import (
-        SweepSettings,
-        clear_sweep_cache,
-        run_sweep,
-    )
+    from repro.experiments.cache import RunCache
+    from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
+    from repro.experiments.runner import run_sweep
+    from repro.experiments.spec import SimSpec
+    from repro.service import ExecutionService
 
-    settings = SweepSettings(
+    settings = SimSpec(
         schemes=BENCH_SCHEMES,
         workloads=BENCH_WORKLOADS,
         target_requests=max(2_000, BENCH_REQUESTS // 5),
     )
-    cache = SweepCache(tmp_path / "sweep-cache")
+    cache = RunCache(tmp_path / "sweep-cache")
+    service = ExecutionService(cache=cache)
 
-    clear_sweep_cache()
-    serial_grid, serial_s = _time(lambda: run_sweep(settings, jobs=1, cache=cache))
+    clear_run_memo()
+    serial_grid, serial_s = _time(lambda: run_sweep(settings, service))
 
-    clear_sweep_cache()
-    cached_grid, cached_s = _time(lambda: run_sweep(settings, jobs=1, cache=cache))
+    clear_run_memo()
+    cached_grid, cached_s = _time(lambda: run_sweep(settings, service))
     assert _flat(cached_grid) == _flat(serial_grid)
 
     record = {
@@ -163,13 +162,13 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
     if BENCH_JOBS > 1:
         # Cold planned run on an untouched cache dir: every unit must be
         # scheduled independently (workloads x schemes of them).
-        clear_sweep_cache()
+        clear_run_memo()
         cold_plan = build_plan([settings])
         cold_results, parallel_s = _time(
             lambda: execute_plan(
                 cold_plan,
                 jobs=BENCH_JOBS,
-                cache=SweepCache(tmp_path / "parallel-cache"),
+                store=RunCache(tmp_path / "parallel-cache"),
             )
         )
         assert _flat(cold_plan.grid_for(settings, cold_results)) == _flat(serial_grid)
@@ -183,14 +182,14 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
 
     # Warm two-artifact plan: the full grid plus an overlapping subset
     # must fold the subset away (dedup) and execute zero units.
-    clear_sweep_cache()
-    subset = SweepSettings(
+    clear_run_memo()
+    subset = SimSpec(
         schemes=BENCH_SCHEMES[:2],
         workloads=BENCH_WORKLOADS[:1],
         target_requests=settings.target_requests,
     )
     warm_plan = build_plan([settings, subset])
-    _, warm_plan_s = _time(lambda: execute_plan(warm_plan, jobs=1, cache=cache))
+    _, warm_plan_s = _time(lambda: execute_plan(warm_plan, jobs=1, store=cache))
     assert warm_plan.stats.units_simulated == 0
     assert warm_plan.stats.units_deduped == len(subset.schemes) * len(
         subset.workloads

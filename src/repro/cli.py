@@ -250,11 +250,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tele = _build_telemetry(args)
     service = _make_service(args, tele)
     quick_requests = args.quick_requests if args.quick else None
-    # service.session() routes the figure drivers' internal run_sweep
-    # calls through this service's jobs/cache/telemetry (the previous
-    # process-wide defaults are restored on exit, keeping main()
-    # reentrant for tests and embedding).
-    with _cli_tracker(args, tele, "run"), service, service.session():
+    with _cli_tracker(args, tele, "run"), service:
         service.prewarm(names, quick_requests=quick_requests)
         for name in names:
             kwargs = {}
@@ -380,8 +376,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # default payload must stay byte-identical across cold and warm
             # runs (CI compares them) and with older exports.
             counters = (
-                service.cache.counters.as_dict()
-                if service.cache is not None
+                service.store.counters.as_dict()
+                if service.store is not None
                 else None
             )
             payload["telemetry"] = {

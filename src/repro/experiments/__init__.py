@@ -28,8 +28,8 @@ from .extras import (
 from .faults import fault_density_specs, fault_density_study
 from .figures._sweep import sweep_specs
 from .report import ExperimentResult, geometric_mean
-from .runner import ALL_SCHEMES, SweepSettings, clear_sweep_cache, run_sweep
-from .spec import SimSpec, SpecError
+from .runner import run_sweep
+from .spec import ALL_SCHEMES, SimSpec, SpecError
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "ablation-scrub-contention": ablation_scrub_contention,
@@ -82,8 +82,9 @@ SWEEP_EXPERIMENTS = (
 #: experiment's driver will feed to run_sweep. The CLI's planned
 #: ``readduo run`` unions these up front (plan -> dedupe -> execute) so
 #: overlapping artifacts simulate each distinct run exactly once; the
-#: drivers then consume the prewarmed per-run cache. Drivers that never
-#: call run_sweep (closed-form tables, Monte-Carlo extras) are absent.
+#: drivers, which take the service as their ``service`` argument, then
+#: read the prewarmed memo. Drivers that never call run_sweep
+#: (closed-form tables, Monte-Carlo extras) are absent.
 EXPERIMENT_SPECS: Dict[str, Callable[..., Tuple[SimSpec, ...]]] = {
     **{experiment_id: sweep_specs for experiment_id in SWEEP_EXPERIMENTS},
     "ablation-scrub-contention": scrub_contention_specs,
@@ -102,7 +103,5 @@ __all__ = [
     "ALL_SCHEMES",
     "SimSpec",
     "SpecError",
-    "SweepSettings",
     "run_sweep",
-    "clear_sweep_cache",
 ]

@@ -21,7 +21,7 @@ Each driver returns an :class:`~repro.experiments.report.ExperimentResult`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.schemes import LwtPolicy, PolicyContext, make_policy
 from ..memsim.config import MemoryConfig
@@ -30,6 +30,9 @@ from ..traces.spec import workload
 from .report import ExperimentResult, geometric_mean
 from .runner import run_sweep
 from .spec import SimSpec
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..service import ExecutionService
 
 __all__ = [
     "ablation_scrub_contention",
@@ -89,11 +92,12 @@ def ablation_scrub_contention(
     workloads: Sequence[str] = _DEFAULT_WORKLOADS,
     scheme: str = "Scrubbing",
     seed: int = 42,
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Execution-time cost of scrub traffic with/without channel blocking."""
     specs = scrub_contention_specs(target_requests, workloads, scheme, seed)
     canonical = specs[0].schemes[-1]
-    grids = [run_sweep(spec) for spec in specs]
+    grids = [run_sweep(spec, service) for spec in specs]
     rows = []
     for name in workloads:
         row = [name]
@@ -150,11 +154,12 @@ def ablation_write_cancellation(
     workloads: Sequence[str] = _DEFAULT_WORKLOADS,
     scheme: str = "Ideal",
     seed: int = 42,
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Read-latency impact of write cancellation [18]."""
     specs = write_cancellation_specs(target_requests, workloads, scheme, seed)
     canonical = specs[0].schemes[0]
-    grids = [run_sweep(spec) for spec in specs]
+    grids = [run_sweep(spec, service) for spec in specs]
     rows = []
     for name in workloads:
         row = [name]

@@ -20,7 +20,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from ..traces.spec import workload
 from .report import ExperimentResult
 from .runner import run_sweep
 from .spec import SimSpec
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..service import ExecutionService
 
 __all__ = [
     "bch_detection_study",
@@ -127,6 +130,7 @@ def scrub_interval_sensitivity(
     workload_name: str = "mcf",
     target_requests: int = 8_000,
     seed: int = 42,
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """LWT-4 behaviour as the M-scrub interval S varies.
 
@@ -144,7 +148,7 @@ def scrub_interval_sensitivity(
     # The baseline rides the planner's shared cache (Ideal ignores the
     # policy seed, so the sweep-produced run is bit-identical to the
     # direct simulation this driver historically performed).
-    ideal = run_sweep(spec)[workload_name]["Ideal"]
+    ideal = run_sweep(spec, service)[workload_name]["Ideal"]
     rows = []
     for interval in intervals_s:
         from ..core.schemes import LwtPolicy
@@ -183,6 +187,7 @@ def precise_write_comparison(
     seed: int = 42,
     program_width_sigma: float = 2.0,
     write_slowdown: float = 1.6,
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Helmet-style precise writes vs ReadDuo on one trace.
 
@@ -200,7 +205,7 @@ def precise_write_comparison(
     trace = spec.trace_for(workload_name)
     # The baseline runs on the default config whatever the variant, so
     # every row normalizes against the one planned, cached Ideal run.
-    ideal = run_sweep(spec)[workload_name]["Ideal"]
+    ideal = run_sweep(spec, service)[workload_name]["Ideal"]
     slow_timing = MemoryConfig().timing
     rows = []
     for label, scheme_config in (

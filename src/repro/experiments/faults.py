@@ -17,12 +17,15 @@ its cache entry with every other artifact simulating that same run.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ..faults import FaultSpec
 from .report import ExperimentResult
 from .runner import run_sweep
 from .spec import SimSpec
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..service import ExecutionService
 
 __all__ = [
     "DEFAULT_DENSITIES",
@@ -104,6 +107,7 @@ def fault_density_study(
     read_noise_rate: float = 0.002,
     write_fail_rate: float = 0.01,
     fault_seed: int = 0,
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Uncorrectable-error rate vs stuck-at fault density.
 
@@ -132,7 +136,7 @@ def fault_density_study(
     baseline = None
     rows = []
     for density, spec in zip(densities, specs):
-        stats = run_sweep(spec)[workload_name][scheme]
+        stats = run_sweep(spec, service)[workload_name][scheme]
         if baseline is None:
             baseline = stats
         reads = max(stats.reads, 1)

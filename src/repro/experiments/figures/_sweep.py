@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ...memsim.stats import RunStats
 from ..report import ExperimentResult, geometric_mean
 from ..runner import run_sweep
 from ..spec import SimSpec
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ...service import ExecutionService
 
 __all__ = ["sweep_settings", "sweep_specs", "normalized_figure"]
 
@@ -45,6 +48,7 @@ def normalized_figure(
     metric: Callable[[RunStats], float],
     baseline: str = "Ideal",
     settings: Optional[SimSpec] = None,
+    service: Optional[ExecutionService] = None,
     notes: str = "",
     lower_is_better: bool = True,
 ) -> ExperimentResult:
@@ -56,6 +60,7 @@ def normalized_figure(
         metric: Extracts the raw value from a run's statistics.
         baseline: Normalization scheme (paper: Ideal).
         settings: Sweep settings; defaults to the shared full sweep.
+        service: Resolves the sweep (see :func:`run_sweep`).
         notes: Extra provenance text.
         lower_is_better: Only documentation; recorded in the notes.
 
@@ -63,7 +68,7 @@ def normalized_figure(
         A grid with one row per workload plus a geometric-mean row.
     """
     settings = settings or sweep_settings()
-    sweep = run_sweep(settings)
+    sweep = run_sweep(settings, service)
     headers = ["workload"] + list(schemes)
     rows: List[List[object]] = []
     columns: List[List[float]] = [[] for _ in schemes]

@@ -9,13 +9,16 @@ by ~37% on Product-D.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ...metrics.edap import compute_edap
 from ...pcm.area import normalized_area, scheme_cell_counts, tlc_line_budget
 from ..report import ExperimentResult, geometric_mean
 from ..runner import run_sweep
 from ._sweep import sweep_settings
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ...service import ExecutionService
 
 __all__ = ["run", "FIGURE11_SCHEMES"]
 
@@ -33,10 +36,11 @@ def run(
     target_requests: Optional[int] = None,
     schemes: Sequence[str] = FIGURE11_SCHEMES,
     workloads: Sequence[str] = (),
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 11 (cells per line + EDAP vs TLC)."""
     settings = sweep_settings(target_requests, workloads)
-    sweep = run_sweep(settings)
+    sweep = run_sweep(settings, service)
     budgets = scheme_cell_counts()
     tlc = tlc_line_budget()
 

@@ -8,16 +8,21 @@ window). Workloads that re-read lines written hundreds of seconds ago
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..report import ExperimentResult
 from ._sweep import normalized_figure, sweep_settings
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ...service import ExecutionService
 
 __all__ = ["run"]
 
 
 def run(
-    target_requests: Optional[int] = None, workloads=()
+    target_requests: Optional[int] = None,
+    workloads=(),
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 12 (impact of sub-interval count k)."""
     return normalized_figure(
@@ -26,5 +31,6 @@ def run(
         ("LWT-2", "LWT-4"),
         metric=lambda stats: stats.execution_time_ns,
         settings=sweep_settings(target_requests, workloads),
+        service=service,
         notes="k=4 should match or beat k=2 everywhere, most visibly on mcf.",
     )

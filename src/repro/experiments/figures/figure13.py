@@ -8,16 +8,21 @@ cost.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..report import ExperimentResult
 from ._sweep import normalized_figure, sweep_settings
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ...service import ExecutionService
 
 __all__ = ["run"]
 
 
 def run(
-    target_requests: Optional[int] = None, workloads=()
+    target_requests: Optional[int] = None,
+    workloads=(),
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 13 (impact of s on dynamic energy)."""
     return normalized_figure(
@@ -26,5 +31,6 @@ def run(
         ("Select-4:1", "Select-4:2"),
         metric=lambda stats: stats.dynamic_energy_pj,
         settings=sweep_settings(target_requests, workloads),
+        service=service,
         notes="s=2 should consume less energy than s=1 on every workload.",
     )

@@ -9,16 +9,21 @@ overall.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..report import ExperimentResult
 from ._sweep import normalized_figure, sweep_settings
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ...service import ExecutionService
 
 __all__ = ["run"]
 
 
 def run(
-    target_requests: Optional[int] = None, workloads=()
+    target_requests: Optional[int] = None,
+    workloads=(),
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 14 (R-M-read conversion on/off)."""
     return normalized_figure(
@@ -27,6 +32,7 @@ def run(
         ("LWT-4-noconv", "LWT-4"),
         metric=lambda stats: stats.execution_time_ns,
         settings=sweep_settings(target_requests, workloads),
+        service=service,
         notes=(
             "LWT-4 (conversion on) should match or beat LWT-4-noconv, with "
             "the largest gap on sphinx3."

@@ -7,12 +7,15 @@ Hybrid ~-6%, LWT-4 ~-10%, Select-4:2 ~+42%.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ...metrics.lifetime import lifetime_ratios
 from ..report import ExperimentResult, geometric_mean
 from ..runner import run_sweep
 from ._sweep import sweep_settings
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ...service import ExecutionService
 
 __all__ = ["run", "FIGURE15_SCHEMES"]
 
@@ -29,10 +32,11 @@ def run(
     target_requests: Optional[int] = None,
     schemes: Sequence[str] = FIGURE15_SCHEMES,
     workloads: Sequence[str] = (),
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 15 (relative PCM lifetime, higher is better)."""
     settings = sweep_settings(target_requests, workloads)
-    sweep = run_sweep(settings)
+    sweep = run_sweep(settings, service)
     headers = ["workload"] + list(schemes)
     rows: List[List[object]] = []
     columns: List[List[float]] = [[] for _ in schemes]

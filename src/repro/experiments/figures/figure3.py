@@ -8,22 +8,27 @@ relative to drift-free MLC.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ...pcm.area import mlc_line_budget, scheme_cell_counts
 from ..report import ExperimentResult, geometric_mean
 from ..runner import run_sweep
 from ._sweep import sweep_settings
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ...service import ExecutionService
+
 __all__ = ["run"]
 
 
 def run(
-    target_requests: Optional[int] = None, workloads=()
+    target_requests: Optional[int] = None,
+    workloads=(),
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Reproduce the Figure 3 motivation comparison."""
     settings = sweep_settings(target_requests, workloads)
-    sweep = run_sweep(settings)
+    sweep = run_sweep(settings, service)
     budgets = scheme_cell_counts()
     ideal_cells = mlc_line_budget("Ideal").total_cells
 

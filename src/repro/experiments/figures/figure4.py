@@ -10,11 +10,14 @@ R-reads and falls back to R-M-reads only on detected drift.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..report import ExperimentResult
 from ..runner import run_sweep
 from ._sweep import sweep_settings
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ...service import ExecutionService
 
 __all__ = ["run"]
 
@@ -25,10 +28,11 @@ def run(
     target_requests: Optional[int] = None,
     schemes: Sequence[str] = _SCHEMES,
     workloads: Sequence[str] = (),
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 4's read-mode behaviour as aggregate statistics."""
     settings = sweep_settings(target_requests, workloads)
-    sweep = run_sweep(settings)
+    sweep = run_sweep(settings, service)
     rows = []
     for scheme in schemes:
         reads = r_mode = m_mode = rm_mode = 0

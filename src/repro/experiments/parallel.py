@@ -45,16 +45,15 @@ from ..obs.progress import ProgressLine
 from ..obs.spans import SpanContext, SpanTracker, current_tracker, maybe_span, tracker_scope
 from ..traces.spec import workload
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner imports us)
     from .planner import RunUnit
-    from .spec import SimSpec as SweepSettings
+    from .spec import SimSpec
 
 __all__ = [
     "TraceMemo",
     "simulate_batch",
     "simulate_unit",
     "run_units_parallel",
-    "run_sweep_parallel",
 ]
 
 _log = get_logger("experiments.parallel")
@@ -77,7 +76,7 @@ class TraceMemo:
         self.capacity = capacity
         self._traces: "OrderedDict[tuple, object]" = OrderedDict()
 
-    def trace_for(self, spec: "SweepSettings", workload_name: str):
+    def trace_for(self, spec: "SimSpec", workload_name: str):
         key = (
             workload_name,
             spec.target_requests,
@@ -101,7 +100,7 @@ _TRACE_MEMO = TraceMemo()
 
 
 def simulate_unit(
-    spec: "SweepSettings", workload_name: str, scheme: str
+    spec: "SimSpec", workload_name: str, scheme: str
 ) -> RunStats:
     """Run one (workload, scheme) simulation; the worker entry point.
 
@@ -128,7 +127,7 @@ def simulate_unit(
 
 
 def simulate_batch(
-    settings: "SweepSettings", workload_name: str, schemes: Sequence[str]
+    settings: "SimSpec", workload_name: str, schemes: Sequence[str]
 ) -> List[Tuple[str, RunStats]]:
     """Run one workload's trace under each scheme, in order.
 
@@ -179,7 +178,7 @@ def _worker_init(
 
 
 def _timed_unit(
-    spec: "SweepSettings", workload_name: str, scheme: str
+    spec: "SimSpec", workload_name: str, scheme: str
 ) -> Tuple[float, RunStats, Optional[Dict[str, Any]]]:
     """Pool entry point: run one unit; report wall time and provenance.
 
@@ -413,29 +412,3 @@ def run_units_parallel(
             progress.close()
     return results
 
-
-def run_sweep_parallel(
-    settings: "SweepSettings",
-    jobs: int,
-    telemetry: Optional[Telemetry] = None,
-) -> Dict[str, Dict[str, RunStats]]:
-    """Compute one spec's full grid with ``jobs`` worker processes.
-
-    A thin wrapper over :func:`run_units_parallel` for callers that want
-    a whole grid without going through the planner's cache machinery.
-
-    Returns:
-        ``{workload: {scheme: RunStats}}`` in canonical settings order.
-    """
-    from .planner import plan_units
-
-    units = plan_units(settings)
-    results = run_units_parallel(units, jobs, telemetry)
-    by_pair = {(unit.workload, unit.scheme): unit.key for unit in units}
-    return {
-        name: {
-            scheme: results[by_pair[(name, scheme)]]
-            for scheme in settings.schemes
-        }
-        for name in settings.effective_workloads()
-    }

@@ -5,16 +5,14 @@ one scheme on one workload's trace under one config/seed/epoch. This
 module decomposes any set of :class:`~repro.experiments.spec.SimSpec`\\ s
 into those atomic :class:`RunUnit`\\ s, each identified by
 :meth:`SimSpec.run_hash` (the content hash of the single-pair sub-spec),
-then resolves every unit through a cache hierarchy before simulating
-anything:
+then resolves every unit through one chain before simulating anything
+(:func:`lookup_cached`, then :func:`execute_plan`):
 
 1. the in-process run memo (``_RUN_MEMO``, shared across sweeps);
-2. the granular on-disk store (:class:`~repro.experiments.cache.RunCache`,
-   one file per run under ``<cache>/runs/``);
-3. read-through migration from legacy *whole-sweep* entries — an old
-   ``SweepCache`` grid satisfies its runs individually and each migrated
-   run is re-stored granularly, so pre-planner caches keep paying off;
-4. actual simulation, serial or on the work-stealing pool
+2. the granular :class:`~repro.experiments.cache.RunStore` — by default
+   the on-disk :class:`~repro.experiments.cache.RunCache`, one file per
+   run under ``<cache>/runs/``;
+3. actual simulation, serial or on the work-stealing pool
    (:func:`~repro.experiments.parallel.run_units_parallel`) with
    ``workloads x schemes`` way parallelism.
 
@@ -29,6 +27,7 @@ is how the benchmark and CI smoke assert "warm rerun simulates zero".
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -42,7 +41,7 @@ from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
 from ..obs.progress import ProgressLine
 from ..obs.spans import SpanTracker, current_tracker, maybe_span, tracker_scope
-from .cache import RunCache, RunStore, SweepCache
+from .cache import RunStore
 from .parallel import run_units_parallel, simulate_unit
 from .spec import SimSpec
 
@@ -71,11 +70,11 @@ _log = get_logger("experiments.planner")
 DEFAULT_RUN_MEMO_CAPACITY = 4096
 
 #: In-process memo of completed runs, keyed by run hash, in LRU order
-#: (oldest first). Shared across sweeps (unlike the runner's per-settings
-#: grid memo), so overlapping specs within one process never re-simulate
-#: shared pairs. Bounded by :data:`_RUN_MEMO_CAPACITY` — eviction only
-#: costs a possible granular-disk re-read, never correctness. Cleared by
-#: :func:`clear_run_memo` / :func:`repro.experiments.runner.clear_sweep_cache`.
+#: (oldest first). Shared across sweeps, so overlapping specs within one
+#: process never re-simulate shared pairs. Bounded by
+#: :data:`_RUN_MEMO_CAPACITY` — eviction only costs a possible
+#: granular-disk re-read, never correctness. Cleared by
+#: :func:`clear_run_memo`.
 _RUN_MEMO: "OrderedDict[str, RunStats]" = OrderedDict()
 
 _RUN_MEMO_CAPACITY = DEFAULT_RUN_MEMO_CAPACITY
@@ -88,9 +87,11 @@ _RUN_MEMO_LOCK = threading.RLock()
 
 
 def clear_run_memo() -> None:
-    """Drop the in-process per-run memo (tests use this for isolation)."""
+    """Drop the in-process per-run memo and the spec decomposition memo
+    (tests and benchmarks use this to start cold)."""
     with _RUN_MEMO_LOCK:
         _RUN_MEMO.clear()
+    plan_units.cache_clear()
 
 
 def run_memo_size() -> int:
@@ -160,8 +161,14 @@ class RunUnit:
     key: str
 
 
-def plan_units(spec: SimSpec) -> List[RunUnit]:
-    """Decompose one spec into its run units, in canonical grid order."""
+@functools.lru_cache(maxsize=256)
+def plan_units(spec: SimSpec) -> Tuple[RunUnit, ...]:
+    """Decompose one spec into its run units, in canonical grid order.
+
+    Memoized per (frozen) spec: hashing every sub-spec dominates a warm
+    plan, and the figure drivers of one ``readduo run`` re-plan the
+    same spec many times. :func:`clear_run_memo` clears it.
+    """
     units: List[RunUnit] = []
     for name in spec.effective_workloads():
         for scheme in spec.schemes:
@@ -169,7 +176,7 @@ def plan_units(spec: SimSpec) -> List[RunUnit]:
             units.append(
                 RunUnit(workload=name, scheme=scheme, spec=sub, key=sub.content_hash())
             )
-    return units
+    return tuple(units)
 
 
 @dataclass
@@ -179,30 +186,26 @@ class PlanStats:
     ``units_total`` counts units as *requested* (summed over specs,
     before dedup); every requested unit lands in exactly one of
     ``units_deduped`` (duplicate of an earlier unit in the same plan),
-    ``units_memo`` / ``units_disk`` / ``units_migrated`` (served from the
-    in-process memo, the granular store, or a legacy whole-sweep entry),
-    or ``units_simulated``.
+    ``units_memo`` / ``units_disk`` (served from the in-process memo or
+    the granular store), or ``units_simulated``.
 
     Attributes:
         units_total: Units requested across all specs, duplicates included.
         units_deduped: Duplicates folded away by :func:`build_plan`.
         units_memo: Units served from the in-process run memo.
         units_disk: Units served from the granular on-disk store.
-        units_migrated: Units served from a legacy whole-sweep entry
-            (and re-stored granularly).
         units_simulated: Units actually executed.
         stale: Unreadable granular entries encountered (re-simulated).
         quarantined: Unusable granular entries renamed aside (``.bad``)
             by the run cache; a subset of ``stale``.
-        schedule_wall_s: Planner overhead — wall time spent classifying,
-            migrating, and storing, excluding the simulations themselves.
+        schedule_wall_s: Planner overhead — wall time spent classifying
+            and storing, excluding the simulations themselves.
     """
 
     units_total: int = 0
     units_deduped: int = 0
     units_memo: int = 0
     units_disk: int = 0
-    units_migrated: int = 0
     units_simulated: int = 0
     stale: int = 0
     quarantined: int = 0
@@ -210,8 +213,8 @@ class PlanStats:
 
     @property
     def units_cached(self) -> int:
-        """Units served without simulation (memo + disk + migrated)."""
-        return self.units_memo + self.units_disk + self.units_migrated
+        """Units served without simulation (memo + disk)."""
+        return self.units_memo + self.units_disk
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -221,7 +224,6 @@ class PlanStats:
             "units_deduped": self.units_deduped,
             "units_memo": self.units_memo,
             "units_disk": self.units_disk,
-            "units_migrated": self.units_migrated,
             "stale": self.stale,
             "quarantined": self.quarantined,
             "schedule_wall_s": self.schedule_wall_s,
@@ -244,17 +246,18 @@ class ExecutionPlan:
     units: Tuple[RunUnit, ...]
     stats: PlanStats
 
+    @staticmethod
     def grid_for(
-        self, spec: SimSpec, results: Dict[str, RunStats]
+        spec: SimSpec, results: Dict[str, RunStats]
     ) -> Dict[str, Dict[str, RunStats]]:
-        """Fan out executed results into one spec's canonical grid."""
-        return {
-            name: {
-                scheme: results[spec.run_hash(name, scheme)]
-                for scheme in spec.schemes
-            }
-            for name in spec.effective_workloads()
-        }
+        """Fan out executed results into one spec's canonical grid.
+
+        ``results`` may come from any plan covering the spec's units.
+        """
+        grid: Dict[str, Dict[str, RunStats]] = {}
+        for unit in plan_units(spec):
+            grid.setdefault(unit.workload, {})[unit.scheme] = results[unit.key]
+        return grid
 
 
 def build_plan(specs: Sequence[SimSpec]) -> ExecutionPlan:
@@ -323,11 +326,12 @@ def lookup_cached(
 ) -> Tuple[Dict[str, RunStats], Dict[str, str]]:
     """Resolve units through memo → granular store, simulating nothing.
 
-    The distributed coordinator calls this before leasing anything so a
-    warm daemon answers from its cache hierarchy and only genuinely new
-    units travel to workers ("a warm rerun leases zero units"). Store
-    hits are promoted into the in-process memo, exactly as
-    :func:`execute_plan` would.
+    The one cache-resolution chain: :func:`execute_plan` runs it before
+    simulating the remainder, and the distributed coordinator calls it
+    before leasing anything, so a warm daemon answers from its cache
+    hierarchy and only genuinely new units travel to workers ("a warm
+    rerun leases zero units"). Store hits are promoted into the
+    in-process memo.
 
     Returns:
         ``(results, tiers)`` where ``tiers`` maps each resolved unit's
@@ -336,14 +340,23 @@ def lookup_cached(
     """
     results: Dict[str, RunStats] = {}
     tiers: Dict[str, str] = {}
-    for unit in units:
-        hit = _memo_get(unit.key)
-        if hit is not None:
-            results[unit.key] = hit
-            tiers[unit.key] = "memo"
-            continue
-        if store is not None:
-            loaded = store.load(unit.key)
+    missing: List[RunUnit] = []
+    with maybe_span("cache.memo", units=len(units)) as span:
+        for unit in units:
+            hit = _memo_get(unit.key)
+            if hit is None:
+                missing.append(unit)
+            else:
+                results[unit.key] = hit
+                tiers[unit.key] = "memo"
+        span.set_attr("hits", len(results))
+    if store is not None:
+        for unit in missing:
+            with maybe_span(
+                "cache.disk", workload=unit.workload, scheme=unit.scheme
+            ) as span:
+                loaded = store.load(unit.key)
+                span.set_attr("hit", loaded is not None)
             if loaded is not None:
                 results[unit.key] = loaded
                 tiers[unit.key] = "disk"
@@ -435,34 +448,27 @@ def _run_units_serial(
 def execute_plan(
     plan: ExecutionPlan,
     jobs: int = 1,
-    cache: Optional[SweepCache] = None,
     telemetry: Optional[Telemetry] = None,
     store: Optional[RunStore] = None,
 ) -> Dict[str, RunStats]:
-    """Resolve every unit of a plan: memo → store → migration → simulate.
+    """Resolve every unit of a plan: memo → store → simulate.
 
     Args:
         plan: The plan from :func:`build_plan`. Its ``stats`` are filled
             in as a side effect.
         jobs: Worker processes for the units that must actually run;
             1 executes in-process.
-        cache: Optional persistent :class:`SweepCache`; its *root*
-            locates both the granular per-run store (``runs/``) and the
-            legacy whole-sweep entries used for migration. Its counters
-            keep their historical run-level semantics (hits = runs
-            served from disk, misses = runs simulated).
         telemetry: Optional :class:`~repro.obs.Telemetry`; accumulates
             ``plan.*`` counters, (serial path) ``sweep_batch`` /
             ``run_unit`` tracer records, pipeline spans when a tracer is
             live, and — when it carries a
             :class:`~repro.obs.ledger.RunLedger` — one provenance record
             per planned unit, in plan order.
-        store: Optional explicit :class:`~repro.experiments.cache.RunStore`
-            serving the granular tier. Defaults to the
-            :class:`~repro.experiments.cache.RunCache` beside ``cache``
-            (when one is given); passing a store directly is how the
-            service layer plugs in non-filesystem backends. Migrated
-            runs are re-stored into whichever store is active.
+        store: Optional :class:`~repro.experiments.cache.RunStore`
+            serving the granular tier (the on-disk
+            :class:`~repro.experiments.cache.RunCache`, or any other
+            backend); every simulated run is stored back into it.
+            ``None`` resolves through the in-process memo only.
 
     Returns:
         ``{unit.key: RunStats}`` covering every unit in the plan.
@@ -482,107 +488,22 @@ def execute_plan(
     scope = tracker_scope(own_tracker) if own_tracker is not None else nullcontext()
     active_tracker = own_tracker if own_tracker is not None else current_tracker()
     trace_id = active_tracker.trace_id if active_tracker is not None else None
-    tiers: Dict[str, str] = {}
-    cached_bytes: Dict[str, int] = {}
-    raw_bytes: Dict[str, int] = {}
     provenance: Dict[str, Dict[str, Any]] = {}
     with scope, maybe_span(
         "plan.execute", units=len(plan.units), jobs=jobs
     ) as plan_span:
         overhead_start = time.perf_counter()
-        results: Dict[str, RunStats] = {}
-        pending: List[RunUnit] = []
-        with maybe_span("cache.memo", units=len(plan.units)) as span:
-            for unit in plan.units:
-                memo_hit = _memo_get(unit.key)
-                if memo_hit is not None:
-                    results[unit.key] = memo_hit
-                    stats.units_memo += 1
-                    tiers[unit.key] = "memo"
-                else:
-                    pending.append(unit)
-            span.set_attr("hits", len(plan.units) - len(pending))
-
-        run_cache: Optional[RunStore] = store
-        if run_cache is None and cache is not None:
-            run_cache = RunCache(cache.cache_dir)
-        if run_cache is not None and pending:
-            stale_before = run_cache.counters.stale
-            quarantined_before = run_cache.counters.quarantined
-            missing: List[RunUnit] = []
-            for unit in pending:
-                with maybe_span(
-                    "cache.disk", workload=unit.workload, scheme=unit.scheme
-                ) as span:
-                    loaded = run_cache.load(unit.key)
-                    span.set_attr("hit", loaded is not None)
-                if loaded is not None:
-                    results[unit.key] = loaded
-                    stats.units_disk += 1
-                    tiers[unit.key] = "disk"
-                    size = run_cache.entry_bytes(unit.key)
-                    if size is not None:
-                        cached_bytes[unit.key] = size
-                    raw = run_cache.entry_raw_bytes(unit.key)
-                    if raw is not None:
-                        raw_bytes[unit.key] = raw
-                else:
-                    missing.append(unit)
-            pending = missing
-            stats.stale += run_cache.counters.stale - stale_before
-            stats.quarantined += (
-                run_cache.counters.quarantined - quarantined_before
-            )
-
-        if cache is not None and pending:
-            # Read-through migration: a legacy whole-sweep entry for any
-            # source spec can satisfy that spec's still-missing units; each
-            # migrated run is re-stored granularly so the next planner pass
-            # hits the per-run store directly.
-            with maybe_span("cache.migrate", pending=len(pending)) as span:
-                pending_by_key = {unit.key: unit for unit in pending}
-                peeked = set()
-                for spec in plan.specs:
-                    if not pending_by_key:
-                        break
-                    spec_key = spec.content_hash()
-                    if spec_key in peeked:
-                        continue
-                    peeked.add(spec_key)
-                    spec_units = [
-                        unit
-                        for unit in plan_units(spec)
-                        if unit.key in pending_by_key
-                    ]
-                    if not spec_units:
-                        continue
-                    grid = cache.peek(spec)
-                    if grid is None:
-                        continue
-                    for unit in spec_units:
-                        try:
-                            migrated = grid[unit.workload][unit.scheme]
-                        except KeyError:  # pragma: no cover - defensive
-                            continue
-                        results[unit.key] = migrated
-                        stats.units_migrated += 1
-                        tiers[unit.key] = "migrated"
-                        del pending_by_key[unit.key]
-                        if run_cache is not None:
-                            run_cache.store(unit.key, migrated)
-                            size = run_cache.entry_bytes(unit.key)
-                            if size is not None:
-                                cached_bytes[unit.key] = size
-                            raw = run_cache.entry_raw_bytes(unit.key)
-                            if raw is not None:
-                                raw_bytes[unit.key] = raw
-                span.set_attr("migrated", stats.units_migrated)
-            if stats.units_migrated:
-                _log.info(
-                    "migrated %d run(s) from whole-sweep cache entries",
-                    stats.units_migrated,
-                )
-            pending = [unit for unit in pending if unit.key in pending_by_key]
+        if store is not None:
+            stale_before = store.counters.stale
+            quarantined_before = store.counters.quarantined
+        results, tiers = lookup_cached(plan.units, store)
+        pending = [unit for unit in plan.units if unit.key not in results]
+        disk_hits = sum(1 for tier in tiers.values() if tier == "disk")
+        stats.units_disk += disk_hits
+        stats.units_memo += len(tiers) - disk_hits
+        if store is not None:
+            stats.stale += store.counters.stale - stale_before
+            stats.quarantined += store.counters.quarantined - quarantined_before
 
         execute_elapsed = 0.0
         if pending:
@@ -604,15 +525,8 @@ def execute_plan(
             stats.units_simulated += len(pending)
             for unit in pending:
                 tiers[unit.key] = "simulated"
-            if run_cache is not None:
-                for unit in pending:
-                    run_cache.store(unit.key, simulated[unit.key])
-                    size = run_cache.entry_bytes(unit.key)
-                    if size is not None:
-                        cached_bytes[unit.key] = size
-                    raw = run_cache.entry_raw_bytes(unit.key)
-                    if raw is not None:
-                        raw_bytes[unit.key] = raw
+                if store is not None:
+                    store.store(unit.key, simulated[unit.key])
 
         for unit in plan.units:
             _memo_put(unit.key, results[unit.key])
@@ -621,15 +535,6 @@ def execute_plan(
         )
         plan_span.set_attr("simulated", stats.units_simulated)
         plan_span.set_attr("cached", stats.units_cached)
-
-    if cache is not None:
-        # Historical run-level accounting on the caller's SweepCache:
-        # disk-served runs (granular or migrated) are hits, simulated
-        # runs are misses. Memo hits never touched the disk, as before.
-        cache.counters.hits += stats.units_disk + stats.units_migrated
-        cache.counters.misses += stats.units_simulated
-        cache.counters.stale += stats.stale
-        cache.counters.quarantined += stats.quarantined
 
     if telemetry is not None and telemetry.metrics is not None:
         metrics = telemetry.metrics
@@ -656,6 +561,10 @@ def execute_plan(
         for unit in plan.units:
             run_stats = results[unit.key]
             prov = provenance.get(unit.key, {})
+            tier = tiers[unit.key]
+            # Memo hits never touched the store; everything else was
+            # read from or written to it.
+            sized = store is not None and tier != "memo"
             faults = (
                 run_stats.fault_counters.as_dict()
                 if run_stats.fault_counters
@@ -666,14 +575,14 @@ def execute_plan(
                 run_hash=unit.key,
                 workload=unit.workload,
                 scheme=unit.scheme,
-                tier=tiers.get(unit.key, "simulated"),
+                tier=tier,
                 engine=prov.get("engine") or unit.spec.engine,
                 fastpath=prov.get("fastpath"),
                 wall_s=prov.get("wall_s"),
                 t_s=prov.get("t_s"),
                 pid=prov.get("pid"),
-                cached_bytes=cached_bytes.get(unit.key),
-                raw_bytes=raw_bytes.get(unit.key),
+                cached_bytes=store.entry_bytes(unit.key) if sized else None,
+                raw_bytes=store.entry_raw_bytes(unit.key) if sized else None,
                 faults=faults,
                 trace=trace_id,
             )

@@ -1,191 +1,43 @@
-"""Shared simulation sweeps for the figure experiments.
+"""The figure drivers' one entry point into the execution stack.
 
-Figures 9/10/11/12/13/14/15 all consume the same underlying data: every
-scheme run on every workload's trace. :func:`run_sweep` produces that grid
-once and memoizes it per :class:`SweepSettings`; underneath, the grid is
-resolved run-by-run through the execution planner
-(:mod:`repro.experiments.planner`), so with a persistent cache
-(:class:`~repro.experiments.cache.SweepCache` plus its granular per-run
-store) only genuinely new (workload, scheme) pairs ever simulate, even
-across *different* sweeps that merely overlap. With ``jobs > 1`` the
-missing runs execute on a work-stealing process pool
-(:mod:`repro.experiments.parallel`) — results are bit-for-bit identical
-to the serial path because all randomness is seed-derived.
-
-Trace lengths adapt to each workload's memory intensity
-(:func:`repro.traces.spec.instructions_for_requests`) so light and heavy
-benchmarks contribute comparable request counts.
+Figures 3/4/9–15, the scrub/cancellation ablations and the fault and
+scrub-interval extras all read cells of the same scheme x workload grid.
+:func:`run_sweep` hands a spec to the caller's
+:class:`~repro.service.ExecutionService`, which resolves every run unit
+through the planner's memo, then its run store, then simulation, so
+``readduo run`` renders every driver from the units it planned up front.
 """
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..memsim.stats import RunStats
-from ..obs import Telemetry, get_logger
-from .cache import SweepCache
-from .planner import build_plan, clear_run_memo, execute_plan
-from .spec import ALL_SCHEMES, SimSpec
+from .spec import SimSpec
 
-__all__ = [
-    "SweepSettings",
-    "SimSpec",
-    "ALL_SCHEMES",
-    "run_sweep",
-    "clear_sweep_cache",
-    "configure_sweep_defaults",
-]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..service.execution import ExecutionService
 
-#: Historical name for the sweep's spec type. :class:`SimSpec` is the
-#: same frozen value object flowing CLI -> runner -> workers -> cache;
-#: ``SweepSettings`` remains as a compatibility alias.
-SweepSettings = SimSpec
-
-
-_SWEEP_CACHE: Dict[SweepSettings, Dict[str, Dict[str, RunStats]]] = {}
-
-_log = get_logger("experiments.runner")
-
-#: Session-wide defaults for ``run_sweep`` callers that cannot thread the
-#: arguments through (the figure drivers invoked by ``readduo run``).
-_DEFAULT_JOBS = 1
-_DEFAULT_CACHE: Union[bool, SweepCache] = False
-_DEFAULT_TELEMETRY: Optional[Telemetry] = None
-
-#: Accepted by the ``cache=`` parameter.
-CacheSpec = Union[None, bool, str, Path, SweepCache]
-
-#: "Leave unchanged" sentinel for the telemetry default (``None`` means
-#: "clear", unlike jobs/cache where ``None`` means "keep").
-_UNSET = object()
-
-
-def configure_sweep_defaults(
-    jobs: Optional[int] = None,
-    cache: CacheSpec = None,
-    telemetry: object = _UNSET,
-) -> Tuple[int, "CacheSpec", Optional[Telemetry]]:
-    """Set process-wide defaults for :func:`run_sweep`.
-
-    The CLI uses this so ``readduo run --jobs 4`` parallelizes the sweeps
-    inside figure drivers whose signatures don't take a jobs argument
-    (and so ``readduo run --metrics`` observes those internal sweeps).
-    Passing ``None`` leaves the corresponding default unchanged.
-
-    Returns:
-        The previous ``(jobs, cache, telemetry)`` defaults, so a caller
-        can restore them afterwards (the CLI does, keeping ``main()``
-        reentrant).
-    """
-    global _DEFAULT_JOBS, _DEFAULT_CACHE, _DEFAULT_TELEMETRY
-    previous = (_DEFAULT_JOBS, _DEFAULT_CACHE, _DEFAULT_TELEMETRY)
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        _DEFAULT_JOBS = int(jobs)
-    if cache is not None:
-        _DEFAULT_CACHE = cache
-    if telemetry is not _UNSET:
-        live = isinstance(telemetry, Telemetry) and telemetry.enabled
-        _DEFAULT_TELEMETRY = telemetry if live else None
-    return previous
-
-
-def _resolve_cache(cache: CacheSpec) -> Optional[SweepCache]:
-    if cache is None:
-        cache = _DEFAULT_CACHE
-    if cache is False or cache is None:
-        return None
-    if cache is True:
-        return SweepCache()
-    if isinstance(cache, SweepCache):
-        return cache
-    return SweepCache(cache)
+__all__ = ["run_sweep"]
 
 
 def run_sweep(
-    settings: SweepSettings,
-    jobs: Optional[int] = None,
-    cache: CacheSpec = None,
-    telemetry: Optional[Telemetry] = None,
+    spec: SimSpec, service: Optional["ExecutionService"] = None
 ) -> Mapping[str, Mapping[str, RunStats]]:
-    """Simulate every (workload, scheme) pair; memoized per settings.
+    """One spec's ``{workload: {scheme: RunStats}}`` grid.
 
     Args:
-        settings: The grid to simulate.
-        jobs: Worker processes; 1 runs in-process. ``None`` uses the
-            process-wide default (see :func:`configure_sweep_defaults`).
-        cache: Persistent cache control: ``True`` for the default
-            location (``results/.sweep-cache/``), a path or
-            :class:`SweepCache` for a specific one, ``False`` to disable,
-            ``None`` for the process-wide default (disabled unless
-            configured). Parallel and serial runs share cache entries —
-            the key covers only the settings, never the execution mode.
-        telemetry: Optional :class:`~repro.obs.Telemetry`; batch
-            completions emit ``sweep_batch`` tracer records and the
-            registry accumulates ``sweep.*`` counters. ``None`` uses the
-            process-wide default. Progress is also logged at INFO to the
-            ``repro.experiments`` loggers (stderr) regardless.
+        spec: The grid to resolve.
+        service: The service whose jobs, run store and telemetry resolve
+            it. ``None`` uses a serial, in-process service with no
+            persistent store (the planner's memo still applies).
 
     Returns:
-        ``{workload: {scheme: RunStats}}``. The returned mapping is shared
-        across callers — treat it as read-only.
+        The grid in canonical spec order. Its ``RunStats`` are shared
+        with the planner's memo — treat them as read-only.
     """
-    if telemetry is None:
-        telemetry = _DEFAULT_TELEMETRY
-    n_runs = len(settings.schemes) * len(settings.effective_workloads())
-    memoized = _SWEEP_CACHE.get(settings)
-    if memoized is not None:
-        _log.debug("sweep served from in-process memo (%d runs)", n_runs)
-        return memoized
-    persistent = _resolve_cache(cache)
-    effective_jobs = _DEFAULT_JOBS if jobs is None else jobs
-    if effective_jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    workloads = settings.effective_workloads()
-    _log.info(
-        "sweep start: %d workloads x %d schemes, %d job(s)",
-        len(workloads), len(settings.schemes), effective_jobs,
-    )
-    sweep_start = time.perf_counter()
-    plan = build_plan([settings])
-    results = execute_plan(
-        plan, jobs=effective_jobs, cache=persistent, telemetry=telemetry
-    )
-    grid = plan.grid_for(settings, results)
-    total = time.perf_counter() - sweep_start
-    simulated = plan.stats.units_simulated
-    cached = plan.stats.units_cached
-    _log.info(
-        "sweep done: %d runs (%d simulated, %d cached) in %.2fs",
-        n_runs, simulated, cached, total,
-    )
-    if simulated == 0 and telemetry is not None and telemetry.tracer is not None:
-        telemetry.tracer.emit(
-            {"kind": "sweep_cache", "result": "hit", "runs": n_runs}
-        )
-    if telemetry is not None and telemetry.metrics is not None:
-        metrics = telemetry.metrics
-        if cached:
-            metrics.counter("sweep.cache_hits").inc(cached)
-        if simulated:
-            metrics.counter("sweep.runs_simulated").inc(simulated)
-            metrics.counter("sweep.sweeps").inc()
-            metrics.gauge("sweep.last_wall_s").set(total)
-    if persistent is not None and simulated > 0:
-        persistent.store(settings, grid)
-    _SWEEP_CACHE[settings] = grid
-    return grid
+    if service is None:
+        from ..service.execution import ExecutionService
 
-
-def clear_sweep_cache() -> None:
-    """Drop memoized sweeps (tests use this to control memory).
-
-    Clears both the per-settings grid memo and the planner's per-run
-    memo; the persistent on-disk caches are managed separately via
-    :meth:`SweepCache.clear` / :meth:`RunCache.clear`.
-    """
-    _SWEEP_CACHE.clear()
-    clear_run_memo()
+        service = ExecutionService(cache=False)
+    return service.sweep(spec)

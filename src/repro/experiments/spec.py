@@ -308,7 +308,7 @@ class SimSpec:
     # --------------------------------------------------------------- identity
 
     def content_hash(self) -> str:
-        """Canonical content hash; the sweep cache's single key.
+        """Canonical content hash; for a one-run sub-spec, the cache key.
 
         Covers schemes (canonical), *effective* workloads (an explicit
         list and the all-workloads default that expands to it hash
@@ -353,9 +353,8 @@ class SimSpec:
     def run_hash(self, workload_name: str, scheme: str) -> str:
         """Content hash of one (workload, scheme) run; the per-run cache key.
 
-        Derived from the same :meth:`content_hash` machinery as the
-        sweep-level key, via :meth:`run_subspec` — there is still exactly
-        one definition of "the same simulation".
+        The :meth:`content_hash` of :meth:`run_subspec` — there is
+        exactly one definition of "the same simulation".
         """
         return self.run_subspec(workload_name, scheme).content_hash()
 

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Resolution tiers in report order (matches the ledger schema enum).
-TIERS = ("memo", "disk", "migrated", "simulated")
+TIERS = ("memo", "disk", "simulated")
 
 
 def parse_ledger_lines(lines: Sequence[str]) -> List[Dict[str, Any]]:
@@ -113,7 +113,7 @@ def summarize_ledger(
                 fastpath[outcome] = fastpath.get(outcome, 0) + 1
 
     n_units = len(first_by_hash)
-    cached = sum(unit_tiers[t] for t in ("memo", "disk", "migrated"))
+    cached = unit_tiers["memo"] + unit_tiers["disk"]
     attempts = fastpath.get("speculated", 0) + fastpath.get("fallback", 0)
     success_rate = (
         fastpath.get("speculated", 0) / attempts if attempts else None

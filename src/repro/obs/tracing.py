@@ -28,9 +28,9 @@ Record kinds produced by :class:`~repro.memsim.engine.MemorySystemSim`
     ``time_ns, lines, rewrites, duration_ns, skipped`` — one scrub
     operation (or a skipped visit when the backlog is full).
 
-The sweep runner adds ``sweep_batch`` (``workload, schemes, seconds``)
-and ``sweep_cache`` (``result, runs``) records; see docs/OBSERVABILITY.md
-for the full schema.
+The planner's serial executor adds ``sweep_batch`` (``workload,
+schemes, seconds``) and ``run_unit`` (``workload, scheme, seconds``)
+records; see docs/OBSERVABILITY.md for the full schema.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ telemetry. This package owns that wiring once, behind two surfaces:
 
 * :class:`ExecutionService` (:mod:`repro.service.execution`) — the
   in-process facade: ``submit(specs) -> results`` through the full
-  memo → store → migration → simulate hierarchy, plus the session
-  plumbing the CLI subcommands ride (``readduo run/sweep/faults`` are
-  thin clients of this class);
+  memo → store → simulate hierarchy, plus the workflows the CLI
+  subcommands ride (``readduo run/sweep/faults`` are thin clients of
+  this class);
 * :mod:`repro.service.server` — ``readduo serve``, the asyncio
   HTTP/JSON daemon that accepts :class:`~repro.experiments.spec.SimSpec`
   documents, coalesces concurrent identical requests by run hash onto a
@@ -32,19 +32,13 @@ docs/DISTRIBUTED.md for the lease protocol and its runbook.
 """
 
 from .execution import ExecutionOutcome, ExecutionService, sweep_payload
-from .store import (
-    FilesystemRunStore,
-    MemoryRunStore,
-    RemoteRunStore,
-    RunStore,
-)
+from .store import MemoryRunStore, RemoteRunStore, RunStore
 
 __all__ = [
     "ExecutionOutcome",
     "ExecutionService",
     "sweep_payload",
     "RunStore",
-    "FilesystemRunStore",
     "MemoryRunStore",
     "RemoteRunStore",
 ]

@@ -1,23 +1,22 @@
 """The :class:`ExecutionService` facade: one owner for execution wiring.
 
 Before this layer existed, every CLI subcommand hand-wired the same
-stack — build a plan, resolve it through the memo/disk/migration cache
+stack — build a plan, resolve it through the memo/store cache
 hierarchy, pick serial vs the work-stealing pool, thread telemetry
-through, restore the process-wide sweep defaults afterwards. The service
-owns all of that behind a handful of methods:
+through. The service owns all of that behind a handful of methods:
 
 * :meth:`ExecutionService.submit` — the core API: any sequence of
   :class:`~repro.experiments.spec.SimSpec` documents in, deduplicated
   and fully resolved run results out;
 * :meth:`ExecutionService.sweep` — one spec's canonical grid (the
   ``readduo sweep`` payload comes from :func:`sweep_payload` over it);
-* :meth:`ExecutionService.session` / :meth:`run_experiment` /
-  :meth:`prewarm` — the ``readduo run`` workflow: install this
-  service's jobs/cache/telemetry as the process-wide sweep defaults,
-  union all requested artifacts' specs, execute each distinct unit
-  once, then let the figure drivers render from the prewarmed memo;
+* :meth:`ExecutionService.prewarm` / :meth:`run_experiment` — the
+  ``readduo run`` workflow: union all requested artifacts' specs,
+  execute each distinct unit once, then let the drivers, which receive
+  this service as their ``service`` argument, render from the
+  prewarmed memo;
 * :meth:`ExecutionService.fault_density_study` — the ``readduo faults``
-  workflow under the same session plumbing.
+  workflow, wired the same way.
 
 The service is also where memory policy lives for long-lived processes:
 ``memo_capacity`` re-bounds the planner's LRU run memo for the
@@ -29,23 +28,13 @@ request coalescing and backpressure on top.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
-from ..experiments.cache import RunStore, SweepCache
+from ..experiments.cache import RunCache, RunStore
 from ..experiments.planner import (
     ExecutionPlan,
     build_plan,
@@ -60,9 +49,21 @@ __all__ = ["ExecutionOutcome", "ExecutionService", "sweep_payload"]
 
 _log = get_logger("service.execution")
 
-#: ``cache=`` accepts the same shapes the runner does: True (default
-#: location), False/None (no persistent cache), a path, or an instance.
-CacheSpec = Union[None, bool, str, Path, SweepCache]
+#: What ``cache=`` accepts: True (the default on-disk location),
+#: False/None (no persistent store), a cache root path, or a
+#: :class:`RunStore` instance.
+CacheSpec = Union[None, bool, str, Path, RunStore]
+
+
+def open_store(cache: CacheSpec) -> Optional[RunStore]:
+    """The :class:`RunStore` a ``cache=`` argument names, or ``None``."""
+    if cache is None or cache is False:
+        return None
+    if cache is True:
+        return RunCache()
+    if isinstance(cache, RunStore):
+        return cache
+    return RunCache(cache)
 
 
 @dataclass
@@ -71,7 +72,7 @@ class ExecutionOutcome:
 
     Attributes:
         plan: The executed plan; ``plan.stats`` carries the tier
-            accounting (total/deduped/memo/disk/migrated/simulated).
+            accounting (total/deduped/memo/disk/simulated).
         results: ``{run_hash: RunStats}`` for every distinct unit.
     """
 
@@ -123,14 +124,12 @@ class ExecutionService:
     Args:
         jobs: Worker processes for units that must simulate (1 =
             in-process serial, the default).
-        cache: Persistent cache control — ``True`` for the default
-            location (``results/.sweep-cache/``), ``False``/``None``
-            to disable, a path or :class:`SweepCache` for a specific
-            root. The cache root also locates the granular per-run
-            store and legacy whole-sweep entries for migration.
-        store: Optional explicit :class:`RunStore` for the granular
-            tier (e.g. :class:`~repro.service.store.MemoryRunStore`);
-            overrides the store derived from ``cache``.
+        cache: The granular run store — ``True`` for the on-disk
+            :class:`RunCache` at the default location
+            (``results/.sweep-cache/runs/``), ``False``/``None`` for
+            none, a path for a :class:`RunCache` under that root, or any
+            :class:`RunStore` instance (e.g.
+            :class:`~repro.service.store.MemoryRunStore`).
         telemetry: Optional :class:`~repro.obs.Telemetry` observed by
             every plan this service executes.
         memo_capacity: When given, re-bounds the planner's in-process
@@ -148,7 +147,6 @@ class ExecutionService:
         self,
         jobs: int = 1,
         cache: CacheSpec = True,
-        store: Optional[RunStore] = None,
         telemetry: Optional[Telemetry] = None,
         memo_capacity: Optional[int] = None,
     ) -> None:
@@ -156,26 +154,11 @@ class ExecutionService:
             raise ValueError("jobs must be >= 1")
         self.jobs = int(jobs)
         self.telemetry = telemetry
-        self.store = store
-        self._cache = self._resolve_cache(cache)
+        #: The granular :class:`RunStore`, or ``None`` (memo only).
+        self.store = open_store(cache)
         self._previous_memo_capacity: Optional[int] = None
         if memo_capacity is not None:
             self._previous_memo_capacity = set_run_memo_capacity(memo_capacity)
-
-    @staticmethod
-    def _resolve_cache(cache: CacheSpec) -> Optional[SweepCache]:
-        if cache is None or cache is False:
-            return None
-        if cache is True:
-            return SweepCache()
-        if isinstance(cache, SweepCache):
-            return cache
-        return SweepCache(cache)
-
-    @property
-    def cache(self) -> Optional[SweepCache]:
-        """The persistent sweep cache in use, or ``None``."""
-        return self._cache
 
     # ------------------------------------------------------------ lifecycle
 
@@ -210,68 +193,22 @@ class ExecutionService:
         """Plan, dedupe, and fully resolve a batch of specs.
 
         Every distinct (workload, scheme) run across all specs resolves
-        through memo → granular store → whole-sweep migration →
-        simulation (serial or the work-stealing pool, per ``jobs``).
+        through memo → granular store → simulation (serial or the
+        work-stealing pool, per ``jobs``).
         Identical work across specs — and across *calls*, via the memo
         and persistent store — executes exactly once.
         """
         plan = build_plan(specs)
         results = execute_plan(
-            plan,
-            jobs=self.jobs,
-            cache=self._cache,
-            telemetry=self.telemetry,
-            store=self.store,
+            plan, jobs=self.jobs, telemetry=self.telemetry, store=self.store
         )
         return ExecutionOutcome(plan=plan, results=results)
 
     def sweep(self, settings: SimSpec) -> Mapping[str, Mapping[str, RunStats]]:
-        """One spec's canonical ``{workload: {scheme: RunStats}}`` grid.
-
-        With the default (filesystem) store this delegates to
-        :func:`~repro.experiments.runner.run_sweep`, keeping the
-        per-settings grid memo, whole-sweep store-back, and sweep
-        telemetry counters exactly as the CLI always emitted them. With
-        an explicit ``store`` the grid is assembled from :meth:`submit`
-        (no whole-sweep entries are written — the granular store is the
-        only persistence).
-        """
-        if self.store is not None:
-            outcome = self.submit([settings])
-            return outcome.grid_for(settings)
-        from ..experiments.runner import run_sweep
-
-        return run_sweep(
-            settings,
-            jobs=self.jobs,
-            cache=self._cache if self._cache is not None else False,
-            telemetry=self.telemetry,
-        )
+        """One spec's canonical ``{workload: {scheme: RunStats}}`` grid."""
+        return self.submit([settings]).grid_for(settings)
 
     # ------------------------------------------------------- run workflow
-
-    @contextmanager
-    def session(self) -> Iterator["ExecutionService"]:
-        """Install this service's wiring as the process sweep defaults.
-
-        Figure/ablation drivers call ``run_sweep`` internally with no
-        jobs/cache/telemetry arguments; inside a session those calls
-        resolve to this service's configuration. The previous defaults
-        are restored on exit, keeping callers reentrant.
-        """
-        from ..experiments.runner import configure_sweep_defaults
-
-        previous = configure_sweep_defaults(
-            jobs=self.jobs,
-            cache=self._cache if self._cache is not None else False,
-            telemetry=self.telemetry,
-        )
-        try:
-            yield self
-        finally:
-            configure_sweep_defaults(
-                jobs=previous[0], cache=previous[1], telemetry=previous[2]
-            )
 
     def prewarm(
         self,
@@ -317,11 +254,7 @@ class ExecutionService:
             len(plan.units), len(specs), plan.stats.units_deduped,
         )
         execute_plan(
-            plan,
-            jobs=self.jobs,
-            cache=self._cache,
-            telemetry=self.telemetry,
-            store=self.store,
+            plan, jobs=self.jobs, telemetry=self.telemetry, store=self.store
         )
         _log.info(
             "plan executed: %d simulated, %d cached",
@@ -332,20 +265,23 @@ class ExecutionService:
     def run_experiment(self, name: str, **kwargs: Any):
         """Run one registered experiment driver by id.
 
-        Call inside :meth:`session` so the driver's internal sweeps use
-        this service's wiring. Unknown ids raise ``KeyError`` (the CLI
-        validates names before dispatching).
+        Drivers that sweep (those with a spec collector in
+        ``EXPERIMENT_SPECS``) receive this service as ``service``, so
+        their sweeps resolve through its memo, store and telemetry.
+        Unknown ids raise ``KeyError`` (the CLI validates names before
+        dispatching).
         """
-        from ..experiments import EXPERIMENTS
+        from ..experiments import EXPERIMENT_SPECS, EXPERIMENTS
 
+        if name in EXPERIMENT_SPECS:
+            kwargs["service"] = self
         return EXPERIMENTS[name](**kwargs)
 
     def fault_density_study(self, **kwargs: Any):
         """The ``readduo faults`` study under this service's wiring."""
         from ..experiments.faults import fault_density_study
 
-        with self.session():
-            return fault_density_study(**kwargs)
+        return fault_density_study(service=self, **kwargs)
 
     # ------------------------------------------------------------- helpers
 
@@ -362,7 +298,11 @@ class ExecutionService:
         """Operational snapshot (the daemon's ``/v1/stats`` backbone)."""
         return {
             "jobs": self.jobs,
-            "cache_dir": str(self._cache.cache_dir) if self._cache else None,
+            "cache_dir": (
+                str(self.store.root)
+                if isinstance(self.store, RunCache)
+                else None
+            ),
             # `is not None`, not truthiness: an *empty* MemoryRunStore
             # has __len__() == 0 and would otherwise report as absent.
             "store": type(self.store).__name__ if self.store is not None else None,

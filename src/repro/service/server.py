@@ -56,7 +56,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
@@ -65,16 +65,17 @@ from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
 from ..obs.ledger import RunLedger
 from ..experiments.cache import RunStore
-from ..experiments.planner import PlanStats, RunUnit, lookup_cached, plan_units
+from ..experiments.planner import (
+    ExecutionPlan,
+    PlanStats,
+    RunUnit,
+    lookup_cached,
+    plan_units,
+)
 from ..experiments.spec import SimSpec, SpecError
 from .coordinator import LeaseCoordinator
-from .execution import CacheSpec, ExecutionService, sweep_payload
-from .store import (
-    FilesystemRunStore,
-    MemoryRunStore,
-    parse_store_entry,
-    store_entry_payload,
-)
+from .execution import CacheSpec, ExecutionService, open_store, sweep_payload
+from .store import MemoryRunStore, parse_store_entry, store_entry_payload
 
 __all__ = ["ServeConfig", "SimServer", "run_server"]
 
@@ -208,20 +209,17 @@ class SimServer:
             thread_name_prefix="readduo-exec",
         )
         ledger = _RelayLedger(self.config.ledger, self._relay_record)
+        # The shared granular store behind GET/PUT /v1/store/{hash}: the
+        # configured persistent store, an in-process one otherwise, so
+        # workers share one cache either way.
+        store = open_store(self.config.cache)
+        self.run_store = MemoryRunStore() if store is None else store
         self.service = ExecutionService(
             jobs=self.config.jobs,
-            cache=self.config.cache,
+            cache=self.run_store,
             telemetry=Telemetry(ledger=ledger),
             memo_capacity=self.config.memo_capacity,
         )
-        # The shared granular store behind GET/PUT /v1/store/{hash}: the
-        # cache-backed run store when persistence is on, an in-process
-        # store otherwise, so workers share one cache either way.
-        if self.service.cache is not None:
-            self.run_store = FilesystemRunStore(self.service.cache.cache_dir)
-        else:
-            self.run_store = MemoryRunStore()
-        self.service.store = self.run_store
         if self.config.distributed:
             self.coordinator = LeaseCoordinator(
                 ttl_s=self.config.lease_ttl_s,
@@ -581,7 +579,7 @@ class SimServer:
         if self._dist_plan is None:
             self._dist_plan = ledger.begin_plan()
         tier = meta.get("tier")
-        if tier not in ("memo", "disk", "migrated", "simulated"):
+        if tier not in ("memo", "disk", "simulated"):
             tier = "simulated"
         engine = meta.get("engine")
         if engine not in ("batch", "event"):
@@ -705,7 +703,7 @@ class SimServer:
     async def _resolve(
         self,
         spec: SimSpec,
-        units: List[RunUnit],
+        units: Sequence[RunUnit],
         queue: Optional["asyncio.Queue[Any]"],
     ) -> Dict[str, Any]:
         """Coalesce, execute owned units, await joined ones, build payload."""
@@ -771,14 +769,7 @@ class SimServer:
         for key, future in joined.items():
             results[key] = await asyncio.shield(future)
 
-        grid = {
-            name: {
-                scheme: results[spec.run_hash(name, scheme)]
-                for scheme in spec.schemes
-            }
-            for name in spec.effective_workloads()
-        }
-        payload = sweep_payload(spec, grid)
+        payload = sweep_payload(spec, ExecutionPlan.grid_for(spec, results))
         payload["plan"] = {
             "units": len(seen),
             "units_owned": len(owned),

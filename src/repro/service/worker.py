@@ -32,8 +32,8 @@ from urllib.parse import urlsplit
 from ..obs import Telemetry, get_logger
 from ..obs.ledger import RunLedger
 from ..experiments.spec import SimSpec, SpecError
-from .execution import CacheSpec, ExecutionService
-from .store import FilesystemRunStore, RemoteRunStore
+from .execution import CacheSpec, ExecutionService, open_store
+from .store import RemoteRunStore
 
 __all__ = ["WorkerConfig", "run_worker"]
 
@@ -227,20 +227,15 @@ def run_worker(config: Optional[WorkerConfig] = None) -> int:
     worker_id = config.worker_id or f"{socket.gethostname()}-{os.getpid()}"
     link = CoordinatorLink(config.coordinator, worker_id)
     capture = _CaptureLedger()
+    remote = RemoteRunStore(
+        config.coordinator, local=open_store(config.cache), client_id=worker_id
+    )
     service = ExecutionService(
         jobs=config.jobs,
-        cache=config.cache,
+        cache=remote,
         telemetry=Telemetry(ledger=capture),
         memo_capacity=config.memo_capacity,
     )
-    local = (
-        FilesystemRunStore(service.cache.cache_dir)
-        if service.cache is not None else None
-    )
-    remote = RemoteRunStore(
-        config.coordinator, local=local, client_id=worker_id
-    )
-    service.store = remote
     _log.info(
         "worker %s polling %s:%d (jobs=%d, max_units=%d)",
         worker_id, link.host, link.port, config.jobs, config.max_units,

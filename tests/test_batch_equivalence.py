@@ -420,13 +420,16 @@ def _flat(grid):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_grid_identical_across_engines(jobs, tmp_path):
     """Whole grids agree for serial and parallel execution alike."""
-    from repro.experiments.runner import clear_sweep_cache, run_sweep
+    from repro.experiments.planner import clear_run_memo
+    from repro.experiments.runner import run_sweep
+    from repro.service import ExecutionService
 
     grids = {}
     for engine in ENGINES:
-        clear_sweep_cache()
-        grids[engine] = run_sweep(_sweep_spec(engine), jobs=jobs, cache=False)
-    clear_sweep_cache()
+        clear_run_memo()
+        service = ExecutionService(jobs=jobs, cache=False)
+        grids[engine] = run_sweep(_sweep_spec(engine), service)
+    clear_run_memo()
     assert _flat(grids["batch"]) == _flat(grids["event"])
 
 
@@ -436,30 +439,31 @@ def test_granular_cache_entries_byte_identical(tmp_path):
     Cached artifacts therefore stay valid across engines, which is the
     load-bearing fact behind keeping ``engine`` out of the content hash.
     """
-    from repro.experiments.cache import SweepCache
-    from repro.experiments.runner import clear_sweep_cache, run_sweep
+    from repro.experiments.planner import clear_run_memo
+    from repro.experiments.runner import run_sweep
+    from repro.service import ExecutionService
 
     dirs = {}
     for engine in ENGINES:
-        clear_sweep_cache()
-        cache = SweepCache(tmp_path / engine)
-        run_sweep(_sweep_spec(engine), jobs=1, cache=cache)
+        clear_run_memo()
+        run_sweep(_sweep_spec(engine), ExecutionService(cache=tmp_path / engine))
         runs_dir = tmp_path / engine / "runs"
         dirs[engine] = {
             p.name: p.read_bytes() for p in sorted(runs_dir.glob("*.json"))
         }
-    clear_sweep_cache()
+    clear_run_memo()
     assert dirs["batch"], "no granular cache entries were written"
     assert dirs["batch"].keys() == dirs["event"].keys()  # same run hashes
     assert dirs["batch"] == dirs["event"]  # same bytes
 
     # And a replay from the scalar-produced cache serves the batch spec.
-    clear_sweep_cache()
-    cache = SweepCache(tmp_path / "event")
-    replayed = run_sweep(_sweep_spec("batch"), jobs=1, cache=cache)
-    clear_sweep_cache()
-    fresh = run_sweep(_sweep_spec("batch"), jobs=1, cache=False)
-    clear_sweep_cache()
+    clear_run_memo()
+    replayed = run_sweep(
+        _sweep_spec("batch"), ExecutionService(cache=tmp_path / "event")
+    )
+    clear_run_memo()
+    fresh = run_sweep(_sweep_spec("batch"))
+    clear_run_memo()
     assert _flat(replayed) == _flat(fresh)
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.runner import clear_sweep_cache
+from repro.experiments.planner import clear_run_memo
 
 
 @pytest.fixture(autouse=True)
@@ -13,9 +13,9 @@ def clean_memo():
     # The planner's per-run memo is shared across specs, so without
     # isolation an earlier test's runs would satisfy a later test's
     # sweep and skew its telemetry expectations.
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 class TestParser:
@@ -121,29 +121,104 @@ class TestSweepExecutionFlags:
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
         assert main(["sweep", "--output", str(serial)] + common) == 0
-        from repro.experiments.runner import clear_sweep_cache
-
-        clear_sweep_cache()
+        clear_run_memo()
         assert main(
             ["sweep", "--output", str(parallel), "--jobs", "2"] + common
         ) == 0
         assert serial.read_text() == parallel.read_text()
 
     def test_sweep_uses_cache_dir_override(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments.runner import clear_sweep_cache
-
         monkeypatch.setenv("READDUO_SWEEP_CACHE", str(tmp_path / "cache"))
         argv = ["sweep", "--requests", "800", "--schemes", "Ideal",
                 "--workloads", "gcc", "--output", str(tmp_path / "out.json")]
         assert main(argv) == 0
-        entries = list((tmp_path / "cache").glob("*.json"))
+        # One granular entry per run, and nothing else in the root.
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["runs"]
+        entries = list((tmp_path / "cache" / "runs").glob("*.json"))
         assert len(entries) == 1
         first = (tmp_path / "out.json").read_text()
-        clear_sweep_cache()
+        clear_run_memo()
         # Warm re-run serves from the persistent cache and exports the
         # identical payload.
         assert main(argv) == 0
         assert (tmp_path / "out.json").read_text() == first
+
+    def test_warm_cache_rerun_serves_identical_json(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("READDUO_SWEEP_CACHE", str(tmp_path / "cache"))
+        argv = ["sweep", "--requests", "800", "--jobs", "2",
+                "--schemes", "Ideal", "Scrubbing", "Hybrid", "LWT-4",
+                "--workloads", "mcf", "gcc"]
+        first = tmp_path / "first.json"
+        assert main(argv + ["--output", str(first)]) == 0
+        clear_run_memo()  # a fresh process: only the disk tier is warm
+        second = tmp_path / "second.json"
+        metrics = tmp_path / "warm-metrics.json"
+        assert main(
+            argv + ["--output", str(second), "--metrics", str(metrics)]
+        ) == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["plan.units_simulated"] == 0
+        assert counters["plan.units_cached"] == 8
+        # The payload's telemetry key is absent without --metrics; with
+        # it, the run-level payload is otherwise the same bytes.
+        warm = json.loads(second.read_text())
+        warm.pop("telemetry")
+        assert json.dumps(warm, indent=2, sort_keys=True) + "\n" == (
+            first.read_text()
+        )
+
+
+class TestPlannedRunCache:
+    """``readduo run`` resolves every unit through memo → run store."""
+
+    ARTIFACTS = ["figure9", "figure10", "ablation-scrub-contention"]
+    QUICK = ["--quick", "--quick-requests", "300"]
+
+    def test_cold_run_leaves_only_run_entries_and_warm_run_simulates_zero(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        root = tmp_path / "cache"
+        monkeypatch.setenv("READDUO_SWEEP_CACHE", str(root))
+        assert main(["run", *self.ARTIFACTS, *self.QUICK]) == 0
+        cold_out = capsys.readouterr().out
+        assert sorted(p.name for p in root.iterdir()) == ["runs"]
+        clear_run_memo()
+        metrics = tmp_path / "warm-metrics.json"
+        assert main(
+            ["run", *self.ARTIFACTS, *self.QUICK, "--metrics", str(metrics)]
+        ) == 0
+        assert capsys.readouterr().out == cold_out
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["plan.units_simulated"] == 0
+        assert counters["plan.units_cached"] > 0
+
+    def test_warm_sweep_figures_hash_each_unit_at_most_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from collections import Counter
+
+        from repro.experiments import SWEEP_EXPERIMENTS
+        from repro.experiments.spec import SimSpec
+
+        monkeypatch.setenv("READDUO_SWEEP_CACHE", str(tmp_path / "cache"))
+        argv = ["run", *SWEEP_EXPERIMENTS, *self.QUICK]
+        assert main(argv) == 0  # cold: fills the run store
+        clear_run_memo()
+        hashes = Counter()
+        original = SimSpec.content_hash
+
+        def counting(spec):
+            digest = original(spec)
+            hashes[digest] += 1
+            return digest
+
+        monkeypatch.setattr(SimSpec, "content_hash", counting)
+        assert main(argv) == 0
+        assert len(SWEEP_EXPERIMENTS) == 9
+        assert len(hashes) >= 14 * 10  # every unit of the shared sweep
+        assert max(hashes.values()) == 1
 
 
 class TestSweepCommand:
@@ -223,14 +298,12 @@ class TestSweepCommand:
         byte-identical across cold and warm runs (CI cmp guarantee)."""
         import json
 
-        from repro.experiments.runner import clear_sweep_cache
-
         argv = ["sweep", "--requests", "800", "--schemes", "Ideal",
                 "--workloads", "gcc", "--no-cache", "--output"]
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
         assert main(argv + [str(first)]) == 0
-        clear_sweep_cache()
+        clear_run_memo()
         assert main(argv + [str(second), "-v"]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert "telemetry" not in json.loads(first.read_text())
@@ -367,7 +440,7 @@ class TestObservabilityFlags:
         assert tele["cache"] is None  # --no-cache: no counters to report
         assert tele["batches"] and tele["batches"][0]["workload"] == "gcc"
         dump = json.loads((tmp_path / "m.json").read_text())
-        assert dump["counters"]["sweep.runs_simulated"] == 2
+        assert dump["counters"]["plan.units_simulated"] == 2
 
     def test_verbose_flag_parses_and_stacks(self):
         args = build_parser().parse_args(
@@ -387,11 +460,9 @@ class TestSweepSpecFile:
             "target_requests": 800, "seed": 7}
 
     def _run(self, argv, tmp_path, name):
-        from repro.experiments.runner import clear_sweep_cache
-
         out = tmp_path / name
         assert main(["sweep", "--output", str(out), "--no-cache"] + argv) == 0
-        clear_sweep_cache()
+        clear_run_memo()
         return out.read_text()
 
     def test_json_spec_matches_flag_invocation_exactly(self, tmp_path):

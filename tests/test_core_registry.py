@@ -191,23 +191,21 @@ class TestPluginScheme:
 
     def test_sweeps_through_runner_without_core_edits(self, dummy_scheme,
                                                       small_config):
-        from repro.experiments.runner import (
-            SweepSettings,
-            clear_sweep_cache,
-            run_sweep,
-        )
+        from repro.experiments.planner import clear_run_memo
+        from repro.experiments.runner import run_sweep
+        from repro.experiments.spec import SimSpec
 
-        settings = SweepSettings(
+        settings = SimSpec(
             schemes=("DummyTest",),
             workloads=("gcc",),
             target_requests=600,
             config=small_config,
         )
         try:
-            grid = run_sweep(settings, jobs=1, cache=False)
+            grid = run_sweep(settings)
             assert grid["gcc"]["DummyTest"].scheme == "DummyTest"
         finally:
-            clear_sweep_cache()
+            clear_run_memo()
 
     def test_unregister_restores_unknown(self):
         assert not is_scheme_name("DummyTest")

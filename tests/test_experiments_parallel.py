@@ -9,22 +9,23 @@ import pytest
 
 from repro.experiments.parallel import (
     TraceMemo,
-    run_sweep_parallel,
     run_units_parallel,
     simulate_batch,
 )
-from repro.experiments.planner import plan_units
-from repro.experiments.runner import SweepSettings, clear_sweep_cache, run_sweep
+from repro.experiments.planner import clear_run_memo, plan_units
+from repro.experiments.runner import run_sweep
+from repro.experiments.spec import SimSpec
+from repro.service import ExecutionService
 
 
 @pytest.fixture(autouse=True)
 def clean_cache():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
-SMALL = SweepSettings(
+SMALL = SimSpec(
     schemes=("Ideal", "Hybrid", "LWT-4"),
     workloads=("gcc", "sphinx3"),
     target_requests=1_200,
@@ -83,13 +84,13 @@ class TestTraceMemo:
 
 class TestDeterminism:
     def test_parallel_matches_serial_bit_for_bit(self):
-        serial = run_sweep(SMALL, jobs=1)
-        clear_sweep_cache()
-        parallel = run_sweep(SMALL, jobs=3)
+        serial = run_sweep(SMALL)
+        clear_run_memo()
+        parallel = run_sweep(SMALL, ExecutionService(jobs=3, cache=False))
         assert _flat(serial) == _flat(parallel)
 
     def test_parallel_grid_in_canonical_order(self):
-        grid = run_sweep_parallel(SMALL, jobs=2)
+        grid = ExecutionService(jobs=2, cache=False).sweep(SMALL)
         assert tuple(grid) == SMALL.workloads
         for per_scheme in grid.values():
             assert tuple(per_scheme) == SMALL.schemes
@@ -97,7 +98,7 @@ class TestDeterminism:
     def test_batch_matches_serial_inner_loop(self):
         # simulate_batch IS the serial inner loop; a direct call must
         # reproduce the run_sweep entries for its workload.
-        grid = run_sweep(SMALL, jobs=1)
+        grid = run_sweep(SMALL)
         batch = dict(simulate_batch(SMALL, "gcc", SMALL.schemes))
         for scheme in SMALL.schemes:
             assert batch[scheme].to_dict() == grid["gcc"][scheme].to_dict()
@@ -106,12 +107,15 @@ class TestDeterminism:
 class TestRunSweepJobs:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
-            run_sweep(SMALL, jobs=0)
+            ExecutionService(jobs=0, cache=False)
 
     def test_parallel_result_is_memoized(self):
-        first = run_sweep(SMALL, jobs=2)
-        second = run_sweep(SMALL, jobs=2)
-        assert first is second
+        service = ExecutionService(jobs=2, cache=False)
+        first = service.sweep(SMALL)
+        second = service.sweep(SMALL)
+        assert all(
+            first[w][s] is second[w][s] for w in first for s in first[w]
+        )
 
 
 class TestWorkerPropagation:

@@ -1,34 +1,35 @@
 """Tests for the run-level execution planner.
 
-Covers the ISSUE-mandated behaviours: per-run cache migration from
-legacy whole-sweep entries, cross-artifact deduplication (asserted via
-the ``plan.*`` counters), and work-stealing determinism across job
-counts.
+Covers cross-artifact deduplication (asserted via the ``plan.*``
+counters), the memo → run store → simulate resolution chain, and
+work-stealing determinism across job counts.
 """
 
 import pytest
 
-from repro.experiments.cache import RUN_CACHE_SUBDIR, RunCache, SweepCache
+from repro.experiments.cache import RunCache
 from repro.experiments.planner import (
     DEFAULT_RUN_MEMO_CAPACITY,
     PlanStats,
     build_plan,
+    clear_run_memo,
     execute_plan,
     plan_units,
     run_memo_capacity,
     run_memo_size,
     set_run_memo_capacity,
 )
-from repro.experiments.runner import clear_sweep_cache, run_sweep
+from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.obs import MetricsRegistry, Telemetry, Tracer
+from repro.service import ExecutionService
 
 
 @pytest.fixture(autouse=True)
 def clean_memo():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 SMALL = SimSpec(
@@ -108,64 +109,14 @@ class TestCrossArtifactDedup:
         plan = build_plan([SMALL, OVERLAPPING])
         results = execute_plan(plan, jobs=1)
         shared_grid = plan.grid_for(SMALL, results)
-        clear_sweep_cache()
-        direct = run_sweep(SMALL, jobs=1)
+        clear_run_memo()
+        direct = run_sweep(SMALL)
         assert _flat(shared_grid) == _flat(direct)
-
-
-class TestMigration:
-    def test_whole_sweep_entry_serves_granular_hits(self, tmp_path, monkeypatch):
-        # Simulate once with *only* a whole-sweep entry on disk (the
-        # pre-planner layout), then re-plan against it.
-        legacy = SweepCache(tmp_path)
-        grid = run_sweep(SMALL, jobs=1)
-        legacy.store(SMALL, grid)
-        clear_sweep_cache()
-
-        import repro.experiments.planner as planner_mod
-
-        def explode(*_args, **_kwargs):
-            raise AssertionError("migration must not simulate")
-
-        monkeypatch.setattr(planner_mod, "simulate_unit", explode)
-        monkeypatch.setattr(planner_mod, "run_units_parallel", explode)
-        plan = build_plan([SMALL])
-        results = execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
-        assert plan.stats.units_migrated == len(plan.units)
-        assert plan.stats.units_simulated == 0
-        assert _flat(plan.grid_for(SMALL, results)) == _flat(grid)
-
-    def test_migrated_units_are_restored_granularly(self, tmp_path):
-        legacy = SweepCache(tmp_path)
-        legacy.store(SMALL, run_sweep(SMALL, jobs=1))
-        clear_sweep_cache()
-        run_dir = tmp_path / RUN_CACHE_SUBDIR
-        assert not run_dir.exists()
-        plan = build_plan([SMALL])
-        execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
-        assert len(list(run_dir.glob("*.json"))) == len(plan.units)
-        # Next planner pass hits the granular store directly.
-        clear_sweep_cache()
-        second = build_plan([SMALL])
-        execute_plan(second, jobs=1, cache=SweepCache(tmp_path))
-        assert second.stats.units_disk == len(second.units)
-        assert second.stats.units_migrated == 0
-
-    def test_partial_overlap_migrates_only_shared_units(self, tmp_path):
-        legacy = SweepCache(tmp_path)
-        legacy.store(SMALL, run_sweep(SMALL, jobs=1))
-        clear_sweep_cache()
-        plan = build_plan([OVERLAPPING])
-        execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
-        # (gcc, Ideal) and (gcc, Hybrid) exist only inside SMALL's legacy
-        # entry, which OVERLAPPING's planner pass cannot see (different
-        # sweep key); only genuinely new units simulate on top.
-        assert plan.stats.units_simulated == len(plan.units)
 
 
 class TestRunCacheStore:
     def test_store_then_load_round_trips(self, tmp_path):
-        grid = run_sweep(SMALL, jobs=1)
+        grid = run_sweep(SMALL)
         store = RunCache(tmp_path)
         key = SMALL.run_hash("gcc", "Ideal")
         store.store(key, grid["gcc"]["Ideal"])
@@ -177,13 +128,13 @@ class TestRunCacheStore:
         store = RunCache(tmp_path)
         assert store.load("deadbeef") is None
         assert store.counters.misses == 1
-        grid = run_sweep(SMALL, jobs=1)
+        grid = run_sweep(SMALL)
         store.store(SMALL.run_hash("gcc", "Ideal"), grid["gcc"]["Ideal"])
         assert store.clear() == 1
 
     def test_corrupt_entry_counts_stale(self, tmp_path):
         store = RunCache(tmp_path)
-        grid = run_sweep(SMALL, jobs=1)
+        grid = run_sweep(SMALL)
         key = SMALL.run_hash("gcc", "Ideal")
         store.store(key, grid["gcc"]["Ideal"])
         store.path_for(key).write_text("{not json")
@@ -195,9 +146,9 @@ class TestRunCacheStore:
 class TestWorkStealingDeterminism:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_results_identical_across_job_counts(self, jobs):
-        serial = run_sweep(SMALL, jobs=1)
-        clear_sweep_cache()
-        parallel = run_sweep(SMALL, jobs=jobs)
+        serial = run_sweep(SMALL)
+        clear_run_memo()
+        parallel = run_sweep(SMALL, ExecutionService(jobs=jobs, cache=False))
         assert _flat(serial) == _flat(parallel)
 
 
@@ -244,7 +195,7 @@ class TestPlanEdgeCases:
         # readduo report and the CI smokes key off these names.
         assert set(PlanStats().as_dict()) == {
             "units_total", "units_cached", "units_simulated",
-            "units_deduped", "units_memo", "units_disk", "units_migrated",
+            "units_deduped", "units_memo", "units_disk",
             "stale", "quarantined", "schedule_wall_s",
         }
 
@@ -271,11 +222,10 @@ class TestRunMemoLRU:
         assert run_memo_size() == 1
 
     def test_eviction_falls_back_to_disk_not_resimulation(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        execute_plan(build_plan([SMALL]), jobs=1, cache=cache)
+        execute_plan(build_plan([SMALL]), jobs=1, store=RunCache(tmp_path))
         set_run_memo_capacity(1)  # evicts 3 of the 4 memoized runs
         warm = build_plan([SMALL])
-        execute_plan(warm, jobs=1, cache=SweepCache(tmp_path))
+        execute_plan(warm, jobs=1, store=RunCache(tmp_path))
         assert warm.stats.units_simulated == 0
         assert warm.stats.units_disk == 3
         assert warm.stats.units_memo == 1
@@ -302,18 +252,16 @@ class TestRunMemoLRU:
             set_run_memo_capacity(0)
 
 
-class TestSweepCacheHitCounter:
+class TestPlanCacheHitCounter:
     def test_warm_sweep_counts_cache_hits(self, tmp_path):
-        run_sweep(SMALL, jobs=1, cache=SweepCache(tmp_path))
-        clear_sweep_cache()
+        ExecutionService(cache=tmp_path).sweep(SMALL)
+        clear_run_memo()
         tele = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
-        run_sweep(SMALL, jobs=1, cache=SweepCache(tmp_path), telemetry=tele)
+        ExecutionService(cache=tmp_path, telemetry=tele).sweep(SMALL)
         counters = tele.metrics.to_dict()["counters"]
         n_runs = len(SMALL.schemes) * len(SMALL.workloads)
-        assert counters["sweep.cache_hits"] == n_runs
-        assert "sweep.runs_simulated" not in counters
-        kinds = [r["kind"] for r in tele.tracer.records]
-        assert "sweep_cache" in kinds
+        assert counters["plan.units_cached"] == n_runs
+        assert counters["plan.units_simulated"] == 0
 
 
 class TestLeaseBatch:
@@ -354,8 +302,7 @@ class TestLookupCached:
     def test_memo_then_disk_tiers(self, tmp_path):
         from repro.experiments.planner import lookup_cached
 
-        cache = SweepCache(tmp_path)
-        run_sweep(SMALL, jobs=1, cache=cache)  # warm memo + disk
+        ExecutionService(cache=tmp_path).sweep(SMALL)  # warm memo + disk
         units = build_plan([SMALL]).units
         store = RunCache(tmp_path)
 
@@ -363,7 +310,7 @@ class TestLookupCached:
         assert set(cached) == {u.key for u in units}
         assert all(tier == "memo" for tier in tiers.values())
 
-        clear_sweep_cache()
+        clear_run_memo()
         cached, tiers = lookup_cached(units, store)
         assert set(cached) == {u.key for u in units}
         assert all(tier == "disk" for tier in tiers.values())

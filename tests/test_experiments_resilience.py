@@ -18,11 +18,16 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.parallel as parallel_mod
-from repro.experiments.cache import RunCache, SweepCache
-from repro.experiments.planner import build_plan, execute_plan, plan_units
-from repro.experiments.runner import SweepSettings, clear_sweep_cache, run_sweep
+from repro.experiments.cache import RunCache
+from repro.experiments.planner import (
+    build_plan,
+    clear_run_memo,
+    execute_plan,
+    plan_units,
+)
+from repro.experiments.spec import SimSpec
 
-SMALL = SweepSettings(
+SMALL = SimSpec(
     schemes=("Ideal", "Hybrid"),
     workloads=("gcc",),
     target_requests=1_200,
@@ -33,15 +38,15 @@ N_RUNS = len(SMALL.schemes) * len(SMALL.workloads)
 
 @pytest.fixture(autouse=True)
 def clean_cache():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 def _prime(tmp_path):
     """Fill the granular store, then drop the in-process memo."""
-    results = execute_plan(build_plan([SMALL]), cache=SweepCache(tmp_path))
-    clear_sweep_cache()
+    results = execute_plan(build_plan([SMALL]), store=RunCache(tmp_path))
+    clear_run_memo()
     return results
 
 
@@ -82,9 +87,9 @@ class TestCacheQuarantine:
         for path in _granular_files(tmp_path):
             corrupt(path)
 
-        cache = SweepCache(tmp_path)
+        cache = RunCache(tmp_path)
         plan = build_plan([SMALL])
-        results = execute_plan(plan, cache=cache)
+        results = execute_plan(plan, store=cache)
 
         # The run completed, every unit re-simulated, nothing raised.
         assert results.keys() == good.keys()
@@ -104,7 +109,7 @@ class TestCacheQuarantine:
         _truncate(victim)
 
         plan = build_plan([SMALL])
-        results = execute_plan(plan, cache=SweepCache(tmp_path))
+        results = execute_plan(plan, store=RunCache(tmp_path))
 
         assert len(results) == N_RUNS
         assert plan.stats.quarantined == 1
@@ -117,7 +122,7 @@ class TestCacheQuarantine:
         for path in _granular_files(tmp_path):
             _garbage(path)
         plan = build_plan([SMALL])
-        results = execute_plan(plan, cache=SweepCache(tmp_path))
+        results = execute_plan(plan, store=RunCache(tmp_path))
         assert {k: v.to_dict() for k, v in results.items()} == {
             k: v.to_dict() for k, v in good.items()
         }
@@ -138,13 +143,11 @@ class TestClearCoversGranularStore:
     def test_post_clear_rerun_simulates_every_unit(self, tmp_path):
         # Satellite regression: clear() used to leave runs/ behind, so a
         # "cold" rerun was silently served from the granular store.
-        cache = SweepCache(tmp_path)
-        run_sweep(SMALL, jobs=1, cache=cache)
-        clear_sweep_cache()
-        assert cache.clear() == 1 + N_RUNS
+        _prime(tmp_path)
+        assert RunCache(tmp_path).clear() == N_RUNS
 
         plan = build_plan([SMALL])
-        execute_plan(plan, cache=SweepCache(tmp_path))
+        execute_plan(plan, store=RunCache(tmp_path))
         assert plan.stats.units_simulated == N_RUNS
         assert plan.stats.units_cached == 0
 
@@ -156,7 +159,7 @@ class TestClearCoversGranularStore:
         for path in _granular_files(tmp_path):
             run_cache.load(path.stem)
         assert len(list((tmp_path / "runs").glob("*.json.bad"))) == N_RUNS
-        assert SweepCache(tmp_path).clear() == N_RUNS  # the .bad files
+        assert RunCache(tmp_path).clear() == N_RUNS  # the .bad files
         assert not list((tmp_path / "runs").glob("*"))
 
 

@@ -1,23 +1,24 @@
-"""Tests for the shared sweep runner and its memoization."""
+"""Tests for the drivers' sweep entry point and the run memo behind it."""
 
 import pytest
 
-from repro.experiments.runner import (
-    ALL_SCHEMES,
-    SweepSettings,
-    clear_sweep_cache,
-    run_sweep,
-)
+from repro.experiments.planner import clear_run_memo
+from repro.experiments.runner import run_sweep
+from repro.experiments.spec import ALL_SCHEMES, SimSpec
 
 
 @pytest.fixture(autouse=True)
 def clean_cache():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
-SMALL = SweepSettings(
+def _cells(grid):
+    return [stats for per_scheme in grid.values() for stats in per_scheme.values()]
+
+
+SMALL = SimSpec(
     schemes=("Ideal", "Hybrid"),
     workloads=("gcc",),
     target_requests=1_500,
@@ -31,30 +32,32 @@ class TestRunSweep:
         assert set(sweep["gcc"]) == {"Ideal", "Hybrid"}
 
     def test_memoized(self):
+        # A repeat sweep is served from the run memo: the same objects.
         first = run_sweep(SMALL)
         second = run_sweep(SMALL)
-        assert first is second
+        assert first == second
+        assert all(a is b for a, b in zip(_cells(first), _cells(second)))
 
     def test_cache_cleared(self):
         first = run_sweep(SMALL)
-        clear_sweep_cache()
+        clear_run_memo()
         second = run_sweep(SMALL)
-        assert first is not second
+        assert not any(a is b for a, b in zip(_cells(first), _cells(second)))
 
     def test_different_settings_different_entries(self):
         first = run_sweep(SMALL)
         other = run_sweep(
-            SweepSettings(
+            SimSpec(
                 schemes=("Ideal", "Hybrid"),
                 workloads=("gcc",),
                 target_requests=1_500,
                 seed=7,
             )
         )
-        assert first is not other
+        assert not any(a is b for a, b in zip(_cells(first), _cells(other)))
 
     def test_all_workloads_when_unspecified(self):
-        settings = SweepSettings(schemes=("Ideal",), target_requests=1_500)
+        settings = SimSpec(schemes=("Ideal",), target_requests=1_500)
         assert len(settings.effective_workloads()) == 14
 
     def test_quick_copy(self):

@@ -9,7 +9,8 @@ import pytest
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.figures._sweep import sweep_settings
-from repro.experiments.runner import clear_sweep_cache, run_sweep
+from repro.experiments.planner import clear_run_memo
+from repro.experiments.runner import run_sweep
 
 # A compact but representative slice: the heaviest workload, the cold-read
 # outlier, and a light one.
@@ -22,7 +23,7 @@ def warm_sweep():
     settings = sweep_settings(TARGET, workloads=WORKLOADS)
     run_sweep(settings)
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 def _run(name):

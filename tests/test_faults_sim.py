@@ -12,32 +12,34 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.cache import SweepCache
 from repro.experiments.parallel import simulate_unit
-from repro.experiments.runner import SweepSettings, clear_sweep_cache, run_sweep
+from repro.experiments.planner import clear_run_memo
+from repro.experiments.runner import run_sweep
+from repro.experiments.spec import SimSpec
 from repro.faults import FaultSpec
 from repro.memsim.stats import RunStats
+from repro.service import ExecutionService
 
 
 @pytest.fixture(autouse=True)
 def clean_cache():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 FAULTS = FaultSpec(
     stuck_line_rate=0.08, read_noise_rate=0.01, write_fail_rate=0.05, seed=3
 )
 
-FAULTY = SweepSettings(
+FAULTY = SimSpec(
     schemes=("Ideal", "Hybrid"),
     workloads=("gcc",),
     target_requests=1_200,
     faults=FAULTS,
 )
 
-FAULT_FREE = SweepSettings(
+FAULT_FREE = SimSpec(
     schemes=FAULTY.schemes,
     workloads=FAULTY.workloads,
     target_requests=FAULTY.target_requests,
@@ -74,7 +76,7 @@ class TestHashCompatibility:
         assert reseeded.content_hash() != FAULTY.content_hash()
 
     def test_faults_roundtrip_through_spec_dict(self):
-        assert SweepSettings.from_dict(FAULTY.to_dict()) == FAULTY
+        assert SimSpec.from_dict(FAULTY.to_dict()) == FAULTY
 
 
 class TestInjectorIdentity:
@@ -125,30 +127,30 @@ class TestFaultedRuns:
 class TestDeterminism:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_fault_schedule_is_jobs_invariant(self, jobs):
-        serial = run_sweep(FAULTY, jobs=1)
+        serial = run_sweep(FAULTY)
         flat_serial = _flat(serial)
-        clear_sweep_cache()
-        parallel = run_sweep(FAULTY, jobs=jobs)
+        clear_run_memo()
+        parallel = run_sweep(FAULTY, ExecutionService(jobs=jobs, cache=False))
         assert _flat(parallel) == flat_serial
 
     def test_repeated_serial_runs_are_bit_identical(self):
-        first = _flat(run_sweep(FAULTY, jobs=1))
-        clear_sweep_cache()
-        second = _flat(run_sweep(FAULTY, jobs=1))
+        first = _flat(run_sweep(FAULTY))
+        clear_run_memo()
+        second = _flat(run_sweep(FAULTY))
         assert first == second
 
     def test_cache_replay_preserves_fault_counters(self, tmp_path):
-        grid = run_sweep(FAULTY, jobs=1, cache=SweepCache(tmp_path))
-        clear_sweep_cache()
-        reloaded = run_sweep(FAULTY, jobs=1, cache=SweepCache(tmp_path))
+        grid = run_sweep(FAULTY, ExecutionService(cache=tmp_path))
+        clear_run_memo()
+        reloaded = run_sweep(FAULTY, ExecutionService(cache=tmp_path))
         assert _flat(reloaded) == _flat(grid)
         fc = reloaded["gcc"]["Hybrid"].fault_counters
         assert fc == grid["gcc"]["Hybrid"].fault_counters
         assert fc.injected > 0
 
     def test_warm_fault_cache_skips_simulation(self, tmp_path, monkeypatch):
-        run_sweep(FAULTY, jobs=1, cache=SweepCache(tmp_path))
-        clear_sweep_cache()
+        run_sweep(FAULTY, ExecutionService(cache=tmp_path))
+        clear_run_memo()
 
         import repro.experiments.planner as planner_mod
 
@@ -157,5 +159,5 @@ class TestDeterminism:
 
         monkeypatch.setattr(planner_mod, "simulate_unit", explode)
         monkeypatch.setattr(planner_mod, "run_units_parallel", explode)
-        grid = run_sweep(FAULTY, jobs=1, cache=SweepCache(tmp_path))
+        grid = run_sweep(FAULTY, ExecutionService(cache=tmp_path))
         assert grid["gcc"]["Hybrid"].fault_counters.injected > 0

@@ -11,7 +11,9 @@ import json
 import pytest
 
 from repro.core.schemes import PolicyContext, make_policy
-from repro.experiments.runner import SweepSettings, clear_sweep_cache, run_sweep
+from repro.experiments.planner import clear_run_memo
+from repro.experiments.runner import run_sweep
+from repro.experiments.spec import SimSpec
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import simulate
 from repro.obs import MetricsRegistry, Telemetry, Tracer, chrome_trace_events
@@ -129,8 +131,8 @@ class TestRunStatsInvariants:
 
     @pytest.fixture(scope="class")
     def small_grid(self):
-        clear_sweep_cache()
-        settings = SweepSettings(
+        clear_run_memo()
+        settings = SimSpec(
             schemes=(
                 "Ideal", "Scrubbing", "M-metric", "Hybrid",
                 "LWT-4", "LWT-4-noconv", "Select-4:2", "TLC",
@@ -138,8 +140,8 @@ class TestRunStatsInvariants:
             workloads=("gcc", "mcf"),
             target_requests=1_500,
         )
-        grid = run_sweep(settings, jobs=1)
-        clear_sweep_cache()
+        grid = run_sweep(settings)
+        clear_run_memo()
         return grid
 
     def test_reads_by_mode_sums_to_reads(self, small_grid):

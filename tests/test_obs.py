@@ -142,7 +142,7 @@ class TestTracer:
              "duration_ns": 600.0, "skipped": False},
             {"kind": "scrub", "time_ns": 20.0, "lines": 4, "rewrites": 0,
              "duration_ns": 0.0, "skipped": True},
-            {"kind": "sweep_cache", "result": "hit", "runs": 4},
+            {"kind": "pool_broken", "requeued": 1, "time_s": 0.5},
         ]
         events = chrome_trace_events(records)
         phases = {e["ph"] for e in events}

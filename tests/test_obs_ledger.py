@@ -12,9 +12,8 @@ import pytest
 
 from repro.core.registry import make_policy
 from repro.core.schemes import PolicyContext
-from repro.experiments.cache import SweepCache
-from repro.experiments.planner import build_plan, execute_plan
-from repro.experiments.runner import clear_sweep_cache
+from repro.experiments.cache import RunCache
+from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
 from repro.experiments.spec import SimSpec
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import simulate
@@ -36,9 +35,9 @@ TIMING_FIELDS = ("t_s", "wall_s", "pid")
 
 @pytest.fixture(autouse=True)
 def clean_memo():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 def _ledger_records(path):
@@ -49,10 +48,10 @@ def _ledger_records(path):
     ]
 
 
-def _run_with_ledger(path, jobs=1, cache=None):
+def _run_with_ledger(path, jobs=1, store=None):
     tele = Telemetry(ledger=RunLedger(path))
     plan = build_plan([SMALL])
-    results = execute_plan(plan, jobs=jobs, cache=cache, telemetry=tele)
+    results = execute_plan(plan, jobs=jobs, telemetry=tele, store=store)
     tele.ledger.close()
     return _ledger_records(path), results
 
@@ -104,13 +103,13 @@ class TestExecutePlanLedger:
     def test_disk_tier_records_cached_bytes(self, tmp_path):
         cache_root = tmp_path / "cache"
         records, _ = _run_with_ledger(
-            tmp_path / "cold.jsonl", jobs=1, cache=SweepCache(cache_root)
+            tmp_path / "cold.jsonl", jobs=1, store=RunCache(cache_root)
         )
         # The cold run stored granular entries; their sizes are recorded.
         assert all(r["cached_bytes"] > 0 for r in records)
-        clear_sweep_cache()
+        clear_run_memo()
         warm, _ = _run_with_ledger(
-            tmp_path / "warm.jsonl", jobs=1, cache=SweepCache(cache_root)
+            tmp_path / "warm.jsonl", jobs=1, store=RunCache(cache_root)
         )
         assert all(r["tier"] == "disk" for r in warm)
         assert all(r["cached_bytes"] > 0 for r in warm)
@@ -125,7 +124,7 @@ class TestExecutePlanLedger:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_deterministic_modulo_timing(self, tmp_path, jobs):
         first, _ = _run_with_ledger(tmp_path / "a.jsonl", jobs=jobs)
-        clear_sweep_cache()
+        clear_run_memo()
         second, _ = _run_with_ledger(tmp_path / "b.jsonl", jobs=jobs)
 
         def strip(records):
@@ -141,7 +140,7 @@ class TestObservesNeverPerturbs:
     def test_instrumented_results_equal_uninstrumented(self, tmp_path):
         plan = build_plan([SMALL])
         plain = execute_plan(plan, jobs=1)
-        clear_sweep_cache()
+        clear_run_memo()
         tele = Telemetry(
             tracer=Tracer(),
             metrics=MetricsRegistry(),

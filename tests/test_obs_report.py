@@ -77,7 +77,7 @@ class TestSummarizeLedger:
         assert summary["tiers"]["simulated"] == 1
         assert summary["tiers"]["memo"] == 0
         assert summary["record_tiers"] == {
-            "memo": 1, "disk": 0, "migrated": 0, "simulated": 1,
+            "memo": 1, "disk": 0, "simulated": 1,
         }
         assert summary["plans"] == 2
         assert summary["units_simulated"] == 1

@@ -10,8 +10,7 @@ import pickle
 
 import pytest
 
-from repro.experiments.planner import build_plan, execute_plan
-from repro.experiments.runner import clear_sweep_cache
+from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
 from repro.experiments.spec import SimSpec
 from repro.obs import Telemetry, Tracer, chrome_trace_events
 from repro.obs.schema import load_schema, validate_record
@@ -33,9 +32,9 @@ SMALL = SimSpec(
 
 @pytest.fixture(autouse=True)
 def clean_memo():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 class TestSpanTracker:
@@ -147,7 +146,7 @@ class TestPipelineSpans:
         names = {s["name"] for s in spans}
         assert {"plan.execute", "unit.simulate"} <= names
         # Stable unit content: the spans observe, never perturb.
-        clear_sweep_cache()
+        clear_run_memo()
         _, serial = self._run(1)
         assert results.keys() == serial.keys()
         for key in results:

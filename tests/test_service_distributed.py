@@ -13,9 +13,8 @@ import time
 
 import pytest
 
-from repro.experiments.cache import SweepCache
-from repro.experiments.planner import build_plan, execute_plan
-from repro.experiments.runner import clear_sweep_cache
+from repro.experiments.cache import RunCache
+from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
 from repro.experiments.spec import SimSpec
 from repro.obs import Telemetry
 from repro.service.client import ServeClient, ServeError
@@ -23,7 +22,6 @@ from repro.service.coordinator import LeaseCoordinator
 from repro.service.execution import ExecutionService, sweep_payload
 from repro.service.server import ServeConfig, SimServer
 from repro.service.store import (
-    FilesystemRunStore,
     RemoteRunStore,
     parse_store_entry,
     store_entry_payload,
@@ -33,9 +31,9 @@ from repro.service.worker import CoordinatorLink, _CaptureLedger, _execute_lease
 
 @pytest.fixture(autouse=True)
 def clean_memo():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 DOC = {"schemes": ["Ideal", "Hybrid"], "workloads": ["gcc"],
@@ -278,7 +276,7 @@ class TestDistributedProtocol:
         payload, gone = run(body)
         assert gone
         assert payload["plan"]["owned_stats"]["units_leased"] == 1
-        clear_sweep_cache()
+        clear_run_memo()
         assert payload["runs"] == _local_reference_runs(DOC_ONE)
 
     def test_unparseable_results_rejected_not_poisonous(self):
@@ -305,7 +303,7 @@ class TestDistributedProtocol:
             return await submit
 
         payload = run(body)
-        clear_sweep_cache()
+        clear_run_memo()
         assert payload["runs"] == _local_reference_runs(DOC_ONE)
 
     def test_warm_rerun_leases_zero_units(self, tmp_path):
@@ -369,7 +367,7 @@ class TestWorkerDeath:
         assert counters["units_requeued"] >= 1
         assert drained >= 1  # the survivors did real work
         assert stats["coordinator"]["unresolved_units"] == 0
-        clear_sweep_cache()
+        clear_run_memo()
         assert payload["runs"] == _local_reference_runs(DOC)
 
 
@@ -416,7 +414,7 @@ class TestStoreEndpoints:
 
         async def body(server, client):
             await client.store_put(key, store_entry_payload(key, stats))
-            local = FilesystemRunStore(tmp_path)
+            local = RunCache(tmp_path)
             remote = RemoteRunStore(
                 f"http://127.0.0.1:{server.port}", local=local
             )
@@ -447,9 +445,9 @@ class TestDeterministicCacheBytes:
         spec = SimSpec.from_dict(DOC)
         entries = {}
         for name in ("worker-a", "worker-b"):
-            clear_sweep_cache()  # each "worker" starts cold
+            clear_run_memo()  # each "worker" starts cold
             plan = build_plan([spec])
-            execute_plan(plan, jobs=1, cache=SweepCache(tmp_path / name))
+            execute_plan(plan, jobs=1, store=RunCache(tmp_path / name))
             runs_dir = tmp_path / name / "runs"
             entries[name] = {
                 path.name: path.read_bytes()

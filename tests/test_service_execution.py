@@ -5,22 +5,22 @@ import json
 import pytest
 
 from repro.experiments import EXPERIMENT_SPECS, EXPERIMENTS, SWEEP_EXPERIMENTS
-from repro.experiments.cache import SweepCache
-from repro.experiments.planner import run_memo_capacity, run_memo_size
-from repro.experiments.runner import (
-    clear_sweep_cache,
-    configure_sweep_defaults,
-    run_sweep,
+from repro.experiments.cache import RunCache
+from repro.experiments.planner import (
+    clear_run_memo,
+    run_memo_capacity,
+    run_memo_size,
 )
+from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.service import ExecutionService, MemoryRunStore, sweep_payload
 
 
 @pytest.fixture(autouse=True)
 def clean_memo():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 SPEC = SimSpec(
@@ -52,8 +52,8 @@ class TestSubmit:
         service = ExecutionService(cache=False)
         outcome = service.submit([SPEC])
         grid = outcome.grid_for(SPEC)
-        clear_sweep_cache()
-        assert _flat(grid) == _flat(run_sweep(SPEC, jobs=1))
+        clear_run_memo()
+        assert _flat(grid) == _flat(run_sweep(SPEC))
 
     def test_resubmit_is_served_from_memo(self):
         service = ExecutionService(cache=False)
@@ -64,10 +64,10 @@ class TestSubmit:
 
     def test_explicit_store_backend(self):
         store = MemoryRunStore()
-        service = ExecutionService(cache=False, store=store)
+        service = ExecutionService(cache=store)
         service.submit([SPEC])
         assert len(store) == 2
-        clear_sweep_cache()
+        clear_run_memo()
         warm = service.submit([SPEC])
         assert warm.stats.units_simulated == 0
         assert warm.stats.units_disk == 2
@@ -79,44 +79,47 @@ class TestSubmit:
 
 class TestSweep:
     def test_sweep_equals_run_sweep_byte_for_byte(self, tmp_path):
-        service = ExecutionService(cache=SweepCache(tmp_path))
+        service = ExecutionService(cache=tmp_path)
         via_service = sweep_payload(SPEC, service.sweep(SPEC))
-        clear_sweep_cache()
-        direct = sweep_payload(
-            SPEC, run_sweep(SPEC, jobs=1, cache=SweepCache(tmp_path))
-        )
+        clear_run_memo()
+        direct = sweep_payload(SPEC, run_sweep(SPEC))
         assert (
             json.dumps(via_service, indent=2, sort_keys=True)
             == json.dumps(direct, indent=2, sort_keys=True)
         )
 
     def test_sweep_with_custom_store_matches_filesystem_path(self, tmp_path):
-        with_store = ExecutionService(cache=False, store=MemoryRunStore())
+        with_store = ExecutionService(cache=MemoryRunStore())
         grid_store = with_store.sweep(SPEC)
-        clear_sweep_cache()
+        clear_run_memo()
         plain = ExecutionService(cache=False)
         grid_plain = plain.sweep(SPEC)
         assert _flat(grid_store) == _flat(grid_plain)
 
     def test_cache_property_reflects_configuration(self, tmp_path):
-        assert ExecutionService(cache=False).cache is None
-        explicit = SweepCache(tmp_path)
-        assert ExecutionService(cache=explicit).cache is explicit
+        # ``cache=`` names the run store: none, a store, or a root path.
+        assert ExecutionService(cache=False).store is None
+        assert ExecutionService(cache=None).store is None
+        explicit = RunCache(tmp_path)
+        assert ExecutionService(cache=explicit).store is explicit
         assert ExecutionService(
             cache=str(tmp_path)
-        ).cache.cache_dir == explicit.cache_dir
+        ).store.cache_dir == explicit.cache_dir
 
 
 class TestSession:
-    def test_session_installs_and_restores_sweep_defaults(self, tmp_path):
-        # configure_sweep_defaults() with no arguments reads the current
-        # defaults without changing anything.
-        previous = configure_sweep_defaults()
-        service = ExecutionService(jobs=1, cache=SweepCache(tmp_path))
-        with service.session():
-            inside = configure_sweep_defaults()
-            assert inside[1] is service.cache
-        assert configure_sweep_defaults() == previous
+    def test_run_experiment_passes_itself_to_sweep_drivers(self, monkeypatch):
+        calls = {}
+
+        def fake_driver(**kwargs):
+            calls.update(kwargs)
+            return "result"
+
+        monkeypatch.setitem(EXPERIMENTS, "fake-sweep", fake_driver)
+        monkeypatch.setitem(EXPERIMENT_SPECS, "fake-sweep", lambda **kw: [SPEC])
+        service = ExecutionService(cache=False)
+        assert service.run_experiment("fake-sweep", seed=3) == "result"
+        assert calls == {"seed": 3, "service": service}
 
     def test_run_experiment_dispatches_known_driver(self, monkeypatch):
         calls = {}
@@ -192,11 +195,11 @@ class TestMemoPolicy:
         assert service.memo_size() == 0
 
     def test_describe_snapshot(self, tmp_path):
-        service = ExecutionService(
-            jobs=2, cache=SweepCache(tmp_path), store=MemoryRunStore()
-        )
-        snapshot = service.describe()
+        snapshot = ExecutionService(jobs=2, cache=tmp_path).describe()
         assert snapshot["jobs"] == 2
         assert snapshot["cache_dir"] == str(tmp_path)
-        assert snapshot["store"] == "MemoryRunStore"
+        assert snapshot["store"] == "RunCache"
         assert isinstance(snapshot["memo_runs"], int)
+        in_memory = ExecutionService(cache=MemoryRunStore()).describe()
+        assert in_memory["cache_dir"] is None
+        assert in_memory["store"] == "MemoryRunStore"

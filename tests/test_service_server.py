@@ -11,16 +11,16 @@ import json
 
 import pytest
 
-from repro.experiments.runner import clear_sweep_cache
+from repro.experiments.planner import clear_run_memo
 from repro.service.client import ServeClient, ServeError
 from repro.service.server import ServeConfig, SimServer
 
 
 @pytest.fixture(autouse=True)
 def clean_memo():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 DOC = {"schemes": ["Ideal"], "workloads": ["gcc"], "target_requests": 400}
@@ -200,7 +200,7 @@ class TestSubmit:
         from repro.experiments.spec import SimSpec
         from repro.service import ExecutionService, sweep_payload
 
-        clear_sweep_cache()
+        clear_run_memo()
         service = ExecutionService(cache=False)
         spec = SimSpec.from_dict(DOC)
         local = sweep_payload(spec, service.sweep(spec))
@@ -323,6 +323,21 @@ class TestStats:
         assert stats["limits"]["max_pending"] == 64
         assert stats["ledger_records"] == 1
         assert 0.0 <= stats["coalescing_ratio"] <= 1.0
+
+    def test_configured_store_instance_is_the_shared_store(self):
+        # ``cache=`` may name a store instance, even an empty one; the
+        # daemon serves /v1/store from it and executes through it.
+        from repro.service import MemoryRunStore
+
+        store = MemoryRunStore()
+
+        async def body(server, client):
+            await client.submit(DOC)
+            return server.run_store, server.service.store
+
+        served, executing = run(body, cache=store)
+        assert served is store and executing is store
+        assert len(store) == 1
 
 
 class TestExecutorPool:

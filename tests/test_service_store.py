@@ -3,29 +3,33 @@
 import pytest
 
 from repro.experiments.cache import RunCache, RunStore
-from repro.experiments.planner import build_plan, execute_plan
-from repro.experiments.runner import clear_sweep_cache, run_sweep
+from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
+from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
-from repro.service.store import FilesystemRunStore, MemoryRunStore
+from repro.service import ExecutionService
+from repro.service.store import MemoryRunStore
 
 
 @pytest.fixture(autouse=True)
 def clean_memo():
-    clear_sweep_cache()
+    clear_run_memo()
     yield
-    clear_sweep_cache()
+    clear_run_memo()
 
 
 SPEC = SimSpec(schemes=("Ideal",), workloads=("gcc",), target_requests=1_000)
 
 
 def _one_stats():
-    return run_sweep(SPEC, jobs=1)["gcc"]["Ideal"]
+    return run_sweep(SPEC)["gcc"]["Ideal"]
 
 
 class TestInterface:
-    def test_filesystem_store_is_the_run_cache(self):
-        assert FilesystemRunStore is RunCache
+    def test_filesystem_store_is_the_run_cache(self, tmp_path):
+        # A ``cache=`` path (or True) names the on-disk RunCache.
+        store = ExecutionService(cache=tmp_path).store
+        assert type(store) is RunCache
+        assert store.cache_dir == tmp_path / "runs"
 
     def test_backends_implement_the_abc(self, tmp_path):
         assert isinstance(RunCache(tmp_path), RunStore)
@@ -77,7 +81,7 @@ class TestMemoryRunStore:
         assert plan.stats.units_simulated == 1
         assert len(store) == 1
         # Second pass with a cold memo resolves from the store.
-        clear_sweep_cache()
+        clear_run_memo()
         warm = build_plan([SPEC])
         execute_plan(warm, jobs=1, store=store)
         assert warm.stats.units_simulated == 0

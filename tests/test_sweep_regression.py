@@ -14,10 +14,11 @@ and say so in the changelog).
 import hashlib
 import json
 
-from repro.experiments.cache import SweepCache
-from repro.experiments.planner import build_plan, execute_plan
-from repro.experiments.runner import clear_sweep_cache, run_sweep
+from repro.experiments.cache import RunCache
+from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
+from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
+from repro.service import ExecutionService
 
 PINNED_DIGEST = "6136eb16136e76fa2d0ed0bbf855326ad42e71739646219d245320436fa191b4"
 
@@ -46,10 +47,10 @@ def test_sweep_output_matches_pre_refactor_pin():
     # whole planner path (plan -> serial execute -> fan-out) to the
     # pre-planner serial digest.
     try:
-        grid = run_sweep(PINNED_SPEC, jobs=1, cache=False)
+        grid = run_sweep(PINNED_SPEC)
         assert _digest(grid) == PINNED_DIGEST
     finally:
-        clear_sweep_cache()
+        clear_run_memo()
 
 
 def test_planner_granular_cache_round_trip_matches_pin(tmp_path):
@@ -57,30 +58,14 @@ def test_planner_granular_cache_round_trip_matches_pin(tmp_path):
     # (cleared memo) warm run must rebuild the identical grid purely from
     # the granular cache.
     try:
-        cold = run_sweep(PINNED_SPEC, jobs=1, cache=SweepCache(tmp_path))
+        cold = run_sweep(PINNED_SPEC, ExecutionService(cache=tmp_path))
         assert _digest(cold) == PINNED_DIGEST
-        clear_sweep_cache()
+        clear_run_memo()
         plan = build_plan([PINNED_SPEC])
-        results = execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
+        results = execute_plan(plan, jobs=1, store=RunCache(tmp_path))
         assert plan.stats.units_simulated == 0
         assert plan.stats.units_disk == len(plan.units)
         assert _digest(plan.grid_for(PINNED_SPEC, results)) == PINNED_DIGEST
     finally:
-        clear_sweep_cache()
+        clear_run_memo()
 
-
-def test_whole_sweep_entry_migrates_to_pinned_digest(tmp_path):
-    # A legacy whole-sweep cache entry (no granular files) must satisfy
-    # the planner via read-through migration, bit-for-bit.
-    try:
-        cache = SweepCache(tmp_path)
-        grid = run_sweep(PINNED_SPEC, jobs=1, cache=False)
-        cache.store(PINNED_SPEC, grid)
-        clear_sweep_cache()
-        plan = build_plan([PINNED_SPEC])
-        results = execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
-        assert plan.stats.units_simulated == 0
-        assert plan.stats.units_migrated == len(plan.units)
-        assert _digest(plan.grid_for(PINNED_SPEC, results)) == PINNED_DIGEST
-    finally:
-        clear_sweep_cache()
