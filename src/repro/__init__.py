@@ -33,17 +33,16 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from .core.readout import ReadDuoController, ReadMechanism, ReadOutcome
-from .core.schemes import (
+from .core.policies import (
     HybridPolicy,
     IdealPolicy,
     LwtPolicy,
     MMetricPolicy,
     PolicyContext,
-    SCHEME_NAMES,
     ScrubbingPolicy,
     SelectPolicy,
-    make_policy,
 )
+from .core.registry import make_policy, scheme_names
 from .memsim.config import DEFAULT_EPOCH_S, MemoryConfig
 from .memsim.engine import MemorySystemSim, simulate
 from .memsim.stats import RunStats
@@ -85,7 +84,7 @@ __all__ = [
     "LwtPolicy",
     "MMetricPolicy",
     "PolicyContext",
-    "SCHEME_NAMES",
+    "scheme_names",
     "ScrubbingPolicy",
     "SelectPolicy",
     "make_policy",
@@ -131,7 +130,7 @@ def quick_compare(
 
     Args:
         workload_name: One of :func:`repro.traces.spec.workload_names`.
-        schemes: Scheme names (see :data:`SCHEME_NAMES`).
+        schemes: Scheme names (see :func:`scheme_names`).
         target_requests: Total memory requests in the trace.
         seed: Trace/policy seed.
         config: Platform override.

@@ -100,7 +100,7 @@ from .core.registry import (
     scheme_names,
     unknown_scheme_message,
 )
-from .core.schemes import PolicyContext
+from .core.policies import PolicyContext
 from .experiments import EXPERIMENTS, SWEEP_EXPERIMENTS
 from .memsim.config import MemoryConfig
 from .memsim.engine import simulate

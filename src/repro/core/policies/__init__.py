@@ -25,8 +25,9 @@ from .lwt import LwtPolicy
 from .select import SelectPolicy
 
 # Imported last: TLC registers after the paper's schemes so the listing
-# order matches the figures' legend order.
+# order matches the figures' legend order (``Precise-<w>`` comes along).
 from ...baselines.tlc import TlcPolicy
+from .. import truncation  # noqa: F401  (registers <scheme>+trunc)
 
 __all__ = [
     "R_SCRUB_INTERVAL_S",

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 from ..conversion import AdaptiveConversionController
-from ..lwt import QuantizedTracker
-from ..registry import register_scheme
+from ..lwt import QuantizedTracker, _validate_k
+from ..registry import format_param, register_scheme
 from ...memsim.policy import ReadDecision, ReadMode, ScrubDecision, WriteDecision
 from .base import (
     CORRECTABLE_ERRORS,
@@ -13,18 +16,49 @@ from .base import (
     PolicyContext,
 )
 
-__all__ = ["LwtPolicy"]
+__all__ = ["LwtPolicy", "lwt_scheme_name"]
 
 
+def _parse_lwt(match) -> dict:
+    k = int(match.group("k"))
+    _validate_k(k)
+    params: dict = {"k": k, "conversion_enabled": match.group("noconv") is None}
+    if match.group("t") is not None:
+        t = int(match.group("t"))
+        if not 0 <= t <= 100 or not params["conversion_enabled"]:
+            raise ValueError("@T<t> needs 0 <= t <= 100 and no -noconv")
+        # A throttle frozen at 0 never converts: that is -noconv.
+        params.update({"fixed_t": t} if t else {"conversion_enabled": False})
+    if match.group("s") is not None:
+        params["interval_s"] = float(match.group("s"))
+        if not 0 < params["interval_s"] < math.inf:
+            raise ValueError("@S<s> needs a finite s > 0")
+    return params
+
+
+def lwt_scheme_name(
+    k: int = 4,
+    conversion_enabled: bool = True,
+    fixed_t: Optional[int] = None,
+    interval_s: float = M_SCRUB_INTERVAL_S,
+) -> str:
+    """Canonical ``LWT-<k>[-noconv][@T<t>][@S<s>]`` spelling (``@S640`` omitted)."""
+    name = f"LWT-{k}" + ("" if conversion_enabled else "-noconv")
+    if fixed_t is not None:
+        name += f"@T{fixed_t}"
+    if interval_s != M_SCRUB_INTERVAL_S:
+        name += f"@S{format_param(interval_s)}"
+    return name
+
+
+# The advertised syntax omits the ablation suffixes ``@T``/``@S``.
 @register_scheme(
-    pattern=r"LWT-(?P<k>\d+)(?P<noconv>-noconv)?",
-    parse=lambda match: {
-        "k": int(match.group("k")),
-        "conversion_enabled": match.group("noconv") is None,
-    },
-    canonical=lambda params: "LWT-{}{}".format(
-        params["k"], "" if params.get("conversion_enabled", True) else "-noconv"
+    pattern=(
+        r"LWT-(?P<k>\d+)(?P<noconv>-noconv)?"
+        r"(?:@T(?P<t>\d+))?(?:@S(?P<s>\d[\d.e+-]*))?"
     ),
+    parse=_parse_lwt,
+    canonical=lambda params: lwt_scheme_name(**params),
     listed=("LWT-2", "LWT-4", "LWT-4-noconv"),
     syntax="LWT-<k>[-noconv]",
     axes=("k", "conversion_enabled"),
@@ -37,7 +71,8 @@ class LwtPolicy(BaseDriftPolicy):
     R-sense (falling back to R-M-read on 9-17 errors); untracked reads go
     straight to R-M-read and may be *converted* into a rewrite under the
     adaptive ``T`` throttle so subsequent reads are fast. Scrubbing is
-    (BCH=8, S=640 s, W=1): rewrite only on detected errors.
+    (BCH=8, S=640 s, W=1): rewrite only on detected errors. ``fixed_t``
+    (spelled ``@T<t>``) holds the throttle at ``T = t``.
     """
 
     def __init__(
@@ -47,6 +82,7 @@ class LwtPolicy(BaseDriftPolicy):
         interval_s: float = M_SCRUB_INTERVAL_S,
         conversion_enabled: bool = True,
         conversion_initial_t: int = 30,
+        fixed_t: Optional[int] = None,
     ) -> None:
         super().__init__(ctx)
         self.k = k
@@ -54,11 +90,11 @@ class LwtPolicy(BaseDriftPolicy):
         self.tracker = QuantizedTracker(k, interval_s)
         self.conversion = AdaptiveConversionController(
             rng=self.rng,
-            initial_t=conversion_initial_t,
+            initial_t=conversion_initial_t if fixed_t is None else fixed_t,
+            step=10 if fixed_t is None else 0,  # step 0 holds T at fixed_t
             enabled=conversion_enabled,
         )
-        suffix = "" if conversion_enabled else "-noconv"
-        self.name = f"LWT-{k}{suffix}"
+        self.name = lwt_scheme_name(k, conversion_enabled, fixed_t, interval_s)
 
     # The tracked event is the last drift-resetting write of the line: a
     # demand write, a conversion write, or a scrub rewrite.

@@ -37,6 +37,7 @@ __all__ = [
     "register_scheme",
     "unregister_scheme",
     "resolve_scheme",
+    "resolve_alias",
     "scheme_names",
     "scheme_catalog",
     "family_syntaxes",
@@ -44,6 +45,7 @@ __all__ = [
     "canonical_scheme_name",
     "enumerate_family",
     "make_policy",
+    "format_param",
     "unknown_scheme_message",
 ]
 
@@ -65,7 +67,8 @@ class SchemeFamily:
             for alias resolution after the ``readduo-`` prefix strip.
         factory: ``factory(ctx, **params) -> policy`` — usually the
             policy class itself.
-        parse: Maps a ``pattern`` match to constructor ``params``.
+        parse: Maps a ``pattern`` match to constructor ``params``;
+            raises ``ValueError`` when a parameter is out of range.
         canonical: Renders ``params`` back into the canonical spelling.
         listed: Concrete names advertised in listings (CLI ``list``,
             :func:`scheme_names`); a family lists its paper variants.
@@ -86,6 +89,12 @@ class SchemeFamily:
     listed: Tuple[str, ...]
     syntax: Optional[str] = None
     axes: Tuple[str, ...] = field(default=())
+
+
+def format_param(value: float) -> str:
+    """Lossless spelling of a numeric name parameter (``640``, ``2.5``)."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 #: Registration-order registry (dicts preserve insertion order).
@@ -119,7 +128,8 @@ def register_scheme(
         name: Canonical fixed name (``"Hybrid"``).
         pattern: Canonical-name regex for a family (anchored via
             ``fullmatch``); requires ``parse`` and ``canonical``.
-        parse: ``match -> params`` for pattern families.
+        parse: ``match -> params`` for pattern families (raising
+            ``ValueError`` rejects the name).
         canonical: ``params -> canonical name`` for pattern families.
         listed: Names to advertise in listings; defaults to ``(name,)``
             for fixed schemes and ``()`` for families.
@@ -190,12 +200,22 @@ def unregister_scheme(key: str) -> bool:
     return _FAMILIES.pop(key, None) is not None
 
 
+def _parse(family: SchemeFamily, match: "re.Match[str]") -> Optional[ParamDict]:
+    """``family.parse(match)``, or None when a parameter is out of range."""
+    try:
+        return family.parse(match)
+    except ValueError:
+        return None
+
+
 def resolve_scheme(name: str) -> Optional[Tuple[SchemeFamily, ParamDict]]:
     """Match a canonical scheme name; None when no entry claims it."""
     for family in _FAMILIES.values():
         match = family.pattern.fullmatch(name)
         if match is not None:
-            return family, family.parse(match)
+            params = _parse(family, match)
+            if params is not None:
+                return family, params
     return None
 
 
@@ -228,6 +248,22 @@ def is_scheme_name(name: str) -> bool:
     return resolve_scheme(name) is not None
 
 
+def resolve_alias(name: str) -> Optional[Tuple[SchemeFamily, ParamDict]]:
+    """:func:`resolve_scheme`, falling back to the alias spellings."""
+    resolved = resolve_scheme(name)
+    if resolved is not None:
+        return resolved
+    lowered = name.lower()
+    if lowered.startswith(ALIAS_PREFIX):
+        lowered = lowered[len(ALIAS_PREFIX):]
+    for family in _FAMILIES.values():
+        match = family.alias_pattern.fullmatch(lowered)
+        params = _parse(family, match) if match is not None else None
+        if params is not None:
+            return family, params
+    return None
+
+
 def canonical_scheme_name(name: str) -> str:
     """Resolve CLI-friendly aliases onto canonical scheme names.
 
@@ -237,18 +273,8 @@ def canonical_scheme_name(name: str) -> str:
     ``readduo-select-4:2`` -> ``Select-4:2``. Unknown names are returned
     unchanged so validation can report them.
     """
-    resolved = resolve_scheme(name)
-    if resolved is not None:
-        family, params = resolved
-        return family.canonical(params)
-    lowered = name.lower()
-    if lowered.startswith(ALIAS_PREFIX):
-        lowered = lowered[len(ALIAS_PREFIX):]
-    for family in _FAMILIES.values():
-        match = family.alias_pattern.fullmatch(lowered)
-        if match is not None:
-            return family.canonical(family.parse(match))
-    return name
+    resolved = resolve_alias(name)
+    return name if resolved is None else resolved[0].canonical(resolved[1])
 
 
 def enumerate_family(

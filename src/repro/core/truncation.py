@@ -7,6 +7,11 @@ among the orthogonal MLC write-latency techniques; this wrapper layers it
 onto any scheme policy so its interaction with ReadDuo can be studied
 (see :func:`repro.experiments.ablations.ablation_write_truncation`).
 
+The scheme name ``<scheme>+trunc`` (``Select-4:2+trunc``, one level only)
+wraps the named scheme, drawing from its RNG; ``RunStats.truncated_writes``
+counts the shortened writes. The kernel does not model truncation, so these
+runs take the event engine (fall-back reason ``ineligible``).
+
 Model: a write's latency scale is ``clip(N(mean, std), floor, 1.0)``
 multiplied by a weak function of how many cells are written — a
 differential write targeting few cells converges sooner because its
@@ -20,8 +25,17 @@ from typing import Optional
 import numpy as np
 
 from ..memsim.policy import ReadDecision, ScrubDecision, WriteDecision
+from . import registry
 
 __all__ = ["WriteTruncationWrapper"]
+
+
+def _parse_inner(match) -> dict:
+    resolved = registry.resolve_alias(match.group("inner"))
+    if resolved is None:
+        raise ValueError(f"unknown inner scheme {match.group('inner')!r}")
+    family, params = resolved
+    return {"inner": family.canonical(params)}
 
 
 class WriteTruncationWrapper:
@@ -63,7 +77,6 @@ class WriteTruncationWrapper:
         self.cell_exponent = cell_exponent
         self.name = f"{inner.name}+trunc"
         self._full_cells = getattr(inner, "full_cells", 296)
-        self.truncated_writes = 0
 
     @property
     def scrub_interval_s(self):
@@ -78,14 +91,11 @@ class WriteTruncationWrapper:
         return float(np.clip(scale, self.floor_scale * 0.5, 1.0))
 
     def _truncate(self, decision: WriteDecision) -> WriteDecision:
-        scale = self._scale_for(decision.cells_written)
-        if scale < 1.0:
-            self.truncated_writes += 1
         return WriteDecision(
             cells_written=decision.cells_written,
             full_line=decision.full_line,
             flag_update=decision.flag_update,
-            latency_scale=scale,
+            latency_scale=self._scale_for(decision.cells_written),
         )
 
     # ------------------------------------------------------------- delegation
@@ -101,3 +111,14 @@ class WriteTruncationWrapper:
 
     def on_scrub(self, line: int, now_s: float) -> ScrubDecision:
         return self.inner.on_scrub(line, now_s)
+
+
+registry.register_scheme(
+    # One level: the inner name never contains ``+trunc``, so never re-enters this family.
+    pattern=r"(?P<inner>(?:(?!\+trunc).)+)\+trunc",
+    parse=_parse_inner,
+    canonical=lambda params: f"{params['inner']}+trunc",
+    factory=lambda ctx, inner: WriteTruncationWrapper(
+        registry.make_policy(inner, ctx)
+    ),
+)(WriteTruncationWrapper)

@@ -15,13 +15,16 @@ from .ablations import (
     ablation_scrub_contention,
     ablation_write_cancellation,
     ablation_write_truncation,
+    conversion_throttle_specs,
     scrub_contention_specs,
     write_cancellation_specs,
+    write_truncation_specs,
 )
 from .extras import (
     bch_detection_study,
     montecarlo_validation,
     precise_write_comparison,
+    precise_write_specs,
     scrub_interval_sensitivity,
     scrub_interval_specs,
 )
@@ -79,19 +82,22 @@ SWEEP_EXPERIMENTS = (
 )
 
 #: Spec collectors: experiment id -> callable returning the SimSpecs that
-#: experiment's driver will feed to run_sweep. The CLI's planned
+#: experiment's driver will feed to run_sweep. Every simulating driver
+#: has one: its variants are scheme names (``LWT-4@T100``, ``Precise-2``,
+#: ``Select-4:2+trunc``), never hand-built policies. The CLI's planned
 #: ``readduo run`` unions these up front (plan -> dedupe -> execute) so
 #: overlapping artifacts simulate each distinct run exactly once; the
 #: drivers, which take the service as their ``service`` argument, then
-#: read the prewarmed memo. Drivers that never call run_sweep
-#: (closed-form tables, Monte-Carlo extras) are absent.
+#: read the prewarmed memo. Closed-form and Monte-Carlo drivers are absent.
 EXPERIMENT_SPECS: Dict[str, Callable[..., Tuple[SimSpec, ...]]] = {
     **{experiment_id: sweep_specs for experiment_id in SWEEP_EXPERIMENTS},
     "ablation-scrub-contention": scrub_contention_specs,
     "ablation-write-cancellation": write_cancellation_specs,
+    "ablation-conversion-throttle": conversion_throttle_specs,
+    "ablation-write-truncation": write_truncation_specs,
     "extra-fault-density": fault_density_specs,
     "extra-scrub-interval": scrub_interval_specs,
-    "extra-precise-write": scrub_interval_specs,
+    "extra-precise-write": precise_write_specs,
 }
 
 __all__ = [

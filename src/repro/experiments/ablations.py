@@ -16,17 +16,15 @@ to three modeling decisions worth isolating:
 * **Write truncation** [11] — the cited MLC write-latency optimization
   layered onto a ReadDuo scheme (complementary, per related work).
 
-Each driver returns an :class:`~repro.experiments.report.ExperimentResult`.
+Each driver returns an :class:`~repro.experiments.report.ExperimentResult`
+built from the specs its ``*_specs`` collector names.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..core.schemes import LwtPolicy, PolicyContext, make_policy
 from ..memsim.config import MemoryConfig
-from ..memsim.engine import simulate
-from ..traces.spec import workload
 from .report import ExperimentResult, geometric_mean
 from .runner import run_sweep
 from .spec import SimSpec
@@ -39,6 +37,8 @@ __all__ = [
     "ablation_write_cancellation",
     "ablation_conversion_throttle",
     "ablation_write_truncation",
+    "conversion_throttle_specs",
+    "write_truncation_specs",
 ]
 
 _DEFAULT_WORKLOADS = ("mcf", "lbm", "gcc")
@@ -181,41 +181,30 @@ def ablation_write_cancellation(
     )
 
 
+def conversion_throttle_specs(
+    target_requests: int = 8_000,
+    workload_name: str = "sphinx3",
+    seed: int = 42,
+) -> tuple:
+    """Ideal, adaptive LWT-4, then T frozen at 0 (``LWT-4-noconv``) and 100."""
+    schemes = ("Ideal", "LWT-4", "LWT-4@T0", "LWT-4@T100")
+    return (_spec_for((workload_name,), target_requests, MemoryConfig(), seed, schemes),)
+
+
 def ablation_conversion_throttle(
     target_requests: int = 8_000,
     workload_name: str = "sphinx3",
     seed: int = 42,
-    settings: Optional[Sequence] = None,
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Adaptive T vs fixed extremes on a cold-read workload."""
-    profile = workload(workload_name)
-    config = MemoryConfig()
-    spec = _spec_for(
-        (workload_name,), target_requests, config, seed, schemes=("Ideal", "LWT-4")
-    )
-    trace = spec.trace_for(workload_name)
-    ideal = simulate(
-        trace,
-        make_policy("Ideal", PolicyContext(profile=profile, config=config)),
-        config,
-    )
-    variants = settings or (
-        ("adaptive (paper)", None),
-        ("never convert (T=0)", 0),
-        ("always convert (T=100)", 100),
-    )
+    (spec,) = conversion_throttle_specs(target_requests, workload_name, seed)
+    grid = run_sweep(spec, service)[workload_name]
+    ideal = grid["Ideal"]
+    labels = ("adaptive (paper)", "never convert (T=0)", "always convert (T=100)")
     rows = []
-    for label, fixed_t in variants:
-        policy = make_policy(
-            "LWT-4", PolicyContext(profile=profile, config=config, seed=seed)
-        )
-        assert isinstance(policy, LwtPolicy)
-        if fixed_t is not None:
-            # Hold the controller at the fixed ratio (step 0 never moves T).
-            policy.conversion.t = fixed_t
-            policy.conversion.step = 0
-            policy.conversion.enabled = fixed_t > 0
-        stats = simulate(trace, policy, config)
+    for label, scheme in zip(labels, spec.schemes[1:]):
+        stats = grid[scheme]
         rows.append(
             [
                 label,
@@ -239,11 +228,23 @@ def ablation_conversion_throttle(
     )
 
 
+def write_truncation_specs(
+    target_requests: int = 8_000,
+    workloads: Sequence[str] = ("lbm", "mcf", "bzip2"),
+    scheme: str = "Select-4:2",
+    seed: int = 42,
+) -> tuple:
+    """Ideal, ``scheme`` and ``scheme+trunc``."""
+    schemes = ("Ideal", scheme, f"{scheme}+trunc")
+    return (_spec_for(workloads, target_requests, MemoryConfig(), seed, schemes),)
+
+
 def ablation_write_truncation(
     target_requests: int = 8_000,
     workloads: Sequence[str] = ("lbm", "mcf", "bzip2"),
     scheme: str = "Select-4:2",
     seed: int = 42,
+    service: Optional[ExecutionService] = None,
 ) -> ExperimentResult:
     """Write truncation [11] layered onto a ReadDuo scheme.
 
@@ -252,40 +253,19 @@ def ablation_write_truncation(
     demand reads block behind writes — complementary to ReadDuo, as the
     paper's related-work section suggests.
     """
-    from ..core.truncation import WriteTruncationWrapper
-
-    config = MemoryConfig()
-    spec = _spec_for(
-        workloads, target_requests, config, seed, schemes=("Ideal", scheme)
-    )
+    (spec,) = write_truncation_specs(target_requests, workloads, scheme, seed)
+    grid = run_sweep(spec, service)
     rows = []
     for name in workloads:
-        profile = workload(name)
-        trace = spec.trace_for(name)
-        ideal = simulate(
-            trace,
-            make_policy("Ideal", PolicyContext(profile=profile, config=config)),
-            config,
-        )
-        plain = simulate(
-            trace,
-            make_policy(
-                scheme, PolicyContext(profile=profile, config=config, seed=seed)
-            ),
-            config,
-        )
-        truncated_policy = WriteTruncationWrapper(
-            make_policy(
-                scheme, PolicyContext(profile=profile, config=config, seed=seed)
-            )
-        )
-        truncated = simulate(trace, truncated_policy, config)
+        ideal = grid[name]["Ideal"]
+        # The last two schemes, since ``scheme`` may itself be Ideal.
+        plain, truncated = (grid[name][s] for s in spec.schemes[-2:])
         rows.append(
             [
                 name,
                 plain.execution_time_ns / ideal.execution_time_ns,
                 truncated.execution_time_ns / ideal.execution_time_ns,
-                truncated_policy.truncated_writes,
+                truncated.truncated_writes,
             ]
         )
     return ExperimentResult(

@@ -86,27 +86,18 @@ def _scenario(requests: int):
     yields a fresh seed-42 Hybrid policy per run (policies carry mutable
     per-run state, traces do not).
     """
-    from ..core.schemes import PolicyContext, make_policy
-    from ..memsim.config import MemoryConfig
-    from ..traces.generator import generate_trace
-    from ..traces.spec import instructions_for_requests, workload
+    from ..traces.spec import workload
+    from .spec import SimSpec
 
-    config = MemoryConfig()
-    profile = workload("mcf")
-    instructions = instructions_for_requests(profile, requests, config.num_cores)
-    trace = generate_trace(
-        profile,
-        instructions_per_core=instructions,
-        num_cores=config.num_cores,
-        seed=42,
+    spec = SimSpec(
+        schemes=("Hybrid",), workloads=("mcf",), target_requests=requests, seed=42
     )
-
-    def fresh_policy():
-        return make_policy(
-            "Hybrid", PolicyContext(profile=profile, config=config, seed=42)
-        )
-
-    return trace, fresh_policy, config
+    profile = workload("mcf")
+    return (
+        spec.trace_for("mcf"),
+        lambda: spec.make_policy("Hybrid", profile),
+        spec.config,
+    )
 
 
 def bench_single_run(requests: int) -> Dict:

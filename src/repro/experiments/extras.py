@@ -20,15 +20,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from ..core.schemes import PolicyContext, make_policy
+from ..baselines.precise import precise_scheme_name
+from ..core.policies.lwt import lwt_scheme_name
 from ..ecc.bch import DecodeStatus, bch8_for_line
 from ..memsim.config import MemoryConfig
-from ..memsim.engine import simulate
-from ..traces.spec import workload
 from .report import ExperimentResult
 from .runner import run_sweep
 from .spec import SimSpec
@@ -41,6 +41,7 @@ __all__ = [
     "scrub_interval_sensitivity",
     "scrub_interval_specs",
     "precise_write_comparison",
+    "precise_write_specs",
     "montecarlo_validation",
 ]
 
@@ -106,18 +107,11 @@ def scrub_interval_specs(
     target_requests: int = 8_000,
     seed: int = 42,
 ) -> tuple:
-    """The sweep-backed part of the scrub-interval and precise-write
-    studies (their shared Ideal baseline).
-
-    The custom-interval LWT runs and the precise-write variants are built
-    policy-by-policy and cannot go through the registry/sweep path, but
-    the Ideal baseline can — so it is registered in ``EXPERIMENT_SPECS``
-    and shared with every other artifact that normalizes against Ideal on
-    the same trace.
-    """
+    """Ideal, then ``LWT-4@S<s>`` per interval (``@S640`` is ``LWT-4``)."""
     return (
         SimSpec(
-            schemes=("Ideal",),
+            schemes=("Ideal",)
+            + tuple(lwt_scheme_name(4, interval_s=s) for s in intervals_s),
             workloads=(workload_name,),
             target_requests=target_requests,
             seed=seed,
@@ -139,26 +133,12 @@ def scrub_interval_sensitivity(
     "written recently" for longer — trading scrub cost against R-read
     reliability margin. (Reliability itself stays safe per Table IV.)
     """
-    profile = workload(workload_name)
-    config = MemoryConfig()
-    spec = scrub_interval_specs(
-        intervals_s, workload_name, target_requests, seed
-    )[0]
-    trace = spec.trace_for(workload_name)
-    # The baseline rides the planner's shared cache (Ideal ignores the
-    # policy seed, so the sweep-produced run is bit-identical to the
-    # direct simulation this driver historically performed).
-    ideal = run_sweep(spec, service)[workload_name]["Ideal"]
+    (spec,) = scrub_interval_specs(intervals_s, workload_name, target_requests, seed)
+    grid = run_sweep(spec, service)[workload_name]
+    ideal = grid["Ideal"]
     rows = []
     for interval in intervals_s:
-        from ..core.schemes import LwtPolicy
-
-        policy = LwtPolicy(
-            PolicyContext(profile=profile, config=config, seed=seed),
-            k=4,
-            interval_s=interval,
-        )
-        stats = simulate(trace, policy, config)
+        stats = grid[lwt_scheme_name(4, interval_s=interval)]
         rows.append(
             [
                 interval,
@@ -181,6 +161,28 @@ def scrub_interval_sensitivity(
     )
 
 
+def precise_write_specs(
+    workload_name: str = "mcf",
+    target_requests: int = 8_000,
+    seed: int = 42,
+    program_width_sigma: float = 2.0,
+    write_slowdown: float = 1.6,
+) -> tuple:
+    """Ideal, Scrubbing and LWT-4; then ``Precise-<w>`` on a platform
+    whose writes take ``write_slowdown`` times longer."""
+    timing = MemoryConfig().timing
+    slow = MemoryConfig(
+        timing=dataclasses.replace(timing, write_ns=timing.write_ns * write_slowdown)
+    )
+    common: dict = dict(workloads=(workload_name,), target_requests=target_requests, seed=seed)
+    return (
+        SimSpec(schemes=("Ideal", "Scrubbing", "LWT-4"), **common),
+        SimSpec(
+            schemes=(precise_scheme_name(program_width_sigma),), config=slow, **common
+        ),
+    )
+
+
 def precise_write_comparison(
     workload_name: str = "mcf",
     target_requests: int = 8_000,
@@ -196,41 +198,17 @@ def precise_write_comparison(
     program-and-verify iterations (modeled as a write-latency factor).
     The paper treats this as orthogonal; here it is evaluated head-on.
     """
-    from ..baselines.precise import PreciseWritePolicy
-
-    profile = workload(workload_name)
-    spec = scrub_interval_specs(
-        workload_name=workload_name, target_requests=target_requests, seed=seed
-    )[0]
-    trace = spec.trace_for(workload_name)
-    # The baseline runs on the default config whatever the variant, so
-    # every row normalizes against the one planned, cached Ideal run.
-    ideal = run_sweep(spec, service)[workload_name]["Ideal"]
-    slow_timing = MemoryConfig().timing
+    specs = precise_write_specs(
+        workload_name, target_requests, seed, program_width_sigma, write_slowdown
+    )
+    base, precise = (run_sweep(spec, service)[workload_name] for spec in specs)
+    ideal = base["Ideal"]
     rows = []
-    for label, scheme_config in (
-        ("Scrubbing", MemoryConfig()),
-        ("Precise-write", MemoryConfig(
-            timing=slow_timing.__class__(
-                r_read_ns=slow_timing.r_read_ns,
-                m_read_ns=slow_timing.m_read_ns,
-                write_ns=slow_timing.write_ns * write_slowdown,
-                cpu_freq_ghz=slow_timing.cpu_freq_ghz,
-                bus_ns=slow_timing.bus_ns,
-            )
-        )),
-        ("LWT-4", MemoryConfig()),
+    for label, stats in (
+        ("Scrubbing", base["Scrubbing"]),
+        ("Precise-write", precise[specs[1].schemes[0]]),
+        ("LWT-4", base["LWT-4"]),
     ):
-        if label == "Precise-write":
-            policy = PreciseWritePolicy(
-                PolicyContext(profile=profile, config=scheme_config, seed=seed),
-                program_width_sigma=program_width_sigma,
-            )
-        else:
-            policy = make_policy(
-                label, PolicyContext(profile=profile, config=scheme_config, seed=seed)
-            )
-        stats = simulate(trace, policy, scheme_config)
         rows.append(
             [
                 label,

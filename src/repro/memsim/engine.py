@@ -285,6 +285,8 @@ class MemorySystemSim:
         decision = self.policy.on_write(line, self._now_s(now))
         if self._faults is not None:
             self._faults.record_write(line)
+        if decision.latency_scale < 1.0:
+            self.stats.truncated_writes += 1
         bank.write_q.append(("demand", line, decision))
         if decision.flag_update:
             self.stats.energy.add_flag_access(writes=True)
@@ -490,6 +492,8 @@ class MemorySystemSim:
             conv = self.policy.on_conversion_write(line, self._now_s(now))
             if self._faults is not None:
                 self._faults.record_write(line)
+            if conv.latency_scale < 1.0:
+                stats.truncated_writes += 1
             bank_id = line % self._num_banks
             bank = self._banks[bank_id]
             bank.write_q.append(("conversion", line, conv))

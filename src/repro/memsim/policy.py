@@ -95,7 +95,7 @@ class ScrubDecision:
 class SchemePolicy(Protocol):
     """Behaviour contract a drift-mitigation scheme exposes to the engine.
 
-    Implementations live in :mod:`repro.core.schemes` (ReadDuo variants and
+    Implementations live in :mod:`repro.core.policies` (ReadDuo variants and
     baselines). All times are absolute simulation seconds; the engine's
     epoch is far from zero so steady-state ages can predate the run.
     """

@@ -46,6 +46,8 @@ class RunStats:
         scrubs_skipped: Scrub visits dropped because the sweep could not
             keep pace with its deadline (reliability debt).
         cancelled_writes: Demand writes cancelled to service a read.
+        truncated_writes: Writes the policy shortened (``latency_scale <
+            1``, write truncation [11]); serialized only when nonzero.
         total_read_latency_ns: Sum of demand-read service latencies
             (queueing included), for mean-latency reporting.
         energy: Dynamic-energy account (pJ, by category).
@@ -79,6 +81,7 @@ class RunStats:
     scrub_rewrites: int = 0
     scrubs_skipped: int = 0
     cancelled_writes: int = 0
+    truncated_writes: int = 0
     total_read_latency_ns: float = 0.0
     energy: EnergyAccount = field(default_factory=EnergyAccount)
     wear: WearAccount = field(default_factory=WearAccount)
@@ -126,8 +129,9 @@ class RunStats:
         original on every metric. The telemetry histograms are deliberately
         excluded: cache payloads and cross-run comparisons must not depend
         on whether a run was traced. Fault counters appear under a
-        ``"faults"`` key only when any of them is nonzero, keeping
-        fault-free payloads (and the pinned sweep digest) unchanged.
+        ``"faults"`` key, and ``truncated_writes`` under its own key, only
+        when nonzero, keeping other payloads (and the pinned sweep digest)
+        unchanged.
         """
         payload: Dict[str, Any] = {
             "scheme": self.scheme,
@@ -155,6 +159,8 @@ class RunStats:
                 "by_cause": dict(self.wear.by_cause),
             },
         }
+        if self.truncated_writes:
+            payload["truncated_writes"] = self.truncated_writes
         if self.fault_counters:
             payload["faults"] = self.fault_counters.as_dict()
         return payload
@@ -187,6 +193,7 @@ class RunStats:
             scrub_rewrites=data["scrub_rewrites"],
             scrubs_skipped=data["scrubs_skipped"],
             cancelled_writes=data["cancelled_writes"],
+            truncated_writes=data.get("truncated_writes", 0),
             total_read_latency_ns=data["total_read_latency_ns"],
             energy=energy,
             wear=wear,

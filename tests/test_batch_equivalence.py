@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_policy, scheme_names
-from repro.core.schemes import PolicyContext
+from repro.core.policies import PolicyContext
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import ENGINES, simulate
 from repro.traces.generator import generate_trace
@@ -151,16 +151,6 @@ def test_batch_equals_fallback_without_native(scheme, trace_and_config, monkeypa
     assert batch.to_dict() == event.to_dict()
 
 
-def _throttled_lwt(t, profile, config):
-    """LWT-4 with the conversion ratio held at ``t`` (as the throttle
-    ablation declares it)."""
-    policy = _fresh_policy("LWT-4", profile, config)
-    policy.conversion.t = t
-    policy.conversion.step = 0
-    policy.conversion.enabled = t > 0
-    return policy
-
-
 @pytest.fixture(scope="module")
 def sphinx3_trace():
     config = MemoryConfig()
@@ -170,8 +160,9 @@ def sphinx3_trace():
 
 @pytest.mark.parametrize("t", [0, 30, 50, 100])
 def test_fixed_conversion_ratio_runs_exactly_on_the_kernel(t, sphinx3_trace):
-    """``step=0`` holds T fixed as a declared parameter, so the throttle
-    ablation's variants stay on the kernel and equal the oracle."""
+    """``LWT-4@T<t>`` holds T fixed as a declared parameter (``step=0``),
+    so the throttle ablation's variants stay on the kernel and equal the
+    oracle."""
     from repro.memsim import fastpath
     from repro.memsim.native import native_available
 
@@ -179,11 +170,63 @@ def test_fixed_conversion_ratio_runs_exactly_on_the_kernel(t, sphinx3_trace):
     results = {}
     for engine in ENGINES:
         results[engine] = simulate(
-            trace, _throttled_lwt(t, profile, config), config, engine=engine
+            trace, _fresh_policy(f"LWT-4@T{t}", profile, config), config,
+            engine=engine,
         )
         if engine == "batch" and native_available():
             assert fastpath.last_attempt() == ("speculated", "ok")
     assert results["batch"].to_dict() == results["event"].to_dict()
+
+
+@pytest.mark.parametrize("scheme", ["LWT-4@T100", "LWT-4@S160", "Precise-2"])
+def test_declared_variants_run_exactly_on_the_kernel(scheme, trace_and_config):
+    """The ablation and extra variants are registry spellings of eligible
+    policy types, so they take the kernel and equal the oracle."""
+    from repro.memsim import fastpath
+    from repro.memsim.native import native_available
+
+    if not native_available():
+        pytest.skip("compiled kernel unavailable")
+    trace, config, profile = trace_and_config
+    batch = simulate(
+        trace, _fresh_policy(scheme, profile, config), config, engine="batch"
+    )
+    assert fastpath.last_attempt() == ("speculated", "ok")
+    event = simulate(
+        trace, _fresh_policy(scheme, profile, config), config, engine="event"
+    )
+    assert batch.to_dict() == event.to_dict()
+    assert batch.scheme == scheme
+
+
+def test_truncated_scheme_falls_back_as_ineligible(trace_and_config):
+    """Write truncation is not in the kernel: ``+trunc`` runs take the
+    event engine, say why, and count the writes they shortened."""
+    from repro.memsim import fastpath
+
+    trace, config, profile = trace_and_config
+    scheme = "Select-4:2+trunc"
+    batch = simulate(
+        trace, _fresh_policy(scheme, profile, config), config, engine="batch"
+    )
+    assert fastpath.last_attempt() == ("fallback", "ineligible")
+    event = simulate(
+        trace, _fresh_policy(scheme, profile, config), config, engine="event"
+    )
+    assert batch.to_dict() == event.to_dict()
+    assert batch.truncated_writes > 0
+
+
+def test_frozen_zero_throttle_is_noconv(sphinx3_trace):
+    """``LWT-4@T0`` resolves to ``LWT-4-noconv``: a throttle frozen at 0
+    never converts, so the name builds the same policy and run."""
+    from repro.core.registry import canonical_scheme_name
+
+    assert canonical_scheme_name("LWT-4@T0") == "LWT-4-noconv"
+    trace, config, profile = sphinx3_trace
+    frozen = simulate(trace, _fresh_policy("LWT-4@T0", profile, config), config)
+    noconv = simulate(trace, _fresh_policy("LWT-4-noconv", profile, config), config)
+    assert frozen.to_dict() == noconv.to_dict()
 
 
 def test_patched_hook_falls_back_to_the_event_engine(sphinx3_trace):

@@ -98,7 +98,7 @@ class TestSchemeValidation:
         assert "LWT-<k>" in err
 
     def test_parameterized_families_accepted(self, capsys):
-        # LWT-8 / Select-2:1 are valid beyond the fixed SCHEME_NAMES list.
+        # LWT-8 / Select-2:1 are valid beyond the listed scheme_names().
         code = main(
             ["simulate", "--workload", "gcc", "--scheme", "LWT-8",
              "--requests", "300"]
@@ -173,26 +173,53 @@ class TestSweepExecutionFlags:
 class TestPlannedRunCache:
     """``readduo run`` resolves every unit through memo → run store."""
 
-    ARTIFACTS = ["figure9", "figure10", "ablation-scrub-contention"]
+    # Two sweep figures sharing one spec, one scrub ablation, and the four
+    # artifacts whose variants are registry spellings (LWT-4@T<t>,
+    # <scheme>+trunc, LWT-4@S<s>, Precise-<w>).
+    ARTIFACTS = [
+        "figure9",
+        "figure10",
+        "ablation-scrub-contention",
+        "ablation-conversion-throttle",
+        "ablation-write-truncation",
+        "extra-scrub-interval",
+        "extra-precise-write",
+    ]
     QUICK = ["--quick", "--quick-requests", "300"]
+    # The process pool writes the disk store, as in a parallel report.
+    JOBS = ["--jobs", "2"]
 
     def test_cold_run_leaves_only_run_entries_and_warm_run_simulates_zero(
         self, tmp_path, monkeypatch, capsys
     ):
         root = tmp_path / "cache"
         monkeypatch.setenv("READDUO_SWEEP_CACHE", str(root))
-        assert main(["run", *self.ARTIFACTS, *self.QUICK]) == 0
+        cold_metrics = tmp_path / "cold-metrics.json"
+        assert main(
+            ["run", *self.ARTIFACTS, *self.QUICK, *self.JOBS,
+             "--metrics", str(cold_metrics)]
+        ) == 0
         cold_out = capsys.readouterr().out
         assert sorted(p.name for p in root.iterdir()) == ["runs"]
+        cold = json.loads(cold_metrics.read_text())["counters"]
+        assert cold["plan.units_simulated"] > 0
+        # figure9/figure10 share one sweep spec: the cold plan folds the
+        # duplicates and simulates each distinct unit once.
+        assert cold["plan.units_deduped"] > 0
         clear_run_memo()
         metrics = tmp_path / "warm-metrics.json"
         assert main(
-            ["run", *self.ARTIFACTS, *self.QUICK, "--metrics", str(metrics)]
+            ["run", *self.ARTIFACTS, *self.QUICK, *self.JOBS,
+             "--metrics", str(metrics)]
         ) == 0
         assert capsys.readouterr().out == cold_out
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["plan.units_simulated"] == 0
         assert counters["plan.units_cached"] > 0
+        # Everything replays from the per-run store.
+        assert counters["plan.units_cached"] == (
+            counters["plan.units_total"] - counters["plan.units_deduped"]
+        )
 
     def test_warm_sweep_figures_hash_each_unit_at_most_once(
         self, tmp_path, monkeypatch, capsys

@@ -17,7 +17,6 @@ from repro.core.registry import (
     unregister_scheme,
 )
 from repro.core.policies import IdealPolicy, PolicyContext
-from repro.core.schemes import SCHEME_NAMES
 from repro.traces.spec import workload
 
 
@@ -33,7 +32,6 @@ class TestBuiltinRegistrations:
             "LWT-2", "LWT-4", "LWT-4-noconv", "Select-4:1", "Select-4:2",
             "TLC",
         )
-        assert SCHEME_NAMES == scheme_names()
 
     def test_family_syntaxes(self):
         assert family_syntaxes() == ("LWT-<k>[-noconv]", "Select-<k>:<s>")
@@ -60,8 +58,8 @@ class TestBuiltinRegistrations:
         [
             ("lwt-8", "LWT-8"),
             ("readduo-lwt-8-noconv", "LWT-8-noconv"),
-            ("select-6:3", "Select-6:3"),
-            ("readduo-select-6:3", "Select-6:3"),
+            ("select-8:3", "Select-8:3"),
+            ("readduo-select-8:3", "Select-8:3"),
         ],
     )
     def test_parameterized_aliases_beyond_listed_names(self, alias, expected):
@@ -71,6 +69,53 @@ class TestBuiltinRegistrations:
     def test_unknown_names_pass_through_unchanged(self):
         assert canonical_scheme_name("NoSuchScheme") == "NoSuchScheme"
         assert not is_scheme_name("NoSuchScheme")
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "LWT-0", "LWT-1", "LWT-3", "LWT-6-noconv", "Select-3:1",
+            "Select-4:0", "LWT-4@T101", "LWT-4-noconv@T50", "LWT-4@S0",
+            "LWT-4@S1e400", "Precise-0", "Precise-2.75", "Precise-2.99",
+            "Precise-3", "Precise-4.5", "LWT-4+trunc+trunc",
+            "Nope" + "+trunc" * 40,
+        ],
+    )
+    def test_out_of_range_parameters_are_not_names(self, name):
+        """Range checks run in ``parse``: no policy is built, so a bad
+        spelling fails validation instead of failing mid-execution."""
+        from repro.experiments.spec import SimSpec, SpecError
+
+        assert not is_scheme_name(name)
+        assert canonical_scheme_name(name) == name
+        with pytest.raises(SpecError, match="unknown schemes"):
+            SimSpec(schemes=(name,))
+        with pytest.raises(ValueError):
+            make_policy(name, PolicyContext(profile=workload("gcc")))
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("LWT-4@T0", "LWT-4-noconv"),
+            ("lwt-4@t100", "LWT-4@T100"),
+            ("LWT-4@S640", "LWT-4"),
+            ("LWT-4@S160.0", "LWT-4@S160"),
+            ("LWT-2@T50@S2560", "LWT-2@T50@S2560"),
+            ("Precise-2.0", "Precise-2"),
+            ("readduo-precise-1.5", "Precise-1.5"),
+            ("select-4:2+trunc", "Select-4:2+trunc"),
+        ],
+    )
+    def test_variant_spellings_canonicalize(self, name, expected, ctx):
+        assert canonical_scheme_name(name) == expected
+        assert canonical_scheme_name(expected) == expected
+        assert make_policy(expected, ctx).name == expected
+
+    def test_frozen_throttle_and_interval_reach_the_policy(self, ctx):
+        frozen = make_policy("LWT-4@T100@S160", ctx)
+        assert (frozen.conversion.t, frozen.conversion.step) == (100, 0)
+        assert frozen.conversion.enabled
+        assert frozen.scrub_interval_s == 160.0
+        assert make_policy("LWT-4", ctx).conversion.step == 10
 
 
 class TestEnumerateFamily:
@@ -212,6 +257,6 @@ class TestPluginScheme:
         assert not unregister_scheme("DummyTest")
 
     def test_resolve_scheme_returns_family_and_params(self):
-        family, params = resolve_scheme("LWT-6-noconv")
-        assert params == {"k": 6, "conversion_enabled": False}
-        assert family.canonical(params) == "LWT-6-noconv"
+        family, params = resolve_scheme("LWT-8-noconv")
+        assert params == {"k": 8, "conversion_enabled": False}
+        assert family.canonical(params) == "LWT-8-noconv"

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.schemes import (
+from repro.core.policies import (
     HybridPolicy,
     IdealPolicy,
     LwtPolicy,
     MMetricPolicy,
     PolicyContext,
-    SCHEME_NAMES,
     ScrubbingPolicy,
     SelectPolicy,
-    make_policy,
 )
+from repro.core.registry import make_policy, scheme_names
 from repro.memsim.config import DEFAULT_EPOCH_S, MemoryConfig
 from repro.memsim.policy import ReadMode
 
@@ -27,7 +26,7 @@ EPOCH = DEFAULT_EPOCH_S
 
 
 class TestRegistry:
-    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    @pytest.mark.parametrize("name", scheme_names())
     def test_every_name_constructs(self, ctx, name):
         policy = make_policy(name, ctx)
         assert policy.name == name or policy.name.startswith(name.split("-")[0])

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.schemes import PolicyContext, make_policy
+from repro.core.policies import PolicyContext
+from repro.core.registry import make_policy
 from repro.core.truncation import WriteTruncationWrapper
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import simulate
 from repro.memsim.policy import ReadMode
+from repro.memsim.stats import RunStats
 from repro.traces.generator import generate_trace
 
 
@@ -62,6 +64,34 @@ class TestWrapper:
             WriteTruncationWrapper(wrapped.inner, floor_scale=0.9, mean_scale=0.5)
 
 
+class TestRegistrySpelling:
+    def test_trunc_suffix_wraps_the_named_scheme(self, small_profile, small_config):
+        ctx = PolicyContext(profile=small_profile, config=small_config, seed=3)
+        policy = make_policy("select-4:2+trunc", ctx)
+        assert isinstance(policy, WriteTruncationWrapper)
+        assert policy.name == "Select-4:2+trunc"
+        # Convergence draws share the inner policy's stream.
+        assert policy.rng is policy.inner.rng
+
+    def test_unknown_inner_scheme_is_not_a_name(self):
+        from repro.core.registry import canonical_scheme_name, is_scheme_name
+
+        assert canonical_scheme_name("lwt-4+trunc") == "LWT-4+trunc"
+        assert not is_scheme_name("NoSuchScheme+trunc")
+        assert not is_scheme_name("LWT-3+trunc")
+
+
+class TestRunStatsField:
+    def test_truncated_writes_round_trips_and_is_omitted_at_zero(self):
+        stats = RunStats(scheme="LWT-4+trunc", workload="gcc", truncated_writes=7)
+        payload = stats.to_dict()
+        assert payload["truncated_writes"] == 7
+        assert RunStats.from_dict(payload) == stats
+        plain = RunStats(scheme="LWT-4", workload="gcc")
+        assert "truncated_writes" not in plain.to_dict()
+        assert RunStats.from_dict(plain.to_dict()).truncated_writes == 0
+
+
 class TestEngineIntegration:
     def test_truncation_never_slows_execution(self, small_profile):
         config = MemoryConfig(total_lines=1 << 16, num_banks=4)
@@ -81,7 +111,8 @@ class TestEngineIntegration:
         )
         truncated = simulate(trace, wrapped, config)
         assert truncated.execution_time_ns <= plain.execution_time_ns + 1e-6
-        assert wrapped.truncated_writes > 0
+        assert truncated.truncated_writes > 0
+        assert plain.truncated_writes == 0
 
     def test_energy_unchanged_by_truncation(self, small_profile):
         # Truncation shortens the *latency*, not the programmed cells.

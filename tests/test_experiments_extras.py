@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.baselines.precise import PreciseWritePolicy
-from repro.core.schemes import PolicyContext
+from repro.baselines.precise import precise_write_policy
+from repro.core.policies import PolicyContext, ScrubbingPolicy
+from repro.core.registry import is_scheme_name, make_policy
 from repro.experiments.extras import (
     bch_detection_study,
     precise_write_comparison,
@@ -52,21 +53,28 @@ class TestScrubIntervalSensitivity:
 class TestPreciseWrite:
     def test_policy_earns_longer_interval(self, small_profile, small_config):
         ctx = PolicyContext(profile=small_profile, config=small_config)
-        policy = PreciseWritePolicy(ctx, program_width_sigma=2.0)
+        policy = make_policy("Precise-2", ctx)
+        # A plain Scrubbing policy (so it runs on the kernel) named by spec.
+        assert type(policy) is ScrubbingPolicy
+        assert policy.name == "Precise-2"
         assert policy.scrub_interval_s > 8.0
 
     def test_narrower_programming_longer_interval(
         self, small_profile, small_config
     ):
         ctx = PolicyContext(profile=small_profile, config=small_config)
-        wide = PreciseWritePolicy(ctx, program_width_sigma=2.5)
-        narrow = PreciseWritePolicy(ctx, program_width_sigma=1.8)
-        assert narrow.scrub_interval_s >= wide.scrub_interval_s
+        wide = make_policy("Precise-2.5", ctx)
+        narrow = make_policy("Precise-1.8", ctx)
+        assert narrow.scrub_interval_s > wide.scrub_interval_s
 
     def test_rejects_width_at_boundary(self, small_profile, small_config):
         ctx = PolicyContext(profile=small_profile, config=small_config)
-        with pytest.raises(ValueError):
-            PreciseWritePolicy(ctx, program_width_sigma=3.0)
+        for width in ("0", "2.99", "3", "3.5"):
+            assert not is_scheme_name(f"Precise-{width}")
+            with pytest.raises(ValueError):
+                make_policy(f"Precise-{width}", ctx)
+            with pytest.raises(ValueError):
+                precise_write_policy(ctx, program_width_sigma=float(width))
 
     def test_comparison_shape(self):
         result = precise_write_comparison(target_requests=2_500)

@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.core.schemes import PolicyContext, make_policy
+from repro.core.policies import PolicyContext
+from repro.core.registry import make_policy
 from repro.experiments.planner import clear_run_memo
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.core.registry import make_policy
-from repro.core.schemes import PolicyContext
+from repro.core.policies import PolicyContext
 from repro.experiments.cache import RunCache
 from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
 from repro.experiments.spec import SimSpec

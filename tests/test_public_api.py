@@ -15,7 +15,7 @@ class TestModuleSurface:
             assert hasattr(repro, name), name
 
     def test_scheme_names_exposed(self):
-        assert "Select-4:2" in repro.SCHEME_NAMES
+        assert "Select-4:2" in repro.scheme_names()
 
     def test_metric_constants(self):
         assert repro.R_METRIC.name == "R"

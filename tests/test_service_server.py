@@ -95,6 +95,25 @@ class TestEndpoints:
         assert status == 400
         assert "unknown schemes" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "scheme",
+        ["LWT-3", "LWT-0", "Select-4:0", "Precise-2.99", "Nope" + "+trunc" * 40],
+    )
+    def test_out_of_range_family_parameter_400(self, scheme):
+        # The name matches a family pattern but its parameter is out of
+        # range: a validation error before any unit runs, not a 500.
+        async def body(server, client):
+            try:
+                await client.submit({**DOC, "schemes": [scheme]})
+            except ServeError as exc:
+                return exc.status, exc.payload, server.counters["errors"]
+            return None
+
+        status, payload, errors = run(body)
+        assert status == 400
+        assert "unknown schemes" in payload["error"]
+        assert errors == 0
+
     def test_invalid_json_400(self):
         async def body(server, client):
             status, _headers, _blob = await client.request(
