@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Every paper table/figure has one benchmark target. Simulation-sweep
-figures share a single memoized sweep (warmed once per session), so the
-whole harness completes in minutes while still regenerating every
-artifact at a meaningful scale. Rendered results are written to
+figures share a single sweep, warmed once per session into one
+service's memo, so the whole harness completes in minutes while still
+regenerating every artifact at a meaningful scale. Rendered results are written to
 ``results/<experiment>.txt`` for EXPERIMENTS.md.
 
 Environment knobs:
@@ -51,14 +51,18 @@ def bench_meta() -> dict:
 
 @pytest.fixture(scope="session")
 def warm_sweep():
-    """Run the shared scheme x workload sweep once for all figure benches."""
+    """Run the shared scheme x workload sweep once for all figure benches.
+
+    Yields the :class:`~repro.service.ExecutionService` that holds it in
+    its memo; figure benches pass it to their drivers as ``service``.
+    """
     from repro.experiments.figures._sweep import sweep_settings
     from repro.experiments.runner import run_sweep
     from repro.service import ExecutionService
 
-    settings = sweep_settings(BENCH_REQUESTS)
-    run_sweep(settings, ExecutionService(jobs=BENCH_JOBS, cache=False))
-    return settings
+    with ExecutionService(jobs=BENCH_JOBS, cache=False) as service:
+        run_sweep(sweep_settings(BENCH_REQUESTS), service)
+        yield service
 
 
 def save_result(results_dir: Path, result) -> None:

@@ -39,10 +39,9 @@ def test_figure_fast(benchmark, experiment, results_dir):
 def test_figure9_sweep_cost(benchmark, results_dir):
     """The headline run: every scheme on every workload (one shot)."""
     from repro.experiments.figures import figure9
-    from repro.experiments.planner import clear_run_memo
 
     def full_sweep():
-        clear_run_memo()
+        # No service: the driver resolves on a fresh, cold one.
         return figure9.run(target_requests=BENCH_REQUESTS)
 
     result = benchmark.pedantic(full_sweep, rounds=1, iterations=1)
@@ -56,7 +55,7 @@ def test_figure_sweep(benchmark, experiment, results_dir, warm_sweep):
     driver = EXPERIMENTS[experiment]
 
     def assemble():
-        return driver(target_requests=BENCH_REQUESTS)
+        return driver(target_requests=BENCH_REQUESTS, service=warm_sweep)
 
     result = benchmark.pedantic(assemble, rounds=1, iterations=1)
     save_result(results_dir, result)

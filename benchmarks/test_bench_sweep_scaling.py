@@ -127,7 +127,7 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
     omitted entirely instead of recording ``null``.
     """
     from repro.experiments.cache import RunCache
-    from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
+    from repro.experiments.planner import build_plan, execute_plan
     from repro.experiments.runner import run_sweep
     from repro.experiments.spec import SimSpec
     from repro.service import ExecutionService
@@ -140,10 +140,9 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
     cache = RunCache(tmp_path / "sweep-cache")
     service = ExecutionService(cache=cache)
 
-    clear_run_memo()
     serial_grid, serial_s = _time(lambda: run_sweep(settings, service))
 
-    clear_run_memo()
+    service.clear_memo()  # the warm leg reads the disk tier
     cached_grid, cached_s = _time(lambda: run_sweep(settings, service))
     assert _flat(cached_grid) == _flat(serial_grid)
 
@@ -162,7 +161,6 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
     if BENCH_JOBS > 1:
         # Cold planned run on an untouched cache dir: every unit must be
         # scheduled independently (workloads x schemes of them).
-        clear_run_memo()
         cold_plan = build_plan([settings])
         cold_results, parallel_s = _time(
             lambda: execute_plan(
@@ -182,7 +180,6 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
 
     # Warm two-artifact plan: the full grid plus an overlapping subset
     # must fold the subset away (dedup) and execute zero units.
-    clear_run_memo()
     subset = SimSpec(
         schemes=BENCH_SCHEMES[:2],
         workloads=BENCH_WORKLOADS[:1],

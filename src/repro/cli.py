@@ -91,7 +91,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from .core.registry import (
     canonical_scheme_name,
@@ -380,15 +380,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 if service.store is not None
                 else None
             )
+            # One batch per workload, in order of first appearance, folded
+            # from the executor's ``run_unit`` records.
+            batches: Dict[str, Dict[str, Any]] = {}
+            for r in tele.tracer.records:
+                if r.get("kind") == "run_unit":
+                    batch = batches.setdefault(
+                        r["workload"],
+                        {"workload": r["workload"], "schemes": 0, "seconds": 0.0},
+                    )
+                    batch["schemes"] += 1
+                    batch["seconds"] += r["seconds"]
             payload["telemetry"] = {
                 "wall_time_s": wall_s,
                 "jobs": args.jobs,
                 "cache": counters,
-                "batches": [
-                    {k: r[k] for k in ("workload", "schemes", "seconds")}
-                    for r in tele.tracer.records
-                    if r.get("kind") == "sweep_batch"
-                ],
+                "batches": list(batches.values()),
             }
             if tele.metrics is not None:
                 m = tele.metrics

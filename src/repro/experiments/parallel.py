@@ -1,16 +1,17 @@
-"""Parallel execution of atomic simulation run units.
+"""Execution of atomic simulation run units, in-process or on a pool.
 
 The sweep is embarrassingly parallel: every (workload, scheme) pair is an
-independent event-driven run. This module executes those pairs — the
-planner's :class:`~repro.experiments.planner.RunUnit`\\ s — on a
-work-stealing process pool whose parallelism is ``workloads x schemes``
-rather than ``workloads``: the parent keeps one unit in flight per
-worker, and each completion pulls the next unit from the same workload's
-queue where possible (sticky assignment) or steals from the workload
-with the most remaining work. Workers memoize generated traces
-per-process (:class:`TraceMemo`), so sticky scheduling makes each worker
-generate a given workload's trace once and reuse it across schemes, just
-like the serial inner loop.
+independent event-driven run. :func:`run_units` executes those pairs —
+the planner's :class:`~repro.experiments.planner.RunUnit`\\ s — through
+:func:`run_unit`, either in this process or on a work-stealing process
+pool whose parallelism is ``workloads x schemes`` rather than
+``workloads``: the parent keeps one unit in flight per worker, and each
+completion pulls the next unit from the same workload's queue where
+possible (sticky assignment) or steals from the workload with the most
+remaining work. Every process memoizes generated traces
+(:class:`TraceMemo`), so sticky scheduling makes each worker generate a
+given workload's trace once and reuse it across schemes, just like the
+in-process path.
 
 Determinism: each run's randomness comes entirely from the trace seed and
 the policy seed, both fixed by the unit's
@@ -30,17 +31,19 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Deque,
     Dict,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from ..memsim.engine import last_run_provenance, simulate
 from ..memsim.stats import RunStats
-from ..obs import Telemetry, configure_logging, get_logger
+from ..obs import Telemetry, Tracer, configure_logging, get_logger
 from ..obs.progress import ProgressLine
 from ..obs.spans import SpanContext, SpanTracker, current_tracker, maybe_span, tracker_scope
 from ..traces.spec import workload
@@ -53,7 +56,8 @@ __all__ = [
     "TraceMemo",
     "simulate_batch",
     "simulate_unit",
-    "run_units_parallel",
+    "run_unit",
+    "run_units",
 ]
 
 _log = get_logger("experiments.parallel")
@@ -64,8 +68,8 @@ class TraceMemo:
 
     A trace is fully determined by (workload, target_requests, seed,
     num_cores); everything else in a spec only affects the policy or the
-    engine. One instance lives in each worker process (and one in the
-    planner's serial loop), so consecutive same-workload units reuse the
+    engine. One instance lives in each process that runs units, so
+    consecutive same-workload units reuse the
     trace instead of regenerating it. The capacity bound keeps memory
     flat when stealing moves a worker across many workloads.
     """
@@ -102,12 +106,10 @@ _TRACE_MEMO = TraceMemo()
 def simulate_unit(
     spec: "SimSpec", workload_name: str, scheme: str
 ) -> RunStats:
-    """Run one (workload, scheme) simulation; the worker entry point.
+    """Run one (workload, scheme) simulation.
 
-    Also the planner's serial inner step, so the serial and parallel
-    paths share one code path and cannot diverge. The trace comes from
-    the process-local :class:`TraceMemo`; the policy is built fresh per
-    unit exactly as the serial runner always did. Fault injection, when
+    The trace comes from the process-local :class:`TraceMemo`; the policy
+    is built fresh per unit. Fault injection, when
     the spec enables it, is keyed by the unit's run hash — identical
     whether this worker was handed the full sweep spec or a sub-spec —
     so fault schedules never depend on how work was partitioned.
@@ -131,9 +133,9 @@ def simulate_batch(
 ) -> List[Tuple[str, RunStats]]:
     """Run one workload's trace under each scheme, in order.
 
-    Kept as the reference serial loop: a direct call reproduces the
-    planner's per-unit results for its workload (the unit tests assert
-    this equivalence).
+    Kept as the reference loop: a direct call reproduces the planner's
+    per-unit results for its workload (the unit tests assert this
+    equivalence).
     """
     return [
         (scheme, simulate_unit(settings, workload_name, scheme))
@@ -141,12 +143,34 @@ def simulate_batch(
     ]
 
 
-# Worker-process state installed by the pool initializer (survives across
-# the tasks that land on that worker). The span carrier and capture flag
-# deliberately do NOT travel through ``_timed_unit``'s signature: the
-# resilience tests monkeypatch that function with same-arity wrappers.
+def run_unit(unit: "RunUnit") -> Tuple[RunStats, Dict[str, Any]]:
+    """Simulate one unit in this process under a ``unit.simulate`` span.
+
+    Returns the statistics and the unit's provenance: ``wall_s``,
+    ``pid``, ``t_s`` (wall-clock start), ``engine`` and ``fastpath``.
+    Both executor paths of :func:`run_units` run every unit through here.
+    """
+    t_wall = time.time()
+    start = time.perf_counter()
+    with maybe_span(
+        "unit.simulate", workload=unit.workload, scheme=unit.scheme
+    ) as span:
+        stats = simulate_unit(unit.spec, unit.workload, unit.scheme)
+        prov = last_run_provenance()
+        span.set_attr("engine", prov["engine"])
+        span.set_attr("fastpath", prov["fastpath"])
+    return stats, {
+        "wall_s": time.perf_counter() - start,
+        "pid": os.getpid(),
+        "t_s": t_wall,
+        "engine": prov["engine"],
+        "fastpath": prov["fastpath"],
+    }
+
+
+# The span carrier installed by the pool initializer (survives across the
+# tasks that land on that worker).
 _WORKER_CARRIER: Optional[SpanContext] = None
-_WORKER_CAPTURE = False
 
 
 def _configured_log_level() -> Optional[str]:
@@ -158,11 +182,7 @@ def _configured_log_level() -> Optional[str]:
     return None
 
 
-def _worker_init(
-    level: Optional[str],
-    carrier: Optional[SpanContext],
-    capture: bool,
-) -> None:
+def _worker_init(level: Optional[str], carrier: Optional[SpanContext]) -> None:
     """Pool initializer: propagate logging config + span carrier.
 
     Runs once per worker process. Under the ``fork`` start method the
@@ -170,63 +190,106 @@ def _worker_init(
     idempotently; under ``spawn`` this is the only way ``--log-level``
     reaches worker-side diagnostics at all.
     """
-    global _WORKER_CARRIER, _WORKER_CAPTURE
+    global _WORKER_CARRIER
     if level is not None:
         configure_logging(level=level)
     _WORKER_CARRIER = carrier
-    _WORKER_CAPTURE = bool(capture)
 
 
 def _timed_unit(
-    spec: "SimSpec", workload_name: str, scheme: str
-) -> Tuple[float, RunStats, Optional[Dict[str, Any]]]:
-    """Pool entry point: run one unit; report wall time and provenance.
+    unit: "RunUnit",
+) -> Tuple[RunStats, Dict[str, Any], List[Dict[str, Any]]]:
+    """Pool entry point: :func:`run_unit` in a worker process.
 
-    The third element is ``None`` unless the initializer enabled capture;
-    when set it carries the worker-side span records (parented under the
-    executor's carrier context) plus the provenance fields the ledger
-    wants — engine, fastpath outcome, worker pid, wall-clock start.
+    The third element holds the worker-side span records, parented under
+    the executor's carrier context; it is empty unless the executor
+    handed the pool a carrier (span tracing is live in the parent).
     """
-    if not _WORKER_CAPTURE:
-        start = time.perf_counter()
-        stats = simulate_unit(spec, workload_name, scheme)
-        return time.perf_counter() - start, stats, None
-    spans: List[Dict[str, Any]] = []
     carrier = _WORKER_CARRIER
-    tracker = SpanTracker(
-        spans.append,
-        trace_id=carrier.trace if carrier is not None else None,
-        root=carrier,
-    )
-    t_wall = time.time()
-    start = time.perf_counter()
-    with tracker_scope(tracker):
-        with tracker.span(
-            "unit.simulate", workload=workload_name, scheme=scheme
-        ) as span:
-            stats = simulate_unit(spec, workload_name, scheme)
-            prov = last_run_provenance()
-            span.set_attr("engine", prov["engine"])
-            span.set_attr("fastpath", prov["fastpath"])
-    elapsed = time.perf_counter() - start
-    extras = {
-        "spans": spans,
-        "pid": os.getpid(),
-        "t_s": t_wall,
-        "engine": prov["engine"],
-        "fastpath": prov["fastpath"],
-    }
-    return elapsed, stats, extras
+    spans: List[Dict[str, Any]] = []
+    if carrier is None:
+        stats, provenance = run_unit(unit)
+    else:
+        tracker = SpanTracker(spans.append, trace_id=carrier.trace, root=carrier)
+        with tracker_scope(tracker):
+            stats, provenance = run_unit(unit)
+    return stats, provenance, spans
 
 
-def run_units_parallel(
+def run_units(
     units: Sequence["RunUnit"],
     jobs: int,
     telemetry: Optional[Telemetry] = None,
     max_retries: int = 2,
-    provenance: Optional[Dict[str, Dict[str, Any]]] = None,
-) -> Dict[str, RunStats]:
-    """Execute run units on a sticky work-stealing process pool.
+) -> Tuple[Dict[str, RunStats], Dict[str, Dict[str, Any]]]:
+    """Execute run units in-process or on a sticky work-stealing pool.
+
+    ``jobs == 1`` (or a single unit) runs every unit in this process, in
+    order; otherwise the units go to :func:`_run_on_pool`. Either way
+    each unit runs through :func:`run_unit` and its completion goes
+    through one hook: results, provenance, an INFO log line, the live
+    progress/ETA line (:mod:`repro.obs.progress`, when the application
+    opted in and stderr is a TTY) and, when ``telemetry`` carries a
+    tracer, a ``run_unit`` record. Completion order only affects
+    reporting — results are keyed by unit hash, so callers reassemble
+    canonically.
+
+    Returns:
+        ``({unit.key: RunStats}, {unit.key: provenance})`` for every
+        unit, the provenance as :func:`run_unit` reports it (timing
+        fields local to the process that ran the unit).
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
+    units = list(units)
+    results: Dict[str, RunStats] = {}
+    provenance: Dict[str, Dict[str, Any]] = {}
+    if not units:
+        return results, provenance
+    tracer = telemetry.tracer if telemetry is not None else None
+    progress = ProgressLine(len(units), label="run units")
+    start = time.perf_counter()
+
+    def complete(unit: "RunUnit", stats: RunStats, prov: Dict[str, Any]) -> None:
+        results[unit.key] = stats
+        provenance[unit.key] = prov
+        _log.info(
+            "run unit %d/%d: %s/%s in %.2fs (pid %d)",
+            len(results), len(units), unit.workload, unit.scheme,
+            prov["wall_s"], prov["pid"],
+        )
+        progress.update(len(results), detail=f"{unit.workload}/{unit.scheme}")
+        if tracer is not None:
+            tracer.emit({
+                "kind": "run_unit",
+                "workload": unit.workload,
+                "scheme": unit.scheme,
+                "seconds": prov["wall_s"],
+                "start_s": time.perf_counter() - start - prov["wall_s"],
+            })
+
+    try:
+        with maybe_span("executor.run", units=len(units), jobs=jobs):
+            if jobs == 1 or len(units) == 1:
+                for unit in units:
+                    complete(unit, *run_unit(unit))
+            else:
+                _run_on_pool(units, jobs, max_retries, complete, tracer)
+    finally:
+        progress.close()
+    return results, provenance
+
+
+def _run_on_pool(
+    units: List["RunUnit"],
+    jobs: int,
+    max_retries: int,
+    complete: Callable[["RunUnit", RunStats, Dict[str, Any]], None],
+    tracer: Optional[Tracer],
+) -> None:
+    """Run units on a process pool, calling ``complete`` as each finishes.
 
     Scheduling: units are queued per workload; the pool is primed with
     one unit per worker spread across distinct workloads, and every
@@ -246,30 +309,10 @@ def run_units_parallel(
     ``max_retries + 1`` pool deaths raises ``RuntimeError`` (it is
     plausibly what keeps killing workers).
 
-    Progress is logged (INFO, stderr) per unit, and a live progress/ETA
-    line is rewritten on stderr when the application opted in and stderr
-    is a TTY (:mod:`repro.obs.progress`). When ``telemetry`` carries a
-    tracer, every unit emits a ``run_unit`` record; when span tracing is
-    active, the executor opens an ``executor.run`` span, hands its
-    context to the workers, and merges their span records back into the
-    parent stream. Completion order only affects reporting — results are
-    keyed by unit hash, so callers reassemble canonically.
-
-    Args:
-        provenance: Optional out-param; when given, filled with
-            ``{unit.key: {"wall_s", "pid", "t_s", "engine", "fastpath"}}``
-            for ledger records (timing fields worker-local).
-
-    Returns:
-        ``{unit.key: RunStats}`` for every unit.
+    When span tracing is active, the open ``executor.run`` span's context
+    goes to the workers as their carrier, and their span records are
+    merged back into the parent stream.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    units = list(units)
-    if not units:
-        return {}
     queues: Dict[str, Deque["RunUnit"]] = {}
     for unit in units:
         queues.setdefault(unit.workload, deque()).append(unit)
@@ -286,129 +329,77 @@ def run_units_parallel(
             del queues[name]
         return unit
 
-    tracer = telemetry.tracer if telemetry is not None else None
     tracker = current_tracker()
-    # Worker-side capture feeds three consumers: the merged span tree
-    # (active tracker), ledger provenance, and the execution layer's
-    # fastpath.* metrics counters.
-    capture = tracker is not None or (
-        telemetry is not None
-        and (telemetry.ledger is not None or telemetry.metrics is not None)
-    )
+    # The open executor span (or None) is the parent every worker span
+    # hangs off, keeping the merged stream one tree.
+    carrier = tracker.current_context() if tracker is not None else None
     worker_level = _configured_log_level()
-    results: Dict[str, RunStats] = {}
+    done: Set[str] = set()
     attempts: Dict[str, int] = {}
     start = time.perf_counter()
-    done_count = 0
-    progress = ProgressLine(len(units), label="run units")
-    with maybe_span("executor.run", units=len(units), jobs=jobs):
-        # The open executor span (or None) is the parent every worker
-        # span hangs off, keeping the merged stream one tree.
-        carrier = tracker.current_context() if tracker is not None else None
+    while len(done) < len(units):
+        max_workers = min(jobs, len(units) - len(done))
+        in_flight: Dict[object, "RunUnit"] = {}
         try:
-            while len(results) < len(units):
-                remaining = len(units) - len(results)
-                max_workers = min(jobs, remaining)
-                in_flight: Dict[object, "RunUnit"] = {}
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=max_workers,
-                        initializer=_worker_init,
-                        initargs=(worker_level, carrier, capture),
-                    ) as pool:
+            with ProcessPoolExecutor(
+                max_workers=max_workers,
+                initializer=_worker_init,
+                initargs=(worker_level, carrier),
+            ) as pool:
 
-                        def submit(unit: "RunUnit") -> None:
-                            future = pool.submit(
-                                _timed_unit, unit.spec, unit.workload, unit.scheme
-                            )
+                def submit(unit: "RunUnit") -> None:
+                    in_flight[pool.submit(_timed_unit, unit)] = unit
+
+                # Prime one unit per worker, round-robin over distinct
+                # workloads so each worker's first trace generation
+                # seeds its affinity.
+                names = list(queues)
+                slot = 0
+                while len(in_flight) < max_workers and queues:
+                    prefer = names[slot % len(names)]
+                    slot += 1
+                    if prefer not in queues:
+                        continue
+                    submit(take(prefer))
+                while in_flight:
+                    finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        unit = in_flight.pop(future)
+                        try:
+                            stats, prov, spans = future.result()
+                        except BrokenProcessPool:
+                            # Keep the unit counted as in flight so the
+                            # recovery path below requeues it too.
                             in_flight[future] = unit
-
-                        # Prime one unit per worker, round-robin over distinct
-                        # workloads so each worker's first trace generation
-                        # seeds its affinity.
-                        names = list(queues)
-                        slot = 0
-                        while len(in_flight) < max_workers and queues:
-                            prefer = names[slot % len(names)]
-                            slot += 1
-                            if prefer not in queues:
-                                continue
-                            submit(take(prefer))
-                        while in_flight:
-                            finished, _ = wait(
-                                in_flight, return_when=FIRST_COMPLETED
-                            )
-                            for future in finished:
-                                unit = in_flight.pop(future)
-                                try:
-                                    elapsed, stats, extras = future.result()
-                                except BrokenProcessPool:
-                                    # Keep the unit counted as in flight so
-                                    # the recovery path below requeues it too.
-                                    in_flight[future] = unit
-                                    raise
-                                results[unit.key] = stats
-                                done_count += 1
-                                _log.info(
-                                    "run unit %d/%d: %s/%s in %.2fs (worker)",
-                                    done_count, len(units),
-                                    unit.workload, unit.scheme, elapsed,
-                                )
-                                progress.update(
-                                    done_count,
-                                    detail=f"{unit.workload}/{unit.scheme}",
-                                )
-                                if extras is not None:
-                                    if tracker is not None:
-                                        for record in extras["spans"]:
-                                            tracker.emit_record(record)
-                                    if provenance is not None:
-                                        provenance[unit.key] = {
-                                            "wall_s": elapsed,
-                                            "pid": extras["pid"],
-                                            "t_s": extras["t_s"],
-                                            "engine": extras["engine"],
-                                            "fastpath": extras["fastpath"],
-                                        }
-                                elif provenance is not None:
-                                    provenance[unit.key] = {"wall_s": elapsed}
-                                if tracer is not None:
-                                    tracer.emit({
-                                        "kind": "run_unit",
-                                        "workload": unit.workload,
-                                        "scheme": unit.scheme,
-                                        "seconds": elapsed,
-                                        "start_s": (
-                                            time.perf_counter() - start - elapsed
-                                        ),
-                                    })
-                                if queues:
-                                    submit(take(prefer=unit.workload))
-                except BrokenProcessPool:
-                    lost = [u for u in in_flight.values() if u.key not in results]
-                    for unit in lost:
-                        attempts[unit.key] = attempts.get(unit.key, 0) + 1
-                        if attempts[unit.key] > max_retries:
-                            raise RuntimeError(
-                                f"run unit {unit.workload}/{unit.scheme} was in "
-                                f"flight across {attempts[unit.key]} "
-                                "worker-process deaths; giving up (it is likely "
-                                "what kills the workers — try --jobs 1 to run "
-                                "it in-process)"
-                            ) from None
-                    _log.warning(
-                        "worker process died; requeueing %d in-flight unit(s) "
-                        "on a fresh pool", len(lost),
-                    )
-                    if tracer is not None:
-                        tracer.emit({
-                            "kind": "pool_broken",
-                            "requeued": len(lost),
-                            "time_s": time.perf_counter() - start,
-                        })
-                    for unit in lost:
-                        queues.setdefault(unit.workload, deque()).append(unit)
-        finally:
-            progress.close()
-    return results
-
+                            raise
+                        if tracker is not None:
+                            for record in spans:
+                                tracker.emit_record(record)
+                        done.add(unit.key)
+                        complete(unit, stats, prov)
+                        if queues:
+                            submit(take(prefer=unit.workload))
+        except BrokenProcessPool:
+            lost = [u for u in in_flight.values() if u.key not in done]
+            for unit in lost:
+                attempts[unit.key] = attempts.get(unit.key, 0) + 1
+                if attempts[unit.key] > max_retries:
+                    raise RuntimeError(
+                        f"run unit {unit.workload}/{unit.scheme} was in "
+                        f"flight across {attempts[unit.key]} "
+                        "worker-process deaths; giving up (it is likely "
+                        "what kills the workers — try --jobs 1 to run "
+                        "it in-process)"
+                    ) from None
+            _log.warning(
+                "worker process died; requeueing %d in-flight unit(s) "
+                "on a fresh pool", len(lost),
+            )
+            if tracer is not None:
+                tracer.emit({
+                    "kind": "pool_broken",
+                    "requeued": len(lost),
+                    "time_s": time.perf_counter() - start,
+                })
+            for unit in lost:
+                queues.setdefault(unit.workload, deque()).append(unit)

@@ -8,13 +8,14 @@ into those atomic :class:`RunUnit`\\ s, each identified by
 then resolves every unit through one chain before simulating anything
 (:func:`lookup_cached`, then :func:`execute_plan`):
 
-1. the in-process run memo (``_RUN_MEMO``, shared across sweeps);
+1. the caller's in-process :class:`RunMemo` (one per
+   :class:`~repro.service.ExecutionService`, shared across its plans);
 2. the granular :class:`~repro.experiments.cache.RunStore` — by default
    the on-disk :class:`~repro.experiments.cache.RunCache`, one file per
    run under ``<cache>/runs/``;
-3. actual simulation, serial or on the work-stealing pool
-   (:func:`~repro.experiments.parallel.run_units_parallel`) with
-   ``workloads x schemes`` way parallelism.
+3. actual simulation through :func:`~repro.experiments.parallel.run_units`,
+   in-process or on its work-stealing pool with ``workloads x schemes``
+   way parallelism.
 
 Because unit identity is content-hashed, two artifacts whose specs
 overlap (two figures sharing a scheme subset, an ablation varying one
@@ -28,7 +29,6 @@ is how the benchmark and CI smoke assert "warm rerun simulates zero".
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -36,17 +36,16 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..memsim.engine import last_run_provenance
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
-from ..obs.progress import ProgressLine
 from ..obs.spans import SpanTracker, current_tracker, maybe_span, tracker_scope
 from .cache import RunStore
-from .parallel import run_units_parallel, simulate_unit
+from .parallel import run_units
 from .spec import SimSpec
 
 __all__ = [
     "DEFAULT_RUN_MEMO_CAPACITY",
+    "RunMemo",
     "RunUnit",
     "PlanStats",
     "ExecutionPlan",
@@ -55,92 +54,60 @@ __all__ = [
     "execute_plan",
     "lease_batch",
     "lookup_cached",
-    "clear_run_memo",
-    "run_memo_capacity",
-    "run_memo_size",
-    "set_run_memo_capacity",
 ]
 
 _log = get_logger("experiments.planner")
 
-#: Default bound on the in-process run memo. Generous enough that every
+#: Default bound on a :class:`RunMemo`. Generous enough that every
 #: artifact of a full `readduo run all` (a few hundred distinct units)
 #: stays memoized, small enough that a long-lived daemon serving an
 #: unbounded stream of distinct specs cannot grow without limit.
 DEFAULT_RUN_MEMO_CAPACITY = 4096
 
-#: In-process memo of completed runs, keyed by run hash, in LRU order
-#: (oldest first). Shared across sweeps, so overlapping specs within one
-#: process never re-simulate shared pairs. Bounded by
-#: :data:`_RUN_MEMO_CAPACITY` — eviction only costs a possible
-#: granular-disk re-read, never correctness. Cleared by
-#: :func:`clear_run_memo`.
-_RUN_MEMO: "OrderedDict[str, RunStats]" = OrderedDict()
 
-_RUN_MEMO_CAPACITY = DEFAULT_RUN_MEMO_CAPACITY
+class RunMemo:
+    """Bounded in-process memo of completed runs, keyed by run hash.
 
-#: Guards every memo mutation. The serve daemon's parallel executor runs
-#: several ``execute_plan`` calls concurrently on threads; individual
-#: OrderedDict operations are GIL-atomic in CPython, but the
-#: read-move-evict sequences here are not, so they take the lock.
-_RUN_MEMO_LOCK = threading.RLock()
+    Entries are kept in LRU order (oldest first); past ``capacity`` the
+    least recently used run is evicted, which only costs a possible
+    granular-store re-read, never correctness. Each
+    :class:`~repro.service.ExecutionService` owns one and passes it to
+    :func:`lookup_cached` and :func:`execute_plan`.
 
-
-def clear_run_memo() -> None:
-    """Drop the in-process per-run memo and the spec decomposition memo
-    (tests and benchmarks use this to start cold)."""
-    with _RUN_MEMO_LOCK:
-        _RUN_MEMO.clear()
-    plan_units.cache_clear()
-
-
-def run_memo_size() -> int:
-    """Number of runs currently memoized in-process."""
-    return len(_RUN_MEMO)
-
-
-def run_memo_capacity() -> int:
-    """The memo's current LRU bound (entries)."""
-    return _RUN_MEMO_CAPACITY
-
-
-def set_run_memo_capacity(capacity: int) -> int:
-    """Re-bound the in-process run memo; returns the previous capacity.
-
-    The memo is a cache, not a source of truth — shrinking it below the
-    current population evicts least-recently-used entries immediately,
-    and a later plan that needs an evicted run simply falls through to
-    the granular disk store (or re-simulates). Long-lived services size
-    this to their memory budget (:class:`~repro.service.ExecutionService`
-    exposes it as ``memo_capacity``).
+    The serve daemon runs several ``execute_plan`` calls concurrently on
+    threads; single OrderedDict operations are GIL-atomic in CPython, but
+    the read-move-evict sequences here are not, so they take the lock.
     """
-    global _RUN_MEMO_CAPACITY
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    with _RUN_MEMO_LOCK:
-        previous = _RUN_MEMO_CAPACITY
-        _RUN_MEMO_CAPACITY = int(capacity)
-        while len(_RUN_MEMO) > _RUN_MEMO_CAPACITY:
-            _RUN_MEMO.popitem(last=False)
-    return previous
 
+    def __init__(self, capacity: int = DEFAULT_RUN_MEMO_CAPACITY) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = int(capacity)
+        self._runs: "OrderedDict[str, RunStats]" = OrderedDict()
+        self._lock = threading.Lock()
 
-def _memo_get(key: str) -> Optional[RunStats]:
-    """LRU-aware memo lookup: a hit refreshes the entry's recency."""
-    with _RUN_MEMO_LOCK:
-        stats = _RUN_MEMO.get(key)
-        if stats is not None:
-            _RUN_MEMO.move_to_end(key)
-        return stats
+    def __len__(self) -> int:
+        return len(self._runs)
 
+    def get(self, key: str) -> Optional[RunStats]:
+        """LRU-aware lookup: a hit refreshes the entry's recency."""
+        with self._lock:
+            stats = self._runs.get(key)
+            if stats is not None:
+                self._runs.move_to_end(key)
+            return stats
 
-def _memo_put(key: str, stats: RunStats) -> None:
-    """Insert/refresh one memo entry, evicting LRU entries past the cap."""
-    with _RUN_MEMO_LOCK:
-        _RUN_MEMO[key] = stats
-        _RUN_MEMO.move_to_end(key)
-        while len(_RUN_MEMO) > _RUN_MEMO_CAPACITY:
-            _RUN_MEMO.popitem(last=False)
+    def put(self, key: str, stats: RunStats) -> None:
+        """Insert/refresh one entry, evicting LRU entries past the cap."""
+        with self._lock:
+            self._runs[key] = stats
+            self._runs.move_to_end(key)
+            while len(self._runs) > self.capacity:
+                self._runs.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._runs.clear()
 
 
 @dataclass(frozen=True)
@@ -167,7 +134,7 @@ def plan_units(spec: SimSpec) -> Tuple[RunUnit, ...]:
 
     Memoized per (frozen) spec: hashing every sub-spec dominates a warm
     plan, and the figure drivers of one ``readduo run`` re-plan the
-    same spec many times. :func:`clear_run_memo` clears it.
+    same spec many times.
     """
     units: List[RunUnit] = []
     for name in spec.effective_workloads():
@@ -291,7 +258,7 @@ def lease_batch(
     remaining units. A worker that receives a same-workload batch
     generates that workload's trace once (its process-local trace memo)
     instead of once per unit — the same locality argument that shaped
-    ``run_units_parallel``.
+    :func:`~repro.experiments.parallel.run_units`.
 
     Args:
         pending: Units awaiting lease, oldest first.
@@ -322,7 +289,7 @@ def lease_batch(
 
 
 def lookup_cached(
-    units: Sequence[RunUnit], store: Optional[RunStore] = None
+    units: Sequence[RunUnit], memo: RunMemo, store: Optional[RunStore] = None
 ) -> Tuple[Dict[str, RunStats], Dict[str, str]]:
     """Resolve units through memo → granular store, simulating nothing.
 
@@ -330,8 +297,7 @@ def lookup_cached(
     simulating the remainder, and the distributed coordinator calls it
     before leasing anything, so a warm daemon answers from its cache
     hierarchy and only genuinely new units travel to workers ("a warm
-    rerun leases zero units"). Store hits are promoted into the
-    in-process memo.
+    rerun leases zero units"). Store hits are promoted into ``memo``.
 
     Returns:
         ``(results, tiers)`` where ``tiers`` maps each resolved unit's
@@ -343,7 +309,7 @@ def lookup_cached(
     missing: List[RunUnit] = []
     with maybe_span("cache.memo", units=len(units)) as span:
         for unit in units:
-            hit = _memo_get(unit.key)
+            hit = memo.get(unit.key)
             if hit is None:
                 missing.append(unit)
             else:
@@ -360,89 +326,8 @@ def lookup_cached(
             if loaded is not None:
                 results[unit.key] = loaded
                 tiers[unit.key] = "disk"
-                _memo_put(unit.key, loaded)
+                memo.put(unit.key, loaded)
     return results, tiers
-
-
-def _run_units_serial(
-    units: Sequence[RunUnit],
-    telemetry: Optional[Telemetry],
-    provenance: Optional[Dict[str, Dict[str, Any]]] = None,
-) -> Dict[str, RunStats]:
-    """Execute units in order, in-process.
-
-    Consecutive same-workload units are reported as one ``sweep_batch``
-    tracer record (matching the pre-planner serial runner, whose batch
-    was exactly this group); each unit also emits a ``run_unit`` record
-    and a ``unit.simulate`` span when span tracing is active. The
-    process-local trace memo makes the grouped units share a trace.
-    ``provenance``, when given, is filled exactly like the parallel
-    executor's out-param (pid is this process).
-    """
-    tracer = telemetry.tracer if telemetry is not None else None
-    results: Dict[str, RunStats] = {}
-    serial_start = time.perf_counter()
-    n_batches = sum(
-        1
-        for i, unit in enumerate(units)
-        if i == 0 or unit.workload != units[i - 1].workload
-    )
-    progress = ProgressLine(len(units), label="run units")
-    index = 0
-    batch_no = 0
-    while index < len(units):
-        name = units[index].workload
-        batch_no += 1
-        batch_start = time.perf_counter()
-        batch_size = 0
-        while index < len(units) and units[index].workload == name:
-            unit = units[index]
-            unit_wall = time.time()
-            unit_start = time.perf_counter()
-            with maybe_span(
-                "unit.simulate", workload=unit.workload, scheme=unit.scheme
-            ) as span:
-                results[unit.key] = simulate_unit(
-                    unit.spec, unit.workload, unit.scheme
-                )
-                prov = last_run_provenance()
-                span.set_attr("engine", prov["engine"])
-                span.set_attr("fastpath", prov["fastpath"])
-            unit_elapsed = time.perf_counter() - unit_start
-            if provenance is not None:
-                provenance[unit.key] = {
-                    "wall_s": unit_elapsed,
-                    "pid": os.getpid(),
-                    "t_s": unit_wall,
-                    "engine": prov["engine"],
-                    "fastpath": prov["fastpath"],
-                }
-            if tracer is not None:
-                tracer.emit({
-                    "kind": "run_unit",
-                    "workload": unit.workload,
-                    "scheme": unit.scheme,
-                    "seconds": unit_elapsed,
-                    "start_s": unit_start - serial_start,
-                })
-            batch_size += 1
-            index += 1
-            progress.update(index, detail=f"{unit.workload}/{unit.scheme}")
-        elapsed = time.perf_counter() - batch_start
-        _log.info(
-            "sweep batch %d/%d: %s x %d schemes in %.2fs",
-            batch_no, n_batches, name, batch_size, elapsed,
-        )
-        if tracer is not None:
-            tracer.emit({
-                "kind": "sweep_batch",
-                "workload": name,
-                "schemes": batch_size,
-                "seconds": elapsed,
-                "start_s": batch_start - serial_start,
-            })
-    progress.close()
-    return results
 
 
 def execute_plan(
@@ -450,6 +335,7 @@ def execute_plan(
     jobs: int = 1,
     telemetry: Optional[Telemetry] = None,
     store: Optional[RunStore] = None,
+    memo: Optional[RunMemo] = None,
 ) -> Dict[str, RunStats]:
     """Resolve every unit of a plan: memo → store → simulate.
 
@@ -459,8 +345,8 @@ def execute_plan(
         jobs: Worker processes for the units that must actually run;
             1 executes in-process.
         telemetry: Optional :class:`~repro.obs.Telemetry`; accumulates
-            ``plan.*`` counters, (serial path) ``sweep_batch`` /
-            ``run_unit`` tracer records, pipeline spans when a tracer is
+            ``plan.*`` counters, ``run_unit`` tracer records, pipeline
+            spans when a tracer is
             live, and — when it carries a
             :class:`~repro.obs.ledger.RunLedger` — one provenance record
             per planned unit, in plan order.
@@ -469,12 +355,17 @@ def execute_plan(
             :class:`~repro.experiments.cache.RunCache`, or any other
             backend); every simulated run is stored back into it.
             ``None`` resolves through the in-process memo only.
+        memo: The :class:`RunMemo` consulted first and filled with every
+            unit of the plan. ``None`` uses a fresh one, so nothing
+            outlives the call.
 
     Returns:
         ``{unit.key: RunStats}`` covering every unit in the plan.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if memo is None:
+        memo = RunMemo()
     stats = plan.stats
     tracer = telemetry.tracer if telemetry is not None else None
     # Self-activate span tracing when the caller attached a live tracer
@@ -496,7 +387,7 @@ def execute_plan(
         if store is not None:
             stale_before = store.counters.stale
             quarantined_before = store.counters.quarantined
-        results, tiers = lookup_cached(plan.units, store)
+        results, tiers = lookup_cached(plan.units, memo, store)
         pending = [unit for unit in plan.units if unit.key not in results]
         disk_hits = sum(1 for tier in tiers.values() if tier == "disk")
         stats.units_disk += disk_hits
@@ -512,14 +403,7 @@ def execute_plan(
                 len(pending), len(plan.units), jobs,
             )
             execute_start = time.perf_counter()
-            if jobs > 1 and len(pending) > 1:
-                simulated = run_units_parallel(
-                    pending, jobs, telemetry, provenance=provenance
-                )
-            else:
-                simulated = _run_units_serial(
-                    pending, telemetry, provenance=provenance
-                )
+            simulated, provenance = run_units(pending, jobs, telemetry)
             execute_elapsed = time.perf_counter() - execute_start
             results.update(simulated)
             stats.units_simulated += len(pending)
@@ -529,7 +413,7 @@ def execute_plan(
                     store.store(unit.key, simulated[unit.key])
 
         for unit in plan.units:
-            _memo_put(unit.key, results[unit.key])
+            memo.put(unit.key, results[unit.key])
         stats.schedule_wall_s += (
             time.perf_counter() - overhead_start - execute_elapsed
         )

@@ -4,7 +4,7 @@ Figures 3/4/9–15, the scrub/cancellation ablations and the fault and
 scrub-interval extras all read cells of the same scheme x workload grid.
 :func:`run_sweep` hands a spec to the caller's
 :class:`~repro.service.ExecutionService`, which resolves every run unit
-through the planner's memo, then its run store, then simulation, so
+through its run memo, then its run store, then simulation, so
 ``readduo run`` renders every driver from the units it planned up front.
 """
 
@@ -28,13 +28,15 @@ def run_sweep(
 
     Args:
         spec: The grid to resolve.
-        service: The service whose jobs, run store and telemetry resolve
-            it. ``None`` uses a serial, in-process service with no
-            persistent store (the planner's memo still applies).
+        service: The service whose jobs, memo, run store and telemetry
+            resolve it. ``None`` resolves on an isolated, cold service:
+            serial, in-process, with an empty memo of its own and no
+            persistent store, so every unit simulates. Callers that
+            sweep overlapping specs pass one service to share its memo.
 
     Returns:
         The grid in canonical spec order. Its ``RunStats`` are shared
-        with the planner's memo — treat them as read-only.
+        with the service's memo — treat them as read-only.
     """
     if service is None:
         from ..service.execution import ExecutionService

@@ -772,7 +772,7 @@ def simulate(
 
 
 def last_run_provenance() -> Dict[str, Optional[str]]:
-    """Provenance of the most recent :func:`simulate` in this process.
+    """Provenance of the most recent :func:`simulate` on this thread.
 
     ``{"engine": "batch" | "event" | None, "fastpath": "speculated" |
     "fallback" | "no_native" | None}`` — ``fastpath`` is ``None`` unless

@@ -60,6 +60,7 @@ consumed per line inside the event loop.
 from __future__ import annotations
 
 import ctypes
+import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -90,43 +91,45 @@ __all__ = [
     "record_event_run",
 ]
 
-#: ``(engine, outcome, reason)`` of this process's most recent
-#: :func:`repro.memsim.simulate` call. ``engine`` is ``"batch"`` or
-#: ``"event"``; ``outcome`` is ``"speculated"`` (the run went through the
-#: compiled kernel), ``"fallback"`` or ``"no_native"``, and ``reason`` says
-#: why (``"ok"`` on the kernel). Read for run-provenance records and the
-#: ``fastpath.*`` counters: a fall-back to the event engine is otherwise
-#: indistinguishable from a kernel run.
-_LAST_RUN: Tuple[Optional[str], str, str] = (None, "fallback", "not_attempted")
+#: ``(engine, outcome, reason)`` of this thread's most recent
+#: :func:`repro.memsim.simulate` call, in ``_STATE.last``. ``engine`` is
+#: ``"batch"`` or ``"event"``; ``outcome`` is ``"speculated"`` (the run
+#: went through the compiled kernel), ``"fallback"`` or ``"no_native"``,
+#: and ``reason`` says why (``"ok"`` on the kernel). Read for
+#: run-provenance records and the ``fastpath.*`` counters: a fall-back to
+#: the event engine is otherwise indistinguishable from a kernel run.
+#: Thread-local because the serve daemon simulates on several executor
+#: threads at once and the kernel call releases the GIL.
+_STATE = threading.local()
+
+_NOT_ATTEMPTED: Tuple[Optional[str], str, str] = (None, "fallback", "not_attempted")
 
 
 def last_run() -> Tuple[Optional[str], str, str]:
-    """``(engine, outcome, reason)`` of the most recent run in this process."""
-    return _LAST_RUN
+    """``(engine, outcome, reason)`` of the most recent run on this thread."""
+    return getattr(_STATE, "last", _NOT_ATTEMPTED)
 
 
 def last_attempt() -> Tuple[str, str]:
-    """``(outcome, reason)`` of the most recent run in this process."""
-    return _LAST_RUN[1], _LAST_RUN[2]
+    """``(outcome, reason)`` of the most recent run on this thread."""
+    _engine, outcome, reason = last_run()
+    return outcome, reason
 
 
 def record_event_run() -> None:
     """Note a run that went straight to the event engine."""
-    global _LAST_RUN
-    _LAST_RUN = ("event", "fallback", "not_attempted")
+    _STATE.last = ("event", "fallback", "not_attempted")
 
 
 def _miss(reason: str) -> None:
     """Record a fall-back to the event engine; returns ``None`` for tail calls."""
-    global _LAST_RUN
     outcome = "no_native" if reason == "no_native" else "fallback"
-    _LAST_RUN = ("batch", outcome, reason)
+    _STATE.last = ("batch", outcome, reason)
     return None
 
 
 def _hit() -> None:
-    global _LAST_RUN
-    _LAST_RUN = ("batch", "speculated", "ok")
+    _STATE.last = ("batch", "speculated", "ok")
 
 
 _ECAT_NAMES = ("read", "write", "scrub_read", "scrub_write", "flags", "conversion")
@@ -309,7 +312,7 @@ def try_simulate_speculative(
         "fastpath.speculate", scheme=policy.name, workload=trace.name
     ) as span:
         result = _attempt(trace, policy, config, epoch_s, telemetry)
-        _engine, outcome, reason = _LAST_RUN
+        outcome, reason = last_attempt()
         span.set_attr("outcome", outcome)
         span.set_attr("reason", reason)
         return result

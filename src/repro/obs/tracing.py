@@ -9,8 +9,8 @@ formats:
 * **Chrome trace_event** (:meth:`Tracer.write_chrome`) — a
   ``{"traceEvents": [...]}`` JSON file loadable in ``chrome://tracing``
   or https://ui.perfetto.dev. Known record kinds map onto duration
-  ("X") and instant ("i") events across three tracks: cores (pid 1),
-  banks (pid 2), and the scrub/sweep engine (pid 3).
+  ("X") and instant ("i") events across four tracks: cores (pid 1),
+  banks (pid 2), the scrub engine (pid 3) and the sweep (pid 4).
 
 Record kinds produced by :class:`~repro.memsim.engine.MemorySystemSim`
 (all times in simulated nanoseconds):
@@ -28,9 +28,10 @@ Record kinds produced by :class:`~repro.memsim.engine.MemorySystemSim`
     ``time_ns, lines, rewrites, duration_ns, skipped`` — one scrub
     operation (or a skipped visit when the backlog is full).
 
-The planner's serial executor adds ``sweep_batch`` (``workload,
-schemes, seconds``) and ``run_unit`` (``workload, scheme, seconds``)
-records; see docs/OBSERVABILITY.md for the full schema.
+The unit executor (:func:`repro.experiments.parallel.run_units`) adds
+one ``run_unit`` record (``workload, scheme, seconds, start_s``, wall
+time) per simulated unit, drawn as a slice on the sweep lane; see
+docs/OBSERVABILITY.md for the full schema.
 """
 
 from __future__ import annotations
@@ -257,11 +258,11 @@ def chrome_trace_events(records: List[Dict]) -> List[Dict]:
                     r["time_ns"], r["duration_ns"],
                     {"lines": r["lines"], "rewrites": r["rewrites"]},
                 ))
-        elif kind == "sweep_batch":
+        elif kind == "run_unit":
             events.append(_x(
-                f"batch[{r['workload']}]", "sweep", _PID_SWEEP, 0,
+                f"{r['workload']}/{r['scheme']}", "sweep", _PID_SWEEP, 0,
                 r["start_s"] * 1e9, r["seconds"] * 1e9,
-                {"workload": r["workload"], "schemes": r["schemes"]},
+                {"workload": r["workload"], "scheme": r["scheme"]},
             ))
         else:
             events.append({

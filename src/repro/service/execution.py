@@ -18,12 +18,13 @@ through. The service owns all of that behind a handful of methods:
 * :meth:`ExecutionService.fault_density_study` — the ``readduo faults``
   workflow, wired the same way.
 
-The service is also where memory policy lives for long-lived processes:
-``memo_capacity`` re-bounds the planner's LRU run memo for the
-service's lifetime, and :meth:`clear_memo` is the explicit drop hook
-(the serve daemon exposes it operationally). Everything here is
-synchronous — the asyncio daemon in :mod:`repro.service.server` layers
-request coalescing and backpressure on top.
+The service is also where memory policy lives: it owns its own
+:class:`~repro.experiments.planner.RunMemo`, an LRU of completed runs
+that no other service shares, bounded by ``memo_capacity``, and
+:meth:`clear_memo` is the explicit drop hook (the serve daemon exposes
+it operationally). Everything here is synchronous — the asyncio daemon
+in :mod:`repro.service.server` layers request coalescing and
+backpressure on top.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ from ..obs import Telemetry, get_logger
 from ..experiments.cache import RunCache, RunStore
 from ..experiments.planner import (
     ExecutionPlan,
+    RunMemo,
     build_plan,
-    clear_run_memo,
     execute_plan,
-    run_memo_size,
-    set_run_memo_capacity,
 )
 from ..experiments.spec import SimSpec
 
@@ -132,15 +131,13 @@ class ExecutionService:
             :class:`~repro.service.store.MemoryRunStore`).
         telemetry: Optional :class:`~repro.obs.Telemetry` observed by
             every plan this service executes.
-        memo_capacity: When given, re-bounds the planner's in-process
-            LRU run memo for this service's lifetime (the previous
-            bound is restored by :meth:`close`). Long-lived daemons set
-            this to their memory budget.
+        memo_capacity: LRU bound of the service's run memo (default:
+            :class:`~repro.experiments.planner.RunMemo`'s). Long-lived
+            daemons set this to their memory budget.
 
-    The service is reusable and reentrant per call; it holds no open
-    resources besides the memo-capacity override, so :meth:`close` (or
-    use as a context manager) is only required when ``memo_capacity``
-    was set — calling it regardless is good hygiene.
+    The service is reusable and reentrant per call. It holds no open
+    resources; :meth:`close` (or leaving the context manager) drops the
+    memo.
     """
 
     def __init__(
@@ -156,17 +153,14 @@ class ExecutionService:
         self.telemetry = telemetry
         #: The granular :class:`RunStore`, or ``None`` (memo only).
         self.store = open_store(cache)
-        self._previous_memo_capacity: Optional[int] = None
-        if memo_capacity is not None:
-            self._previous_memo_capacity = set_run_memo_capacity(memo_capacity)
+        #: The in-process :class:`RunMemo`, consulted before the store.
+        self.memo = RunMemo() if memo_capacity is None else RunMemo(memo_capacity)
 
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Release the service's process-global overrides (idempotent)."""
-        if self._previous_memo_capacity is not None:
-            set_run_memo_capacity(self._previous_memo_capacity)
-            self._previous_memo_capacity = None
+        """Drop the run memo (idempotent)."""
+        self.memo.clear()
 
     def __enter__(self) -> "ExecutionService":
         return self
@@ -181,11 +175,11 @@ class ExecutionService:
         granular store (or re-simulate). The serve daemon calls this on
         demand; batch callers rarely need it.
         """
-        clear_run_memo()
+        self.memo.clear()
 
     def memo_size(self) -> int:
         """Number of runs currently held by the in-process memo."""
-        return run_memo_size()
+        return len(self.memo)
 
     # ------------------------------------------------------------ execution
 
@@ -200,7 +194,8 @@ class ExecutionService:
         """
         plan = build_plan(specs)
         results = execute_plan(
-            plan, jobs=self.jobs, telemetry=self.telemetry, store=self.store
+            plan, jobs=self.jobs, telemetry=self.telemetry, store=self.store,
+            memo=self.memo,
         )
         return ExecutionOutcome(plan=plan, results=results)
 
@@ -254,7 +249,8 @@ class ExecutionService:
             len(plan.units), len(specs), plan.stats.units_deduped,
         )
         execute_plan(
-            plan, jobs=self.jobs, telemetry=self.telemetry, store=self.store
+            plan, jobs=self.jobs, telemetry=self.telemetry, store=self.store,
+            memo=self.memo,
         )
         _log.info(
             "plan executed: %d simulated, %d cached",
@@ -306,7 +302,7 @@ class ExecutionService:
             # `is not None`, not truthiness: an *empty* MemoryRunStore
             # has __len__() == 0 and would otherwise report as absent.
             "store": type(self.store).__name__ if self.store is not None else None,
-            "memo_runs": run_memo_size(),
+            "memo_runs": len(self.memo),
         }
 
 

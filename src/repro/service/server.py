@@ -36,8 +36,8 @@ the first request to need a unit *owns* it (executes it through
 while it is in flight *joins* the future instead of executing. N
 concurrent identical requests therefore simulate exactly once — the
 ledger shows one ``simulated`` record — and N-1 requests pay only an
-await. Completed units additionally land in the planner memo and the
-granular store, so the warm path never blocks on the worker at all.
+await. Completed units additionally land in the service's run memo and
+the granular store, so the warm path never blocks on the worker at all.
 
 **Backpressure.** Two admission bounds, both answered with ``429`` and
 ``Retry-After`` so clients can back off deterministically: a global
@@ -96,7 +96,7 @@ class ServeConfig:
         port: Bind port; 0 asks the OS for a free port (tests).
         jobs: Worker processes per execution (see ``readduo sweep --jobs``).
         cache: Persistent-cache control, as in :class:`ExecutionService`.
-        memo_capacity: Optional LRU bound override for the in-process
+        memo_capacity: Optional LRU bound of the service's in-process
             run memo — the daemon's main memory-budget knob.
         max_inflight_per_client: Concurrent submits one client may have
             admitted; the excess gets ``429``.
@@ -800,7 +800,8 @@ class SimServer:
         )
         stats = PlanStats(units_total=len(owned))
         cached, tiers = await self._loop.run_in_executor(
-            self._executor, lookup_cached, owned, self.run_store
+            self._executor, lookup_cached, owned, self.service.memo,
+            self.run_store,
         )
         ledger = (
             self.service.telemetry.ledger

@@ -199,6 +199,44 @@ def test_declared_variants_run_exactly_on_the_kernel(scheme, trace_and_config):
     assert batch.scheme == scheme
 
 
+def test_fastpath_provenance_is_per_thread(trace_and_config):
+    """One thread's kernel run keeps its own outcome while another
+    thread's ineligible run falls back (the serve daemon simulates on
+    several executor threads at once)."""
+    import threading
+
+    from repro.memsim import fastpath
+
+    trace, config, profile = trace_and_config
+    a_ran, b_ran = threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        simulate(trace, _fresh_policy("Ideal", profile, config), config)
+        a_ran.set()
+        b_ran.wait(timeout=60)
+        seen["a"] = fastpath.last_attempt()
+
+    def thread_b():
+        a_ran.wait(timeout=60)
+        simulate(
+            trace, _fresh_policy("Select-4:2+trunc", profile, config), config
+        )
+        seen["b"] = fastpath.last_attempt()
+        b_ran.set()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == {
+        "a": ("speculated", "ok"),
+        "b": ("fallback", "ineligible"),
+    }
+
+
 def test_truncated_scheme_falls_back_as_ineligible(trace_and_config):
     """Write truncation is not in the kernel: ``+trunc`` runs take the
     event engine, say why, and count the writes they shortened."""
@@ -463,16 +501,13 @@ def _flat(grid):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_grid_identical_across_engines(jobs, tmp_path):
     """Whole grids agree for serial and parallel execution alike."""
-    from repro.experiments.planner import clear_run_memo
     from repro.experiments.runner import run_sweep
     from repro.service import ExecutionService
 
     grids = {}
     for engine in ENGINES:
-        clear_run_memo()
         service = ExecutionService(jobs=jobs, cache=False)
         grids[engine] = run_sweep(_sweep_spec(engine), service)
-    clear_run_memo()
     assert _flat(grids["batch"]) == _flat(grids["event"])
 
 
@@ -482,31 +517,25 @@ def test_granular_cache_entries_byte_identical(tmp_path):
     Cached artifacts therefore stay valid across engines, which is the
     load-bearing fact behind keeping ``engine`` out of the content hash.
     """
-    from repro.experiments.planner import clear_run_memo
     from repro.experiments.runner import run_sweep
     from repro.service import ExecutionService
 
     dirs = {}
     for engine in ENGINES:
-        clear_run_memo()
         run_sweep(_sweep_spec(engine), ExecutionService(cache=tmp_path / engine))
         runs_dir = tmp_path / engine / "runs"
         dirs[engine] = {
             p.name: p.read_bytes() for p in sorted(runs_dir.glob("*.json"))
         }
-    clear_run_memo()
     assert dirs["batch"], "no granular cache entries were written"
     assert dirs["batch"].keys() == dirs["event"].keys()  # same run hashes
     assert dirs["batch"] == dirs["event"]  # same bytes
 
     # And a replay from the scalar-produced cache serves the batch spec.
-    clear_run_memo()
     replayed = run_sweep(
         _sweep_spec("batch"), ExecutionService(cache=tmp_path / "event")
     )
-    clear_run_memo()
     fresh = run_sweep(_sweep_spec("batch"))
-    clear_run_memo()
     assert _flat(replayed) == _flat(fresh)
 
 

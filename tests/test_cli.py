@@ -5,17 +5,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.planner import clear_run_memo
-
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    # The planner's per-run memo is shared across specs, so without
-    # isolation an earlier test's runs would satisfy a later test's
-    # sweep and skew its telemetry expectations.
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 class TestParser:
@@ -116,16 +105,22 @@ class TestSweepExecutionFlags:
         assert args.jobs == 4 and args.no_cache is True
 
     def test_sweep_parallel_matches_serial_output(self, tmp_path, capsys):
-        common = ["--requests", "800", "--schemes", "Ideal", "Hybrid",
-                  "--workloads", "gcc", "--no-cache"]
+        # Two workloads x three schemes on two workers: the pool steals
+        # across workloads, and the JSON must not show it.
+        schemes = ["Ideal", "Hybrid", "LWT-4"]
+        workloads = ["mcf", "gcc"]
+        common = ["--requests", "800", "--schemes", *schemes,
+                  "--workloads", *workloads, "--no-cache"]
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
         assert main(["sweep", "--output", str(serial)] + common) == 0
-        clear_run_memo()
         assert main(
             ["sweep", "--output", str(parallel), "--jobs", "2"] + common
         ) == 0
         assert serial.read_text() == parallel.read_text()
+        runs = json.loads(parallel.read_text())["runs"]
+        assert set(runs) == set(workloads)
+        assert all(set(per) == set(schemes) for per in runs.values())
 
     def test_sweep_uses_cache_dir_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("READDUO_SWEEP_CACHE", str(tmp_path / "cache"))
@@ -137,7 +132,6 @@ class TestSweepExecutionFlags:
         entries = list((tmp_path / "cache" / "runs").glob("*.json"))
         assert len(entries) == 1
         first = (tmp_path / "out.json").read_text()
-        clear_run_memo()
         # Warm re-run serves from the persistent cache and exports the
         # identical payload.
         assert main(argv) == 0
@@ -152,7 +146,7 @@ class TestSweepExecutionFlags:
                 "--workloads", "mcf", "gcc"]
         first = tmp_path / "first.json"
         assert main(argv + ["--output", str(first)]) == 0
-        clear_run_memo()  # a fresh process: only the disk tier is warm
+        # Each invocation has its own service: only the disk tier is warm.
         second = tmp_path / "second.json"
         metrics = tmp_path / "warm-metrics.json"
         assert main(
@@ -206,7 +200,6 @@ class TestPlannedRunCache:
         # figure9/figure10 share one sweep spec: the cold plan folds the
         # duplicates and simulates each distinct unit once.
         assert cold["plan.units_deduped"] > 0
-        clear_run_memo()
         metrics = tmp_path / "warm-metrics.json"
         assert main(
             ["run", *self.ARTIFACTS, *self.QUICK, *self.JOBS,
@@ -227,12 +220,14 @@ class TestPlannedRunCache:
         from collections import Counter
 
         from repro.experiments import SWEEP_EXPERIMENTS
+        from repro.experiments.planner import plan_units
         from repro.experiments.spec import SimSpec
 
         monkeypatch.setenv("READDUO_SWEEP_CACHE", str(tmp_path / "cache"))
         argv = ["run", *SWEEP_EXPERIMENTS, *self.QUICK]
         assert main(argv) == 0  # cold: fills the run store
-        clear_run_memo()
+        # A fresh process also plans every spec afresh.
+        plan_units.cache_clear()
         hashes = Counter()
         original = SimSpec.content_hash
 
@@ -330,7 +325,6 @@ class TestSweepCommand:
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
         assert main(argv + [str(first)]) == 0
-        clear_run_memo()
         assert main(argv + [str(second), "-v"]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert "telemetry" not in json.loads(first.read_text())
@@ -469,6 +463,22 @@ class TestObservabilityFlags:
         dump = json.loads((tmp_path / "m.json").read_text())
         assert dump["counters"]["plan.units_simulated"] == 2
 
+    def test_parallel_sweep_telemetry_has_one_batch_per_workload(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep.json"
+        code = main(
+            ["sweep", "--output", str(out), "--requests", "800", "--jobs", "2",
+             "--schemes", "Ideal", "Hybrid", "--workloads", "mcf", "gcc",
+             "--no-cache", "--metrics", str(tmp_path / "m.json")]
+        )
+        assert code == 0
+        batches = json.loads(out.read_text())["telemetry"]["batches"]
+        assert sorted(b["workload"] for b in batches) == ["gcc", "mcf"]
+        for batch in batches:
+            assert set(batch) == {"workload", "schemes", "seconds"}
+            assert batch["schemes"] == 2 and batch["seconds"] > 0
+
     def test_verbose_flag_parses_and_stacks(self):
         args = build_parser().parse_args(
             ["simulate", "--workload", "gcc", "--scheme", "Ideal", "-vv"]
@@ -489,7 +499,6 @@ class TestSweepSpecFile:
     def _run(self, argv, tmp_path, name):
         out = tmp_path / name
         assert main(["sweep", "--output", str(out), "--no-cache"] + argv) == 0
-        clear_run_memo()
         return out.read_text()
 
     def test_json_spec_matches_flag_invocation_exactly(self, tmp_path):
@@ -513,6 +522,10 @@ class TestSweepSpecFile:
         from_flags = self._run(self.FLAGS, tmp_path, "flags.json")
         from_spec = self._run(["--spec", str(spec_path)], tmp_path, "spec.json")
         assert from_spec == from_flags
+        from_pool = self._run(
+            ["--spec", str(spec_path), "--jobs", "2"], tmp_path, "pool.json"
+        )
+        assert from_pool == from_flags
 
     @pytest.mark.parametrize(
         "extra", [["--seed", "9"], ["--requests", "100"],

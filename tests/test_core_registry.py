@@ -236,7 +236,6 @@ class TestPluginScheme:
 
     def test_sweeps_through_runner_without_core_edits(self, dummy_scheme,
                                                       small_config):
-        from repro.experiments.planner import clear_run_memo
         from repro.experiments.runner import run_sweep
         from repro.experiments.spec import SimSpec
 
@@ -246,11 +245,8 @@ class TestPluginScheme:
             target_requests=600,
             config=small_config,
         )
-        try:
-            grid = run_sweep(settings)
-            assert grid["gcc"]["DummyTest"].scheme == "DummyTest"
-        finally:
-            clear_run_memo()
+        grid = run_sweep(settings)
+        assert grid["gcc"]["DummyTest"].scheme == "DummyTest"
 
     def test_unregister_restores_unknown(self):
         assert not is_scheme_name("DummyTest")

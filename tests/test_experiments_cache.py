@@ -6,20 +6,12 @@ import threading
 
 import pytest
 
-from repro.experiments.cache import RUN_GZIP_MIN_ENV, RunCache
-from repro.experiments.planner import clear_run_memo
+from repro.experiments.cache import RunCache
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.memsim.config import MemoryConfig
 from repro.pcm.params import TimingParams
 from repro.service import ExecutionService
-
-
-@pytest.fixture(autouse=True)
-def clean_cache():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 SMALL = SimSpec(
@@ -131,15 +123,13 @@ class TestRoundTrip:
 
     def test_run_sweep_warm_cache_skips_simulation(self, tmp_path, monkeypatch):
         _sweep(tmp_path)
-        clear_run_memo()
 
         import repro.experiments.planner as planner_mod
 
         def explode(*_args, **_kwargs):
             raise AssertionError("warm cache must not simulate")
 
-        monkeypatch.setattr(planner_mod, "simulate_unit", explode)
-        monkeypatch.setattr(planner_mod, "run_units_parallel", explode)
+        monkeypatch.setattr(planner_mod, "run_units", explode)
         grid = run_sweep(SMALL, ExecutionService(cache=tmp_path))
         assert set(grid["gcc"]) == {"Ideal", "Hybrid"}
 
@@ -160,9 +150,10 @@ class TestRoundTrip:
         assert cache.clear() == n_runs
         assert cache.load(SMALL.run_hash("gcc", "Ideal")) is None
 
-    def test_stored_payload_is_json(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RUN_GZIP_MIN_ENV, "0")
-        _sweep(tmp_path)
+    def test_stored_payload_is_json(self, tmp_path):
+        cache = RunCache(tmp_path)
+        cache.gzip_min_bytes = 0
+        _sweep(cache)
         key = SMALL.run_hash("gcc", "Hybrid")
         payload = json.loads(RunCache(tmp_path).path_for(key).read_text())
         assert payload["key"] == key
@@ -184,7 +175,6 @@ class TestCacheCounters:
 
     def test_warm_rerun_reports_all_hits(self, tmp_path):
         _sweep(tmp_path)
-        clear_run_memo()
         fresh = RunCache(tmp_path)
         _sweep(fresh)
         assert fresh.counters.hits == self.N_RUNS
@@ -193,7 +183,6 @@ class TestCacheCounters:
 
     def test_config_change_reports_misses_again(self, tmp_path):
         _sweep(tmp_path)
-        clear_run_memo()
         changed = SimSpec(
             schemes=SMALL.schemes,
             workloads=SMALL.workloads,
@@ -210,7 +199,6 @@ class TestCacheCounters:
         # by the sweep's content hash) is never read: the per-run
         # entries still serve every run.
         _sweep(tmp_path)
-        clear_run_memo()
         leftover = tmp_path / f"{SMALL.content_hash()}.json"
         leftover.write_text("{not json")
         fresh = RunCache(tmp_path)
@@ -221,7 +209,6 @@ class TestCacheCounters:
 
     def test_corrupt_files_count_as_stale_and_missed(self, tmp_path):
         _sweep(tmp_path)
-        clear_run_memo()
         for entry in (tmp_path / "runs").glob("*.json"):
             entry.write_text("{not json")
         fresh = RunCache(tmp_path)
@@ -241,21 +228,20 @@ class TestCacheCounters:
 class TestParallelSerialCacheEquivalence:
     def test_parallel_write_serial_read_identical(self, tmp_path):
         parallel = _sweep(tmp_path, jobs=2)
-        clear_run_memo()
         # The serial uncached run must match what the parallel run cached.
         serial = run_sweep(SMALL)
         assert _flat(serial) == _flat(parallel) == _flat(_reload(tmp_path))
 
 
 class TestConcurrentStores:
-    def test_threads_storing_one_key_never_collide(self, tmp_path, monkeypatch):
+    def test_threads_storing_one_key_never_collide(self, tmp_path):
         # The serve daemon stores from its event loop and its executor
         # threads at once; every writer needs its own temp file.
-        monkeypatch.setenv(RUN_GZIP_MIN_ENV, "0")
         stats = run_sweep(
             SimSpec(schemes=("Ideal",), workloads=("gcc",), target_requests=400)
         )["gcc"]["Ideal"]
         cache = RunCache(tmp_path)
+        cache.gzip_min_bytes = 0
         threads, stores = 4, 150
         start = threading.Barrier(threads)
         errors = []
@@ -290,14 +276,13 @@ class TestRunCacheGzip:
         )
         return grid["gcc"]["Ideal"]
 
-    def _cache(self, tmp_path, monkeypatch, min_bytes):
-        monkeypatch.setenv(RUN_GZIP_MIN_ENV, str(min_bytes))
-        return RunCache(tmp_path)
+    def _cache(self, tmp_path, min_bytes):
+        cache = RunCache(tmp_path)
+        cache.gzip_min_bytes = min_bytes
+        return cache
 
-    def test_below_threshold_stays_plain_json(
-        self, tmp_path, monkeypatch, one_stats
-    ):
-        cache = self._cache(tmp_path, monkeypatch, 10**9)
+    def test_below_threshold_stays_plain_json(self, tmp_path, one_stats):
+        cache = self._cache(tmp_path, 10**9)
         path = cache.store("k1", one_stats)
         blob = path.read_bytes()
         assert blob[:1] == b"{"  # plain JSON, no gzip magic
@@ -306,9 +291,9 @@ class TestRunCacheGzip:
         assert cache.entry_bytes("k1") == len(blob)
 
     def test_above_threshold_compresses_and_round_trips(
-        self, tmp_path, monkeypatch, one_stats
+        self, tmp_path, one_stats
     ):
-        cache = self._cache(tmp_path, monkeypatch, 1)
+        cache = self._cache(tmp_path, 1)
         path = cache.store("k1", one_stats)
         blob = path.read_bytes()
         assert blob[:2] == b"\x1f\x8b"  # gzip magic
@@ -322,54 +307,40 @@ class TestRunCacheGzip:
         assert raw > stored  # run stats compress well
 
     def test_reload_preserves_order_sensitive_floats(
-        self, tmp_path, monkeypatch, one_stats
+        self, tmp_path, one_stats
     ):
         # Bit-for-bit: the decompressed payload must preserve insertion
         # order so order-sensitive float sums reload to the last ulp.
-        cache = self._cache(tmp_path, monkeypatch, 1)
+        cache = self._cache(tmp_path, 1)
         cache.store("k1", one_stats)
         assert list(cache.load("k1").to_dict()) == list(one_stats.to_dict())
 
-    def test_compressed_bytes_are_deterministic(
-        self, tmp_path, monkeypatch, one_stats
-    ):
-        a = self._cache(tmp_path / "a", monkeypatch, 1)
-        b = self._cache(tmp_path / "b", monkeypatch, 1)
+    def test_compressed_bytes_are_deterministic(self, tmp_path, one_stats):
+        a = self._cache(tmp_path / "a", 1)
+        b = self._cache(tmp_path / "b", 1)
         path_a = a.store("k1", one_stats)
         path_b = b.store("k1", one_stats)
         # mtime=0 in the gzip header: independent writers emit identical
         # bytes, so concurrent last-write-wins stores are a no-op.
         assert path_a.read_bytes() == path_b.read_bytes()
 
-    def test_both_formats_coexist_transparently(
-        self, tmp_path, monkeypatch, one_stats
-    ):
-        plain = self._cache(tmp_path, monkeypatch, 10**9)
+    def test_both_formats_coexist_transparently(self, tmp_path, one_stats):
+        plain = self._cache(tmp_path, 10**9)
         plain.store("plain-key", one_stats)
-        mixed = self._cache(tmp_path, monkeypatch, 1)
+        mixed = self._cache(tmp_path, 1)
         mixed.store("gz-key", one_stats)
         for key in ("plain-key", "gz-key"):
             loaded = mixed.load(key)
             assert loaded is not None
             assert loaded.to_dict() == one_stats.to_dict()
 
-    def test_truncated_gzip_entry_is_a_miss(
-        self, tmp_path, monkeypatch, one_stats
-    ):
-        cache = self._cache(tmp_path, monkeypatch, 1)
+    def test_truncated_gzip_entry_is_a_miss(self, tmp_path, one_stats):
+        cache = self._cache(tmp_path, 1)
         path = cache.store("k1", one_stats)
         path.write_bytes(path.read_bytes()[:20])  # truncate mid-stream
         assert cache.load("k1") is None
 
-    def test_zero_disables_compression(
-        self, tmp_path, monkeypatch, one_stats
-    ):
-        cache = self._cache(tmp_path, monkeypatch, 0)
+    def test_zero_disables_compression(self, tmp_path, one_stats):
+        cache = self._cache(tmp_path, 0)
         path = cache.store("k1", one_stats)
         assert path.read_bytes()[:1] == b"{"
-
-    def test_garbage_env_falls_back_to_default(self, tmp_path, monkeypatch):
-        from repro.experiments.cache import _DEFAULT_GZIP_MIN_BYTES
-
-        monkeypatch.setenv(RUN_GZIP_MIN_ENV, "not-a-number")
-        assert RunCache(tmp_path).gzip_min_bytes == _DEFAULT_GZIP_MIN_BYTES

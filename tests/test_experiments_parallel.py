@@ -9,20 +9,14 @@ import pytest
 
 from repro.experiments.parallel import (
     TraceMemo,
-    run_units_parallel,
+    run_units,
     simulate_batch,
 )
-from repro.experiments.planner import clear_run_memo, plan_units
+from repro.experiments.planner import plan_units
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
+from repro.obs import Telemetry, Tracer
 from repro.service import ExecutionService
-
-
-@pytest.fixture(autouse=True)
-def clean_cache():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 SMALL = SimSpec(
@@ -30,6 +24,9 @@ SMALL = SimSpec(
     workloads=("gcc", "sphinx3"),
     target_requests=1_200,
 )
+
+#: What :func:`repro.experiments.parallel.run_unit` reports per unit.
+PROVENANCE_FIELDS = {"wall_s", "pid", "t_s", "engine", "fastpath"}
 
 
 def _flat(grid):
@@ -45,23 +42,43 @@ class TestRunUnitsParallel:
     def test_every_unit_executed_exactly_once(self):
         units = plan_units(SMALL)
         assert len(units) == len(SMALL.workloads) * len(SMALL.schemes)
-        results = run_units_parallel(units, jobs=4)
+        results, provenance = run_units(units, jobs=4)
         assert sorted(results) == sorted(u.key for u in units)
+        assert provenance.keys() == results.keys()
 
     def test_parallelism_exceeds_workload_count(self):
         # 2 workloads x 3 schemes = 6 independent units; jobs=4 must be
         # accepted and fully covered (the old per-workload batcher would
         # have capped useful parallelism at 2).
         units = plan_units(SMALL)
-        results = run_units_parallel(units, jobs=4)
+        results, _provenance = run_units(units, jobs=4)
         assert len(results) == 6
 
     def test_empty_unit_list_is_a_noop(self):
-        assert run_units_parallel([], jobs=2) == {}
+        assert run_units([], jobs=2) == ({}, {})
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
-            run_units_parallel(plan_units(SMALL), jobs=0)
+            run_units(plan_units(SMALL), jobs=0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_both_paths_report_alike(self, jobs):
+        """In-process and pool runs give the same provenance fields and one
+        ``run_unit`` record per unit."""
+        import os
+
+        tele = Telemetry(tracer=Tracer())
+        units = plan_units(SMALL)
+        results, provenance = run_units(units, jobs, tele)
+        for unit in units:
+            prov = provenance[unit.key]
+            assert set(prov) == PROVENANCE_FIELDS
+            assert prov["engine"] == "batch" and prov["wall_s"] > 0
+            assert (prov["pid"] == os.getpid()) == (jobs == 1)
+        records = [r for r in tele.tracer.records if r["kind"] == "run_unit"]
+        assert sorted((r["workload"], r["scheme"]) for r in records) == sorted(
+            (u.workload, u.scheme) for u in units
+        )
 
 
 class TestTraceMemo:
@@ -85,7 +102,6 @@ class TestTraceMemo:
 class TestDeterminism:
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = run_sweep(SMALL)
-        clear_run_memo()
         parallel = run_sweep(SMALL, ExecutionService(jobs=3, cache=False))
         assert _flat(serial) == _flat(parallel)
 
@@ -126,10 +142,8 @@ class TestWorkerPropagation:
         import repro.experiments.parallel as parallel_mod
 
         carrier = parallel_mod._WORKER_CARRIER
-        capture = parallel_mod._WORKER_CAPTURE
         yield
         parallel_mod._WORKER_CARRIER = carrier
-        parallel_mod._WORKER_CAPTURE = capture
 
     def test_configured_log_level_mirrors_cli_handler(self):
         import logging
@@ -149,37 +163,38 @@ class TestWorkerPropagation:
             for handler in previous:
                 logger.addHandler(handler)
 
-    def test_worker_init_installs_carrier_and_capture(self):
+    def test_worker_init_installs_carrier(self):
         import repro.experiments.parallel as parallel_mod
         from repro.obs.spans import SpanContext
 
         carrier = SpanContext(trace="t1", span="exec-1")
-        parallel_mod._worker_init(None, carrier, True)
+        parallel_mod._worker_init(None, carrier)
         assert parallel_mod._WORKER_CARRIER == carrier
-        assert parallel_mod._WORKER_CAPTURE is True
 
     def test_timed_unit_capture_returns_worker_provenance(self):
         import os
 
         import repro.experiments.parallel as parallel_mod
-        from repro.experiments.parallel import _timed_unit
         from repro.obs.spans import SpanContext
 
-        parallel_mod._worker_init(None, SpanContext("t1", "exec-1"), True)
-        elapsed, stats, extras = _timed_unit(SMALL, "gcc", "Ideal")
-        assert elapsed > 0.0 and stats.scheme == "Ideal"
-        assert extras is not None
-        assert extras["pid"] == os.getpid()
-        assert extras["engine"] == "batch"
-        unit_span = next(
-            s for s in extras["spans"] if s["name"] == "unit.simulate"
-        )
+        parallel_mod._worker_init(None, SpanContext("t1", "exec-1"))
+        unit = plan_units(SMALL)[0]
+        stats, provenance, spans = parallel_mod._timed_unit(unit)
+        assert provenance["wall_s"] > 0.0 and stats.scheme == "Ideal"
+        assert provenance["pid"] == os.getpid()
+        assert provenance["engine"] == "batch"
+        unit_span = next(s for s in spans if s["name"] == "unit.simulate")
         assert unit_span["parent"] == "exec-1"
         assert unit_span["trace"] == "t1"
 
     def test_timed_unit_without_capture_skips_extras(self):
+        """Without a carrier the worker captures no spans; it still
+        reports the unit's provenance."""
         import repro.experiments.parallel as parallel_mod
 
-        parallel_mod._worker_init(None, None, False)
-        _, stats, extras = parallel_mod._timed_unit(SMALL, "gcc", "Ideal")
-        assert stats.scheme == "Ideal" and extras is None
+        parallel_mod._worker_init(None, None)
+        unit = plan_units(SMALL)[0]
+        stats, provenance, spans = parallel_mod._timed_unit(unit)
+        assert stats.scheme == "Ideal" and spans == []
+        assert set(provenance) == PROVENANCE_FIELDS
+        assert provenance["fastpath"] == "speculated"

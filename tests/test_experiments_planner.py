@@ -11,25 +11,16 @@ from repro.experiments.cache import RunCache
 from repro.experiments.planner import (
     DEFAULT_RUN_MEMO_CAPACITY,
     PlanStats,
+    RunMemo,
     build_plan,
-    clear_run_memo,
     execute_plan,
+    lookup_cached,
     plan_units,
-    run_memo_capacity,
-    run_memo_size,
-    set_run_memo_capacity,
 )
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.obs import MetricsRegistry, Telemetry, Tracer
 from repro.service import ExecutionService
-
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 SMALL = SimSpec(
@@ -96,12 +87,13 @@ class TestCrossArtifactDedup:
         assert counters["plan.units_cached"] == 0
 
     def test_planned_prewarm_makes_second_artifact_free(self):
+        memo = RunMemo()
         plan = build_plan([SMALL, OVERLAPPING])
-        execute_plan(plan, jobs=1)
+        execute_plan(plan, jobs=1, memo=memo)
         # Both artifacts' sweeps now resolve from the shared run memo.
         for spec in (SMALL, OVERLAPPING):
             follow_up = build_plan([spec])
-            execute_plan(follow_up, jobs=1)
+            execute_plan(follow_up, jobs=1, memo=memo)
             assert follow_up.stats.units_simulated == 0
             assert follow_up.stats.units_memo == len(follow_up.units)
 
@@ -109,7 +101,6 @@ class TestCrossArtifactDedup:
         plan = build_plan([SMALL, OVERLAPPING])
         results = execute_plan(plan, jobs=1)
         shared_grid = plan.grid_for(SMALL, results)
-        clear_run_memo()
         direct = run_sweep(SMALL)
         assert _flat(shared_grid) == _flat(direct)
 
@@ -147,7 +138,6 @@ class TestWorkStealingDeterminism:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_results_identical_across_job_counts(self, jobs):
         serial = run_sweep(SMALL)
-        clear_run_memo()
         parallel = run_sweep(SMALL, ExecutionService(jobs=jobs, cache=False))
         assert _flat(serial) == _flat(parallel)
 
@@ -175,9 +165,10 @@ class TestPlanEdgeCases:
         assert list(grid["gcc"]) == ["Ideal"]
 
     def test_all_cached_plan_reports_zero_simulated(self):
-        execute_plan(build_plan([SMALL]), jobs=1)
+        memo = RunMemo()
+        execute_plan(build_plan([SMALL]), jobs=1, memo=memo)
         warm = build_plan([SMALL])
-        execute_plan(warm, jobs=1)
+        execute_plan(warm, jobs=1, memo=memo)
         stats = warm.stats.as_dict()
         assert stats["units_simulated"] == 0
         assert stats["units_cached"] == stats["units_total"] == len(warm.units)
@@ -201,61 +192,54 @@ class TestPlanEdgeCases:
 
 
 class TestRunMemoLRU:
-    @pytest.fixture(autouse=True)
-    def restore_capacity(self):
-        previous = run_memo_capacity()
-        yield
-        set_run_memo_capacity(previous)
-
     def test_default_capacity(self):
-        assert run_memo_capacity() == DEFAULT_RUN_MEMO_CAPACITY
+        assert RunMemo().capacity == DEFAULT_RUN_MEMO_CAPACITY
 
     def test_capacity_bounds_the_memo(self):
-        set_run_memo_capacity(2)
-        execute_plan(build_plan([SMALL]), jobs=1)  # 4 units through a cap of 2
-        assert run_memo_size() == 2
-
-    def test_shrinking_evicts_immediately(self):
-        execute_plan(build_plan([SMALL]), jobs=1)
-        assert run_memo_size() == 4
-        set_run_memo_capacity(1)
-        assert run_memo_size() == 1
+        memo = RunMemo(2)
+        # 4 units through a cap of 2
+        execute_plan(build_plan([SMALL]), jobs=1, memo=memo)
+        assert len(memo) == 2
 
     def test_eviction_falls_back_to_disk_not_resimulation(self, tmp_path):
-        execute_plan(build_plan([SMALL]), jobs=1, store=RunCache(tmp_path))
-        set_run_memo_capacity(1)  # evicts 3 of the 4 memoized runs
+        memo = RunMemo(1)  # keeps only the last of the 4 runs
+        execute_plan(
+            build_plan([SMALL]), jobs=1, store=RunCache(tmp_path), memo=memo
+        )
         warm = build_plan([SMALL])
-        execute_plan(warm, jobs=1, store=RunCache(tmp_path))
+        execute_plan(warm, jobs=1, store=RunCache(tmp_path), memo=memo)
         assert warm.stats.units_simulated == 0
         assert warm.stats.units_disk == 3
         assert warm.stats.units_memo == 1
 
     def test_hit_refreshes_recency(self):
-        set_run_memo_capacity(4)
-        execute_plan(build_plan([SMALL]), jobs=1)
+        memo = RunMemo(4)
+        execute_plan(build_plan([SMALL]), jobs=1, memo=memo)
         # Touch the oldest entry (gcc/Ideal), then push one new unit in:
         # the refreshed entry must survive and the true LRU go.
-        execute_plan(build_plan([SINGLE]), jobs=1)
+        execute_plan(build_plan([SINGLE]), jobs=1, memo=memo)
         lwt = SimSpec(
             schemes=("LWT-4",), workloads=("gcc",), target_requests=1_000
         )
-        execute_plan(build_plan([lwt]), jobs=1)
+        execute_plan(build_plan([lwt]), jobs=1, memo=memo)
         probe = build_plan([SINGLE])
-        execute_plan(probe, jobs=1)
+        execute_plan(probe, jobs=1, memo=memo)
         assert probe.stats.units_memo == 1
 
-    def test_set_capacity_returns_previous_and_rejects_nonpositive(self):
-        previous = run_memo_capacity()
-        assert set_run_memo_capacity(7) == previous
-        assert run_memo_capacity() == 7
+    def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            set_run_memo_capacity(0)
+            RunMemo(0)
+
+    def test_plan_without_memo_keeps_nothing(self):
+        execute_plan(build_plan([SINGLE]), jobs=1)
+        again = build_plan([SINGLE])
+        execute_plan(again, jobs=1)
+        assert again.stats.units_simulated == 1
 
 
 class TestPlanCacheHitCounter:
     def test_warm_sweep_counts_cache_hits(self, tmp_path):
         ExecutionService(cache=tmp_path).sweep(SMALL)
-        clear_run_memo()
         tele = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
         ExecutionService(cache=tmp_path, telemetry=tele).sweep(SMALL)
         counters = tele.metrics.to_dict()["counters"]
@@ -300,27 +284,24 @@ class TestLeaseBatch:
 
 class TestLookupCached:
     def test_memo_then_disk_tiers(self, tmp_path):
-        from repro.experiments.planner import lookup_cached
-
-        ExecutionService(cache=tmp_path).sweep(SMALL)  # warm memo + disk
+        service = ExecutionService(cache=tmp_path)
+        service.sweep(SMALL)  # warm memo + disk
         units = build_plan([SMALL]).units
         store = RunCache(tmp_path)
 
-        cached, tiers = lookup_cached(units, store)
+        cached, tiers = lookup_cached(units, service.memo, store)
         assert set(cached) == {u.key for u in units}
         assert all(tier == "memo" for tier in tiers.values())
 
-        clear_run_memo()
-        cached, tiers = lookup_cached(units, store)
+        memo = RunMemo()
+        cached, tiers = lookup_cached(units, memo, store)
         assert set(cached) == {u.key for u in units}
         assert all(tier == "disk" for tier in tiers.values())
         # Disk hits are promoted: a second lookup is memo-tier.
-        _cached, tiers = lookup_cached(units, store)
+        _cached, tiers = lookup_cached(units, memo, store)
         assert all(tier == "memo" for tier in tiers.values())
 
     def test_unresolved_units_are_absent(self):
-        from repro.experiments.planner import lookup_cached
-
         units = build_plan([SMALL]).units
-        cached, tiers = lookup_cached(units, None)
+        cached, tiers = lookup_cached(units, RunMemo(), None)
         assert cached == {} and tiers == {}

@@ -19,12 +19,7 @@ import pytest
 
 import repro.experiments.parallel as parallel_mod
 from repro.experiments.cache import RunCache
-from repro.experiments.planner import (
-    build_plan,
-    clear_run_memo,
-    execute_plan,
-    plan_units,
-)
+from repro.experiments.planner import build_plan, execute_plan, plan_units
 from repro.experiments.spec import SimSpec
 
 SMALL = SimSpec(
@@ -36,18 +31,9 @@ SMALL = SimSpec(
 N_RUNS = len(SMALL.schemes) * len(SMALL.workloads)
 
 
-@pytest.fixture(autouse=True)
-def clean_cache():
-    clear_run_memo()
-    yield
-    clear_run_memo()
-
-
 def _prime(tmp_path):
-    """Fill the granular store, then drop the in-process memo."""
-    results = execute_plan(build_plan([SMALL]), store=RunCache(tmp_path))
-    clear_run_memo()
-    return results
+    """Fill the granular store (the plan's memo dies with the call)."""
+    return execute_plan(build_plan([SMALL]), store=RunCache(tmp_path))
 
 
 def _granular_files(tmp_path):
@@ -173,7 +159,7 @@ _MARKER_ENV = "READDUO_TEST_CRASH_MARKER"
 _REAL_TIMED_UNIT = parallel_mod._timed_unit
 
 
-def _crash_once_timed_unit(spec, workload_name, scheme):
+def _crash_once_timed_unit(unit):
     marker = Path(os.environ[_MARKER_ENV])
     try:
         marker.unlink()
@@ -181,10 +167,10 @@ def _crash_once_timed_unit(spec, workload_name, scheme):
         pass
     else:
         os._exit(1)  # simulate an OOM kill / segfault, exactly once
-    return _REAL_TIMED_UNIT(spec, workload_name, scheme)
+    return _REAL_TIMED_UNIT(unit)
 
 
-def _always_crash_timed_unit(spec, workload_name, scheme):
+def _always_crash_timed_unit(unit):
     os._exit(1)
 
 
@@ -205,7 +191,7 @@ class TestWorkerDeathRecovery:
         monkeypatch.setattr(parallel_mod, "_timed_unit", _crash_once_timed_unit)
 
         units = plan_units(SMALL)
-        results = parallel_mod.run_units_parallel(units, jobs=2)
+        results, _provenance = parallel_mod.run_units(units, jobs=2)
 
         assert not marker.exists()  # the crash actually fired
         assert results.keys() == {unit.key for unit in units}
@@ -223,11 +209,13 @@ class TestWorkerDeathRecovery:
         monkeypatch.setattr(
             parallel_mod, "_timed_unit", _always_crash_timed_unit
         )
-        units = plan_units(SMALL)[:1]
+        # Two units on two workers: the pool path (one unit, or one job,
+        # runs in-process and would take this test process down).
+        units = plan_units(SMALL)
         with pytest.raises(RuntimeError, match="worker-process deaths"):
-            parallel_mod.run_units_parallel(units, jobs=1, max_retries=1)
+            parallel_mod.run_units(units, jobs=2, max_retries=1)
 
     def test_rejects_negative_max_retries(self):
         units = plan_units(SMALL)[:1]
         with pytest.raises(ValueError):
-            parallel_mod.run_units_parallel(units, jobs=1, max_retries=-1)
+            parallel_mod.run_units(units, jobs=1, max_retries=-1)

@@ -1,17 +1,8 @@
 """Tests for the drivers' sweep entry point and the run memo behind it."""
 
-import pytest
-
-from repro.experiments.planner import clear_run_memo
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import ALL_SCHEMES, SimSpec
-
-
-@pytest.fixture(autouse=True)
-def clean_cache():
-    clear_run_memo()
-    yield
-    clear_run_memo()
+from repro.service import ExecutionService
 
 
 def _cells(grid):
@@ -32,16 +23,25 @@ class TestRunSweep:
         assert set(sweep["gcc"]) == {"Ideal", "Hybrid"}
 
     def test_memoized(self):
-        # A repeat sweep is served from the run memo: the same objects.
-        first = run_sweep(SMALL)
-        second = run_sweep(SMALL)
+        # A repeat sweep on one service is served from its run memo: the
+        # same objects.
+        service = ExecutionService(cache=False)
+        first = run_sweep(SMALL, service)
+        second = run_sweep(SMALL, service)
         assert first == second
         assert all(a is b for a, b in zip(_cells(first), _cells(second)))
 
     def test_cache_cleared(self):
+        service = ExecutionService(cache=False)
+        first = run_sweep(SMALL, service)
+        service.clear_memo()
+        second = run_sweep(SMALL, service)
+        assert not any(a is b for a, b in zip(_cells(first), _cells(second)))
+
+    def test_without_service_each_sweep_is_cold(self):
         first = run_sweep(SMALL)
-        clear_run_memo()
         second = run_sweep(SMALL)
+        assert first == second
         assert not any(a is b for a, b in zip(_cells(first), _cells(second)))
 
     def test_different_settings_different_entries(self):

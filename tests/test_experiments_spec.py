@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.experiments.planner import clear_run_memo
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import ALL_SCHEMES, SimSpec, SpecError
 from repro.memsim.config import DEFAULT_EPOCH_S, MemoryConfig
@@ -206,11 +205,8 @@ class TestRunSweepCanonicalization:
             schemes=("readduo-lwt-4", "lwt-4"), workloads=("gcc",),
             target_requests=600, config=small_config,
         )
-        try:
-            grid = run_sweep(canonical, service)
-            again = run_sweep(aliased, service)
-            # Same canonical spec: the memoized run is returned as-is.
-            assert again["gcc"]["LWT-4"] is grid["gcc"]["LWT-4"]
-            assert service.store.counters.stores == 1
-        finally:
-            clear_run_memo()
+        grid = run_sweep(canonical, service)
+        again = run_sweep(aliased, service)
+        # Same canonical spec: the memoized run is returned as-is.
+        assert again["gcc"]["LWT-4"] is grid["gcc"]["LWT-4"]
+        assert service.store.counters.stores == 1

@@ -15,7 +15,6 @@ contract (docs/EXPLORE.md).
 
 import pytest
 
-from repro.experiments.planner import clear_run_memo
 from repro.explore import (
     ExploreError,
     ExploreSpace,
@@ -40,12 +39,6 @@ SPACE = ExploreSpace(
 BUDGET = 1_200
 BASE_BUDGET = 300
 
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +84,6 @@ def _exhaustive(cache):
 class TestFrontierEqualsExhaustivePareto:
     def test_same_members_same_order_same_objectives(self, cache_dir):
         result = _explore(cache_dir)
-        clear_run_memo()
         oracle, _outcome = _exhaustive(cache_dir)
         assert result.frontier_ids == tuple(c.cid for c, _v in oracle)
         assert [e.objectives for e in result.frontier] == [
@@ -100,7 +92,6 @@ class TestFrontierEqualsExhaustivePareto:
 
     def test_frontier_stats_byte_identical_to_direct_run(self, cache_dir):
         result = _explore(cache_dir)
-        clear_run_memo()
         _oracle, outcome = _exhaustive(cache_dir)
         assert result.frontier  # the comparison below must not be vacuous
         for entry in result.frontier:
@@ -122,7 +113,6 @@ class TestFrontierEqualsExhaustivePareto:
 class TestResumability:
     def test_warm_reexplore_simulates_zero_units(self, cache_dir):
         cold = _explore(cache_dir)
-        clear_run_memo()
         warm = _explore(cache_dir)
         assert warm.units.get("units_simulated") == 0
         assert warm.frontier_ids == cold.frontier_ids
@@ -141,7 +131,6 @@ class TestResumability:
                 [baseline]
                 + [SPACE.spec_for(c, BASE_BUDGET) for c in SPACE.candidates()]
             )
-        clear_run_memo()
         resumed = _explore(partial)
         reference = _explore(cache_dir)
         assert resumed.frontier_digest() == reference.frontier_digest()

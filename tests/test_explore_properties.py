@@ -14,7 +14,6 @@ import threading
 
 import pytest
 
-from repro.experiments.planner import clear_run_memo
 from repro.explore import (
     ExploreError,
     ExploreSpace,
@@ -28,12 +27,6 @@ from repro.service import ExecutionService
 from repro.service.client import ServeClient
 from repro.service.server import ServeConfig, SimServer
 
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 # ------------------------------------------------------- pure Pareto maths
@@ -160,7 +153,6 @@ class TestTopologyInvariance:
         space = _random_space(seed)
         digests = []
         for jobs in (1, 2, 4):
-            clear_run_memo()
             result = _explore_local(
                 space, tmp_path / f"jobs{jobs}", jobs=jobs
             )
@@ -170,7 +162,6 @@ class TestTopologyInvariance:
     def test_explore_via_serve_matches_local(self, tmp_path):
         space = _random_space(23)
         local = _explore_local(space, tmp_path / "local")
-        clear_run_memo()
 
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever, daemon=True)

@@ -13,19 +13,12 @@ import dataclasses
 import pytest
 
 from repro.experiments.parallel import simulate_unit
-from repro.experiments.planner import clear_run_memo
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.faults import FaultSpec
 from repro.memsim.stats import RunStats
 from repro.service import ExecutionService
 
-
-@pytest.fixture(autouse=True)
-def clean_cache():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 FAULTS = FaultSpec(
@@ -129,19 +122,16 @@ class TestDeterminism:
     def test_fault_schedule_is_jobs_invariant(self, jobs):
         serial = run_sweep(FAULTY)
         flat_serial = _flat(serial)
-        clear_run_memo()
         parallel = run_sweep(FAULTY, ExecutionService(jobs=jobs, cache=False))
         assert _flat(parallel) == flat_serial
 
     def test_repeated_serial_runs_are_bit_identical(self):
         first = _flat(run_sweep(FAULTY))
-        clear_run_memo()
         second = _flat(run_sweep(FAULTY))
         assert first == second
 
     def test_cache_replay_preserves_fault_counters(self, tmp_path):
         grid = run_sweep(FAULTY, ExecutionService(cache=tmp_path))
-        clear_run_memo()
         reloaded = run_sweep(FAULTY, ExecutionService(cache=tmp_path))
         assert _flat(reloaded) == _flat(grid)
         fc = reloaded["gcc"]["Hybrid"].fault_counters
@@ -150,14 +140,12 @@ class TestDeterminism:
 
     def test_warm_fault_cache_skips_simulation(self, tmp_path, monkeypatch):
         run_sweep(FAULTY, ExecutionService(cache=tmp_path))
-        clear_run_memo()
 
         import repro.experiments.planner as planner_mod
 
         def explode(*_args, **_kwargs):
             raise AssertionError("warm cache must not simulate")
 
-        monkeypatch.setattr(planner_mod, "simulate_unit", explode)
-        monkeypatch.setattr(planner_mod, "run_units_parallel", explode)
+        monkeypatch.setattr(planner_mod, "run_units", explode)
         grid = run_sweep(FAULTY, ExecutionService(cache=tmp_path))
         assert grid["gcc"]["Hybrid"].fault_counters.injected > 0

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.policies import PolicyContext
 from repro.core.registry import make_policy
-from repro.experiments.planner import clear_run_memo
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.memsim.config import MemoryConfig
@@ -132,7 +131,6 @@ class TestRunStatsInvariants:
 
     @pytest.fixture(scope="class")
     def small_grid(self):
-        clear_run_memo()
         settings = SimSpec(
             schemes=(
                 "Ideal", "Scrubbing", "M-metric", "Hybrid",
@@ -141,9 +139,7 @@ class TestRunStatsInvariants:
             workloads=("gcc", "mcf"),
             target_requests=1_500,
         )
-        grid = run_sweep(settings)
-        clear_run_memo()
-        return grid
+        return run_sweep(settings)
 
     def test_reads_by_mode_sums_to_reads(self, small_grid):
         for per_scheme in small_grid.values():

@@ -13,7 +13,7 @@ import pytest
 from repro.core.registry import make_policy
 from repro.core.policies import PolicyContext
 from repro.experiments.cache import RunCache
-from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
+from repro.experiments.planner import RunMemo, build_plan, execute_plan
 from repro.experiments.spec import SimSpec
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import simulate
@@ -33,12 +33,6 @@ SMALL = SimSpec(
 TIMING_FIELDS = ("t_s", "wall_s", "pid")
 
 
-@pytest.fixture(autouse=True)
-def clean_memo():
-    clear_run_memo()
-    yield
-    clear_run_memo()
-
 
 def _ledger_records(path):
     return [
@@ -48,10 +42,12 @@ def _ledger_records(path):
     ]
 
 
-def _run_with_ledger(path, jobs=1, store=None):
+def _run_with_ledger(path, jobs=1, store=None, memo=None):
     tele = Telemetry(ledger=RunLedger(path))
     plan = build_plan([SMALL])
-    results = execute_plan(plan, jobs=jobs, telemetry=tele, store=store)
+    results = execute_plan(
+        plan, jobs=jobs, telemetry=tele, store=store, memo=memo
+    )
     tele.ledger.close()
     return _ledger_records(path), results
 
@@ -95,8 +91,9 @@ class TestExecutePlanLedger:
             assert record["pid"] > 0
 
     def test_warm_run_records_memo_tier(self, tmp_path):
-        _run_with_ledger(tmp_path / "cold.jsonl", jobs=1)
-        records, _ = _run_with_ledger(tmp_path / "warm.jsonl", jobs=1)
+        memo = RunMemo()
+        _run_with_ledger(tmp_path / "cold.jsonl", jobs=1, memo=memo)
+        records, _ = _run_with_ledger(tmp_path / "warm.jsonl", jobs=1, memo=memo)
         assert records and all(r["tier"] == "memo" for r in records)
         assert all(r["wall_s"] is None for r in records)
 
@@ -107,7 +104,6 @@ class TestExecutePlanLedger:
         )
         # The cold run stored granular entries; their sizes are recorded.
         assert all(r["cached_bytes"] > 0 for r in records)
-        clear_run_memo()
         warm, _ = _run_with_ledger(
             tmp_path / "warm.jsonl", jobs=1, store=RunCache(cache_root)
         )
@@ -124,7 +120,6 @@ class TestExecutePlanLedger:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_deterministic_modulo_timing(self, tmp_path, jobs):
         first, _ = _run_with_ledger(tmp_path / "a.jsonl", jobs=jobs)
-        clear_run_memo()
         second, _ = _run_with_ledger(tmp_path / "b.jsonl", jobs=jobs)
 
         def strip(records):
@@ -140,7 +135,6 @@ class TestObservesNeverPerturbs:
     def test_instrumented_results_equal_uninstrumented(self, tmp_path):
         plan = build_plan([SMALL])
         plain = execute_plan(plan, jobs=1)
-        clear_run_memo()
         tele = Telemetry(
             tracer=Tracer(),
             metrics=MetricsRegistry(),

@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
+from repro.experiments.planner import RunMemo, build_plan, execute_plan
 from repro.experiments.spec import SimSpec
 from repro.obs import Telemetry, Tracer, chrome_trace_events
 from repro.obs.schema import load_schema, validate_record
@@ -29,12 +29,6 @@ SMALL = SimSpec(
     target_requests=1_000,
 )
 
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 class TestSpanTracker:
@@ -146,7 +140,6 @@ class TestPipelineSpans:
         names = {s["name"] for s in spans}
         assert {"plan.execute", "unit.simulate"} <= names
         # Stable unit content: the spans observe, never perturb.
-        clear_run_memo()
         _, serial = self._run(1)
         assert results.keys() == serial.keys()
         for key in results:
@@ -184,10 +177,11 @@ class TestPipelineSpans:
             assert node["span"] == executor["span"]
 
     def test_warm_plan_emits_cache_spans_not_unit_spans(self):
-        self._run(1)  # prime the in-process memo
+        memo = RunMemo()
+        execute_plan(build_plan([SMALL]), jobs=1, memo=memo)  # prime it
         tele = Telemetry(tracer=Tracer())
         plan = build_plan([SMALL])
-        execute_plan(plan, jobs=1, telemetry=tele)
+        execute_plan(plan, jobs=1, telemetry=tele, memo=memo)
         names = [r["name"] for r in tele.tracer.records
                  if r.get("kind") == "span"]
         assert "cache.memo" in names

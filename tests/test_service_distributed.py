@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.experiments.cache import RunCache
-from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
+from repro.experiments.planner import build_plan, execute_plan
 from repro.experiments.spec import SimSpec
 from repro.obs import Telemetry
 from repro.service.client import ServeClient, ServeError
@@ -28,12 +28,6 @@ from repro.service.store import (
 )
 from repro.service.worker import CoordinatorLink, _CaptureLedger, _execute_lease
 
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 DOC = {"schemes": ["Ideal", "Hybrid"], "workloads": ["gcc"],
@@ -276,7 +270,6 @@ class TestDistributedProtocol:
         payload, gone = run(body)
         assert gone
         assert payload["plan"]["owned_stats"]["units_leased"] == 1
-        clear_run_memo()
         assert payload["runs"] == _local_reference_runs(DOC_ONE)
 
     def test_unparseable_results_rejected_not_poisonous(self):
@@ -303,7 +296,6 @@ class TestDistributedProtocol:
             return await submit
 
         payload = run(body)
-        clear_run_memo()
         assert payload["runs"] == _local_reference_runs(DOC_ONE)
 
     def test_warm_rerun_leases_zero_units(self, tmp_path):
@@ -367,7 +359,6 @@ class TestWorkerDeath:
         assert counters["units_requeued"] >= 1
         assert drained >= 1  # the survivors did real work
         assert stats["coordinator"]["unresolved_units"] == 0
-        clear_run_memo()
         assert payload["runs"] == _local_reference_runs(DOC)
 
 
@@ -445,7 +436,6 @@ class TestDeterministicCacheBytes:
         spec = SimSpec.from_dict(DOC)
         entries = {}
         for name in ("worker-a", "worker-b"):
-            clear_run_memo()  # each "worker" starts cold
             plan = build_plan([spec])
             execute_plan(plan, jobs=1, store=RunCache(tmp_path / name))
             runs_dir = tmp_path / name / "runs"

@@ -6,21 +6,10 @@ import pytest
 
 from repro.experiments import EXPERIMENT_SPECS, EXPERIMENTS, SWEEP_EXPERIMENTS
 from repro.experiments.cache import RunCache
-from repro.experiments.planner import (
-    clear_run_memo,
-    run_memo_capacity,
-    run_memo_size,
-)
+from repro.experiments.planner import DEFAULT_RUN_MEMO_CAPACITY
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.service import ExecutionService, MemoryRunStore, sweep_payload
-
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 SPEC = SimSpec(
@@ -52,7 +41,6 @@ class TestSubmit:
         service = ExecutionService(cache=False)
         outcome = service.submit([SPEC])
         grid = outcome.grid_for(SPEC)
-        clear_run_memo()
         assert _flat(grid) == _flat(run_sweep(SPEC))
 
     def test_resubmit_is_served_from_memo(self):
@@ -67,10 +55,16 @@ class TestSubmit:
         service = ExecutionService(cache=store)
         service.submit([SPEC])
         assert len(store) == 2
-        clear_run_memo()
+        service.clear_memo()
         warm = service.submit([SPEC])
         assert warm.stats.units_simulated == 0
         assert warm.stats.units_disk == 2
+
+    def test_fresh_service_simulates_a_unit_another_service_ran(self):
+        ExecutionService(cache=False).submit([SPEC])
+        fresh = ExecutionService(cache=False).submit([SPEC])
+        assert fresh.stats.units_memo == 0
+        assert fresh.stats.units_simulated == 2
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
@@ -81,7 +75,6 @@ class TestSweep:
     def test_sweep_equals_run_sweep_byte_for_byte(self, tmp_path):
         service = ExecutionService(cache=tmp_path)
         via_service = sweep_payload(SPEC, service.sweep(SPEC))
-        clear_run_memo()
         direct = sweep_payload(SPEC, run_sweep(SPEC))
         assert (
             json.dumps(via_service, indent=2, sort_keys=True)
@@ -91,7 +84,6 @@ class TestSweep:
     def test_sweep_with_custom_store_matches_filesystem_path(self, tmp_path):
         with_store = ExecutionService(cache=MemoryRunStore())
         grid_store = with_store.sweep(SPEC)
-        clear_run_memo()
         plain = ExecutionService(cache=False)
         grid_plain = plain.sweep(SPEC)
         assert _flat(grid_store) == _flat(grid_plain)
@@ -174,18 +166,36 @@ class TestPrewarm:
 
 class TestMemoPolicy:
     def test_memo_capacity_applies_and_restores_on_close(self):
-        before = run_memo_capacity()
         with ExecutionService(cache=False, memo_capacity=3) as service:
-            assert run_memo_capacity() == 3
-            assert service.memo_size() == run_memo_size()
-        assert run_memo_capacity() == before
+            assert service.memo.capacity == 3
+            service.submit([SPEC, OTHER])  # 3 distinct units
+            assert service.memo_size() == 3
+        assert service.memo_size() == 0
+        assert ExecutionService(cache=False).memo.capacity == (
+            DEFAULT_RUN_MEMO_CAPACITY
+        )
+
+    @pytest.mark.parametrize("first_closed", ["small", "large"])
+    def test_overlapping_capacities_stay_per_service(self, first_closed):
+        small = ExecutionService(cache=False, memo_capacity=1)
+        large = ExecutionService(cache=False, memo_capacity=2)
+        small.submit([SPEC])
+        large.submit([SPEC])
+        assert (small.memo_size(), large.memo_size()) == (1, 2)
+        order = [small, large] if first_closed == "small" else [large, small]
+        for service in order:
+            service.close()
+        assert (small.memo_size(), large.memo_size()) == (0, 0)
+        after = ExecutionService(cache=False)
+        assert after.memo.capacity == DEFAULT_RUN_MEMO_CAPACITY
+        assert after.memo_size() == 0
 
     def test_close_is_idempotent(self):
-        before = run_memo_capacity()
         service = ExecutionService(cache=False, memo_capacity=5)
+        service.submit([SPEC])
         service.close()
         service.close()
-        assert run_memo_capacity() == before
+        assert service.memo_size() == 0
 
     def test_clear_memo_drops_entries(self):
         service = ExecutionService(cache=False)

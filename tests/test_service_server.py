@@ -11,16 +11,9 @@ import json
 
 import pytest
 
-from repro.experiments.planner import clear_run_memo
 from repro.service.client import ServeClient, ServeError
 from repro.service.server import ServeConfig, SimServer
 
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 DOC = {"schemes": ["Ideal"], "workloads": ["gcc"], "target_requests": 400}
@@ -219,7 +212,6 @@ class TestSubmit:
         from repro.experiments.spec import SimSpec
         from repro.service import ExecutionService, sweep_payload
 
-        clear_run_memo()
         service = ExecutionService(cache=False)
         spec = SimSpec.from_dict(DOC)
         local = sweep_payload(spec, service.sweep(spec))
@@ -319,16 +311,21 @@ class TestMemoControl:
         assert cleared == {"cleared": True, "memo_runs": 0}
 
     def test_memo_capacity_override_restored_on_stop(self):
-        from repro.experiments.planner import run_memo_capacity
-
-        original = run_memo_capacity()
+        # The bound is the daemon service's own; stopping drops its memo
+        # and leaves every other service at the default.
+        from repro.experiments.planner import DEFAULT_RUN_MEMO_CAPACITY
+        from repro.service import ExecutionService
 
         async def body(server, client):
-            return run_memo_capacity()
+            await client.submit(DOC)
+            return server.service, server.service.memo.capacity
 
-        inside = run(body, memo_capacity=17)
+        service, inside = run(body, memo_capacity=17)
         assert inside == 17
-        assert run_memo_capacity() == original
+        assert service.memo_size() == 0
+        assert ExecutionService(cache=False).memo.capacity == (
+            DEFAULT_RUN_MEMO_CAPACITY
+        )
 
 
 class TestStats:

@@ -3,18 +3,12 @@
 import pytest
 
 from repro.experiments.cache import RunCache, RunStore
-from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
+from repro.experiments.planner import build_plan, execute_plan
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.service import ExecutionService
 from repro.service.store import MemoryRunStore
 
-
-@pytest.fixture(autouse=True)
-def clean_memo():
-    clear_run_memo()
-    yield
-    clear_run_memo()
 
 
 SPEC = SimSpec(schemes=("Ideal",), workloads=("gcc",), target_requests=1_000)
@@ -80,8 +74,8 @@ class TestMemoryRunStore:
         execute_plan(plan, jobs=1, store=store)
         assert plan.stats.units_simulated == 1
         assert len(store) == 1
-        # Second pass with a cold memo resolves from the store.
-        clear_run_memo()
+        # Second pass (each plan has its own cold memo) resolves from the
+        # store.
         warm = build_plan([SPEC])
         execute_plan(warm, jobs=1, store=store)
         assert warm.stats.units_simulated == 0

@@ -15,7 +15,7 @@ import hashlib
 import json
 
 from repro.experiments.cache import RunCache
-from repro.experiments.planner import build_plan, clear_run_memo, execute_plan
+from repro.experiments.planner import build_plan, execute_plan
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.service import ExecutionService
@@ -46,26 +46,19 @@ def test_sweep_output_matches_pre_refactor_pin():
     # run_sweep resolves through the execution planner, so this pins the
     # whole planner path (plan -> serial execute -> fan-out) to the
     # pre-planner serial digest.
-    try:
-        grid = run_sweep(PINNED_SPEC)
-        assert _digest(grid) == PINNED_DIGEST
-    finally:
-        clear_run_memo()
+    grid = run_sweep(PINNED_SPEC)
+    assert _digest(grid) == PINNED_DIGEST
 
 
 def test_planner_granular_cache_round_trip_matches_pin(tmp_path):
     # Cold planned run stores per-run entries; a fresh process-equivalent
-    # (cleared memo) warm run must rebuild the identical grid purely from
-    # the granular cache.
-    try:
-        cold = run_sweep(PINNED_SPEC, ExecutionService(cache=tmp_path))
-        assert _digest(cold) == PINNED_DIGEST
-        clear_run_memo()
-        plan = build_plan([PINNED_SPEC])
-        results = execute_plan(plan, jobs=1, store=RunCache(tmp_path))
-        assert plan.stats.units_simulated == 0
-        assert plan.stats.units_disk == len(plan.units)
-        assert _digest(plan.grid_for(PINNED_SPEC, results)) == PINNED_DIGEST
-    finally:
-        clear_run_memo()
+    # (a plan with its own cold memo) warm run must rebuild the identical
+    # grid purely from the granular cache.
+    cold = run_sweep(PINNED_SPEC, ExecutionService(cache=tmp_path))
+    assert _digest(cold) == PINNED_DIGEST
+    plan = build_plan([PINNED_SPEC])
+    results = execute_plan(plan, jobs=1, store=RunCache(tmp_path))
+    assert plan.stats.units_simulated == 0
+    assert plan.stats.units_disk == len(plan.units)
+    assert _digest(plan.grid_for(PINNED_SPEC, results)) == PINNED_DIGEST
 
