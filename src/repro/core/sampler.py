@@ -25,17 +25,18 @@ class SamplerTables:
     """Shared, precomputed probability tables for one sampler configuration.
 
     Building the tables means evaluating the analytic drift-error model on
-    a 160-point log-age grid per metric — milliseconds of scipy work that
-    used to be repeated for every policy instantiation. Tables are pure
-    functions of ``(r_params, m_params, grid bounds, grid_points)``, so one
-    module-level memo serves every sampler (and the compiled kernel, which
-    reads the precomputed slope arrays for a bisect-based interpolation
-    that is bit-identical to ``np.interp`` on the same grid).
+    a 160-point log-age grid per metric — milliseconds of ``scipy.special``
+    ufunc work that used to be repeated for every policy instantiation.
+    Tables are pure functions of ``(r_params, m_params, grid bounds,
+    grid_points)``, so one module-level memo serves every sampler (and the
+    compiled kernel, which reads the precomputed slope arrays for a
+    bisect-based interpolation that is bit-identical to ``np.interp`` on the
+    same grid).
 
     The first table build is where a simulating process imports
-    ``scipy.stats``: the drift model imports it inside the functions that
-    evaluate it, so processes that never simulate (listings, fully cached
-    sweeps) never load it.
+    ``scipy.special``: the drift model imports its ufuncs inside the
+    functions that evaluate it, so processes that never simulate (listings,
+    fully cached sweeps) never load scipy.
     """
 
     __slots__ = (

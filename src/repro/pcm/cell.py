@@ -44,9 +44,9 @@ def _as_level_array(levels: ArrayLike) -> np.ndarray:
 def _truncation_bounds(width: float) -> Tuple[float, float]:
     """``(Phi(-width), Phi(width))``: the uniform range whose inverse-CDF
     image is the program-and-verify window ``z in (-width, width)``."""
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
-    return norm.cdf(-width), norm.cdf(width)
+    return ndtr(-width), ndtr(width)
 
 
 def sample_initial_log10(
@@ -72,11 +72,11 @@ def sample_initial_log10(
     mu = np.asarray(params.mu, dtype=np.float64)[arr]
     width = params.program_width_sigma
     # Inverse-CDF truncated normal: z in (-width, width).
-    from scipy.stats import norm
+    from scipy.special import ndtri
 
     lo, hi = _truncation_bounds(width)
     u = rng.uniform(lo, hi, size=arr.shape)
-    z = norm.ppf(u)
+    z = ndtri(u)
     return mu + params.sigma * z
 
 

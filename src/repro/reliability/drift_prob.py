@@ -19,6 +19,10 @@ Two evaluation modes:
   ``x + alpha*lambda`` is normal with mean ``mu + mu_alpha*lambda`` and
   variance ``sigma^2 + (sigma_alpha*lambda)^2`` — a common simplification
   in the literature, kept for comparison and for speed.
+
+The normal CDF and tail are ``scipy.special.ndtr``, the ufunc scipy's
+``norm.cdf``/``norm.sf`` dispatch to, so the values match ``norm`` bit for
+bit while the process imports only ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -49,11 +53,16 @@ def _lambda(params: MetricParams, t_s: Union[float, np.ndarray]) -> np.ndarray:
     return np.log10(np.maximum(t, params.t0) / params.t0)
 
 
+def _normal_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density, the same expression as scipy's ``norm.pdf``."""
+    return np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _truncated_level_probability(
     params: MetricParams, level: int, lam: np.ndarray
 ) -> np.ndarray:
     """Integrate P(alpha > (B - x) / lambda) over the truncated x density."""
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     mu = params.mu[level]
     sigma = params.sigma
@@ -66,8 +75,8 @@ def _truncated_level_probability(
     z = _GL_NODES * width
     x = mu + sigma * z  # programmed values, shape (Q,)
     # Truncated-normal density of z, normalized over the window.
-    z_norm = norm.cdf(width) - norm.cdf(-width)
-    density = norm.pdf(z) / z_norm  # density in z-space
+    z_norm = ndtr(width) - ndtr(-width)
+    density = _normal_pdf(z) / z_norm  # density in z-space
     weights = _GL_WEIGHTS * width * density  # quadrature weights, sum ~ 1
 
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
@@ -78,7 +87,7 @@ def _truncated_level_probability(
         # Required drift exponent for each (t, x) pair.
         needed = (boundary - x)[None, :] / lam_pos[:, None]  # (T, Q)
         if sigma_a > 0:
-            tail = norm.sf((needed - mu_a) / sigma_a)
+            tail = ndtr(-((needed - mu_a) / sigma_a))
         else:
             tail = (needed < mu_a).astype(np.float64)
         # alpha is clipped at zero, which only removes probability mass from
@@ -92,7 +101,7 @@ def _untruncated_level_probability(
     params: MetricParams, level: int, lam: np.ndarray
 ) -> np.ndarray:
     """Closed-form normal-sum approximation (no programming truncation)."""
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     mu = params.mu[level]
     sigma = params.sigma
@@ -102,7 +111,7 @@ def _untruncated_level_probability(
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     mean = mu + mu_a * lam
     std = np.sqrt(sigma**2 + (sigma_a * lam) ** 2)
-    return norm.sf((boundary - mean) / std)
+    return ndtr(-((boundary - mean) / std))
 
 
 def level_error_probability(
@@ -125,7 +134,7 @@ def level_error_probability(
     """
     if not 0 <= level < NUM_LEVELS:
         raise ValueError(f"level must be in [0, {NUM_LEVELS - 1}]")
-    scalar = np.isscalar(t_s)
+    scalar = np.ndim(t_s) == 0
     lam = _lambda(params, t_s)
     if level == NUM_LEVELS - 1:
         result = np.zeros_like(np.atleast_1d(lam))
@@ -159,7 +168,7 @@ def mean_cell_error_probability(
             raise ValueError(f"need {NUM_LEVELS} level weights")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("level weights must sum to 1")
-    scalar = np.isscalar(t_s)
+    scalar = np.ndim(t_s) == 0
     total = np.zeros_like(np.atleast_1d(_lambda(params, t_s)))
     for level in range(NUM_LEVELS):
         if weights[level]:

@@ -26,7 +26,7 @@ from typing import List, Sequence
 
 from ..pcm.params import MetricParams
 from .drift_prob import mean_cell_error_probability
-from .ler import CELLS_PER_LINE
+from .ler import CELLS_PER_LINE, _binom_pmf, _binom_sf
 from .targets import DRAM_TARGET, ReliabilityTarget
 
 __all__ = [
@@ -72,8 +72,6 @@ def relaxed_scrub_risk(
         P(fewer than W errors by ``skipped_intervals * S``, then more than
         ``E - W`` new errors in the following interval).
     """
-    from scipy.stats import binom
-
     if w < 1:
         raise ValueError("w must be >= 1 (W=0 always rewrites; use condition (i))")
     if skipped_intervals < 1:
@@ -93,10 +91,10 @@ def relaxed_scrub_risk(
     q = max(p_end - p_checkpoint, 0.0) / (1.0 - p_checkpoint)
     total = 0.0
     for found in range(w):
-        p_found = binom.pmf(found, cells, p_checkpoint)
+        p_found = _binom_pmf(found, cells, p_checkpoint)
         if p_found == 0.0:
             continue
-        overflow = binom.sf(ecc_strength - w, cells - found, q)
+        overflow = _binom_sf(ecc_strength - w, cells - found, q)
         total += float(p_found) * float(overflow)
     return total
 
@@ -114,10 +112,8 @@ def silent_corruption_risk(
     detect returns wrong data with no warning; the design keeps this below
     the DRAM budget by bounding line age to one M-scrub interval (640 s).
     """
-    from scipy.stats import binom
-
     p_cell = float(mean_cell_error_probability(params, age_s, truncated=truncated))
-    return float(binom.sf(bch_detection_limit(ecc_strength), cells, p_cell))
+    return float(_binom_sf(bch_detection_limit(ecc_strength), cells, p_cell))
 
 
 @dataclass(frozen=True)

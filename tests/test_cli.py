@@ -550,6 +550,25 @@ class TestSweepSpecFile:
         assert "cannot read spec file" in capsys.readouterr().err
 
 
+class TestFaultsCommand:
+    def test_density_study_reports_detected_uncorrectable_reads(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("READDUO_SWEEP_CACHE", str(tmp_path / "cache"))
+        out = tmp_path / "faults.json"
+        assert main(
+            ["faults", "--densities", "0.0", "0.02", "0.064",
+             "--requests", "1200", "--jobs", "2", "--output", str(out)]
+        ) == 0
+        rows = json.loads(out.read_text())["rows"]
+        # rows: [density, injected, uncorr_rate, silent_rate, exec_norm]
+        by_density = {row[0]: row for row in rows}
+        assert by_density[0.0][1] == 0, rows  # fault-free anchor
+        assert by_density[0.064][1] > 0, rows
+        assert by_density[0.064][2] > 0, rows  # detected-uncorrectable
+        assert by_density[0.064][2] >= by_density[0.02][2], rows
+
+
 class TestSchemesCommand:
     def test_schemes_lists_names_aliases_and_families(self, capsys):
         assert main(["schemes"]) == 0

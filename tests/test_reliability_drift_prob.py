@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.pcm.params import M_METRIC, R_METRIC
 from repro.reliability.drift_prob import (
+    _normal_pdf,
     incremental_error_probability,
     level_error_probability,
     mean_cell_error_probability,
@@ -47,6 +48,16 @@ class TestLevelErrorProbability:
     def test_scalar_in_scalar_out(self):
         value = level_error_probability(R_METRIC, 1, 8.0)
         assert isinstance(value, float)
+
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_zero_d_array_age_is_scalar(self, level):
+        value = level_error_probability(R_METRIC, level, np.array(8.0))
+        assert isinstance(value, float)
+        assert value == level_error_probability(R_METRIC, level, 8.0)
+
+    def test_list_ages_keep_shape(self):
+        assert level_error_probability(R_METRIC, 1, [8.0, 64.0]).shape == (2,)
+        assert level_error_probability(R_METRIC, 1, [[8.0], [64.0]]).shape == (2, 1)
 
     @given(t=st.floats(min_value=1.0, max_value=1e8))
     @settings(max_examples=40, deadline=None)
@@ -94,6 +105,16 @@ class TestMeanCellProbability:
             M_METRIC, at
         ) < 0.01 * mean_cell_error_probability(R_METRIC, at)
 
+    def test_zero_d_array_age_is_scalar(self):
+        value = mean_cell_error_probability(M_METRIC, np.array(640.0))
+        assert isinstance(value, float)
+        assert value == mean_cell_error_probability(M_METRIC, 640.0)
+
+    def test_list_ages_keep_shape(self):
+        probs = mean_cell_error_probability(R_METRIC, [8.0, 64.0, 640.0])
+        assert probs.shape == (3,)
+        assert probs[1] == mean_cell_error_probability(R_METRIC, 64.0)
+
     def test_paper_magnitude_at_8s(self):
         # Calibration anchor: Table III (S=8, E=0) = 7.09e-2 implies a
         # per-cell probability near 2.9e-4.
@@ -114,3 +135,41 @@ class TestIncremental:
     def test_rejects_reversed_times(self):
         with pytest.raises(ValueError):
             incremental_error_probability(R_METRIC, 16.0, 8.0)
+
+
+class TestNormalOracle:
+    """The ``scipy.special`` forms equal ``scipy.stats.norm`` bit for bit."""
+
+    X = np.concatenate(
+        [
+            np.linspace(-40.0, 40.0, 8001),
+            [0.0, -0.0, 1e-300, -1e-300, 8.3, -8.3, 37.5, -37.5, 38.5, -38.5],
+            [40.0, -40.0, np.inf, -np.inf],
+        ]
+    )
+    Q = np.concatenate(
+        [
+            np.linspace(0.0, 1.0, 10001),
+            np.geomspace(5e-324, 0.5, 2000),
+            1.0 - np.geomspace(2.0**-53, 0.5, 500),
+            [np.nextafter(1.0, 0.0), 1e-300, 0.5],
+        ]
+    )
+
+    def test_cdf_and_sf(self):
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        assert np.array_equal(ndtr(self.X), norm.cdf(self.X))
+        assert np.array_equal(ndtr(-self.X), norm.sf(self.X))
+
+    def test_pdf(self):
+        from scipy.stats import norm
+
+        assert np.array_equal(_normal_pdf(self.X), norm.pdf(self.X))
+
+    def test_ppf(self):
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        assert np.array_equal(ndtri(self.Q), norm.ppf(self.Q))

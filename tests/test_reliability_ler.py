@@ -5,6 +5,8 @@ import pytest
 
 from repro.pcm.params import M_METRIC, R_METRIC
 from repro.reliability.ler import (
+    _binom_pmf,
+    _binom_sf,
     expected_line_errors,
     ler_table,
     line_failure_probability,
@@ -44,6 +46,16 @@ class TestLineFailureProbability:
         probs = line_failure_probability(R_METRIC, 0, np.asarray([8.0, 64.0]))
         assert probs.shape == (2,)
         assert probs[1] > probs[0]
+
+    def test_zero_d_array_age_is_scalar(self):
+        value = line_failure_probability(R_METRIC, 1, np.array(8.0))
+        assert isinstance(value, float)
+        assert value == line_failure_probability(R_METRIC, 1, 8.0)
+
+    def test_list_ages_keep_shape(self):
+        probs = line_failure_probability(R_METRIC, 1, [8.0, 64.0])
+        assert probs.shape == (2,)
+        assert probs[0] == line_failure_probability(R_METRIC, 1, 8.0)
 
     def test_rejects_negative_strength(self):
         with pytest.raises(ValueError):
@@ -105,3 +117,48 @@ class TestMaxSafeInterval:
 
     def test_none_when_nothing_safe(self):
         assert max_safe_interval(R_METRIC, 0, [8, 16]) is None
+
+
+class TestBinomialOracle:
+    """The ``scipy.special`` binomial helpers against ``scipy.stats.binom``."""
+
+    P = np.concatenate(
+        [
+            np.geomspace(1e-12, 0.3, 80),
+            np.random.default_rng(20).uniform(1e-12, 0.3, 40),
+        ]
+    )
+
+    @pytest.mark.parametrize("n", [100, 163, 256, 319, 400])
+    def test_match_binom(self, n):
+        from scipy.stats import binom
+
+        for k in range(19):
+            np.testing.assert_allclose(
+                _binom_sf(k, n, self.P), binom.sf(k, n, self.P), rtol=1e-12, atol=0
+            )
+            np.testing.assert_allclose(
+                _binom_pmf(k, n, self.P), binom.pmf(k, n, self.P), rtol=1e-12, atol=0
+            )
+
+    @pytest.mark.parametrize("k", [-3, -1, 0, 5, 255, 256, 300])
+    def test_edges_are_exact(self, k):
+        from scipy.stats import binom
+
+        n = 256
+        p = np.asarray([0.0, 1e-6, 0.5, 1.0])
+        if k < 0 or k >= n:
+            assert np.array_equal(_binom_sf(k, n, p), binom.sf(k, n, p))
+        if k < 0 or k > n:
+            assert np.array_equal(_binom_pmf(k, n, p), binom.pmf(k, n, p))
+        for edge in (0.0, 1.0):
+            assert _binom_sf(k, n, edge) == binom.sf(k, n, edge)
+            assert _binom_pmf(k, n, edge) == binom.pmf(k, n, edge)
+
+    @pytest.mark.parametrize("k", [-1, 3, 256])
+    def test_scalars_return_scalars(self, k):
+        for fn in (_binom_sf, _binom_pmf):
+            value = fn(k, 256, 0.01)
+            assert np.ndim(value) == 0
+            assert not isinstance(value, np.ndarray)
+            assert fn(k, 256, [0.01, 0.02]).shape == (2,)

@@ -1,11 +1,13 @@
-"""Start-up guard: ``scipy.stats`` is imported only by the analytic model.
+"""Start-up guard: scipy is imported only by the analytic model.
 
-``scipy.stats`` costs over a second to import, and only the closed-form
-drift/ECC model (Tables III-V and the simulator's first sampler-table
-build) needs it. Commands that never evaluate that model — help, listings
-and fully cached sweeps — must finish without importing it. Each check
-runs in a fresh interpreter, because this test process has long since
-imported scipy through other tests.
+The closed-form drift/ECC model (Tables III-V and the simulator's first
+sampler-table build) evaluates the normal and binomial functions through
+the ``scipy.special`` ufuncs that ``scipy.stats`` itself dispatches to, so
+no ``readduo`` process imports ``scipy.stats`` (about a second on its
+own). Commands that never evaluate the model — help, listings and fully
+cached sweeps — must finish without importing any scipy module at all.
+Each check runs in a fresh interpreter, because this test process has long
+since imported scipy through other tests.
 """
 
 from __future__ import annotations
@@ -34,8 +36,15 @@ with contextlib.redirect_stdout(open("stdout.txt", "w")):
     except SystemExit as exc:
         if exc.code not in (0, None):
             raise
-print(json.dumps({"scipy_stats": "scipy.stats" in sys.modules}))
+print(json.dumps({
+    "scipy": any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
+    "scipy_special": "scipy.special" in sys.modules,
+    "scipy_stats": "scipy.stats" in sys.modules,
+}))
 """
+
+_NO_SCIPY = {"scipy": False, "scipy_special": False, "scipy_stats": False}
+_SPECIAL_ONLY = {"scipy": True, "scipy_special": True, "scipy_stats": False}
 
 _TINY_SWEEP = [
     "sweep",
@@ -45,6 +54,8 @@ _TINY_SWEEP = [
     "--output", "-",
 ]
 
+_ANALYTIC_RUN = ["run", "table3", "table5", "figure6", "--quick"]
+
 _INTERVALS = [8.0, 64.0, 640.0]
 _STRENGTHS = [0, 4, 8]
 
@@ -53,13 +64,14 @@ import json, sys
 from repro.pcm.params import M_METRIC, R_METRIC
 from repro.reliability.ler import ler_table
 from repro.reliability.scrub_analysis import ScrubSetting, table5
-before = "scipy.stats" in sys.modules
+before = "scipy" in sys.modules
 ler = ler_table(R_METRIC, {_INTERVALS!r}, {_STRENGTHS!r}).ler.tolist()
 settings = [ScrubSetting(R_METRIC, 8, 8.0, 1), ScrubSetting(M_METRIC, 8, 640.0, 1)]
 rows = [[r.risk_ii, r.risk_iii] for r in table5(settings)]
 print(json.dumps({{
     "before": before,
-    "after": "scipy.stats" in sys.modules,
+    "special": "scipy.special" in sys.modules,
+    "stats": "scipy.stats" in sys.modules,
     "ler": ler,
     "table5": rows,
 }}))
@@ -94,22 +106,33 @@ def _cli(cwd: Path, argv: list) -> dict:
     ids=lambda argv: " ".join(argv),
 )
 def test_command_does_not_import_scipy_stats(tmp_path, argv):
-    assert _cli(tmp_path, argv) == {"scipy_stats": False}
+    assert _cli(tmp_path, argv) == _NO_SCIPY
 
 
 def test_warm_sweep_does_not_import_scipy_stats(tmp_path):
-    # The cold fill simulates, so it builds sampler tables and imports scipy.
-    assert _cli(tmp_path, _TINY_SWEEP) == {"scipy_stats": True}
+    # The cold fill simulates, so it builds sampler tables and imports
+    # scipy.special, never scipy.stats.
+    assert _cli(tmp_path, _TINY_SWEEP) == _SPECIAL_ONLY
     cold = (tmp_path / "stdout.txt").read_text()
     assert cold.startswith("{")
-    assert _cli(tmp_path, _TINY_SWEEP) == {"scipy_stats": False}
+    assert _cli(tmp_path, _TINY_SWEEP) == _NO_SCIPY
+    assert (tmp_path / "stdout.txt").read_text() == cold
+
+
+def test_warm_analytic_run_does_not_import_scipy_stats(tmp_path):
+    # Tables III and V and Figure 6 evaluate the model in every run.
+    assert _cli(tmp_path, _ANALYTIC_RUN) == _SPECIAL_ONLY
+    cold = (tmp_path / "stdout.txt").read_text()
+    assert "== table3:" in cold
+    assert _cli(tmp_path, _ANALYTIC_RUN) == _SPECIAL_ONLY
     assert (tmp_path / "stdout.txt").read_text() == cold
 
 
 def test_first_model_call_imports_scipy_and_matches(tmp_path):
     fresh = _run(_MODEL_PROBE, tmp_path)
     assert fresh["before"] is False
-    assert fresh["after"] is True
+    assert fresh["special"] is True
+    assert fresh["stats"] is False
     settings = [ScrubSetting(R_METRIC, 8, 8.0, 1), ScrubSetting(M_METRIC, 8, 640.0, 1)]
     assert fresh["ler"] == ler_table(R_METRIC, _INTERVALS, _STRENGTHS).ler.tolist()
     assert fresh["table5"] == [[r.risk_ii, r.risk_iii] for r in table5(settings)]
