@@ -30,46 +30,53 @@ or see ``examples/quickstart.py`` for the full tour.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from .core.readout import ReadDuoController, ReadMechanism, ReadOutcome
-from .core.policies import (
-    HybridPolicy,
-    IdealPolicy,
-    LwtPolicy,
-    MMetricPolicy,
-    PolicyContext,
-    ScrubbingPolicy,
-    SelectPolicy,
-)
-from .core.registry import make_policy, scheme_names
-from .memsim.config import DEFAULT_EPOCH_S, MemoryConfig
-from .memsim.engine import MemorySystemSim, simulate
-from .memsim.stats import RunStats
-from .obs import MetricsRegistry, Telemetry, Tracer
-from .pcm.params import M_METRIC, R_METRIC, EnergyParams, MetricParams, TimingParams
-from .reliability.ler import ler_table, line_failure_probability
-from .reliability.targets import DRAM_TARGET, ReliabilityTarget
-from .traces.generator import generate_trace
-from .traces.spec import (
-    SPEC_WORKLOADS,
-    WorkloadProfile,
-    instructions_for_requests,
-    workload,
-    workload_names,
-)
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .memsim.config import MemoryConfig
+    from .memsim.stats import RunStats
 
 __version__ = "1.0.0"
 
-
-def __getattr__(name: str):
-    # Lazy re-exports: the experiments package (figure/table drivers) is
-    # heavy, so ``import repro`` must not pull it in eagerly.
-    if name in ("SimSpec", "SpecError"):
-        from .experiments import spec
-
-        return getattr(spec, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Public names resolve on first access: ``import repro`` (and so every
+# ``readduo`` process) imports none of the numeric stack up front.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core.readout": ("ReadDuoController", "ReadMechanism", "ReadOutcome"),
+    ".core.policies": (
+        "HybridPolicy",
+        "IdealPolicy",
+        "LwtPolicy",
+        "MMetricPolicy",
+        "PolicyContext",
+        "ScrubbingPolicy",
+        "SelectPolicy",
+    ),
+    ".core.registry": ("make_policy", "scheme_names"),
+    ".experiments.spec": ("SimSpec", "SpecError"),
+    ".memsim.config": ("DEFAULT_EPOCH_S", "MemoryConfig"),
+    ".memsim.engine": ("MemorySystemSim", "simulate"),
+    ".memsim.stats": ("RunStats",),
+    ".obs": ("MetricsRegistry", "Telemetry", "Tracer"),
+    ".pcm.params": (
+        "M_METRIC",
+        "R_METRIC",
+        "EnergyParams",
+        "MetricParams",
+        "TimingParams",
+    ),
+    ".reliability.ler": ("ler_table", "line_failure_probability"),
+    ".reliability.targets": ("DRAM_TARGET", "ReliabilityTarget"),
+    ".traces.generator": ("generate_trace",),
+    ".traces.spec": (
+        "SPEC_WORKLOADS",
+        "WorkloadProfile",
+        "instructions_for_requests",
+        "workload",
+        "workload_names",
+    ),
+})
 
 
 __all__ = [
@@ -138,6 +145,13 @@ def quick_compare(
     Returns:
         Scheme name -> :class:`RunStats`, all on the identical trace.
     """
+    from .core.policies import PolicyContext
+    from .core.registry import make_policy
+    from .memsim.config import MemoryConfig
+    from .memsim.engine import simulate
+    from .traces.generator import generate_trace
+    from .traces.spec import instructions_for_requests, workload
+
     config = config or MemoryConfig()
     profile = workload(workload_name)
     trace = generate_trace(

@@ -24,7 +24,6 @@ from ..core.policies.base import PolicyContext
 from ..core.policies.scrubbing import ScrubbingPolicy
 from ..core.registry import format_param, register_scheme
 from ..pcm.params import R_METRIC
-from ..reliability.ler import max_safe_interval
 
 __all__ = ["precise_scheme_name", "precise_write_policy"]
 
@@ -67,6 +66,8 @@ def precise_write_policy(
             sigmas; at most the ReadDuo default (2.746).
         ecc_strength: BCH strength the interval is derived for.
     """
+    from ..reliability.ler import max_safe_interval
+
     _check_width(program_width_sigma)
     narrow = R_METRIC.replace(program_width_sigma=program_width_sigma)
     interval = max_safe_interval(narrow, ecc_strength, _CANDIDATE_INTERVALS)

@@ -96,19 +96,14 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 from .core.registry import (
     canonical_scheme_name,
     is_scheme_name,
-    make_policy,
     scheme_names,
     unknown_scheme_message,
 )
-from .core.policies import PolicyContext
-from .experiments import EXPERIMENTS, SWEEP_EXPERIMENTS
-from .memsim.config import MemoryConfig
-from .memsim.engine import simulate
+from .memsim.config import ENGINES
 from .obs import MetricsRegistry, Telemetry, Tracer, configure_logging, get_logger
 from .obs.progress import set_progress_allowed
 from .obs.spans import SpanTracker, maybe_span, tracker_scope
-from .traces.generator import generate_trace
-from .traces.spec import instructions_for_requests, workload, workload_names
+from .traces.spec import workload_names
 
 __all__ = ["main"]
 
@@ -116,6 +111,8 @@ _log = get_logger("cli")
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from .experiments.catalog import EXPERIMENTS, SWEEP_EXPERIMENTS
+
     print("Reproducible experiments (paper artifact -> driver):")
     for name in EXPERIMENTS:
         marker = " [simulation sweep]" if name in SWEEP_EXPERIMENTS else ""
@@ -239,6 +236,8 @@ def _make_service(args: argparse.Namespace, tele: Optional[Telemetry]):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .experiments.catalog import EXPERIMENTS, SWEEP_EXPERIMENTS
+
     names: List[str] = args.experiments
     if "all" in names:
         names = list(EXPERIMENTS)
@@ -265,6 +264,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .core.policies import PolicyContext
+    from .core.registry import make_policy
+    from .memsim.config import MemoryConfig
+    from .memsim.engine import simulate
+    from .traces.generator import generate_trace
+    from .traces.spec import instructions_for_requests, workload
+
     scheme = canonical_scheme_name(args.scheme)
     code = _reject_unknown_schemes([scheme])
     if code:
@@ -1174,8 +1180,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_engine_flag(
     parser: argparse.ArgumentParser, default: Optional[str]
 ) -> None:
-    from .memsim.engine import ENGINES
-
     parser.add_argument(
         "--engine", choices=ENGINES, default=default,
         help="simulation engine: 'batch' (compiled kernel, default) or "

@@ -16,25 +16,29 @@
 * :mod:`repro.core.agemodel` — steady-state initial line ages.
 """
 
-from .agemodel import InitialAgeModel
-from .conversion import AdaptiveConversionController
-from .lwt import LwtLineFlags, QuantizedTracker, lwt_flag_bits
-from .readout import ReadDuoController, ReadMechanism, ReadOutcome
-from .sampler import DriftErrorSampler
-from .policies import (
-    CORRECTABLE_ERRORS,
-    DETECTABLE_ERRORS,
-    HybridPolicy,
-    IdealPolicy,
-    LwtPolicy,
-    M_SCRUB_INTERVAL_S,
-    MMetricPolicy,
-    PolicyContext,
-    R_SCRUB_INTERVAL_S,
-    ScrubbingPolicy,
-    SelectPolicy,
-)
-from .registry import make_policy, register_scheme, scheme_names
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".agemodel": ("InitialAgeModel",),
+    ".conversion": ("AdaptiveConversionController",),
+    ".lwt": ("LwtLineFlags", "QuantizedTracker", "lwt_flag_bits"),
+    ".readout": ("ReadDuoController", "ReadMechanism", "ReadOutcome"),
+    ".sampler": ("DriftErrorSampler",),
+    ".policies": (
+        "CORRECTABLE_ERRORS",
+        "DETECTABLE_ERRORS",
+        "HybridPolicy",
+        "IdealPolicy",
+        "LwtPolicy",
+        "M_SCRUB_INTERVAL_S",
+        "MMetricPolicy",
+        "PolicyContext",
+        "R_SCRUB_INTERVAL_S",
+        "ScrubbingPolicy",
+        "SelectPolicy",
+    ),
+    ".registry": ("make_policy", "register_scheme", "scheme_names"),
+})
 
 __all__ = [
     "register_scheme",

@@ -18,9 +18,10 @@ the above reading and the experiments treat the thresholds as parameters.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["AdaptiveConversionController"]
 
@@ -61,7 +62,11 @@ class AdaptiveConversionController:
             raise ValueError("step must be >= 0")
         if window_reads <= 0:
             raise ValueError("window_reads must be positive")
-        self.rng = rng if rng is not None else np.random.default_rng()
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng()
+        self.rng = rng
         self.t = initial_t
         self.step = step
         self.window_reads = window_reads
@@ -116,7 +121,7 @@ class AdaptiveConversionController:
             # First measurement with untracked traffic: probe upward.
             action = +1
         old_t = self.t
-        self.t = int(np.clip(self.t + action * self.step, 0, 100))
+        self.t = min(max(self.t + action * self.step, 0), 100)
         if self.t != old_t:
             self.adjustments += 1
         self._last_action = action if self.t != old_t else 0

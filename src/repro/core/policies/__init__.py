@@ -3,9 +3,12 @@
 Importing this package registers every built-in scheme with
 :mod:`repro.core.registry` — submodules self-register at import time, in
 the order below, which fixes the advertised
-:func:`~repro.core.registry.scheme_names` ordering. The TLC baseline
-lives in :mod:`repro.baselines.tlc` but is imported last here so the
-registry is complete after ``import repro.core.policies``.
+:func:`~repro.core.registry.scheme_names` ordering. The baselines
+(``Precise-<w>``, TLC) live in :mod:`repro.baselines` but are imported
+last here so the registry is complete after ``import repro.core.policies``.
+No module on this path imports numpy at module scope: the policies import
+it (and the error sampler) when one is constructed, so listing or
+validating scheme names costs no numeric stack.
 """
 
 from .base import (
@@ -24,8 +27,10 @@ from .hybrid import HybridPolicy
 from .lwt import LwtPolicy
 from .select import SelectPolicy
 
-# Imported last: TLC registers after the paper's schemes so the listing
-# order matches the figures' legend order (``Precise-<w>`` comes along).
+# Imported last: the baselines register after the paper's schemes so the
+# listing order matches the figures' legend order. ``Precise-<w>`` is
+# imported by name so it precedes TLC whichever module is imported first.
+from ...baselines.precise import precise_write_policy  # noqa: F401
 from ...baselines.tlc import TlcPolicy
 from .. import truncation  # noqa: F401  (registers <scheme>+trunc)
 

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 #: BCH-8 correction/detection split (Section III-B); canonical home is
 #: :mod:`repro.ecc.regimes`, re-exported here for the policy layer.
 from ...ecc.regimes import CORRECTABLE_ERRORS, DETECTABLE_ERRORS
@@ -23,7 +21,6 @@ from ...memsim.policy import ReadDecision, ReadMode, ScrubDecision, WriteDecisio
 from ...traces.spec import WorkloadProfile
 from ..agemodel import InitialAgeModel
 from ..registry import register_scheme
-from ..sampler import DriftErrorSampler
 
 __all__ = [
     "R_SCRUB_INTERVAL_S",
@@ -69,6 +66,10 @@ class BaseDriftPolicy:
     scrub_interval_s: Optional[float] = None
 
     def __init__(self, ctx: PolicyContext) -> None:
+        import numpy as np
+
+        from ..sampler import DriftErrorSampler
+
         self.ctx = ctx
         self.rng = np.random.default_rng(ctx.seed)
         self.sampler = DriftErrorSampler(cells_per_line=DATA_CELLS, rng=self.rng)

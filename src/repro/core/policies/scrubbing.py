@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from ..registry import register_scheme
-from ..sampler import DriftErrorSampler
 from ...memsim.policy import ReadDecision, ReadMode, ScrubDecision, WriteDecision
 from .base import (
     CORRECTABLE_ERRORS,
@@ -50,6 +47,10 @@ class ScrubbingPolicy(BaseDriftPolicy):
         w: int = 1,
         r_params=None,
     ) -> None:
+        import numpy as np
+
+        from ..sampler import DriftErrorSampler
+
         super().__init__(ctx)
         if w not in (0, 1):
             raise ValueError("W must be 0 or 1")
@@ -80,7 +81,7 @@ class ScrubbingPolicy(BaseDriftPolicy):
         from ..agemodel import _splitmix64
 
         u = (_splitmix64((line << 2) ^ self.ctx.seed ^ 0xA5A5) >> 11) / float(1 << 53)
-        return int(np.searchsorted(self._stationary_cdf, u))
+        return int(self._stationary_cdf.searchsorted(u))
 
     def _survived_intervals(self, line: int) -> int:
         cached = self._survived.get(line)

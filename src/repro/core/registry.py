@@ -101,6 +101,18 @@ def format_param(value: float) -> str:
 _FAMILIES: Dict[str, SchemeFamily] = {}
 
 
+def _registry() -> Dict[str, SchemeFamily]:
+    """:data:`_FAMILIES`, with the built-in schemes registered first.
+
+    Importing :mod:`repro.core.policies` registers them in listing order,
+    so a query or a plugin registration from a process that has not yet
+    imported a policy still sees the built-ins, in the same order.
+    """
+    from . import policies  # noqa: F401
+
+    return _FAMILIES
+
+
 def register_scheme(
     name: Optional[str] = None,
     *,
@@ -173,9 +185,10 @@ def register_scheme(
             entry_parse = parse
             entry_canonical = canonical
             entry_listed = tuple(listed or ())
-        if key in _FAMILIES:
+        families = _registry()
+        if key in families:
             raise ValueError(f"scheme {key!r} is already registered")
-        _FAMILIES[key] = SchemeFamily(
+        families[key] = SchemeFamily(
             key=key,
             pattern=compiled,
             alias_pattern=alias,
@@ -197,7 +210,7 @@ def unregister_scheme(key: str) -> bool:
     Intended for tests and plugin teardown — the built-in schemes
     re-register only on a fresh interpreter.
     """
-    return _FAMILIES.pop(key, None) is not None
+    return _registry().pop(key, None) is not None
 
 
 def _parse(family: SchemeFamily, match: "re.Match[str]") -> Optional[ParamDict]:
@@ -210,7 +223,7 @@ def _parse(family: SchemeFamily, match: "re.Match[str]") -> Optional[ParamDict]:
 
 def resolve_scheme(name: str) -> Optional[Tuple[SchemeFamily, ParamDict]]:
     """Match a canonical scheme name; None when no entry claims it."""
-    for family in _FAMILIES.values():
+    for family in _registry().values():
         match = family.pattern.fullmatch(name)
         if match is not None:
             params = _parse(family, match)
@@ -227,14 +240,14 @@ def scheme_names() -> Tuple[str, ...]:
     described by :func:`family_syntaxes`.
     """
     return tuple(
-        listed for family in _FAMILIES.values() for listed in family.listed
+        listed for family in _registry().values() for listed in family.listed
     )
 
 
 def family_syntaxes() -> Tuple[str, ...]:
     """Syntax strings of the parameterized families (``LWT-<k>[-noconv]``)."""
     return tuple(
-        family.syntax for family in _FAMILIES.values() if family.syntax
+        family.syntax for family in _registry().values() if family.syntax
     )
 
 
@@ -256,7 +269,7 @@ def resolve_alias(name: str) -> Optional[Tuple[SchemeFamily, ParamDict]]:
     lowered = name.lower()
     if lowered.startswith(ALIAS_PREFIX):
         lowered = lowered[len(ALIAS_PREFIX):]
-    for family in _FAMILIES.values():
+    for family in _registry().values():
         match = family.alias_pattern.fullmatch(lowered)
         params = _parse(family, match) if match is not None else None
         if params is not None:
@@ -307,9 +320,9 @@ def enumerate_family(
             value list, or a rendered name that fails to round-trip
             through :func:`resolve_scheme` (invalid parameter value).
     """
-    family = _FAMILIES.get(key)
+    family = _registry().get(key)
     if family is None:
-        known = [f.key for f in _FAMILIES.values() if f.axes]
+        known = [f.key for f in _registry().values() if f.axes]
         raise KeyError(
             f"unknown scheme family {key!r}; enumerable families: "
             f"{', '.join(known) if known else '(none)'}"
@@ -359,7 +372,7 @@ def scheme_catalog() -> Dict[str, Any]:
     """
     schemes = []
     families = []
-    for family in _FAMILIES.values():
+    for family in _registry().values():
         if family.syntax is not None:
             families.append(
                 {

@@ -20,12 +20,13 @@ slowest-cell maximum is over a smaller set.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from ..memsim.policy import ReadDecision, ScrubDecision, WriteDecision
 from . import registry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["WriteTruncationWrapper"]
 
@@ -68,9 +69,13 @@ class WriteTruncationWrapper:
         if not 0 < floor_scale <= mean_scale <= 1.0:
             raise ValueError("need 0 < floor <= mean <= 1")
         self.inner = inner
-        self.rng = rng if rng is not None else getattr(
-            inner, "rng", np.random.default_rng()
-        )
+        if rng is None:
+            rng = getattr(inner, "rng", None)
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng()
+        self.rng = rng
         self.mean_scale = mean_scale
         self.std_scale = std_scale
         self.floor_scale = floor_scale
@@ -84,11 +89,11 @@ class WriteTruncationWrapper:
 
     def _scale_for(self, cells_written: int) -> float:
         draw = float(self.rng.normal(self.mean_scale, self.std_scale))
-        scale = float(np.clip(draw, self.floor_scale, 1.0))
+        scale = min(max(draw, self.floor_scale), 1.0)
         if self.cell_exponent > 0 and self._full_cells > 0:
             fraction = max(cells_written / self._full_cells, 1e-3)
             scale *= fraction**self.cell_exponent
-        return float(np.clip(scale, self.floor_scale * 0.5, 1.0))
+        return min(max(scale, self.floor_scale * 0.5), 1.0)
 
     def _truncate(self, decision: WriteDecision) -> WriteDecision:
         return WriteDecision(

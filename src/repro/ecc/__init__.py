@@ -8,15 +8,19 @@
 * :mod:`repro.ecc.secded` — the TLC baseline's per-word SECDED.
 """
 
-from .bch import BCHCode, DecodeResult, DecodeStatus, bch8_for_line
-from .gf import GF2m, PRIMITIVE_POLYS, get_field
-from .regimes import (
-    CORRECTABLE_ERRORS,
-    DETECTABLE_ERRORS,
-    ErrorRegime,
-    classify_error_count,
-)
-from .secded import Secded7264, SecdedResult, SecdedStatus
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".bch": ("BCHCode", "DecodeResult", "DecodeStatus", "bch8_for_line"),
+    ".gf": ("GF2m", "PRIMITIVE_POLYS", "get_field"),
+    ".regimes": (
+        "CORRECTABLE_ERRORS",
+        "DETECTABLE_ERRORS",
+        "ErrorRegime",
+        "classify_error_count",
+    ),
+    ".secded": ("Secded7264", "SecdedResult", "SecdedStatus"),
+})
 
 __all__ = [
     "BCHCode",

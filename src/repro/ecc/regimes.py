@@ -13,8 +13,10 @@ there is exactly one definition of the regimes.
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "CORRECTABLE_ERRORS",
@@ -97,6 +99,8 @@ def classify_error_counts(
         0 = corrected, 1 = detected-uncorrectable, 2 = silent
         (``REGIME_BY_CODE[code]`` maps back to the enum).
     """
+    import numpy as np
+
     arr = np.asarray(errors, dtype=np.int64)
     if arr.size and int(arr.min()) < 0:
         raise ValueError("error count must be >= 0")

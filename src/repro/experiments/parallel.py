@@ -26,8 +26,6 @@ import logging
 import os
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -41,7 +39,6 @@ from typing import (
     Tuple,
 )
 
-from ..memsim.engine import last_run_provenance, simulate
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, Tracer, configure_logging, get_logger
 from ..obs.progress import ProgressLine
@@ -98,6 +95,14 @@ class TraceMemo:
         return trace
 
 
+def simulate(*args: Any, **kwargs: Any) -> RunStats:
+    """:func:`repro.memsim.engine.simulate`, imported on first use (numpy
+    comes with it); :func:`simulate_unit` calls through this name."""
+    from ..memsim.engine import simulate as run
+
+    return run(*args, **kwargs)
+
+
 #: Per-process trace memo; in a pool worker it persists across the tasks
 #: that land on that worker, which is what makes sticky assignment pay.
 _TRACE_MEMO = TraceMemo()
@@ -147,9 +152,12 @@ def run_unit(unit: "RunUnit") -> Tuple[RunStats, Dict[str, Any]]:
     """Simulate one unit in this process under a ``unit.simulate`` span.
 
     Returns the statistics and the unit's provenance: ``wall_s``,
-    ``pid``, ``t_s`` (wall-clock start), ``engine`` and ``fastpath``.
+    ``pid``, ``t_s`` (wall-clock start), ``engine``, ``fastpath`` and
+    ``fastpath_reason``.
     Both executor paths of :func:`run_units` run every unit through here.
     """
+    from ..memsim.engine import last_run_provenance
+
     t_wall = time.time()
     start = time.perf_counter()
     with maybe_span(
@@ -165,6 +173,7 @@ def run_unit(unit: "RunUnit") -> Tuple[RunStats, Dict[str, Any]]:
         "t_s": t_wall,
         "engine": prov["engine"],
         "fastpath": prov["fastpath"],
+        "fastpath_reason": prov["fastpath_reason"],
     }
 
 
@@ -313,6 +322,9 @@ def _run_on_pool(
     goes to the workers as their carrier, and their span records are
     merged back into the parent stream.
     """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     queues: Dict[str, Deque["RunUnit"]] = {}
     for unit in units:
         queues.setdefault(unit.workload, deque()).append(unit)

@@ -430,11 +430,16 @@ def execute_plan(
         # Speculation outcomes are counted here, per simulated unit,
         # rather than inside the engine: engine-level telemetry must
         # stay bit-identical between the batch kernel and the event
-        # oracle, and only the batch kernel has a fastpath at all.
+        # oracle, and only the batch kernel has a fastpath at all. A unit
+        # that left the kernel also counts under its reason.
         for unit in plan.units:
-            outcome = provenance.get(unit.key, {}).get("fastpath")
+            prov = provenance.get(unit.key, {})
+            outcome = prov.get("fastpath")
             if outcome is not None:
                 metrics.counter(f"fastpath.{outcome}").inc()
+                if outcome != "speculated":
+                    reason = prov.get("fastpath_reason")
+                    metrics.counter(f"fastpath.fallback.{reason}").inc()
 
     if telemetry is not None and telemetry.ledger is not None:
         # One record per planned unit, in plan order, after execution —
@@ -462,6 +467,7 @@ def execute_plan(
                 tier=tier,
                 engine=prov.get("engine") or unit.spec.engine,
                 fastpath=prov.get("fastpath"),
+                fastpath_reason=prov.get("fastpath_reason"),
                 wall_s=prov.get("wall_s"),
                 t_s=prov.get("t_s"),
                 pid=prov.get("pid"),

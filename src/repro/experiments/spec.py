@@ -41,10 +41,8 @@ from ..core.registry import (
     unknown_scheme_message,
 )
 from ..faults import FaultInjector, FaultSpec, FaultSpecError
-from ..memsim.config import DEFAULT_EPOCH_S, MemoryConfig
-from ..memsim.engine import ENGINES as _ENGINES
+from ..memsim.config import DEFAULT_EPOCH_S, ENGINES as _ENGINES, MemoryConfig
 from ..pcm.params import EnergyParams, TimingParams
-from ..traces.generator import generate_trace
 from ..traces.spec import (
     WorkloadProfile,
     instructions_for_requests,
@@ -53,6 +51,15 @@ from ..traces.spec import (
 )
 
 __all__ = ["ALL_SCHEMES", "SPEC_HASH_FORMAT", "SimSpec", "SpecError"]
+
+
+def generate_trace(*args: Any, **kwargs: Any):
+    """:func:`repro.traces.generator.generate_trace`, imported on first use
+    (numpy comes with it); :meth:`SimSpec.trace_for` calls through this name."""
+    from ..traces.generator import generate_trace as generate
+
+    return generate(*args, **kwargs)
+
 
 #: Every scheme any figure needs, in presentation order.
 ALL_SCHEMES: Tuple[str, ...] = (

@@ -19,8 +19,12 @@ bit-reproducible across worker counts, process pools, and cache replays.
 See docs/RESILIENCE.md for the fault models and the seeding scheme.
 """
 
-from .injector import FaultInjector, LineFaultState
-from .models import FaultCounters, FaultSpec, FaultSpecError, line_fault_seed
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".injector": ("FaultInjector", "LineFaultState"),
+    ".models": ("FaultCounters", "FaultSpec", "FaultSpecError", "line_fault_seed"),
+})
 
 __all__ = [
     "FaultCounters",

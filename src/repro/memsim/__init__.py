@@ -6,10 +6,14 @@
 * :mod:`repro.memsim.stats` — per-run measurements.
 """
 
-from .config import DEFAULT_MEMORY_CONFIG, MemoryConfig
-from .engine import MemorySystemSim, simulate
-from .policy import ReadDecision, ReadMode, SchemePolicy, ScrubDecision, WriteDecision
-from .stats import RunStats
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ("DEFAULT_MEMORY_CONFIG", "MemoryConfig"),
+    ".engine": ("MemorySystemSim", "simulate"),
+    ".policy": ("ReadDecision", "ReadMode", "SchemePolicy", "ScrubDecision", "WriteDecision"),
+    ".stats": ("RunStats",),
+})
 
 __all__ = [
     "DEFAULT_MEMORY_CONFIG",

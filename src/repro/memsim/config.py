@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 
 from ..pcm.params import DEFAULT_ENERGY, DEFAULT_TIMING, EnergyParams, TimingParams
 
-__all__ = ["MemoryConfig", "DEFAULT_MEMORY_CONFIG", "DEFAULT_EPOCH_S"]
+__all__ = ["MemoryConfig", "DEFAULT_MEMORY_CONFIG", "DEFAULT_EPOCH_S", "ENGINES"]
+
+#: Engines selectable through :func:`repro.memsim.engine.simulate` (and
+#: ``SimSpec.engine``).
+ENGINES = ("batch", "event")
 
 #: Absolute simulation start time. Deliberately *not* aligned to scrub or
 #: LWT sub-interval boundaries (999830 mod 160 = 150, mod 320 = 150) so the

@@ -40,7 +40,7 @@ from ..ecc.regimes import ErrorRegime, classify_error_count
 from ..faults.injector import FaultInjector
 from ..obs import Telemetry
 from ..traces.trace import OP_READ, Trace
-from .config import DEFAULT_EPOCH_S, DEFAULT_MEMORY_CONFIG, MemoryConfig
+from .config import DEFAULT_EPOCH_S, DEFAULT_MEMORY_CONFIG, ENGINES, MemoryConfig
 from .policy import ReadDecision, ReadMode, SchemePolicy
 from .stats import RunStats
 
@@ -729,10 +729,6 @@ def _snapshot_metrics(
         registry.gauge("sim.faults.lines_touched").set(faults.lines_touched)
 
 
-#: Engines selectable through :func:`simulate` (and ``SimSpec.engine``).
-ENGINES = ("batch", "event")
-
-
 def simulate(
     trace: Trace,
     policy: SchemePolicy,
@@ -775,12 +771,20 @@ def last_run_provenance() -> Dict[str, Optional[str]]:
     """Provenance of the most recent :func:`simulate` on this thread.
 
     ``{"engine": "batch" | "event" | None, "fastpath": "speculated" |
-    "fallback" | "no_native" | None}`` — ``fastpath`` is ``None`` unless
-    the batch engine ran (the event engine never tries the kernel). Read
-    by the executor right after a unit simulation so ledger records can
-    say how each unit was actually produced.
+    "fallback" | "no_native" | None, "fastpath_reason": str | None}`` —
+    ``fastpath`` and ``fastpath_reason`` are ``None`` unless the batch
+    engine ran (the event engine never tries the kernel). The reason is
+    ``"ok"`` on the kernel and says why a run fell back otherwise
+    (``"ineligible"``, ``"faults"``, ``"no_native"``, ...). Read by the
+    executor right after a unit simulation so ledger records can say how
+    each unit was actually produced.
     """
     from . import fastpath
 
-    engine, outcome, _reason = fastpath.last_run()
-    return {"engine": engine, "fastpath": outcome if engine == "batch" else None}
+    engine, outcome, reason = fastpath.last_run()
+    batch = engine == "batch"
+    return {
+        "engine": engine,
+        "fastpath": outcome if batch else None,
+        "fastpath_reason": reason if batch else None,
+    }

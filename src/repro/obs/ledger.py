@@ -116,6 +116,7 @@ class RunLedger:
         tier: str,
         engine: str,
         fastpath: Optional[str] = None,
+        fastpath_reason: Optional[str] = None,
         wall_s: Optional[float] = None,
         t_s: Optional[float] = None,
         pid: Optional[int] = None,
@@ -128,6 +129,8 @@ class RunLedger:
     ) -> Dict[str, Any]:
         """Append one unit record; returns the record dict written.
 
+        ``fastpath_reason`` says why a simulated unit took the path it
+        did (``"ok"`` on the kernel, else the fall-back reason).
         ``raw_bytes`` is the uncompressed size of the granular cache
         entry (equal to ``cached_bytes`` for plain entries); ``worker``
         and ``lease`` attribute units resolved through the distributed
@@ -144,6 +147,7 @@ class RunLedger:
             "tier": tier,
             "engine": engine,
             "fastpath": fastpath,
+            "fastpath_reason": fastpath_reason,
             "wall_s": wall_s,
             "t_s": t_s,
             "pid": pid if pid is not None else os.getpid(),

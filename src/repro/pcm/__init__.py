@@ -12,43 +12,47 @@ Public surface:
 * :mod:`repro.pcm.endurance` — wear accounting and lifetime.
 """
 
-from .array import CellArray, LineReadResult
-from .cell import Cell, drift_log10, drifted_log10, sample_alpha, sample_initial_log10
-from .data import (
-    bytes_to_levels,
-    bytes_to_symbols,
-    count_bit_errors,
-    levels_to_bytes,
-    levels_to_symbols,
-    symbol_bit_errors,
-    symbols_to_bytes,
-    symbols_to_levels,
-)
-from .endurance import CELL_ENDURANCE_WRITES, WearAccount, lifetime_years
-from .energy import EnergyAccount
-from .iv import DEFAULT_IV_MODEL, IVModel
-from .params import (
-    DEFAULT_ENERGY,
-    DEFAULT_TIMING,
-    EnergyParams,
-    GRAY_LEVEL_TO_BITS,
-    M_METRIC,
-    MetricParams,
-    NUM_LEVELS,
-    R_METRIC,
-    TimingParams,
-    bits_to_level,
-    hamming_distance_levels,
-    level_to_bits,
-)
-from .wearlevel import StartGapMapper
-from .sensing import (
-    HybridSenseAmplifier,
-    MSenseAmplifier,
-    RSenseAmplifier,
-    SenseAmplifier,
-    sense_levels,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".array": ("CellArray", "LineReadResult"),
+    ".cell": ("Cell", "drift_log10", "drifted_log10", "sample_alpha", "sample_initial_log10"),
+    ".data": (
+        "bytes_to_levels",
+        "bytes_to_symbols",
+        "count_bit_errors",
+        "levels_to_bytes",
+        "levels_to_symbols",
+        "symbol_bit_errors",
+        "symbols_to_bytes",
+        "symbols_to_levels",
+    ),
+    ".endurance": ("CELL_ENDURANCE_WRITES", "WearAccount", "lifetime_years"),
+    ".energy": ("EnergyAccount",),
+    ".iv": ("DEFAULT_IV_MODEL", "IVModel"),
+    ".params": (
+        "DEFAULT_ENERGY",
+        "DEFAULT_TIMING",
+        "EnergyParams",
+        "GRAY_LEVEL_TO_BITS",
+        "M_METRIC",
+        "MetricParams",
+        "NUM_LEVELS",
+        "R_METRIC",
+        "TimingParams",
+        "bits_to_level",
+        "hamming_distance_levels",
+        "level_to_bits",
+    ),
+    ".wearlevel": ("StartGapMapper",),
+    ".sensing": (
+        "HybridSenseAmplifier",
+        "MSenseAmplifier",
+        "RSenseAmplifier",
+        "SenseAmplifier",
+        "sense_levels",
+    ),
+})
 
 __all__ = [
     "CellArray",

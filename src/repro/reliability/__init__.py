@@ -7,29 +7,33 @@
 * :mod:`repro.reliability.montecarlo` — empirical model validation.
 """
 
-from .drift_prob import (
-    incremental_error_probability,
-    level_error_probability,
-    mean_cell_error_probability,
-)
-from .ler import (
-    CELLS_PER_LINE,
-    LerTable,
-    expected_line_errors,
-    ler_table,
-    line_failure_probability,
-    max_safe_interval,
-)
-from .montecarlo import MonteCarloPoint, relative_error, simulate_error_rates
-from .scrub_analysis import (
-    ScrubSetting,
-    Table5Row,
-    bch_detection_limit,
-    relaxed_scrub_risk,
-    silent_corruption_risk,
-    table5,
-)
-from .targets import DRAM_FIT_PER_MBIT, DRAM_TARGET, LINE_BITS, ReliabilityTarget
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".drift_prob": (
+        "incremental_error_probability",
+        "level_error_probability",
+        "mean_cell_error_probability",
+    ),
+    ".ler": (
+        "CELLS_PER_LINE",
+        "LerTable",
+        "expected_line_errors",
+        "ler_table",
+        "line_failure_probability",
+        "max_safe_interval",
+    ),
+    ".montecarlo": ("MonteCarloPoint", "relative_error", "simulate_error_rates"),
+    ".scrub_analysis": (
+        "ScrubSetting",
+        "Table5Row",
+        "bch_detection_limit",
+        "relaxed_scrub_risk",
+        "silent_corruption_risk",
+        "table5",
+    ),
+    ".targets": ("DRAM_FIT_PER_MBIT", "DRAM_TARGET", "LINE_BITS", "ReliabilityTarget"),
+})
 
 __all__ = [
     "incremental_error_probability",

@@ -242,7 +242,8 @@ class LeaseCoordinator:
         """Accept a worker's results; requeue whatever the lease misses.
 
         ``results`` maps run hashes to ``{"stats": RunStats.to_dict(),
-        "tier": ..., "engine": ..., "fastpath": ..., "wall_s": ...}``.
+        "tier": ..., "engine": ..., "fastpath": ..., "fastpath_reason": ...,
+        "wall_s": ...}``.
         Results for units no longer tracked are ignored (someone else
         resolved them first); results from an expired/foreign lease are
         accepted for any still-unresolved unit (``late_results``) —
@@ -297,6 +298,7 @@ class LeaseCoordinator:
                 "tier": payload.get("tier", "simulated"),
                 "engine": payload.get("engine"),
                 "fastpath": payload.get("fastpath"),
+                "fastpath_reason": payload.get("fastpath_reason"),
                 "wall_s": payload.get("wall_s"),
                 "worker": worker,
                 "lease": lease_id,

@@ -293,7 +293,13 @@ class SimServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            parsed = await self._read_request(reader)
+            try:
+                parsed = await self._read_request(reader)
+            except ValueError as exc:
+                # A malformed request is the client's error, not the
+                # daemon's: answer 400, log no traceback, count no error.
+                await _send_json(writer, 400, {"error": str(exc)})
+                return
             if parsed is None:
                 return
             method, target, headers, body = parsed
@@ -322,7 +328,13 @@ class SimServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.x request; None on an empty connection."""
+        """Parse one HTTP/1.x request; None on an empty connection.
+
+        Raises:
+            ValueError: The request is malformed: a bad request line or
+                ``Content-Length``, an oversize head or body, or a head
+                or body cut short by the client.
+        """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
@@ -344,10 +356,16 @@ class SimServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ValueError(f"bad Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > self.config.max_body_bytes:
             raise ValueError("request body too large")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise ValueError("truncated request body") from exc
         return method.upper(), target, headers, body
 
     async def _route(
@@ -592,6 +610,7 @@ class SimServer:
             tier=tier,
             engine=engine,
             fastpath=meta.get("fastpath"),
+            fastpath_reason=meta.get("fastpath_reason"),
             wall_s=meta.get("wall_s"),
             cached_bytes=self.run_store.entry_bytes(unit.key),
             raw_bytes=self.run_store.entry_raw_bytes(unit.key),

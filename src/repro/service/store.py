@@ -27,7 +27,6 @@ argument; nothing else in the execution stack changes.
 
 from __future__ import annotations
 
-import http.client
 import json
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
@@ -178,6 +177,8 @@ class RemoteRunStore(RunStore):
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Tuple[Optional[int], Optional[Dict[str, Any]]]:
         """One sync round trip; ``(None, None)`` on any network failure."""
+        import http.client
+
         conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout_s
         )

@@ -216,6 +216,7 @@ def _execute_lease(
             "tier": record.get("tier", "simulated"),
             "engine": record.get("engine"),
             "fastpath": record.get("fastpath"),
+            "fastpath_reason": record.get("fastpath_reason"),
             "wall_s": record.get("wall_s"),
         }
     return results

@@ -5,9 +5,13 @@
 * :mod:`repro.traces.trace` — trace container, persistence, statistics.
 """
 
-from .generator import generate_trace, is_cold_line
-from .spec import SPEC_WORKLOADS, WorkloadProfile, workload, workload_names
-from .trace import OP_READ, OP_WRITE, Trace, TraceStats
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".generator": ("generate_trace", "is_cold_line"),
+    ".spec": ("SPEC_WORKLOADS", "WorkloadProfile", "workload", "workload_names"),
+    ".trace": ("OP_READ", "OP_WRITE", "Trace", "TraceStats"),
+})
 
 __all__ = [
     "generate_trace",

@@ -412,24 +412,28 @@ class TestObservabilityFlags:
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
         code = main(
-            ["simulate", "--workload", "mcf", "--scheme", "Hybrid",
+            ["simulate", "--workload", "mcf", "--scheme", "readduo-hybrid",
              "--requests", "1500", "--trace", str(trace),
-             "--metrics", str(metrics)]
+             "--metrics", str(metrics), "-v"]
         )
         assert code == 0
         captured = capsys.readouterr()
         assert f"wrote trace {trace}" in captured.err
         assert f"wrote metrics {metrics}" in captured.err
+        assert "I repro.cli: simulated" in captured.err  # -v logs at INFO
+        assert "scheme=Hybrid" in captured.out  # the alias resolved
         assert "read latency percentiles" in captured.out
 
         chrome = json.loads(trace.read_text())
         cats = {e.get("cat") for e in chrome["traceEvents"]}
         assert {"read", "scrub"} <= cats
+        assert any(e["ph"] == "X" for e in chrome["traceEvents"])
 
         dump = json.loads(metrics.read_text())
         assert dump["counters"]["sim.reads"] > 0
         hist = dump["histograms"]["sim.read_latency_ns"]
         assert sum(hist["counts"]) == dump["counters"]["sim.reads"]
+        assert dump["counters"]["sim.scrub.ops"] >= 0
 
     def test_simulate_jsonl_trace(self, tmp_path, capsys):
         import json

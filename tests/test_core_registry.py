@@ -1,6 +1,14 @@
 """Tests for the scheme registry (repro.core.registry)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core import policies  # noqa: F401  (registers the built-ins)
 from repro.core.registry import (
@@ -256,3 +264,67 @@ class TestPluginScheme:
         family, params = resolve_scheme("LWT-8-noconv")
         assert params == {"k": 8, "conversion_enabled": False}
         assert family.canonical(params) == "LWT-8-noconv"
+
+
+_ORDER_PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+from repro.core import registry
+names = registry.scheme_names()
+print(json.dumps({
+    "names": list(names),
+    "syntaxes": list(registry.family_syntaxes()),
+    "keys": list(registry._FAMILIES),
+    "resolves": [registry.is_scheme_name(n) for n in ("Precise-2", "Select-4:2+trunc")],
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+
+#: Registration order, fixed by ``repro.core.policies``: the paper's
+#: schemes, then the baselines, then the ``+trunc`` wrapper family.
+_REGISTRY_KEYS = [
+    "Ideal",
+    "Scrubbing",
+    "Scrubbing-W0",
+    "M-metric",
+    "Hybrid",
+    "LWT-<k>[-noconv]",
+    "Select-<k>:<s>",
+    r"Precise-(?P<w>\d[\d.e+-]*)",
+    "TLC",
+    r"(?P<inner>(?:(?!\+trunc).)+)\+trunc",
+]
+
+
+@pytest.mark.parametrize(
+    "first_import",
+    [
+        "repro",
+        "repro.core.registry",
+        "repro.core.policies",
+        "repro.baselines",
+        "repro.baselines.tlc",
+        "repro.baselines.precise",
+        "repro.experiments.spec",
+    ],
+)
+def test_registry_order_independent_of_first_import(first_import):
+    # A fresh interpreter per entry point: which module is imported first
+    # must not change the registry, and registering imports no numpy.
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _ORDER_PROBE, first_import],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["keys"] == _REGISTRY_KEYS
+    assert probe["names"] == [
+        "Ideal", "Scrubbing", "Scrubbing-W0", "M-metric", "Hybrid",
+        "LWT-2", "LWT-4", "LWT-4-noconv", "Select-4:1", "Select-4:2", "TLC",
+    ]
+    assert probe["syntaxes"] == ["LWT-<k>[-noconv]", "Select-<k>:<s>"]
+    assert probe["resolves"] == [True, True]
+    assert probe["numpy"] is False

@@ -26,7 +26,7 @@ SMALL = SimSpec(
 )
 
 #: What :func:`repro.experiments.parallel.run_unit` reports per unit.
-PROVENANCE_FIELDS = {"wall_s", "pid", "t_s", "engine", "fastpath"}
+PROVENANCE_FIELDS = {"wall_s", "pid", "t_s", "engine", "fastpath", "fastpath_reason"}
 
 
 def _flat(grid):

@@ -110,6 +110,32 @@ class TestExecutePlanLedger:
         assert all(r["tier"] == "disk" for r in warm)
         assert all(r["cached_bytes"] > 0 for r in warm)
 
+    @pytest.mark.parametrize(
+        "scheme, faults, reason",
+        [
+            ("Hybrid", None, "ok"),
+            ("Select-4:2+trunc", None, "ineligible"),
+            ("Hybrid", {"stuck_line_rate": 0.01}, "faults"),
+        ],
+        ids=["kernel", "ineligible", "faults"],
+    )
+    def test_record_says_why_a_unit_left_the_kernel(
+        self, tmp_path, scheme, faults, reason
+    ):
+        path = tmp_path / "ledger.jsonl"
+        spec = SimSpec(
+            schemes=(scheme,), workloads=("mcf",), target_requests=1_000,
+            faults=faults,
+        )
+        tele = Telemetry(ledger=RunLedger(path))
+        execute_plan(build_plan([spec]), telemetry=tele)
+        tele.ledger.close()
+        (record,) = _ledger_records(path)
+        assert record["fastpath_reason"] == reason
+        assert record["fastpath"] == ("speculated" if reason == "ok" else "fallback")
+        schema = load_schema("ledger")
+        assert validate_jsonl(path.read_text().splitlines(), schema) == []
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_schema_valid_jsonl(self, tmp_path, jobs):
         path = tmp_path / "ledger.jsonl"
@@ -247,14 +273,25 @@ class TestFastpathCounters:
     def test_speculated_counter_increments(self):
         counters = self._run("Hybrid")  # known-eligible scenario
         assert counters["fastpath.speculated"] == 1
-        assert "fastpath.fallback" not in counters
+        assert not any(key.startswith("fastpath.fallback") for key in counters)
 
     def test_fallback_counter_increments(self):
         # Every registered family runs on the kernel; fault injection
         # always takes the event engine.
         counters = self._run("LWT-4", faults={"stuck_line_rate": 0.01})
         assert counters["fastpath.fallback"] == 1
+        assert counters["fastpath.fallback.faults"] == 1
         assert "fastpath.speculated" not in counters
+
+    def test_fallback_reason_counter_for_ineligible_scheme(self):
+        # The kernel does not model write truncation.
+        counters = self._run("Select-4:2+trunc")
+        assert counters["fastpath.fallback"] == 1
+        assert counters["fastpath.fallback.ineligible"] == 1
+        assert not any(
+            key.startswith("fastpath.fallback.") and key != "fastpath.fallback.ineligible"
+            for key in counters
+        )
 
     def test_counters_flow_back_from_worker_processes(self):
         counters = self._run("Hybrid", jobs=2)

@@ -9,6 +9,7 @@ exercised here is byte-for-byte the one ``readduo worker`` speaks.
 """
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -240,7 +241,7 @@ class TestDistributedProtocol:
         payload = run(body)
         assert payload == {"lease": None, "units": []}
 
-    def test_full_cycle_resolves_the_submit(self):
+    def test_full_cycle_resolves_the_submit(self, tmp_path):
         async def body(server, client):
             submit = asyncio.ensure_future(client.submit(DOC_ONE))
             await _wait_for(
@@ -267,10 +268,16 @@ class TestDistributedProtocol:
                 gone = exc.status == 404
             return payload, gone
 
-        payload, gone = run(body)
+        ledger = tmp_path / "ledger.jsonl"
+        payload, gone = run(body, ledger=str(ledger))
         assert gone
         assert payload["plan"]["owned_stats"]["units_leased"] == 1
         assert payload["runs"] == _local_reference_runs(DOC_ONE)
+        # The worker's provenance, fall-back reason included, reaches the
+        # coordinator's ledger.
+        (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+        assert record["worker"] == "w1"
+        assert (record["fastpath"], record["fastpath_reason"]) == ("speculated", "ok")
 
     def test_unparseable_results_rejected_not_poisonous(self):
         async def body(server, client):

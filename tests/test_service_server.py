@@ -134,6 +134,48 @@ class TestEndpoints:
         assert b"400" in raw.split(b"\r\n", 1)[0]
 
 
+async def _raw_exchange(port, request, half_close=False):
+    """Send raw bytes (optionally half-closing), return the raw response."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(request)
+    await writer.drain()
+    if half_close:
+        writer.write_eof()
+    raw = await reader.read(-1)
+    writer.close()
+    await writer.wait_closed()
+    return raw
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize(
+        "request_bytes, half_close",
+        [
+            (b"GARBAGE\r\n\r\n", False),
+            (b"POST /v1/submit HTTP/1.1\r\nContent-Length: abc\r\n\r\n", False),
+            (b"POST /v1/submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n", False),
+            (
+                b"POST /v1/submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"sch",
+                True,
+            ),
+        ],
+        ids=["request-line", "length-abc", "length-negative", "truncated-body"],
+    )
+    def test_bad_input_gets_400_without_error(self, caplog, request_bytes, half_close):
+        async def body(server, client):
+            raw = await _raw_exchange(server.port, request_bytes, half_close)
+            health = await client.health()
+            return raw, server.counters["errors"], health
+
+        raw, errors, health = run(body)
+        head, _, blob = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert "error" in json.loads(blob)
+        assert errors == 0
+        assert health["status"] == "ok"
+        assert not any(record.exc_info for record in caplog.records)
+
+
 class TestSubmit:
     def test_submit_returns_sweep_payload_shape(self):
         async def body(server, client):

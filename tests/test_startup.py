@@ -1,4 +1,4 @@
-"""Start-up guard: scipy is imported only by the analytic model.
+"""Start-up guard: the numeric stack is imported only where it is used.
 
 The closed-form drift/ECC model (Tables III-V and the simulator's first
 sampler-table build) evaluates the normal and binomial functions through
@@ -6,8 +6,13 @@ the ``scipy.special`` ufuncs that ``scipy.stats`` itself dispatches to, so
 no ``readduo`` process imports ``scipy.stats`` (about a second on its
 own). Commands that never evaluate the model — help, listings and fully
 cached sweeps — must finish without importing any scipy module at all.
-Each check runs in a fresh interpreter, because this test process has long
-since imported scipy through other tests.
+
+numpy follows the same rule one layer down: the package ``__init__``s
+export lazily and registering a scheme imports no numeric module, so
+``--help``, ``schemes`` and a fully cached ``sweep`` import no numpy
+either (``list`` does: it loads every artifact driver). Each check runs
+in a fresh interpreter, because this test process has long since imported
+numpy and scipy through other tests.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ with contextlib.redirect_stdout(open("stdout.txt", "w")):
         if exc.code not in (0, None):
             raise
 print(json.dumps({
+    "numpy": any(m == "numpy" or m.startswith("numpy.") for m in sys.modules),
     "scipy": any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
     "scipy_special": "scipy.special" in sys.modules,
     "scipy_stats": "scipy.stats" in sys.modules,
@@ -45,6 +51,7 @@ print(json.dumps({
 
 _NO_SCIPY = {"scipy": False, "scipy_special": False, "scipy_stats": False}
 _SPECIAL_ONLY = {"scipy": True, "scipy_special": True, "scipy_stats": False}
+_NO_NUMERIC = {"numpy": False, **_NO_SCIPY}
 
 _TINY_SWEEP = [
     "sweep",
@@ -100,31 +107,53 @@ def _cli(cwd: Path, argv: list) -> dict:
     return _run(_CLI_PROBE, cwd, json.dumps(argv))
 
 
+def _scipy(loaded: dict) -> dict:
+    return {key: value for key, value in loaded.items() if key != "numpy"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--help"], ["list"], ["schemes"], ["schemes", "--json"]],
     ids=lambda argv: " ".join(argv),
 )
 def test_command_does_not_import_scipy_stats(tmp_path, argv):
-    assert _cli(tmp_path, argv) == _NO_SCIPY
+    assert _scipy(_cli(tmp_path, argv)) == _NO_SCIPY
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["schemes"], ["schemes", "--json"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_command_does_not_import_numpy(tmp_path, argv):
+    assert _cli(tmp_path, argv) == _NO_NUMERIC
 
 
 def test_warm_sweep_does_not_import_scipy_stats(tmp_path):
     # The cold fill simulates, so it builds sampler tables and imports
     # scipy.special, never scipy.stats.
-    assert _cli(tmp_path, _TINY_SWEEP) == _SPECIAL_ONLY
+    assert _scipy(_cli(tmp_path, _TINY_SWEEP)) == _SPECIAL_ONLY
     cold = (tmp_path / "stdout.txt").read_text()
     assert cold.startswith("{")
-    assert _cli(tmp_path, _TINY_SWEEP) == _NO_SCIPY
+    assert _scipy(_cli(tmp_path, _TINY_SWEEP)) == _NO_SCIPY
+    assert (tmp_path / "stdout.txt").read_text() == cold
+
+
+def test_warm_sweep_does_not_import_numpy(tmp_path):
+    # The cold fill simulates, which needs numpy; the warm sweep only
+    # reads the disk tier and prints the same bytes.
+    assert _cli(tmp_path, _TINY_SWEEP)["numpy"] is True
+    cold = (tmp_path / "stdout.txt").read_text()
+    assert _cli(tmp_path, _TINY_SWEEP) == _NO_NUMERIC
     assert (tmp_path / "stdout.txt").read_text() == cold
 
 
 def test_warm_analytic_run_does_not_import_scipy_stats(tmp_path):
     # Tables III and V and Figure 6 evaluate the model in every run.
-    assert _cli(tmp_path, _ANALYTIC_RUN) == _SPECIAL_ONLY
+    assert _scipy(_cli(tmp_path, _ANALYTIC_RUN)) == _SPECIAL_ONLY
     cold = (tmp_path / "stdout.txt").read_text()
     assert "== table3:" in cold
-    assert _cli(tmp_path, _ANALYTIC_RUN) == _SPECIAL_ONLY
+    assert _scipy(_cli(tmp_path, _ANALYTIC_RUN)) == _SPECIAL_ONLY
     assert (tmp_path / "stdout.txt").read_text() == cold
 
 
