@@ -111,10 +111,11 @@ _log = get_logger("cli")
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    from .experiments.catalog import EXPERIMENTS, SWEEP_EXPERIMENTS
+    # The index, not the catalog: listing ids loads no driver.
+    from .experiments.index import DRIVERS, SWEEP_EXPERIMENTS
 
     print("Reproducible experiments (paper artifact -> driver):")
-    for name in EXPERIMENTS:
+    for name in DRIVERS:
         marker = " [simulation sweep]" if name in SWEEP_EXPERIMENTS else ""
         print(f"  {name}{marker}")
     # Live registry query so plugin-registered schemes appear too.

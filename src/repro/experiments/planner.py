@@ -34,7 +34,7 @@ import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
@@ -64,15 +64,18 @@ _log = get_logger("experiments.planner")
 #: unbounded stream of distinct specs cannot grow without limit.
 DEFAULT_RUN_MEMO_CAPACITY = 4096
 
+_V = TypeVar("_V")
 
-class RunMemo:
+
+class RunMemo(Generic[_V]):
     """Bounded in-process memo of completed runs, keyed by run hash.
 
     Entries are kept in LRU order (oldest first); past ``capacity`` the
     least recently used run is evicted, which only costs a possible
     granular-store re-read, never correctness. Each
     :class:`~repro.service.ExecutionService` owns one and passes it to
-    :func:`lookup_cached` and :func:`execute_plan`.
+    :func:`lookup_cached` and :func:`execute_plan`. The serve daemon
+    keeps a second one of each unit's encoded JSON text.
 
     The serve daemon runs several ``execute_plan`` calls concurrently on
     threads; single OrderedDict operations are GIL-atomic in CPython, but
@@ -83,13 +86,17 @@ class RunMemo:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._runs: "OrderedDict[str, RunStats]" = OrderedDict()
+        self._runs: "OrderedDict[str, _V]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._runs)
 
-    def get(self, key: str) -> Optional[RunStats]:
+    def __contains__(self, key: str) -> bool:
+        """Membership without refreshing recency."""
+        return key in self._runs
+
+    def get(self, key: str) -> Optional[_V]:
         """LRU-aware lookup: a hit refreshes the entry's recency."""
         with self._lock:
             stats = self._runs.get(key)
@@ -97,7 +104,7 @@ class RunMemo:
                 self._runs.move_to_end(key)
             return stats
 
-    def put(self, key: str, stats: RunStats) -> None:
+    def put(self, key: str, stats: _V) -> None:
         """Insert/refresh one entry, evicting LRU entries past the cap."""
         with self._lock:
             self._runs[key] = stats

@@ -49,11 +49,13 @@ class RunLedger:
         path: Ledger file; opened lazily in append mode, so constructing
             a ledger never touches the filesystem until the first
             record and repeated invocations accumulate history in one
-            file.
+            file. ``None`` keeps no file at all: :meth:`record` still
+            builds, returns and counts each record (for subclasses that
+            relay or collect them) but encodes and writes nothing.
     """
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
+    def __init__(self, path: Optional[Union[str, Path]]) -> None:
+        self.path = Path(path) if path is not None else None
         self._handle: Optional[IO[str]] = None
         self._plans = 0
         self.records_written = 0
@@ -62,6 +64,7 @@ class RunLedger:
     # ----------------------------------------------------------- writing
 
     def _ensure_open(self) -> IO[str]:
+        assert self.path is not None
         if self._handle is None:
             if self.path.parent != Path(""):
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -162,10 +165,11 @@ class RunLedger:
             record["candidate"] = self._explore["candidates"].get(run_hash)
             record["rung"] = self._explore["rung"]
             record["budget"] = self._explore["budget"]
-        handle = self._ensure_open()
-        handle.write(json.dumps(record, sort_keys=True))
-        handle.write("\n")
-        handle.flush()
+        if self.path is not None:
+            handle = self._ensure_open()
+            handle.write(json.dumps(record, sort_keys=True))
+            handle.write("\n")
+            handle.flush()
         self.records_written += 1
         return record
 

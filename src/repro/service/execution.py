@@ -44,7 +44,9 @@ from ..experiments.planner import (
 )
 from ..experiments.spec import SimSpec
 
-__all__ = ["ExecutionOutcome", "ExecutionService", "sweep_payload"]
+__all__ = [
+    "ExecutionOutcome", "ExecutionService", "sweep_payload", "unit_payload",
+]
 
 _log = get_logger("service.execution")
 
@@ -88,6 +90,22 @@ class ExecutionOutcome:
         return self.plan.stats
 
 
+def unit_payload(stats: RunStats) -> Dict[str, Any]:
+    """One run's entry in a sweep payload's ``runs`` grid.
+
+    The CLI's ``readduo sweep`` output and the serve daemon's responses
+    both encode each run through this one function.
+    """
+    return {
+        **stats.summary(),
+        "execution_time_ns": stats.execution_time_ns,
+        "dynamic_energy_pj": stats.dynamic_energy_pj,
+        "total_cell_writes": stats.total_cell_writes,
+        "energy_by_category_pj": stats.energy.by_category,
+        "wear_by_cause_cells": stats.wear.by_cause,
+    }
+
+
 def sweep_payload(
     settings: SimSpec, sweep: Mapping[str, Mapping[str, RunStats]]
 ) -> Dict[str, Any]:
@@ -102,14 +120,7 @@ def sweep_payload(
         "seed": settings.seed,
         "runs": {
             workload_name: {
-                scheme: {
-                    **stats.summary(),
-                    "execution_time_ns": stats.execution_time_ns,
-                    "dynamic_energy_pj": stats.dynamic_energy_pj,
-                    "total_cell_writes": stats.total_cell_writes,
-                    "energy_by_category_pj": stats.energy.by_category,
-                    "wear_by_cause_cells": stats.wear.by_cause,
-                }
+                scheme: unit_payload(stats)
                 for scheme, stats in per_scheme.items()
             }
             for workload_name, per_scheme in sweep.items()

@@ -32,12 +32,20 @@ JSON:
 :meth:`SimSpec.run_hash` — the same identity the planner, memo, and
 disk store use. The server keeps one in-flight future per run hash:
 the first request to need a unit *owns* it (executes it through
-``ExecutionService.submit`` on the worker thread); any request arriving
+``ExecutionService.submit`` on the executor pool); any request arriving
 while it is in flight *joins* the future instead of executing. N
 concurrent identical requests therefore simulate exactly once — the
 ledger shows one ``simulated`` record — and N-1 requests pay only an
 await. Completed units additionally land in the service's run memo and
-the granular store, so the warm path never blocks on the worker at all.
+the granular store.
+
+**Memo hits.** A submit whose owned units are all in the service's run
+memo makes the same ``ExecutionService.submit`` call on the event loop
+itself, with no hop to the pool: the plan, the ledger records and the
+tier counters are those of the pooled path. Each unit's JSON text is
+encoded once per run hash and kept in an LRU beside the memo; every
+response is joined from those texts, byte-identical to
+``json.dumps(payload, sort_keys=True)``.
 
 **Backpressure.** Two admission bounds, both answered with ``429`` and
 ``Retry-After`` so clients can back off deterministically: a global
@@ -52,11 +60,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
@@ -66,15 +73,21 @@ from ..obs import Telemetry, get_logger
 from ..obs.ledger import RunLedger
 from ..experiments.cache import RunStore
 from ..experiments.planner import (
-    ExecutionPlan,
     PlanStats,
+    RunMemo,
     RunUnit,
     lookup_cached,
     plan_units,
 )
 from ..experiments.spec import SimSpec, SpecError
 from .coordinator import LeaseCoordinator
-from .execution import CacheSpec, ExecutionService, open_store, sweep_payload
+from .execution import (
+    CacheSpec,
+    ExecutionOutcome,
+    ExecutionService,
+    open_store,
+    unit_payload,
+)
 from .store import MemoryRunStore, parse_store_entry, store_entry_payload
 
 __all__ = ["ServeConfig", "SimServer", "run_server"]
@@ -146,13 +159,14 @@ class _RelayLedger(RunLedger):
     existing ``execute_plan`` provenance machinery *is* the progress
     feed — one record per planned unit, in plan order, with tier /
     engine / fastpath / wall_s exactly as ``readduo report`` sees them.
-    Without a configured path, records still flow to the hook (and to
-    ``os.devnull``). Records are written from the worker thread; the
-    lock keeps multi-executor futures from interleaving lines.
+    Without a configured path, records still flow to the hook and are
+    counted, but no file is opened. Records come from the pool threads
+    and the event loop; the lock keeps concurrent plans from
+    interleaving lines.
     """
 
     def __init__(self, path: Optional[str], hook) -> None:
-        super().__init__(path if path else os.devnull)
+        super().__init__(path or None)
         self._hook = hook
         self._lock = threading.Lock()
 
@@ -170,11 +184,16 @@ class SimServer:
         self.config = config or ServeConfig()
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[int] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self.service: Optional[ExecutionService] = None
         self.run_store: Optional[RunStore] = None
         self.coordinator: Optional[LeaseCoordinator] = None
         self._dist_plan: Optional[int] = None
+        #: ``json.dumps(unit_payload(stats), sort_keys=True)`` per run
+        #: hash; an entry never goes stale, because a run hash names its
+        #: result.
+        self._unit_json: Optional["RunMemo[str]"] = None
         #: One future per in-flight run unit, keyed by run hash.
         self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
         #: Live progress subscriptions (streaming submits).
@@ -197,6 +216,7 @@ class SimServer:
     async def start(self) -> None:
         """Bind the socket and stand up the execution backend."""
         self._loop = asyncio.get_running_loop()
+        self._loop_thread = threading.get_ident()
         # A bounded pool, not a single thread: each admitted submit's
         # owned units run as one pool task, so a warm or cheap submit is
         # never head-of-line blocked behind a long simulation. Per-hash
@@ -220,6 +240,7 @@ class SimServer:
             telemetry=Telemetry(ledger=ledger),
             memo_capacity=self.config.memo_capacity,
         )
+        self._unit_json = RunMemo[str](self.service.memo.capacity)
         if self.config.distributed:
             self.coordinator = LeaseCoordinator(
                 ttl_s=self.config.lease_ttl_s,
@@ -270,8 +291,17 @@ class SimServer:
     # ------------------------------------------------------ progress relay
 
     def _relay_record(self, record: Dict[str, Any]) -> None:
-        """Ledger hook (worker thread) → event-loop broadcast."""
-        if self._loop is not None:
+        """Ledger hook → event-loop broadcast.
+
+        A record written on the loop itself (a memo-hit submit, a
+        distributed cache hit) is broadcast at once: scheduled, it would
+        reach a streaming subscriber after the submit's end marker.
+        """
+        if self._loop is None:
+            return
+        if threading.get_ident() == self._loop_thread:
+            self._broadcast(record)
+        else:
             self._loop.call_soon_threadsafe(self._broadcast, record)
 
     def _broadcast(self, record: Any) -> None:
@@ -392,8 +422,9 @@ class SimServer:
         elif path == "/v1/stats" and method == "GET":
             await _send_json(writer, 200, self.stats())
         elif path == "/v1/memo/clear" and method == "POST":
-            assert self.service is not None
+            assert self.service is not None and self._unit_json is not None
             self.service.clear_memo()
+            self._unit_json.clear()
             await _send_json(writer, 200, {
                 "cleared": True, "memo_runs": self.service.memo_size(),
             })
@@ -683,17 +714,19 @@ class SimServer:
                 pump = self._loop.create_task(
                     _pump_events(queue, hashes, writer)
                 )
-            payload = await self._resolve(spec, units, queue)
+            results, plan = await self._resolve(units, queue)
+            text = self._response_text(
+                spec, results, plan, kind="result" if stream else None
+            )
             if stream:
                 assert queue is not None and pump is not None
                 queue.put_nowait(_DONE)
                 await pump
                 pump = None
-                line = json.dumps({"kind": "result", **payload}, sort_keys=True)
-                writer.write(line.encode("utf-8") + b"\n")
+                writer.write(text.encode("utf-8") + b"\n")
                 await writer.drain()
             else:
-                await _send_json(writer, 200, payload)
+                await _send_body(writer, 200, text.encode("utf-8"))
         except Exception as exc:
             self.counters["errors"] += 1
             _log.exception("submit failed: %s", exc)
@@ -721,11 +754,14 @@ class SimServer:
 
     async def _resolve(
         self,
-        spec: SimSpec,
         units: Sequence[RunUnit],
         queue: Optional["asyncio.Queue[Any]"],
-    ) -> Dict[str, Any]:
-        """Coalesce, execute owned units, await joined ones, build payload."""
+    ) -> Tuple[Dict[str, RunStats], Dict[str, Any]]:
+        """Coalesce, execute owned units, await joined ones.
+
+        Returns ``(results, plan)``: every unit's stats by run hash, and
+        the response's ``plan`` block.
+        """
         assert self.service is not None and self._loop is not None
         owned: List[RunUnit] = []
         futures: Dict[str, "asyncio.Future[Any]"] = {}
@@ -762,11 +798,7 @@ class SimServer:
                 if self.coordinator is not None:
                     plan_stats = await self._resolve_distributed(owned, futures)
                 else:
-                    outcome = await self._loop.run_in_executor(
-                        self._executor,
-                        self.service.submit,
-                        [unit.spec for unit in owned],
-                    )
+                    outcome = await self._submit_owned(owned)
                     plan_stats = outcome.stats.as_dict()
                     for unit in owned:
                         futures[unit.key].set_result(
@@ -788,14 +820,65 @@ class SimServer:
         for key, future in joined.items():
             results[key] = await asyncio.shield(future)
 
-        payload = sweep_payload(spec, ExecutionPlan.grid_for(spec, results))
-        payload["plan"] = {
+        return results, {
             "units": len(seen),
             "units_owned": len(owned),
             "units_joined": len(joined),
             "owned_stats": plan_stats,
         }
-        return payload
+
+    async def _submit_owned(self, owned: List[RunUnit]) -> ExecutionOutcome:
+        """``service.submit`` for the owned units, on the loop or the pool."""
+        assert self.service is not None and self._loop is not None
+        specs = [unit.spec for unit in owned]
+        if all(unit.key in self.service.memo for unit in owned):
+            # Memo hits only: the same call, without the thread hop.
+            # Should a pool thread evict one of these units meanwhile,
+            # it resolves here from the store or by simulation: slower,
+            # never wrong.
+            return self.service.submit(specs)
+        return await self._loop.run_in_executor(
+            self._executor, self.service.submit, specs
+        )
+
+    def _response_text(
+        self,
+        spec: SimSpec,
+        results: Mapping[str, RunStats],
+        plan: Mapping[str, Any],
+        kind: Optional[str] = None,
+    ) -> str:
+        """The submit response, ``json.dumps(payload, sort_keys=True)``.
+
+        ``payload`` is ``sweep_payload(spec, grid)`` plus ``plan`` (and
+        ``kind`` on a streamed ``result`` line). Each unit's text comes
+        from the per-run-hash LRU, so a memo hit formats no float again;
+        the rest is joined in sorted key order with ``json.dumps``'s
+        default separators.
+        """
+        assert self._unit_json is not None
+        runs: Dict[str, Dict[str, str]] = {}
+        for unit in plan_units(spec):
+            text = self._unit_json.get(unit.key)
+            if text is None:
+                text = json.dumps(unit_payload(results[unit.key]), sort_keys=True)
+                self._unit_json.put(unit.key, text)
+            runs.setdefault(unit.workload, {})[unit.scheme] = text
+        grid = ", ".join(
+            f"{json.dumps(workload)}: {{"
+            + ", ".join(
+                f"{json.dumps(scheme)}: {per_scheme[scheme]}"
+                for scheme in sorted(per_scheme)
+            )
+            + "}"
+            for workload, per_scheme in sorted(runs.items())
+        )
+        head = "" if kind is None else f'"kind": {json.dumps(kind)}, '
+        return (
+            f'{{{head}"plan": {json.dumps(plan, sort_keys=True)}, '
+            f'"runs": {{{grid}}}, "seed": {json.dumps(spec.seed)}, '
+            f'"target_requests": {json.dumps(spec.target_requests)}}}'
+        )
 
     async def _resolve_distributed(
         self,
@@ -899,6 +982,16 @@ async def _send_json(
     # their insertion order carries the order-sensitive float-sum
     # reproducibility guarantee and must survive the wire.
     body = json.dumps(payload, sort_keys=sort_keys).encode("utf-8")
+    await _send_body(writer, status, body, extra_headers)
+
+
+async def _send_body(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: bytes,
+    extra_headers: Optional[Dict[str, str]] = None,
+) -> None:
+    """Write one complete JSON response whose body is already encoded."""
     headers = [
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
         "Content-Type: application/json",

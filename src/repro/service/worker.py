@@ -143,7 +143,7 @@ class CoordinatorLink:
 
 
 class _CaptureLedger(RunLedger):
-    """A devnull-backed ledger that keeps records in memory.
+    """A file-less ledger that keeps records in memory.
 
     The worker attaches this to its :class:`ExecutionService` so the
     normal ``execute_plan`` provenance machinery yields the per-unit
@@ -152,7 +152,7 @@ class _CaptureLedger(RunLedger):
     """
 
     def __init__(self) -> None:
-        super().__init__(os.devnull)
+        super().__init__(None)
         self.records: List[Dict[str, Any]] = []
 
     def record(self, *args: Any, **kwargs: Any) -> Dict[str, Any]:

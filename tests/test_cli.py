@@ -28,6 +28,25 @@ class TestCommands:
         assert "table3" in out and "figure9" in out
         assert "mcf" in out
 
+    def test_list_matches_the_catalog(self, capsys):
+        # `list` reads the index without loading drivers; what it prints
+        # must be exactly the runnable catalog, in order.
+        from repro.experiments.catalog import EXPERIMENTS, SWEEP_EXPERIMENTS
+
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        block = out.split("\n\n", 1)[0].splitlines()[1:]
+        assert block == [
+            f"  {name}"
+            + (" [simulation sweep]" if name in SWEEP_EXPERIMENTS else "")
+            for name in EXPERIMENTS
+        ]
+        marked = tuple(
+            line.split()[0] for line in block if line.endswith("[simulation sweep]")
+        )
+        assert marked == tuple(n for n in EXPERIMENTS if n in SWEEP_EXPERIMENTS)
+        assert set(marked) == set(SWEEP_EXPERIMENTS)
+
     def test_run_table(self, capsys):
         assert main(["run", "table5"]) == 0
         out = capsys.readouterr().out

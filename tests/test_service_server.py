@@ -8,6 +8,7 @@ dependency) and talk to it over actual HTTP through
 
 import asyncio
 import json
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,12 @@ from repro.service.server import ServeConfig, SimServer
 
 
 DOC = {"schemes": ["Ideal"], "workloads": ["gcc"], "target_requests": 400}
+#: Several workloads and schemes, each listed out of sorted order.
+GRID_DOC = {
+    "schemes": ["TLC", "Hybrid", "Ideal"],
+    "workloads": ["mcf", "gcc"],
+    "target_requests": 400,
+}
 
 
 def _config(**overrides):
@@ -262,6 +269,50 @@ class TestSubmit:
             local, sort_keys=True
         )
 
+    def test_response_bytes_equal_json_dumps_of_the_payload(self):
+        # The daemon joins per-unit JSON texts instead of encoding the
+        # whole payload; the bytes must be those json.dumps would write,
+        # cold and warm, plain and streamed.
+        cold_stream_doc = dict(GRID_DOC, seed=9)
+
+        async def body(server, client):
+            raw = []
+            for path, doc in (
+                ("/v1/submit", GRID_DOC),
+                ("/v1/submit", GRID_DOC),
+                ("/v1/submit?stream=1", GRID_DOC),
+                ("/v1/submit?stream=1", cold_stream_doc),
+            ):
+                status, _headers, blob = await client.request("POST", path, doc)
+                assert status == 200
+                raw.append(blob)
+            return raw
+
+        cold, warm, warm_stream, cold_stream = run(body)
+
+        from repro.experiments.spec import SimSpec
+        from repro.service import ExecutionService, sweep_payload
+
+        service = ExecutionService(cache=False)
+
+        def expected(doc, served, **head):
+            spec = SimSpec.from_dict(doc)
+            payload = {**head, **sweep_payload(spec, service.sweep(spec))}
+            payload["plan"] = served["plan"]
+            return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+        for blob, units_memo in ((cold, 0), (warm, 6)):
+            served = json.loads(blob)
+            assert served["plan"]["owned_stats"]["units_memo"] == units_memo
+            assert blob == expected(GRID_DOC, served)
+        for blob, doc, units_memo in (
+            (warm_stream, GRID_DOC, 6), (cold_stream, cold_stream_doc, 0),
+        ):
+            line = blob.splitlines()[-1]
+            served = json.loads(line)
+            assert served["plan"]["owned_stats"]["units_memo"] == units_memo
+            assert line == expected(doc, served, kind="result")
+
 
 class TestStreaming:
     def test_stream_emits_unit_events_then_result(self):
@@ -274,6 +325,23 @@ class TestStreaming:
         assert kinds == ["run"]
         assert events[0]["tier"] == "simulated"
         assert events[0]["workload"] == "gcc"
+
+    def test_streamed_memo_hit_reports_its_run_event(self):
+        # A memo hit resolves on the event loop; its ledger record must
+        # still reach the stream ahead of the result line.
+        async def body(server, client):
+            await client.submit(DOC)
+            status, _headers, blob = await client.request(
+                "POST", "/v1/submit?stream=1", DOC
+            )
+            return status, blob
+
+        status, blob = run(body)
+        assert status == 200
+        lines = [json.loads(line) for line in blob.splitlines() if line.strip()]
+        assert [line["kind"] for line in lines] == ["run", "result"]
+        assert lines[0]["tier"] == "memo"
+        assert lines[0]["workload"] == "gcc"
 
     def test_streamed_join_reports_coalesced_event(self):
         async def body(server, client):
@@ -410,9 +478,10 @@ class TestExecutorPool:
         assert stats["distributed"] is False
         assert stats["coordinator"] is None
 
-    def test_warm_submit_bypasses_long_cold_simulation(self):
-        # The head-of-line scenario the pool exists for: a memo-warm
-        # submit must not queue behind a long-running cold simulation.
+    @staticmethod
+    def _warm_submit_finishes_first(executor_workers):
+        # The head-of-line scenario: a memo-warm submit must not queue
+        # behind a long-running cold simulation.
         async def body(server, client):
             await client.submit(DOC)  # warm DOC's unit in the memo
             long_doc = {
@@ -427,7 +496,42 @@ class TestExecutorPool:
             await long_task
             return warm_done_first
 
-        assert run(body, executor_workers=2)
+        return run(body, executor_workers=executor_workers)
+
+    def test_warm_submit_bypasses_long_cold_simulation(self):
+        assert self._warm_submit_finishes_first(executor_workers=2)
+
+    def test_warm_submit_bypasses_long_cold_simulation_on_one_worker(self):
+        # The only pool thread is busy simulating; the memo hit needs no
+        # thread at all.
+        assert self._warm_submit_finishes_first(executor_workers=1)
+
+    def test_memo_hits_and_pool_executions_interleave(self):
+        # Memo hits on the loop race pool threads writing ledger records
+        # and memo entries; every owned unit must be recorded once.
+        import sys
+
+        docs = [dict(DOC, seed=600 + i % 4) for i in range(32)]
+
+        async def body(server, client):
+            await client.submit(docs[0])
+            payloads = await asyncio.wait_for(
+                asyncio.gather(*(client.submit(doc) for doc in docs)), 120
+            )
+            return payloads, server.stats()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            payloads, stats = run(body, executor_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        counters = stats["counters"]
+        tiers = sum(v for k, v in counters.items() if k.startswith("tier_"))
+        assert stats["ledger_records"] == tiers == counters["units_owned"]
+        assert counters["tier_simulated"] == 4
+        assert counters["tier_memo"] >= 8
+        assert [p["seed"] for p in payloads] == [d["seed"] for d in docs]
 
     def test_concurrent_distinct_submits_all_complete(self):
         async def body(server, client):
@@ -442,3 +546,60 @@ class TestExecutorPool:
         assert stats["counters"]["units_owned"] == 6
         seeds = {p["seed"] for p in payloads}
         assert seeds == {500 + i for i in range(6)}
+
+
+class TestLedger:
+    LEDGER_DOC = {
+        "schemes": ["Ideal", "Hybrid"], "workloads": ["gcc"],
+        "target_requests": 400,
+    }
+
+    def test_ledger_file_matches_tier_counters(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        doc = self.LEDGER_DOC
+
+        async def body(server, client):
+            await asyncio.gather(*(client.submit(doc) for _ in range(8)))
+            await asyncio.gather(
+                *(client.submit(dict(doc, seed=seed)) for seed in (1, 2, 3))
+            )
+            warm = await client.submit(doc)
+            return warm, server.stats()
+
+        warm, stats = run(body, ledger=str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        counters = stats["counters"]
+        # One record per resolved (owned) unit, memo hits on the event
+        # loop included; joined units ride their owner's record.
+        assert len(records) == stats["ledger_records"] == counters["units_owned"]
+        tiers = Counter(record["tier"] for record in records)
+        assert {f"tier_{tier}": n for tier, n in tiers.items()} == {
+            key: value for key, value in counters.items()
+            if key.startswith("tier_")
+        }
+        # 4 specs x 2 units; duplicates never re-simulate.
+        simulated = [r["run_hash"] for r in records if r["tier"] == "simulated"]
+        assert len(simulated) == len(set(simulated)) == 8
+        assert warm["plan"]["owned_stats"]["units_simulated"] == 0
+        assert warm["plan"]["owned_stats"]["units_memo"] == 2
+        assert records[-1]["tier"] == records[-2]["tier"] == "memo"
+
+    def test_no_ledger_path_opens_no_file(self, monkeypatch):
+        import repro.obs.ledger as ledger_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a ledger without a path opened a file")
+
+        monkeypatch.setattr(ledger_module, "open", refuse, raising=False)
+
+        async def body(server, client):
+            await client.submit(DOC)
+            await client.submit(DOC)
+            ledger = server.service.telemetry.ledger
+            return ledger.path, ledger._handle, await client.stats()
+
+        path, handle, stats = run(body)
+        assert path is None and handle is None
+        assert stats["ledger_records"] == 2
+        assert stats["counters"]["tier_simulated"] == 1
+        assert stats["counters"]["tier_memo"] == 1

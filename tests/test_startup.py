@@ -8,9 +8,10 @@ own). Commands that never evaluate the model — help, listings and fully
 cached sweeps — must finish without importing any scipy module at all.
 
 numpy follows the same rule one layer down: the package ``__init__``s
-export lazily and registering a scheme imports no numeric module, so
-``--help``, ``schemes`` and a fully cached ``sweep`` import no numpy
-either (``list`` does: it loads every artifact driver). Each check runs
+export lazily, registering a scheme imports no numeric module and
+``list`` reads the artifact index without loading a driver, so
+``--help``, ``list``, ``schemes`` and a fully cached ``sweep`` import no
+numpy either. Each check runs
 in a fresh interpreter, because this test process has long since imported
 numpy and scipy through other tests.
 """
@@ -122,7 +123,7 @@ def test_command_does_not_import_scipy_stats(tmp_path, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--help"], ["schemes"], ["schemes", "--json"]],
+    [["--help"], ["list"], ["schemes"], ["schemes", "--json"]],
     ids=lambda argv: " ".join(argv),
 )
 def test_command_does_not_import_numpy(tmp_path, argv):
