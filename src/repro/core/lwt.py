@@ -156,6 +156,18 @@ class QuantizedTracker:
         self.sub_len_s = scrub_interval_s / k
         self._last_event_s: dict = {}
 
+    def __getattr__(self, name: str) -> dict:
+        # ``_last_event_s`` handed back as arrays by a compiled run
+        # (repro.memsim.fastpath) is built on its first read.
+        deferred = self.__dict__.get("_deferred")
+        if not deferred or name not in deferred:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        lines, values = deferred.pop(name)
+        built = self.__dict__[name] = dict(zip(lines.tolist(), values.tolist()))
+        return built
+
     def abs_sub_interval(self, t_s: float) -> int:
         """Global sub-interval index of absolute time ``t_s``."""
         return int(t_s // self.sub_len_s)

@@ -77,6 +77,18 @@ class BaseDriftPolicy:
         self.last_write_s: Dict[int, float] = {}
         self.full_cells = ctx.config.cells_per_line_write
 
+    def __getattr__(self, name: str) -> dict:
+        # A compiled run (repro.memsim.fastpath) hands per-line dicts back
+        # as (lines, values) arrays; the dict is built on its first read.
+        deferred = self.__dict__.get("_deferred")
+        if not deferred or name not in deferred:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        lines, values = deferred.pop(name)
+        built = self.__dict__[name] = dict(zip(lines.tolist(), values.tolist()))
+        return built
+
     # ------------------------------------------------------------- age state
 
     def last_write_of(self, line: int) -> float:

@@ -314,6 +314,23 @@ class SimSpec:
 
     # --------------------------------------------------------------- identity
 
+    def __hash__(self) -> int:
+        # The dataclass hash, computed once per instance: ``plan_units`` is
+        # memoized on specs, and rehashing the nested config on every
+        # lookup took ~11% of a memo-hit ``service.submit``.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # String hashes are salted per process: a spec unpickled in a
+        # worker recomputes its own.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def content_hash(self) -> str:
         """Canonical content hash; for a one-run sub-spec, the cache key.
 

@@ -22,8 +22,12 @@
  *  - the heap key (time, seq) is strictly ordered (seq is unique), so
  *    any correct binary heap pops in the same order as Python's heapq.
  *
- * Per-line policy state lives in one open-addressing map keyed by line,
- * sized by the lines the run touches (trace footprint plus scrub visits).
+ * Per-line policy state lives in two places. The lines the scrub pointer
+ * reaches keep their slots in one dense window, indexed by the pointer's
+ * offset from its start (total_lines / 2), so a sweep visit costs an
+ * append, not a hash insert. Every other line - demand and preloaded
+ * lines, including those the pointer reaches after them - lives in one
+ * open-addressing map keyed by line, sized by the trace footprint.
  * The run returns an opaque handle; the caller sizes its output arrays
  * from the counters in Out, copies them with export_timeline and releases
  * the handle with free_timeline.
@@ -346,6 +350,10 @@ typedef struct {
     ScrubOp sq[SQ_CAP];
     int32_t sq_head, sq_len;
     int64_t scrub_pointer;
+    /* The scrub window: win[i] is the slot of the i-th line the pointer
+     * reached, or key -1 when the map already held that line. */
+    Slot *win;
+    int64_t win_len, win_cap;
     int64_t err;
 } Sim;
 
@@ -406,9 +414,22 @@ static int map_grow(Map *m) {
     return 1;
 }
 
-/* The slot of ``line``, inserted empty on first touch. The pointer is
- * valid until the next slot_of call. */
+/* ``line``'s own slot in the scrub window, or NULL when the pointer has
+ * not reached it yet or the map holds it. */
+static Slot *win_find(const Sim *s, int64_t line) {
+    int64_t off = line - s->p->half_lines; /* the pointer's start */
+    if (off < 0) off += s->p->total_lines;
+    if (off < 0 || off >= s->win_len) return NULL;
+    Slot *slot = &s->win[off];
+    return slot->key == line ? slot : NULL;
+}
+
+/* The slot of ``line``: its window slot, else its map slot, inserted
+ * empty on first touch. The pointer is valid until the next slot_of or
+ * scrub_slot call. */
 static Slot *slot_of(Sim *s, int64_t line) {
+    Slot *held = win_find(s, line);
+    if (held) return held;
     Map *m = &s->map;
     uint64_t i = map_hash(line) & (uint64_t)m->mask;
     for (;;) {
@@ -432,7 +453,7 @@ static Slot *slot_of(Sim *s, int64_t line) {
     return slot;
 }
 
-static Slot *slot_find(const Map *m, int64_t line) {
+static Slot *map_find(const Map *m, int64_t line) {
     uint64_t i = map_hash(line) & (uint64_t)m->mask;
     for (;;) {
         Slot *slot = &m->slots[i];
@@ -440,6 +461,24 @@ static Slot *slot_find(const Map *m, int64_t line) {
         if (slot->key == -1) return NULL;
         i = (i + 1) & (uint64_t)m->mask;
     }
+}
+
+/* The slot of the line the scrub pointer visits now. Until the pointer
+ * wraps, each visit appends one window entry: the line's own slot, or a
+ * mark when the map already holds the line (demand or the preload
+ * reached it first), whose state then stays in the map. Once the window
+ * covers every line, visits look lines up like any other touch. */
+static Slot *scrub_slot(Sim *s, int64_t line) {
+    if (s->win_len >= s->p->total_lines) return slot_of(s, line);
+    if (!grow((void **)&s->win, &s->win_cap, sizeof(Slot), s->win_len + 1)) {
+        s->err = ERR_ALLOC;
+        return NULL;
+    }
+    Slot *slot = &s->win[s->win_len++];
+    memset(slot, 0, sizeof(*slot));
+    Slot *held = map_find(&s->map, line);
+    slot->key = held ? -1 : line;
+    return held ? held : slot;
 }
 
 /* ------------------------------------------------------ policy state */
@@ -742,7 +781,7 @@ static int64_t on_write(Sim *s, int64_t line, double now_s, int *flag_update) {
 /* SchemePolicy.on_scrub: returns whether the line is rewritten. */
 static int on_scrub(Sim *s, int64_t line, double now_s) {
     const Params *p = s->p;
-    Slot *slot = slot_of(s, line);
+    Slot *slot = scrub_slot(s, line);
     if (!slot) return 0;
     double age;
     switch (p->family) {
@@ -1198,6 +1237,7 @@ void free_timeline(Sim *s) {
     free(s->finish);
     free(s->done);
     free(s->map.slots);
+    free(s->win);
     free(s->lw_log.v);
     free(s->tr_log.v);
     free(s->surv_log.v);
@@ -1324,6 +1364,12 @@ Sim *run_timeline(const Params *p, Conv *conv, Out *o) {
     return s;
 }
 
+/* The slot of a line the run touched, wherever it lives. */
+static Slot *slot_at(const Sim *s, int64_t line) {
+    Slot *slot = win_find(s, line);
+    return slot ? slot : map_find(&s->map, line);
+}
+
 /* Copy the run's buffers out. Each array must hold the count Out
  * reports; the per-line dict entries come in first-insertion order. */
 void export_timeline(const Sim *s, TraceRec *recs, int64_t *lw_lines, double *lw_vals,
@@ -1333,15 +1379,15 @@ void export_timeline(const Sim *s, TraceRec *recs, int64_t *lw_lines, double *lw
     if (o->n_rec) memcpy(recs, s->recs, sizeof(TraceRec) * (size_t)o->n_rec);
     for (int64_t i = 0; i < s->lw_log.len; i++) {
         lw_lines[i] = s->lw_log.v[i];
-        lw_vals[i] = slot_find(&s->map, lw_lines[i])->lw;
+        lw_vals[i] = slot_at(s, lw_lines[i])->lw;
     }
     for (int64_t i = 0; i < s->tr_log.len; i++) {
         tr_lines[i] = s->tr_log.v[i];
-        tr_vals[i] = slot_find(&s->map, tr_lines[i])->tr;
+        tr_vals[i] = slot_at(s, tr_lines[i])->tr;
     }
     for (int64_t i = 0; i < s->surv_log.len; i++) {
         surv_lines[i] = s->surv_log.v[i];
-        surv_vals[i] = slot_find(&s->map, surv_lines[i])->surv;
+        surv_vals[i] = slot_at(s, surv_lines[i])->surv;
     }
 }
 

@@ -14,10 +14,14 @@ inner loop and a bisect-lerp over the sampler's table slopes that
 reproduces ``np.interp`` bit for bit. It therefore consumes the random
 stream exactly as the event engine does; ``tests/test_batch_equivalence.py``
 checks the two against each other, every family and rare branch
-included. At commit the policy's state is written back as the event
-engine leaves it: ``last_write_s``, the LWT tracker, Scrubbing's
-survived-interval counts and the conversion controller's fields. The RNG
-state is shared, so it is already current.
+included. At commit the policy's state is left as the event engine
+leaves it. The conversion controller's fields are written back. The
+per-line dicts (``last_write_s``, the LWT tracker's ``_last_event_s``,
+Scrubbing's ``_survived``) are handed to their owners as the kernel's
+``(lines, values)`` arrays in insertion order, and each owner builds the
+dict on its first read, so a sweep unit's policy, discarded after its
+run, never pays for them. The RNG state is shared, so it is already
+current.
 
 Eligibility is by exact policy type (subclasses, and instances whose
 attributes shadow a hook, take the event engine):
@@ -32,25 +36,28 @@ attributes shadow a hook, take the event engine):
   conversion controller and its coin, Select's differential writes, and
   the W=1 M-sampling scrub.
 
-Cost on a traced ``sim-cold`` run (gcc + mcf at 10k requests, seed 1,
-a 2-CPU x86-64 host with AVX-512), in us per request; "before" is the
-speculative kernel this replaced, which sent LWT, Select, Scrubbing W=1
-and scrubbed M-metric to a Python loop (docs/PERFORMANCE.md):
+Cost on a traced ``sim-cold`` run (``python3 perfbench/run.py --workload
+sim-cold --seed 205 --seconds 25 --trace 1``: gcc + mcf at 10k requests, a
+2-CPU x86-64 host with AVX-512), in us per request, both columns measured
+back to back. "Hashed" gave every line the scrub pointer visits a
+hash-map slot and built the policy dicts at commit; "now" keeps those
+lines in the dense scrub window and defers the dicts (docs/PERFORMANCE.md,
+"Scrub sweep state"):
 
 ==============  ======  =====
-scheme          before  after
+scheme          hashed  now
 ==============  ======  =====
-Ideal             0.33   0.25
-TLC               0.27   0.24
-Hybrid            1.22   0.50
-Scrubbing-W0      2.71   1.64
-Scrubbing        31.46   1.33
-M-metric          9.26   0.46
-LWT-2            11.49   0.56
-LWT-4            11.09   0.56
-LWT-4-noconv     10.69   0.56
-Select-4:1       11.75   0.56
-Select-4:2       12.24   0.56
+Ideal             0.28   0.26
+TLC               0.27   0.26
+Hybrid            0.54   0.54
+Scrubbing-W0      2.17   0.96
+Scrubbing         1.62   1.09
+M-metric          0.58   0.55
+LWT-2             0.63   0.59
+LWT-4             0.62   0.58
+LWT-4-noconv      0.63   0.60
+Select-4:1        0.63   0.62
+Select-4:2        0.61   0.62
 ==============  ======  =====
 
 Fault injection always takes the event engine: fault streams are
@@ -283,10 +290,42 @@ def _f64(values: Any) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64)
 
 
-def _dict_arrays(entries: Dict[int, Any], dtype: Any) -> Tuple[np.ndarray, np.ndarray]:
+#: Instance attribute under which an owner of per-line state keeps dicts
+#: handed back as arrays, by attribute name; the owner's ``__getattr__``
+#: (``BaseDriftPolicy``, ``QuantizedTracker``) builds each on first read.
+_DEFERRED = "_deferred"
+
+#: Value dtype of each per-line dict the kernel preloads and exports, by
+#: its ``Params`` prefix, in ``export_timeline``'s argument order.
+_STATE_DTYPES = {"lw": np.float64, "tr": np.float64, "surv": np.int64}
+
+
+def _state_arrays(owner: Any, name: str, dtype: Any) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``owner.<name>``'s entries as ``(lines, values)`` in insertion order,
+    without building a dict a previous kernel run deferred."""
+    state = vars(owner)
+    if name not in state:
+        deferred = state.get(_DEFERRED, {}).get(name)
+        if deferred is not None:
+            return deferred
+    entries = getattr(owner, name)
+    if not entries:
+        return None
     keys = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
     vals = np.fromiter(entries.values(), dtype=dtype, count=len(entries))
     return keys, vals
+
+
+def _defer(owner: Any, name: str, lines: np.ndarray, values: np.ndarray) -> None:
+    """Make ``(lines, values)`` the content of ``owner.<name>``.
+
+    The kernel exports every entry of the dict, pre-run ones first, in
+    first-insertion order, so the arrays replace it whole. A sweep unit's
+    policy is discarded after its run; its dicts are never built.
+    """
+    state = vars(owner)
+    state.pop(name, None)
+    state.setdefault(_DEFERRED, {})[name] = (lines, values)
 
 
 def try_simulate_speculative(
@@ -440,13 +479,12 @@ def _attempt(
     p.bitgen = policy.rng.bit_generator.ctypes.bit_generator.value
 
     family = plan.family
-    lw = policy.last_write_s
-    tr: Optional[Dict[int, float]] = None
-    surv: Optional[Dict[int, int]] = None
+    # Owner and attribute of each per-line dict the run reads and updates.
+    owners: Dict[str, Tuple[Any, str]] = {"lw": (policy, "last_write_s")}
     conv = None
     c = TimelineConv()
     if family in (_FAM_SCRUB_W0, _FAM_SCRUB_W1):
-        surv = policy._survived
+        owners["surv"] = (policy, "_survived")
         p.surv_seed = policy.ctx.seed & mask64
         p.n_cdf = len(policy._stationary_cdf)
         p.cdf = arr(_f64(policy._stationary_cdf))
@@ -456,7 +494,7 @@ def _attempt(
         p.w_floor = max(policy.w, 1)
     elif family in (_FAM_LWT, _FAM_SELECT):
         tracker = policy.tracker
-        tr = tracker._last_event_s
+        owners["tr"] = (tracker, "_last_event_s")
         p.sub_len_s = tracker.sub_len_s
         p.k = policy.k
         if family == _FAM_SELECT:
@@ -481,13 +519,10 @@ def _attempt(
         c.improvement_factor = conv.improvement_factor
         c.enabled = 1 if conv.enabled else 0
     # Dict entries from before the run (none for a fresh policy).
-    for prefix, entries, dtype in (
-        ("lw", lw, np.float64),
-        ("tr", tr, np.float64),
-        ("surv", surv, np.int64),
-    ):
-        if entries:
-            keys, vals = _dict_arrays(entries, dtype)
+    for prefix, (owner, name) in owners.items():
+        entries = _state_arrays(owner, name, _STATE_DTYPES[prefix])
+        if entries is not None:
+            keys, vals = entries
             setattr(p, "n_pre_" + prefix, len(keys))
             setattr(p, "pre_%s_lines" % prefix, arr(keys))
             setattr(p, "pre_%s_vals" % prefix, arr(vals))
@@ -515,31 +550,21 @@ def _attempt(
                 return _miss("kernel_error")
         try:
             recs = np.empty(out.n_rec, dtype=TRACE_REC_DTYPE)
-            lw_lines = np.empty(out.n_lw, dtype=np.int64)
-            lw_vals = np.empty(out.n_lw, dtype=np.float64)
-            tr_lines = np.empty(out.n_tr, dtype=np.int64)
-            tr_vals = np.empty(out.n_tr, dtype=np.float64)
-            surv_lines = np.empty(out.n_surv, dtype=np.int64)
-            surv_vals = np.empty(out.n_surv, dtype=np.int64)
+            exported = {}
+            for prefix, dtype in _STATE_DTYPES.items():
+                n = getattr(out, "n_" + prefix)
+                exported[prefix] = (np.empty(n, dtype=np.int64), np.empty(n, dtype=dtype))
             lib.export_timeline(
                 handle,
                 recs.ctypes.data,
-                lw_lines.ctypes.data,
-                lw_vals.ctypes.data,
-                tr_lines.ctypes.data,
-                tr_vals.ctypes.data,
-                surv_lines.ctypes.data,
-                surv_vals.ctypes.data,
+                *(a.ctypes.data for pair in exported.values() for a in pair),
             )
         finally:
             lib.free_timeline(handle)
 
     # ---- commit: policy state as the event engine leaves it, then the stats
-    lw.update(zip(lw_lines.tolist(), lw_vals.tolist()))
-    if tr is not None:
-        tr.update(zip(tr_lines.tolist(), tr_vals.tolist()))
-    if surv is not None:
-        surv.update(zip(surv_lines.tolist(), surv_vals.tolist()))
+    for prefix, (owner, name) in owners.items():
+        _defer(owner, name, *exported[prefix])
     if conv is not None:
         conv.t = c.t
         conv._window_total = c.window_total

@@ -475,6 +475,135 @@ def test_kernel_continues_from_existing_policy_state(trace_and_config):
         assert _policy_state(policies["batch"]) == _policy_state(policies["event"])
 
 
+# ------------------------------------------------ scrub window meets demand
+
+#: Small enough that every scrub pointer wraps within the trace, so the
+#: pointer reaches lines that demand and the pre-run state hold.
+SMALL_LINES = 64
+SMALL_SCHEMES = ("Hybrid", "Scrubbing-W0", "Scrubbing", "M-metric", "LWT-4", "Select-4:2")
+#: Lines held back from demand until after both sweep periods' first pass.
+LATE_LINES = (33, 34, 35)
+
+
+def _small_trace(config):
+    """~1,400 s of sparse traffic on ``SMALL_LINES`` lines, one request
+    stream per core: a burst in the first 0.5 s, then requests every few
+    seconds; ``LATE_LINES`` first appear after 700 s. Returns the trace
+    and each line's first-touch time in seconds."""
+    from repro.traces.trace import Trace
+
+    rng = np.random.default_rng(SEED)
+    early = np.setdiff1d(np.arange(SMALL_LINES), LATE_LINES)
+    ops, cores, lines, gaps = [], [], [], []
+    first_touch = {}
+    for core in range(config.num_cores):
+        burst = np.sort(rng.uniform(0.0, 0.5, 8))
+        sparse = np.sort(rng.uniform(1.0, 1_400.0, 60))
+        times = np.concatenate([burst, sparse])
+        late = times > 700.0
+        picks = np.where(late, rng.integers(0, SMALL_LINES, len(times)),
+                         rng.choice(early, len(times)))
+        picks[-len(LATE_LINES):] = LATE_LINES
+        prev = 0.0
+        for t, line in zip(times.tolist(), picks.tolist()):
+            ops.append(int(rng.random() < 0.4))
+            cores.append(core)
+            lines.append(line)
+            gaps.append(int((t - prev) * 1e9 / config.timing.cycle_ns))
+            first_touch[line] = min(first_touch.get(line, t), t)
+            prev = t
+    trace = Trace(np.array(ops), np.array(cores), np.array(lines), np.array(gaps), name="mcf")
+    return trace, first_touch
+
+
+def _first_visit_s(line, interval_s, total_lines):
+    """When the scrub pointer, starting at ``total_lines // 2``, first
+    visits ``line`` (one line per tick)."""
+    return ((line - total_lines // 2) % total_lines + 1) * interval_s / total_lines
+
+
+@pytest.fixture(scope="module")
+def small_trace_and_config():
+    config = MemoryConfig(total_lines=SMALL_LINES)
+    trace, first_touch = _small_trace(config)
+    return trace, config, workload(WORKLOAD), first_touch
+
+
+@pytest.mark.parametrize("scheme", SMALL_SCHEMES)
+def test_scrub_window_meets_demand_and_preloaded_lines(scheme, small_trace_and_config):
+    """The pointer wraps and reaches lines demand touched before it, lines
+    demand touches after it passed, and (on a second run) lines of the
+    pre-run state; the kernel equals the oracle on stats and post-state."""
+    from repro.memsim import fastpath
+    from repro.memsim.native import native_available
+
+    trace, config, profile, first_touch = small_trace_and_config
+    policies = {e: _fresh_policy(scheme, profile, config) for e in ENGINES}
+    interval = policies["event"].scrub_interval_s
+    visits = {line: _first_visit_s(line, interval, SMALL_LINES) for line in first_touch}
+    assert any(first_touch[line] < visits[line] for line in first_touch)
+    assert any(first_touch[line] > visits[line] for line in first_touch)
+    assert max(first_touch.values()) > interval  # the pointer wraps
+
+    for run in ("fresh", "continued"):
+        if run == "continued":
+            assert _policy_state(policies["event"])["last_write_s"]
+        results = {}
+        for engine in ENGINES:
+            results[engine] = simulate(trace, policies[engine], config, engine=engine)
+            if engine == "batch" and native_available():
+                assert fastpath.last_attempt() == ("speculated", "ok")
+        assert results["event"].scrub_ops > SMALL_LINES
+        assert results["batch"].to_dict() == results["event"].to_dict()
+        assert _policy_state(policies["batch"]) == _policy_state(policies["event"])
+
+
+@pytest.mark.parametrize("scheme", SMALL_SCHEMES)
+def test_event_engine_continues_a_kernel_run(scheme, small_trace_and_config):
+    """Kernel then event engine on one policy equals two event-engine
+    runs, on the stats of the second run and on the post-state."""
+    trace, config, profile, _ = small_trace_and_config
+    policies, results = {}, {}
+    for first in ENGINES:
+        policy = _fresh_policy(scheme, profile, config)
+        simulate(trace, policy, config, engine=first)
+        results[first] = simulate(trace, policy, config, engine="event")
+        policies[first] = policy
+    assert results["batch"].to_dict() == results["event"].to_dict()
+    assert _policy_state(policies["batch"]) == _policy_state(policies["event"])
+
+
+@pytest.mark.parametrize(
+    "scheme, name",
+    [
+        ("Scrubbing-W0", "last_write_s"),
+        ("Scrubbing", "_survived"),
+        ("LWT-4", "_last_event_s"),
+    ],
+)
+def test_deferred_state_reads_as_the_event_engines_dict(scheme, name, small_trace_and_config):
+    """After a kernel run a per-line dict is built on its first read: that
+    read gives the dict the event engine leaves, in the same order, and a
+    second read returns the same object."""
+    from repro.memsim.native import native_available
+
+    trace, config, profile, _ = small_trace_and_config
+    policies = {e: _fresh_policy(scheme, profile, config) for e in ENGINES}
+    for engine, policy in policies.items():
+        simulate(trace, policy, config, engine=engine)
+
+    def owner(policy):
+        return policy.tracker if name == "_last_event_s" else policy
+
+    deferred = owner(policies["batch"])
+    if native_available():
+        assert name not in vars(deferred)
+    first = getattr(deferred, name)
+    assert list(first.items()) == list(getattr(owner(policies["event"]), name).items())
+    assert getattr(deferred, name) is first
+    assert name in vars(deferred)
+
+
 # ------------------------------------------------------ sweep and cache
 
 

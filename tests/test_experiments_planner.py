@@ -75,6 +75,53 @@ class TestPlanning:
         assert len(plan.units) == len(plan_units(SMALL))
 
 
+class TestSpecHash:
+    """``plan_units`` is memoized on specs, so a spec hashes once."""
+
+    def test_equal_specs_hash_equal_once(self):
+        twin = SimSpec(schemes=("Ideal", "Hybrid"), workloads=("gcc", "mcf"),
+                       target_requests=1_000)
+        assert twin == SMALL and hash(twin) == hash(SMALL)
+        assert hash(twin) == hash(twin)
+        assert repr(twin) == repr(SMALL)
+        assert twin.content_hash() == SMALL.content_hash()
+
+    def test_unpickled_spec_hits_plan_units_under_another_hash_seed(self):
+        """The cached hash is never pickled: string hashes are salted per
+        process, and pool and spawn workers unpickle specs."""
+        import os
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        hash(SMALL)
+        assert "_hash" in vars(SMALL)
+        blob = pickle.dumps(SMALL)
+        assert "_hash" not in vars(pickle.loads(blob))
+        code = (
+            "import pickle, sys\n"
+            "from repro.experiments.planner import plan_units\n"
+            "from repro.experiments.spec import SimSpec\n"
+            "spec = pickle.loads(sys.stdin.buffer.read())\n"
+            "plan_units(SimSpec(schemes=('Ideal', 'Hybrid'), workloads=('gcc', 'mcf'),"
+            " target_requests=1_000))\n"
+            "hits = plan_units.cache_info().hits\n"
+            "plan_units(spec)\n"
+            "print(plan_units.cache_info().hits - hits)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code], input=blob, env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().strip() == "1"
+
+
 class TestCrossArtifactDedup:
     def test_shared_units_simulate_once_via_plan_counters(self):
         tele = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
