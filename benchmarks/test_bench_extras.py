@@ -38,8 +38,7 @@ def test_extra_precise_write(benchmark, results_dir):
 def test_extra_mc_validation(benchmark, results_dir):
     from repro.experiments.extras import montecarlo_validation
 
-    result = benchmark.pedantic(
-        lambda: montecarlo_validation(num_lines=1500), rounds=1, iterations=1
-    )
+    # The driver's defaults, as ``readduo run extra-mc-validation`` uses them.
+    result = benchmark.pedantic(montecarlo_validation, rounds=1, iterations=1)
     save_result(results_dir, result)
     assert result.rows

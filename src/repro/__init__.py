@@ -8,7 +8,7 @@ DSN 2016), built as a standalone Python library:
   cell arrays, energy/area/endurance models);
 * :mod:`repro.reliability` — the analytic drift reliability math behind
   the paper's Tables III-V;
-* :mod:`repro.ecc` — GF(2^m), BCH-8 with decoupled detect/correct, SECDED;
+* :mod:`repro.ecc` — GF(2^m) and BCH-8 with decoupled detect/correct;
 * :mod:`repro.traces` — SPEC2006-like workload profiles and trace
   generation;
 * :mod:`repro.memsim` — the event-driven memory-system simulator;

@@ -22,37 +22,15 @@ from __future__ import annotations
 
 from ..core.policies.base import PolicyContext
 from ..core.policies.scrubbing import ScrubbingPolicy
-from ..core.registry import format_param, register_scheme
+from ..core.registry import _check_precise_width, precise_scheme_name
 from ..pcm.params import R_METRIC
 
-__all__ = ["precise_scheme_name", "precise_write_policy"]
+__all__ = ["precise_write_policy"]
 
 #: Candidate scrub intervals for the re-derived design point.
 _CANDIDATE_INTERVALS = [2.0**i for i in range(2, 22)]
 
 
-def precise_scheme_name(program_width_sigma: float) -> str:
-    """Canonical ``Precise-<w>`` spelling for a programming width."""
-    return f"Precise-{format_param(program_width_sigma)}"
-
-
-def _check_width(width: float) -> float:
-    # Narrowing below the default only widens the guard band: a safe S exists.
-    if not 0 < width <= R_METRIC.program_width_sigma:
-        raise ValueError(
-            "program width must be positive and at most the default "
-            f"{R_METRIC.program_width_sigma}"
-        )
-    return width
-
-
-@register_scheme(
-    pattern=r"Precise-(?P<w>\d[\d.e+-]*)",
-    parse=lambda match: {
-        "program_width_sigma": _check_width(float(match.group("w")))
-    },
-    canonical=lambda params: precise_scheme_name(params["program_width_sigma"]),
-)
 def precise_write_policy(
     ctx: PolicyContext,
     program_width_sigma: float = 2.0,
@@ -68,7 +46,7 @@ def precise_write_policy(
     """
     from ..reliability.ler import max_safe_interval
 
-    _check_width(program_width_sigma)
+    _check_precise_width(program_width_sigma)
     narrow = R_METRIC.replace(program_width_sigma=program_width_sigma)
     interval = max_safe_interval(narrow, ecc_strength, _CANDIDATE_INTERVALS)
     if interval is None:

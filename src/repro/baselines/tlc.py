@@ -13,14 +13,12 @@ occupies 384 cells versus the MLC schemes' 296 (see
 from __future__ import annotations
 
 from ..core.policies.base import BaseDriftPolicy, PolicyContext
-from ..core.registry import register_scheme
 from ..memsim.policy import ReadDecision, ReadMode, WriteDecision
 from ..pcm.area import tlc_line_budget
 
 __all__ = ["TlcPolicy"]
 
 
-@register_scheme("TLC")
 class TlcPolicy(BaseDriftPolicy):
     """TLC scheme: drift-resilient tri-level cells, no scrubbing.
 

@@ -91,7 +91,18 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Container,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .core.registry import (
     canonical_scheme_name,
@@ -99,20 +110,29 @@ from .core.registry import (
     scheme_names,
     unknown_scheme_message,
 )
-from .memsim.config import ENGINES
-from .obs import MetricsRegistry, Telemetry, Tracer, configure_logging, get_logger
-from .obs.progress import set_progress_allowed
-from .obs.spans import SpanTracker, maybe_span, tracker_scope
-from .traces.spec import workload_names
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import logging
+
+    from .obs import Telemetry
 
 __all__ = ["main"]
 
-_log = get_logger("cli")
+#: Commands that only print: they log nothing and show no progress line,
+#: so :func:`main` sets up neither for them.
+_PRINT_ONLY = ("list", "schemes")
+
+
+def _log() -> logging.Logger:
+    from .obs.logutil import get_logger
+
+    return get_logger("cli")
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     # The index, not the catalog: listing ids loads no driver.
     from .experiments.index import DRIVERS, SWEEP_EXPERIMENTS
+    from .traces.spec import workload_names
 
     print("Reproducible experiments (paper artifact -> driver):")
     for name in DRIVERS:
@@ -150,6 +170,8 @@ def _build_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
         or getattr(args, "ledger", None)
     ):
         return None
+    from .obs import MetricsRegistry, Telemetry, Tracer
+
     ledger = None
     if getattr(args, "ledger", None):
         from .obs.ledger import RunLedger
@@ -180,6 +202,8 @@ def _cli_tracker(
         yield
         _write_telemetry_files(args, tele)
         return
+    from .obs.spans import SpanTracker, tracker_scope
+
     tracker = SpanTracker(tele.tracer.emit)
     with tracker_scope(tracker):
         with tracker.span(f"cli.{command}"):
@@ -196,6 +220,8 @@ def _write_telemetry_files(args: argparse.Namespace, tele: Optional[Telemetry]) 
     """
     if tele is None:
         return
+    from .obs.spans import maybe_span
+
     with maybe_span(
         "telemetry.export",
         trace=bool(getattr(args, "trace", None)),
@@ -260,7 +286,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = service.run_experiment(name, **kwargs)
             print(result.render())
             print()
-            _log.info("%s done in %.2fs", name, time.perf_counter() - started)
+            _log().info("%s done in %.2fs", name, time.perf_counter() - started)
     return 0
 
 
@@ -269,6 +295,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .core.registry import make_policy
     from .memsim.config import MemoryConfig
     from .memsim.engine import simulate
+    from .obs.spans import maybe_span
     from .traces.generator import generate_trace
     from .traces.spec import instructions_for_requests, workload
 
@@ -299,7 +326,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             stats = simulate(
                 trace, policy, config, telemetry=tele, engine=args.engine
             )
-        _log.info(
+        _log().info(
             "simulated %d requests in %.2fs",
             len(trace), time.perf_counter() - started,
         )
@@ -453,7 +480,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         except SpecError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        _log.info(
+        _log().info(
             "fault-density study done in %.2fs", time.perf_counter() - started
         )
         payload = {
@@ -610,7 +637,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             return 2
 
     tele = _build_telemetry(args)
-    _log.info("exploring %s", space.describe())
+    _log().info("exploring %s", space.describe())
     with _cli_tracker(args, tele, "explore"):
         try:
             if args.via_serve:
@@ -812,18 +839,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return run_worker(config)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
-        prog="readduo",
-        description="ReadDuo (DSN 2016) reproduction: MLC PCM drift-resilient readout",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="list experiments, schemes, workloads")
-    p_list.set_defaults(func=_cmd_list)
-
-    p_run = sub.add_parser("run", help="regenerate paper tables/figures")
+def _run_arguments(p_run: argparse.ArgumentParser) -> None:
     p_run.add_argument("experiments", nargs="+",
                        help="experiment ids (or 'all')")
     p_run.add_argument("--quick", action="store_true",
@@ -832,9 +848,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="requests per trace in --quick mode")
     _add_sweep_execution_flags(p_run)
     _add_observability_flags(p_run, ledger=True)
-    p_run.set_defaults(func=_cmd_run)
 
-    p_sim = sub.add_parser("simulate", help="run one workload under one scheme")
+
+def _simulate_arguments(p_sim: argparse.ArgumentParser) -> None:
+    from .traces.spec import workload_names
+
     p_sim.add_argument("--workload", required=True, choices=workload_names())
     p_sim.add_argument("--scheme", required=True)
     p_sim.add_argument("--requests", type=int, default=30_000,
@@ -844,11 +862,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=42)
     _add_engine_flag(p_sim, default="batch")
     _add_observability_flags(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="run the scheme x workload grid, export JSON"
-    )
+
+def _sweep_arguments(p_sweep: argparse.ArgumentParser) -> None:
     p_sweep.add_argument("--output", default="-",
                          help="output path ('-' prints to stdout)")
     p_sweep.add_argument("--spec", metavar="FILE", default=None,
@@ -865,12 +881,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flag(p_sweep, default=None)
     _add_sweep_execution_flags(p_sweep)
     _add_observability_flags(p_sweep, ledger=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_faults = sub.add_parser(
-        "faults",
-        help="fault-injection study: uncorrectable error rate vs density",
-    )
+
+def _faults_arguments(p_faults: argparse.ArgumentParser) -> None:
+    from .traces.spec import workload_names
+
     p_faults.add_argument(
         "--densities", type=float, nargs="+",
         default=[0.0, 0.001, 0.004, 0.016, 0.064], metavar="D",
@@ -893,12 +908,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "('-' prints JSON to stdout)")
     _add_sweep_execution_flags(p_faults)
     _add_observability_flags(p_faults, ledger=True)
-    p_faults.set_defaults(func=_cmd_faults)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="rerun engine benchmarks, rewrite results/BENCH_sweep.json",
-    )
+
+def _bench_arguments(p_bench: argparse.ArgumentParser) -> None:
     p_bench.add_argument(
         "--requests", type=_positive_int, default=30_000,
         help="requests per trace for the paper-scale scenarios",
@@ -937,13 +949,9 @@ def build_parser() -> argparse.ArgumentParser:
              "results/BENCH_dist.json and exits 1 on any cross-round "
              "result divergence",
     )
-    p_bench.set_defaults(func=_cmd_bench)
 
-    p_report = sub.add_parser(
-        "report",
-        help="aggregate a run-provenance ledger, metrics snapshot, or "
-             "benchmark history into a summary",
-    )
+
+def _report_arguments(p_report: argparse.ArgumentParser) -> None:
     p_report.add_argument(
         "--ledger", metavar="FILE", default=None,
         help="run-provenance ledger (JSONL) written by "
@@ -986,14 +994,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-on-regression", action="store_true",
         help="exit 3 when --bench flags a regression beyond the threshold",
     )
-    p_report.set_defaults(func=_cmd_report)
 
-    p_explore = sub.add_parser(
-        "explore",
-        help="search the scheme/ECC/scrub design space for the "
-             "EDAP / FIT / wear Pareto frontier via successive halving "
-             "(see docs/EXPLORE.md)",
-    )
+
+def _explore_arguments(p_explore: argparse.ArgumentParser) -> None:
+    from .traces.spec import workload_names
+
     p_explore.add_argument(
         "--space", metavar="FILE", default=None,
         help="load the whole exploration space from a JSON file "
@@ -1053,24 +1058,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sweep_execution_flags(p_explore)
     _add_observability_flags(p_explore, ledger=True)
-    p_explore.set_defaults(func=_cmd_explore)
 
-    p_schemes = sub.add_parser(
-        "schemes",
-        help="list scheme names, aliases, and parameter-family syntaxes",
-    )
+
+def _schemes_arguments(p_schemes: argparse.ArgumentParser) -> None:
     p_schemes.add_argument(
         "--json", action="store_true",
         help="emit the catalog as JSON (the same document the serve "
              "daemon returns from GET /v1/schemes)",
     )
-    p_schemes.set_defaults(func=_cmd_schemes)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the simulation daemon: HTTP/JSON SimSpec submission "
-             "with request coalescing (see docs/SERVING.md)",
-    )
+
+def _serve_arguments(p_serve: argparse.ArgumentParser) -> None:
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1; the daemon "
                               "has no auth — keep it on loopback or behind "
@@ -1124,14 +1122,9 @@ def build_parser() -> argparse.ArgumentParser:
              "locally itself (default: 3)",
     )
     _add_sweep_execution_flags(p_serve)
-    p_serve.set_defaults(func=_cmd_serve)
 
-    p_worker = sub.add_parser(
-        "worker",
-        help="run a distributed execution worker against a "
-             "`readduo serve --distributed` coordinator "
-             "(see docs/DISTRIBUTED.md)",
-    )
+
+def _worker_arguments(p_worker: argparse.ArgumentParser) -> None:
     p_worker.add_argument(
         "--coordinator", default="http://127.0.0.1:8787", metavar="URL",
         help="coordinator base URL (default: http://127.0.0.1:8787)",
@@ -1174,13 +1167,97 @@ def build_parser() -> argparse.ArgumentParser:
              "overrides -v",
     )
     _add_sweep_execution_flags(p_worker)
-    p_worker.set_defaults(func=_cmd_worker)
+
+
+#: Subcommand -> (help, argument builder, handler), in ``--help`` order.
+_COMMANDS: Dict[
+    str,
+    Tuple[str, Optional[Callable[[argparse.ArgumentParser], None]], Callable[..., int]],
+] = {
+    "list": ("list experiments, schemes, workloads", None, _cmd_list),
+    "run": ("regenerate paper tables/figures", _run_arguments, _cmd_run),
+    "simulate": (
+        "run one workload under one scheme",
+        _simulate_arguments,
+        _cmd_simulate,
+    ),
+    "sweep": (
+        "run the scheme x workload grid, export JSON",
+        _sweep_arguments,
+        _cmd_sweep,
+    ),
+    "faults": (
+        "fault-injection study: uncorrectable error rate vs density",
+        _faults_arguments,
+        _cmd_faults,
+    ),
+    "bench": (
+        "rerun engine benchmarks, rewrite results/BENCH_sweep.json",
+        _bench_arguments,
+        _cmd_bench,
+    ),
+    "report": (
+        "aggregate a run-provenance ledger, metrics snapshot, or "
+        "benchmark history into a summary",
+        _report_arguments,
+        _cmd_report,
+    ),
+    "explore": (
+        "search the scheme/ECC/scrub design space for the "
+        "EDAP / FIT / wear Pareto frontier via successive halving "
+        "(see docs/EXPLORE.md)",
+        _explore_arguments,
+        _cmd_explore,
+    ),
+    "schemes": (
+        "list scheme names, aliases, and parameter-family syntaxes",
+        _schemes_arguments,
+        _cmd_schemes,
+    ),
+    "serve": (
+        "run the simulation daemon: HTTP/JSON SimSpec submission "
+        "with request coalescing (see docs/SERVING.md)",
+        _serve_arguments,
+        _cmd_serve,
+    ),
+    "worker": (
+        "run a distributed execution worker against a "
+        "`readduo serve --distributed` coordinator "
+        "(see docs/DISTRIBUTED.md)",
+        _worker_arguments,
+        _cmd_worker,
+    ),
+}
+
+
+def build_parser(
+    commands: Optional[Container[str]] = None,
+) -> argparse.ArgumentParser:
+    """Construct the CLI argument parser (exposed for tests).
+
+    Every subcommand is listed, but only those in ``commands`` (default:
+    all) get their options. :func:`main` builds only the one it runs, so
+    no command imports what another one's options need (the engine and
+    workload choices).
+    """
+    parser = argparse.ArgumentParser(
+        prog="readduo",
+        description="ReadDuo (DSN 2016) reproduction: MLC PCM drift-resilient readout",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if add_arguments is not None and (commands is None or name in commands):
+            add_arguments(command)
+        command.set_defaults(func=handler)
     return parser
 
 
 def _add_engine_flag(
     parser: argparse.ArgumentParser, default: Optional[str]
 ) -> None:
+    from .memsim.config import ENGINES
+
     parser.add_argument(
         "--engine", choices=ENGINES, default=default,
         help="simulation engine: 'batch' (compiled kernel, default) or "
@@ -1240,8 +1317,18 @@ def _add_observability_flags(
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The first positional token names the command (the top-level parser
+    # has no option that takes a value); ``--help`` names none.
+    args = build_parser(
+        [token for token in argv if not token.startswith("-")][:1]
+    ).parse_args(argv)
+    if args.command in _PRINT_ONLY:
+        return _call(args)
+    from .obs.logutil import configure_logging
+    from .obs.progress import set_progress_allowed
+
     configure_logging(
         verbosity=getattr(args, "verbose", 0),
         level=getattr(args, "log_level", None),
@@ -1254,6 +1341,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         getattr(args, "output", None) != "-"
     )
     try:
+        return _call(args)
+    finally:
+        set_progress_allowed(previous_progress)
+
+
+def _call(args: argparse.Namespace) -> int:
+    """Run the parsed command's handler."""
+    try:
         return args.func(args)
     except BrokenPipeError:
         # Downstream pager/head closed stdout; die quietly like any
@@ -1263,8 +1358,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    finally:
-        set_progress_allowed(previous_progress)
 
 
 if __name__ == "__main__":

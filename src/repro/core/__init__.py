@@ -1,7 +1,8 @@
 """ReadDuo core: hybrid readout, last-write tracking, selective rewrite.
 
 * :mod:`repro.core.registry` — the scheme registry (names, aliases,
-  parameterized families, factories); schemes self-register here.
+  parameterized families, factories); it declares the built-in schemes
+  and imports their factories on first use.
 * :mod:`repro.core.policies` — the scheme policy implementations, one
   module per family.
 * :mod:`repro.core.truncation` — write truncation [11] as the

@@ -20,7 +20,6 @@ from ...memsim.config import DEFAULT_EPOCH_S, DEFAULT_MEMORY_CONFIG, MemoryConfi
 from ...memsim.policy import ReadDecision, ReadMode, ScrubDecision, WriteDecision
 from ...traces.spec import WorkloadProfile
 from ..agemodel import InitialAgeModel
-from ..registry import register_scheme
 
 __all__ = [
     "R_SCRUB_INTERVAL_S",
@@ -163,7 +162,6 @@ class BaseDriftPolicy:
         )
 
 
-@register_scheme("Ideal")
 class IdealPolicy(BaseDriftPolicy):
     """No resistance drift: every read is a fast, error-free R-read."""
 

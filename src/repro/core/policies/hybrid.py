@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from ..registry import register_scheme
 from ...memsim.policy import ReadDecision, ScrubDecision
 from .base import M_SCRUB_INTERVAL_S, BaseDriftPolicy, PolicyContext
 
 __all__ = ["HybridPolicy"]
 
 
-@register_scheme("Hybrid")
 class HybridPolicy(BaseDriftPolicy):
     """ReadDuo-Hybrid (Section III-B): decoupled detect/correct R-reads.
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from ..conversion import AdaptiveConversionController
-from ..lwt import QuantizedTracker, _validate_k
-from ..registry import format_param, register_scheme
+from ..lwt import QuantizedTracker
+from ..registry import lwt_scheme_name
 from ...memsim.policy import ReadDecision, ReadMode, ScrubDecision, WriteDecision
 from .base import (
     CORRECTABLE_ERRORS,
@@ -16,53 +15,9 @@ from .base import (
     PolicyContext,
 )
 
-__all__ = ["LwtPolicy", "lwt_scheme_name"]
+__all__ = ["LwtPolicy"]
 
 
-def _parse_lwt(match) -> dict:
-    k = int(match.group("k"))
-    _validate_k(k)
-    params: dict = {"k": k, "conversion_enabled": match.group("noconv") is None}
-    if match.group("t") is not None:
-        t = int(match.group("t"))
-        if not 0 <= t <= 100 or not params["conversion_enabled"]:
-            raise ValueError("@T<t> needs 0 <= t <= 100 and no -noconv")
-        # A throttle frozen at 0 never converts: that is -noconv.
-        params.update({"fixed_t": t} if t else {"conversion_enabled": False})
-    if match.group("s") is not None:
-        params["interval_s"] = float(match.group("s"))
-        if not 0 < params["interval_s"] < math.inf:
-            raise ValueError("@S<s> needs a finite s > 0")
-    return params
-
-
-def lwt_scheme_name(
-    k: int = 4,
-    conversion_enabled: bool = True,
-    fixed_t: Optional[int] = None,
-    interval_s: float = M_SCRUB_INTERVAL_S,
-) -> str:
-    """Canonical ``LWT-<k>[-noconv][@T<t>][@S<s>]`` spelling (``@S640`` omitted)."""
-    name = f"LWT-{k}" + ("" if conversion_enabled else "-noconv")
-    if fixed_t is not None:
-        name += f"@T{fixed_t}"
-    if interval_s != M_SCRUB_INTERVAL_S:
-        name += f"@S{format_param(interval_s)}"
-    return name
-
-
-# The advertised syntax omits the ablation suffixes ``@T``/``@S``.
-@register_scheme(
-    pattern=(
-        r"LWT-(?P<k>\d+)(?P<noconv>-noconv)?"
-        r"(?:@T(?P<t>\d+))?(?:@S(?P<s>\d[\d.e+-]*))?"
-    ),
-    parse=_parse_lwt,
-    canonical=lambda params: lwt_scheme_name(**params),
-    listed=("LWT-2", "LWT-4", "LWT-4-noconv"),
-    syntax="LWT-<k>[-noconv]",
-    axes=("k", "conversion_enabled"),
-)
 class LwtPolicy(BaseDriftPolicy):
     """ReadDuo-LWT-k (Section III-C): last-write tracking + conversion.
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..registry import register_scheme
 from ...memsim.policy import ReadDecision, ReadMode, ScrubDecision
 from .base import (
     CORRECTABLE_ERRORS,
@@ -14,7 +13,6 @@ from .base import (
 __all__ = ["MMetricPolicy"]
 
 
-@register_scheme("M-metric")
 class MMetricPolicy(BaseDriftPolicy):
     """M-sensing only [23]: every read pays 450 ns, scrubbing is rare."""
 

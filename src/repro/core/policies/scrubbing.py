@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..registry import register_scheme
 from ...memsim.policy import ReadDecision, ReadMode, ScrubDecision, WriteDecision
 from .base import (
     CORRECTABLE_ERRORS,
@@ -131,6 +130,3 @@ class ScrubbingPolicy(BaseDriftPolicy):
             errors_seen=1 if rewrite else 0,
         )
 
-
-register_scheme("Scrubbing", params={"w": 1})(ScrubbingPolicy)
-register_scheme("Scrubbing-W0", params={"w": 0})(ScrubbingPolicy)

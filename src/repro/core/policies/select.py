@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from ..lwt import _validate_k
-from ..registry import register_scheme
 from ...memsim.policy import WriteDecision
 from .base import DATA_CELLS, M_SCRUB_INTERVAL_S, PolicyContext
 from .lwt import LwtPolicy
@@ -11,22 +9,6 @@ from .lwt import LwtPolicy
 __all__ = ["SelectPolicy"]
 
 
-def _parse_select(match) -> dict:
-    k, s = int(match.group("k")), int(match.group("s"))
-    _validate_k(k)
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return {"k": k, "s": s}
-
-
-@register_scheme(
-    pattern=r"Select-(?P<k>\d+):(?P<s>\d+)",
-    parse=_parse_select,
-    canonical=lambda params: "Select-{}:{}".format(params["k"], params["s"]),
-    listed=("Select-4:1", "Select-4:2"),
-    syntax="Select-<k>:<s>",
-    axes=("k", "s"),
-)
 class SelectPolicy(LwtPolicy):
     """ReadDuo-Select-(k:s) (Section III-D): selective differential write.
 

@@ -1,13 +1,20 @@
 """Scheme registry: pluggable drift-mitigation schemes by name.
 
 Every scheme the simulator can run — the paper's designs in
-:mod:`repro.core.policies`, the TLC baseline in :mod:`repro.baselines`,
-or a user-defined plugin — registers itself here with a *name pattern*,
+:mod:`repro.core.policies`, the baselines in :mod:`repro.baselines`,
+or a user-defined plugin — is registered here with a *name pattern*,
 a *parameter parser*, and a *factory*. Everything downstream (CLI
 validation, :class:`~repro.experiments.spec.SimSpec`, the sweep runner
 and its worker processes) resolves scheme names through this registry,
-so adding a scheme is one :func:`register_scheme` call in one file with
-zero edits to the CLI, runner, or parallel executor.
+so adding a scheme is one :func:`register_scheme` call (or, for a
+built-in, one row of :data:`_BUILTIN_SCHEMES`) with zero edits to the
+CLI, runner, or parallel executor.
+
+The built-in schemes are declared in this module, in listing order, and
+their factories are ``"module:attr"`` references that :func:`make_policy`
+imports on first use. Listing, validating or canonicalizing a name
+therefore imports no policy implementation; a plugin passes its factory
+as a callable (the decorated class, by default).
 
 Two kinds of registration:
 
@@ -28,9 +35,20 @@ aliases (case-insensitive, optional ``readduo-`` prefix:
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from importlib import import_module
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 __all__ = [
     "SchemeFamily",
@@ -46,6 +64,8 @@ __all__ = [
     "enumerate_family",
     "make_policy",
     "format_param",
+    "lwt_scheme_name",
+    "precise_scheme_name",
     "unknown_scheme_message",
 ]
 
@@ -55,10 +75,15 @@ ALIAS_PREFIX = "readduo-"
 #: Constructor keyword arguments parsed out of a scheme name.
 ParamDict = Dict[str, Any]
 
+#: A policy factory: a callable, or a ``"module:attr"`` reference to one.
+Factory = Union[str, Callable[..., Any]]
 
-@dataclass(frozen=True)
-class SchemeFamily:
+
+class SchemeFamily(NamedTuple):
     """One registry entry: a fixed scheme name or a parameterized family.
+
+    A named tuple rather than a dataclass: ``dataclasses`` (with
+    ``inspect``) would be the largest import of ``readduo schemes``.
 
     Attributes:
         key: Unique registry key (the fixed name, or the family syntax).
@@ -66,7 +91,8 @@ class SchemeFamily:
         alias_pattern: The same regex compiled case-insensitively, used
             for alias resolution after the ``readduo-`` prefix strip.
         factory: ``factory(ctx, **params) -> policy`` — usually the
-            policy class itself.
+            policy class itself — or a ``"module:attr"`` reference to
+            it that :func:`make_policy` imports on first use.
         parse: Maps a ``pattern`` match to constructor ``params``;
             raises ``ValueError`` when a parameter is out of range.
         canonical: Renders ``params`` back into the canonical spelling.
@@ -83,12 +109,12 @@ class SchemeFamily:
     key: str
     pattern: "re.Pattern[str]"
     alias_pattern: "re.Pattern[str]"
-    factory: Callable[..., Any]
+    factory: Factory
     parse: Callable[["re.Match[str]"], ParamDict]
     canonical: Callable[[ParamDict], str]
     listed: Tuple[str, ...]
     syntax: Optional[str] = None
-    axes: Tuple[str, ...] = field(default=())
+    axes: Tuple[str, ...] = ()
 
 
 def format_param(value: float) -> str:
@@ -97,20 +123,10 @@ def format_param(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-#: Registration-order registry (dicts preserve insertion order).
+#: Registration-order registry (dicts preserve insertion order). The
+#: built-in schemes fill it when this module is imported, so every query
+#: and every plugin registration sees them first, in listing order.
 _FAMILIES: Dict[str, SchemeFamily] = {}
-
-
-def _registry() -> Dict[str, SchemeFamily]:
-    """:data:`_FAMILIES`, with the built-in schemes registered first.
-
-    Importing :mod:`repro.core.policies` registers them in listing order,
-    so a query or a plugin registration from a process that has not yet
-    imported a policy still sees the built-ins, in the same order.
-    """
-    from . import policies  # noqa: F401
-
-    return _FAMILIES
 
 
 def register_scheme(
@@ -122,19 +138,23 @@ def register_scheme(
     listed: Optional[Tuple[str, ...]] = None,
     syntax: Optional[str] = None,
     params: Optional[ParamDict] = None,
-    factory: Optional[Callable[..., Any]] = None,
+    factory: Optional[Factory] = None,
     axes: Optional[Tuple[str, ...]] = None,
 ):
-    """Class decorator (also usable as a plain call) registering a scheme.
+    """Register a scheme: a plain call with ``factory=``, else a decorator.
 
     Exactly one of ``name`` (fixed scheme) or ``pattern`` (parameterized
-    family) is required. The decorated class is the default factory and
-    is returned unchanged, so registration stacks with inheritance::
+    family) is required. Without ``factory`` the call returns a class
+    decorator: the decorated class is the factory and is returned
+    unchanged, so registration stacks with inheritance. With ``factory``
+    the scheme is registered at once (the returned decorator then only
+    passes its argument through)::
 
         @register_scheme("Hybrid")
         class HybridPolicy(BaseDriftPolicy): ...
 
-        register_scheme("Scrubbing-W0", params={"w": 0})(ScrubbingPolicy)
+        register_scheme("Scrubbing-W0", params={"w": 0},
+                        factory="repro.core.policies.scrubbing:ScrubbingPolicy")
 
     Args:
         name: Canonical fixed name (``"Hybrid"``).
@@ -147,7 +167,8 @@ def register_scheme(
             for fixed schemes and ``()`` for families.
         syntax: Family syntax shown in unknown-scheme errors.
         params: Preset constructor kwargs for fixed-name schemes.
-        factory: Override factory; defaults to the decorated class.
+        factory: The factory, or a ``"module:attr"`` reference to it;
+            defaults to the decorated class.
         axes: Parameter axes (canonical-renderer keys) in enumeration
             order, enabling :func:`enumerate_family` for this family.
 
@@ -185,10 +206,9 @@ def register_scheme(
             entry_parse = parse
             entry_canonical = canonical
             entry_listed = tuple(listed or ())
-        families = _registry()
-        if key in families:
+        if key in _FAMILIES:
             raise ValueError(f"scheme {key!r} is already registered")
-        families[key] = SchemeFamily(
+        _FAMILIES[key] = SchemeFamily(
             key=key,
             pattern=compiled,
             alias_pattern=alias,
@@ -201,6 +221,9 @@ def register_scheme(
         )
         return cls
 
+    if factory is not None:
+        decorate(factory)
+        return lambda cls: cls
     return decorate
 
 
@@ -210,7 +233,7 @@ def unregister_scheme(key: str) -> bool:
     Intended for tests and plugin teardown — the built-in schemes
     re-register only on a fresh interpreter.
     """
-    return _registry().pop(key, None) is not None
+    return _FAMILIES.pop(key, None) is not None
 
 
 def _parse(family: SchemeFamily, match: "re.Match[str]") -> Optional[ParamDict]:
@@ -223,7 +246,7 @@ def _parse(family: SchemeFamily, match: "re.Match[str]") -> Optional[ParamDict]:
 
 def resolve_scheme(name: str) -> Optional[Tuple[SchemeFamily, ParamDict]]:
     """Match a canonical scheme name; None when no entry claims it."""
-    for family in _registry().values():
+    for family in _FAMILIES.values():
         match = family.pattern.fullmatch(name)
         if match is not None:
             params = _parse(family, match)
@@ -240,14 +263,14 @@ def scheme_names() -> Tuple[str, ...]:
     described by :func:`family_syntaxes`.
     """
     return tuple(
-        listed for family in _registry().values() for listed in family.listed
+        listed for family in _FAMILIES.values() for listed in family.listed
     )
 
 
 def family_syntaxes() -> Tuple[str, ...]:
     """Syntax strings of the parameterized families (``LWT-<k>[-noconv]``)."""
     return tuple(
-        family.syntax for family in _registry().values() if family.syntax
+        family.syntax for family in _FAMILIES.values() if family.syntax
     )
 
 
@@ -269,7 +292,7 @@ def resolve_alias(name: str) -> Optional[Tuple[SchemeFamily, ParamDict]]:
     lowered = name.lower()
     if lowered.startswith(ALIAS_PREFIX):
         lowered = lowered[len(ALIAS_PREFIX):]
-    for family in _registry().values():
+    for family in _FAMILIES.values():
         match = family.alias_pattern.fullmatch(lowered)
         params = _parse(family, match) if match is not None else None
         if params is not None:
@@ -320,9 +343,9 @@ def enumerate_family(
             value list, or a rendered name that fails to round-trip
             through :func:`resolve_scheme` (invalid parameter value).
     """
-    family = _registry().get(key)
+    family = _FAMILIES.get(key)
     if family is None:
-        known = [f.key for f in _registry().values() if f.axes]
+        known = [f.key for f in _FAMILIES.values() if f.axes]
         raise KeyError(
             f"unknown scheme family {key!r}; enumerable families: "
             f"{', '.join(known) if known else '(none)'}"
@@ -372,7 +395,7 @@ def scheme_catalog() -> Dict[str, Any]:
     """
     schemes = []
     families = []
-    for family in _registry().values():
+    for family in _FAMILIES.values():
         if family.syntax is not None:
             families.append(
                 {
@@ -426,4 +449,147 @@ def make_policy(name: str, ctx):
     if resolved is None:
         raise ValueError(unknown_scheme_message(name))
     family, params = resolved
-    return family.factory(ctx, **params)
+    factory = family.factory
+    if isinstance(factory, str):
+        module, _, attribute = factory.partition(":")
+        factory = getattr(import_module(module), attribute)
+    return factory(ctx, **params)
+
+
+# ------------------------------------------------------------- built-ins
+
+#: LWT's default scrub interval, omitted from its names: the paper's
+#: M-metric interval, ``repro.core.policies.base.M_SCRUB_INTERVAL_S``.
+_LWT_INTERVAL_S = 640.0
+
+
+def lwt_scheme_name(
+    k: int = 4,
+    conversion_enabled: bool = True,
+    fixed_t: Optional[int] = None,
+    interval_s: float = _LWT_INTERVAL_S,
+) -> str:
+    """Canonical ``LWT-<k>[-noconv][@T<t>][@S<s>]`` spelling (``@S640`` omitted)."""
+    name = f"LWT-{k}" + ("" if conversion_enabled else "-noconv")
+    if fixed_t is not None:
+        name += f"@T{fixed_t}"
+    if interval_s != _LWT_INTERVAL_S:
+        name += f"@S{format_param(interval_s)}"
+    return name
+
+
+def precise_scheme_name(program_width_sigma: float) -> str:
+    """Canonical ``Precise-<w>`` spelling for a programming width."""
+    return f"Precise-{format_param(program_width_sigma)}"
+
+
+def _parse_lwt(match: "re.Match[str]") -> ParamDict:
+    from .lwt import _validate_k
+
+    k = int(match.group("k"))
+    _validate_k(k)
+    params: ParamDict = {"k": k, "conversion_enabled": match.group("noconv") is None}
+    if match.group("t") is not None:
+        t = int(match.group("t"))
+        if not 0 <= t <= 100 or not params["conversion_enabled"]:
+            raise ValueError("@T<t> needs 0 <= t <= 100 and no -noconv")
+        # A throttle frozen at 0 never converts: that is -noconv.
+        params.update({"fixed_t": t} if t else {"conversion_enabled": False})
+    if match.group("s") is not None:
+        params["interval_s"] = float(match.group("s"))
+        if not 0 < params["interval_s"] < math.inf:
+            raise ValueError("@S<s> needs a finite s > 0")
+    return params
+
+
+def _parse_select(match: "re.Match[str]") -> ParamDict:
+    from .lwt import _validate_k
+
+    k, s = int(match.group("k")), int(match.group("s"))
+    _validate_k(k)
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    return {"k": k, "s": s}
+
+
+def _check_precise_width(width: float) -> float:
+    """``width`` if ``Precise-<w>`` accepts it, else ``ValueError``."""
+    from ..pcm.params import R_METRIC
+
+    # Narrowing below the default only widens the guard band: a safe S exists.
+    if not 0 < width <= R_METRIC.program_width_sigma:
+        raise ValueError(
+            "program width must be positive and at most the default "
+            f"{R_METRIC.program_width_sigma}"
+        )
+    return width
+
+
+def _parse_trunc(match: "re.Match[str]") -> ParamDict:
+    resolved = resolve_alias(match.group("inner"))
+    if resolved is None:
+        raise ValueError(f"unknown inner scheme {match.group('inner')!r}")
+    family, params = resolved
+    return {"inner": family.canonical(params)}
+
+
+#: The built-in schemes in listing order: the paper's schemes, then the
+#: baselines, then the ``+trunc`` wrapper family. Each row is the keyword
+#: arguments of one :func:`register_scheme` call.
+_BUILTIN_SCHEMES: Tuple[Dict[str, Any], ...] = (
+    {"name": "Ideal", "factory": "repro.core.policies.base:IdealPolicy"},
+    {
+        "name": "Scrubbing",
+        "params": {"w": 1},
+        "factory": "repro.core.policies.scrubbing:ScrubbingPolicy",
+    },
+    {
+        "name": "Scrubbing-W0",
+        "params": {"w": 0},
+        "factory": "repro.core.policies.scrubbing:ScrubbingPolicy",
+    },
+    {"name": "M-metric", "factory": "repro.core.policies.mmetric:MMetricPolicy"},
+    {"name": "Hybrid", "factory": "repro.core.policies.hybrid:HybridPolicy"},
+    # The advertised syntax omits the ablation suffixes ``@T``/``@S``.
+    {
+        "pattern": (
+            r"LWT-(?P<k>\d+)(?P<noconv>-noconv)?"
+            r"(?:@T(?P<t>\d+))?(?:@S(?P<s>\d[\d.e+-]*))?"
+        ),
+        "parse": _parse_lwt,
+        "canonical": lambda params: lwt_scheme_name(**params),
+        "listed": ("LWT-2", "LWT-4", "LWT-4-noconv"),
+        "syntax": "LWT-<k>[-noconv]",
+        "axes": ("k", "conversion_enabled"),
+        "factory": "repro.core.policies.lwt:LwtPolicy",
+    },
+    {
+        "pattern": r"Select-(?P<k>\d+):(?P<s>\d+)",
+        "parse": _parse_select,
+        "canonical": lambda params: "Select-{}:{}".format(params["k"], params["s"]),
+        "listed": ("Select-4:1", "Select-4:2"),
+        "syntax": "Select-<k>:<s>",
+        "axes": ("k", "s"),
+        "factory": "repro.core.policies.select:SelectPolicy",
+    },
+    {
+        "pattern": r"Precise-(?P<w>\d[\d.e+-]*)",
+        "parse": lambda match: {
+            "program_width_sigma": _check_precise_width(float(match.group("w")))
+        },
+        "canonical": lambda params: precise_scheme_name(params["program_width_sigma"]),
+        "factory": "repro.baselines.precise:precise_write_policy",
+    },
+    {"name": "TLC", "factory": "repro.baselines.tlc:TlcPolicy"},
+    {
+        # One level: the inner name never contains ``+trunc``, so never
+        # re-enters this family.
+        "pattern": r"(?P<inner>(?:(?!\+trunc).)+)\+trunc",
+        "parse": _parse_trunc,
+        "canonical": lambda params: f"{params['inner']}+trunc",
+        "factory": "repro.core.truncation:truncated_policy",
+    },
+)
+
+for _entry in _BUILTIN_SCHEMES:
+    register_scheme(**_entry)

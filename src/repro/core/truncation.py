@@ -28,15 +28,7 @@ from . import registry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-__all__ = ["WriteTruncationWrapper"]
-
-
-def _parse_inner(match) -> dict:
-    resolved = registry.resolve_alias(match.group("inner"))
-    if resolved is None:
-        raise ValueError(f"unknown inner scheme {match.group('inner')!r}")
-    family, params = resolved
-    return {"inner": family.canonical(params)}
+__all__ = ["WriteTruncationWrapper", "truncated_policy"]
 
 
 class WriteTruncationWrapper:
@@ -118,12 +110,7 @@ class WriteTruncationWrapper:
         return self.inner.on_scrub(line, now_s)
 
 
-registry.register_scheme(
-    # One level: the inner name never contains ``+trunc``, so never re-enters this family.
-    pattern=r"(?P<inner>(?:(?!\+trunc).)+)\+trunc",
-    parse=_parse_inner,
-    canonical=lambda params: f"{params['inner']}+trunc",
-    factory=lambda ctx, inner: WriteTruncationWrapper(
-        registry.make_policy(inner, ctx)
-    ),
-)(WriteTruncationWrapper)
+
+def truncated_policy(ctx, inner: str) -> WriteTruncationWrapper:
+    """The ``<inner>+trunc`` factory: the named scheme's policy, wrapped."""
+    return WriteTruncationWrapper(registry.make_policy(inner, ctx))

@@ -1,11 +1,13 @@
-"""Error-correction substrate: GF(2^m), binary BCH, and (72,64) SECDED.
+"""Error-correction substrate: GF(2^m) and binary BCH.
 
 * :mod:`repro.ecc.gf` — finite-field arithmetic with exp/log tables.
 * :mod:`repro.ecc.bch` — the shortened (592, 512) BCH-8 line code with
   decoupled detection/correction, plus arbitrary (t, k) construction.
 * :mod:`repro.ecc.regimes` — the shared corrected / detected-uncorrectable
   / silent three-way split of error counts (and its thresholds).
-* :mod:`repro.ecc.secded` — the TLC baseline's per-word SECDED.
+
+The TLC baseline's per-word (72, 64) SECDED enters only as a cell count
+(:func:`repro.pcm.area.tlc_line_budget`); no codec is needed for it.
 """
 
 from .._lazy import lazy_exports
@@ -19,7 +21,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "ErrorRegime",
         "classify_error_count",
     ),
-    ".secded": ("Secded7264", "SecdedResult", "SecdedStatus"),
 })
 
 __all__ = [
@@ -34,7 +35,4 @@ __all__ = [
     "GF2m",
     "PRIMITIVE_POLYS",
     "get_field",
-    "Secded7264",
-    "SecdedResult",
-    "SecdedStatus",
 ]

@@ -25,8 +25,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from ..baselines.precise import precise_scheme_name
-from ..core.policies.lwt import lwt_scheme_name
+from ..core.registry import lwt_scheme_name, precise_scheme_name
 from ..ecc.bch import DecodeStatus, bch8_for_line
 from ..memsim.config import MemoryConfig
 from .report import ExperimentResult

@@ -1,20 +1,8 @@
-"""Paper-figure drivers (one module per figure)."""
+"""Paper-figure drivers (one module per figure).
 
-from . import (  # noqa: F401
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-)
+Importing the package imports no driver: :mod:`..catalog` imports each
+figure's module when its id is looked up.
+"""
 
 __all__ = [
     "figure1",

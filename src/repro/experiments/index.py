@@ -1,9 +1,11 @@
-"""The artifact index: every experiment id and where its driver lives.
+"""The artifact index: every experiment id and where its code lives.
 
 This module imports nothing, so listing the artifacts (``readduo
 list``) loads no driver and no numeric module. :mod:`.catalog` resolves
-the same table into :data:`~repro.experiments.catalog.EXPERIMENTS`, so
-the listing and the runnable catalog cannot disagree.
+the same tables into :data:`~repro.experiments.catalog.EXPERIMENTS` and
+:data:`~repro.experiments.catalog.EXPERIMENT_SPECS`, one module at a
+time, so the listing and the runnable catalog cannot disagree and
+``readduo run <id>`` imports only the drivers it runs.
 """
 
 #: Experiment id -> ``(module, attribute)`` of its driver, relative to
@@ -41,4 +43,23 @@ SWEEP_EXPERIMENTS = (
     "figure15",
 )
 
-__all__ = ["DRIVERS", "SWEEP_EXPERIMENTS"]
+#: Experiment id -> ``(module, attribute)`` of its spec collector, a
+#: callable returning the SimSpecs that experiment's driver will feed to
+#: run_sweep. Every simulating driver has one: its variants are scheme
+#: names (``LWT-4@T100``, ``Precise-2``, ``Select-4:2+trunc``), never
+#: hand-built policies. Closed-form and Monte-Carlo drivers are absent.
+SPEC_COLLECTORS = {
+    **{
+        experiment_id: ("figures._sweep", "sweep_specs")
+        for experiment_id in SWEEP_EXPERIMENTS
+    },
+    "ablation-scrub-contention": ("ablations", "scrub_contention_specs"),
+    "ablation-write-cancellation": ("ablations", "write_cancellation_specs"),
+    "ablation-conversion-throttle": ("ablations", "conversion_throttle_specs"),
+    "ablation-write-truncation": ("ablations", "write_truncation_specs"),
+    "extra-fault-density": ("faults", "fault_density_specs"),
+    "extra-scrub-interval": ("extras", "scrub_interval_specs"),
+    "extra-precise-write": ("extras", "precise_write_specs"),
+}
+
+__all__ = ["DRIVERS", "SPEC_COLLECTORS", "SWEEP_EXPERIMENTS"]

@@ -30,10 +30,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from .. import __version__
-from ..core.policies import PolicyContext  # populates the scheme registry
 from ..core.registry import (
     canonical_scheme_name,
     is_scheme_name,
@@ -49,6 +48,9 @@ from ..traces.spec import (
     workload,
     workload_names,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.policies import PolicyContext
 
 __all__ = ["ALL_SCHEMES", "SPEC_HASH_FORMAT", "SimSpec", "SpecError"]
 
@@ -417,6 +419,8 @@ class SimSpec:
 
     def policy_context(self, profile: WorkloadProfile) -> PolicyContext:
         """The :class:`PolicyContext` this spec implies for a workload profile."""
+        from ..core.policies import PolicyContext
+
         return PolicyContext(
             profile=profile, config=self.config, epoch_s=self.epoch_s, seed=self.seed
         )

@@ -1,16 +1,8 @@
-"""Paper-table drivers (one module per table)."""
+"""Paper-table drivers (one module per table).
 
-from . import (  # noqa: F401
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table7,
-    table8,
-    table9,
-    table10,
-)
+Importing the package imports no driver: :mod:`..catalog` imports each
+table's module when its id is looked up.
+"""
 
 __all__ = [
     "table1",

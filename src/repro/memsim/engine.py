@@ -772,19 +772,20 @@ def last_run_provenance() -> Dict[str, Optional[str]]:
 
     ``{"engine": "batch" | "event" | None, "fastpath": "speculated" |
     "fallback" | "no_native" | None, "fastpath_reason": str | None}`` —
-    ``fastpath`` and ``fastpath_reason`` are ``None`` unless the batch
-    engine ran (the event engine never tries the kernel). The reason is
-    ``"ok"`` on the kernel and says why a run fell back otherwise
-    (``"ineligible"``, ``"faults"``, ``"no_native"``, ...). Read by the
-    executor right after a unit simulation so ledger records can say how
-    each unit was actually produced.
+    ``engine`` is the engine that ran, so a unit that fell back from the
+    kernel says ``"event"``. ``fastpath`` and ``fastpath_reason`` are
+    ``None`` unless the run tried the kernel (``engine="event"`` never
+    does). The reason is ``"ok"`` on the kernel and says why a run fell
+    back otherwise (``"ineligible"``, ``"faults"``, ``"no_native"``, ...).
+    Read by the executor right after a unit simulation so ledger records
+    can say how each unit was actually produced.
     """
     from . import fastpath
 
     engine, outcome, reason = fastpath.last_run()
-    batch = engine == "batch"
+    tried = reason != "not_attempted"
     return {
         "engine": engine,
-        "fastpath": outcome if batch else None,
-        "fastpath_reason": reason if batch else None,
+        "fastpath": outcome if tried else None,
+        "fastpath_reason": reason if tried else None,
     }

@@ -100,9 +100,10 @@ __all__ = [
 
 #: ``(engine, outcome, reason)`` of this thread's most recent
 #: :func:`repro.memsim.simulate` call, in ``_STATE.last``. ``engine`` is
-#: ``"batch"`` or ``"event"``; ``outcome`` is ``"speculated"`` (the run
-#: went through the compiled kernel), ``"fallback"`` or ``"no_native"``,
-#: and ``reason`` says why (``"ok"`` on the kernel). Read for
+#: the engine that ran: ``"batch"`` (the compiled kernel) or ``"event"``;
+#: ``outcome`` is ``"speculated"`` (the run went through the kernel),
+#: ``"fallback"`` or ``"no_native"``, and ``reason`` says why (``"ok"`` on
+#: the kernel, ``"not_attempted"`` when the kernel was never tried). Read for
 #: run-provenance records and the ``fastpath.*`` counters: a fall-back to
 #: the event engine is otherwise indistinguishable from a kernel run.
 #: Thread-local because the serve daemon simulates on several executor
@@ -113,7 +114,7 @@ _NOT_ATTEMPTED: Tuple[Optional[str], str, str] = (None, "fallback", "not_attempt
 
 
 def last_run() -> Tuple[Optional[str], str, str]:
-    """``(engine, outcome, reason)`` of the most recent run on this thread."""
+    """``(engine that ran, outcome, reason)`` of the most recent run on this thread."""
     return getattr(_STATE, "last", _NOT_ATTEMPTED)
 
 
@@ -131,7 +132,7 @@ def record_event_run() -> None:
 def _miss(reason: str) -> None:
     """Record a fall-back to the event engine; returns ``None`` for tail calls."""
     outcome = "no_native" if reason == "no_native" else "fallback"
-    _STATE.last = ("batch", outcome, reason)
+    _STATE.last = ("event", outcome, reason)
     return None
 
 

@@ -25,26 +25,24 @@ essentially nothing on its hot path; see docs/OBSERVABILITY.md for the
 metric names, the record schemas, and measured overhead.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from typing import TYPE_CHECKING, Optional
-
-from .logutil import configure_logging, get_logger, verbosity_to_level
-from .metrics import (
-    NULL_REGISTRY,
-    QUEUE_DEPTH_BUCKETS,
-    READ_LATENCY_BUCKETS_NS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
-from .spans import SpanContext, SpanTracker, current_tracker, maybe_span
-from .tracing import NullTracer, Tracer, chrome_trace_events
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoid import at runtime)
-    from .ledger import RunLedger
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".logutil": ("configure_logging", "get_logger", "verbosity_to_level"),
+    ".metrics": (
+        "NULL_REGISTRY",
+        "QUEUE_DEPTH_BUCKETS",
+        "READ_LATENCY_BUCKETS_NS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "NullRegistry",
+    ),
+    ".spans": ("SpanContext", "SpanTracker", "current_tracker", "maybe_span"),
+    ".telemetry": ("Telemetry",),
+    ".tracing": ("NullTracer", "Tracer", "chrome_trace_events"),
+})
 
 __all__ = [
     "Telemetry",
@@ -67,30 +65,3 @@ __all__ = [
     "configure_logging",
     "verbosity_to_level",
 ]
-
-
-class Telemetry:
-    """Bundle of an event tracer, a metrics registry, and a run ledger.
-
-    Any side may be ``None``; :attr:`enabled` is true when at least one
-    is live (null backends count as absent). Consumers that receive
-    ``telemetry=None`` skip all instrumentation work.
-    """
-
-    __slots__ = ("tracer", "metrics", "ledger")
-
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        ledger: Optional["RunLedger"] = None,
-    ) -> None:
-        self.tracer = tracer
-        self.metrics = metrics
-        self.ledger = ledger
-
-    @property
-    def enabled(self) -> bool:
-        tracing = self.tracer is not None and self.tracer.enabled
-        measuring = self.metrics is not None and self.metrics.enabled
-        return tracing or measuring or self.ledger is not None

@@ -36,10 +36,16 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, Mapping, Optional, Union
 
-__all__ = ["LEDGER_RECORD_KIND", "RunLedger"]
+__all__ = ["LEDGER_RECORD_KIND", "LEDGER_SCHEMA_VERSION", "RunLedger"]
 
 #: ``kind`` field of every unit record (the schema's discriminator).
 LEDGER_RECORD_KIND = "run"
+
+#: ``schema`` field of every unit record. Version 2: ``engine`` is the
+#: engine that ran, so a unit that fell back from the kernel says
+#: ``"event"``. Records without the field are version 1, whose ``engine``
+#: was the engine the spec selected.
+LEDGER_SCHEMA_VERSION = 2
 
 
 class RunLedger:
@@ -132,8 +138,10 @@ class RunLedger:
     ) -> Dict[str, Any]:
         """Append one unit record; returns the record dict written.
 
-        ``fastpath_reason`` says why a simulated unit took the path it
-        did (``"ok"`` on the kernel, else the fall-back reason).
+        ``engine`` is the engine that ran a simulated unit (the spec's
+        engine for a cached one); ``fastpath`` and ``fastpath_reason``
+        say whether and why a simulated unit took or left the kernel
+        (``"ok"`` on the kernel, else the fall-back reason).
         ``raw_bytes`` is the uncompressed size of the granular cache
         entry (equal to ``cached_bytes`` for plain entries); ``worker``
         and ``lease`` attribute units resolved through the distributed
@@ -143,6 +151,7 @@ class RunLedger:
         """
         record = {
             "kind": LEDGER_RECORD_KIND,
+            "schema": LEDGER_SCHEMA_VERSION,
             "plan": plan,
             "run_hash": run_hash,
             "workload": workload,

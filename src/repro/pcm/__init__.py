@@ -44,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "hamming_distance_levels",
         "level_to_bits",
     ),
-    ".wearlevel": ("StartGapMapper",),
     ".sensing": (
         "HybridSenseAmplifier",
         "MSenseAmplifier",
@@ -93,5 +92,4 @@ __all__ = [
     "RSenseAmplifier",
     "SenseAmplifier",
     "sense_levels",
-    "StartGapMapper",
 ]

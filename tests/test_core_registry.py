@@ -180,6 +180,22 @@ class TestEnumerateFamily:
         ]
 
 
+class TestBuiltinTable:
+    def test_lwt_default_interval_is_the_m_scrub_interval(self):
+        from repro.core import registry
+        from repro.core.policies import M_SCRUB_INTERVAL_S
+
+        assert registry._LWT_INTERVAL_S == M_SCRUB_INTERVAL_S
+        assert canonical_scheme_name(f"LWT-4@S{M_SCRUB_INTERVAL_S:g}") == "LWT-4"
+
+    def test_module_attr_factory_is_imported_by_make_policy(self, ctx):
+        register_scheme("DummyRef", factory="repro.core.policies.base:IdealPolicy")
+        try:
+            assert type(make_policy("DummyRef", ctx)) is IdealPolicy
+        finally:
+            assert unregister_scheme("DummyRef")
+
+
 class TestErrors:
     def test_unknown_scheme_error_lists_names_and_families(self, ctx):
         with pytest.raises(ValueError) as excinfo:

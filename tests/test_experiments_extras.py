@@ -1,5 +1,7 @@
 """Tests for the extension experiments (BCH study, S sweep, precise writes)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.baselines.precise import precise_write_policy
@@ -102,3 +104,12 @@ class TestMonteCarloValidation:
 
         result = montecarlo_validation(ages_s=(64.0,), num_lines=100)
         assert {row[0] for row in result.rows} == {"R", "M"}
+
+    def test_committed_result_is_the_default_render(self):
+        # results/extra-mc-validation.txt is what `readduo run
+        # extra-mc-validation` prints, i.e. the driver at its defaults.
+        from repro.experiments.extras import montecarlo_validation
+
+        committed = Path(__file__).resolve().parent.parent / "results"
+        text = (committed / "extra-mc-validation.txt").read_text()
+        assert text == montecarlo_validation().render() + "\n"

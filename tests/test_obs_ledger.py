@@ -18,7 +18,7 @@ from repro.experiments.spec import SimSpec
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import simulate
 from repro.obs import MetricsRegistry, Telemetry, Tracer
-from repro.obs.ledger import LEDGER_RECORD_KIND, RunLedger
+from repro.obs.ledger import LEDGER_RECORD_KIND, LEDGER_SCHEMA_VERSION, RunLedger
 from repro.obs.schema import load_schema, validate_jsonl
 from repro.traces.generator import generate_trace
 from repro.traces.spec import instructions_for_requests, workload
@@ -133,6 +133,30 @@ class TestExecutePlanLedger:
         (record,) = _ledger_records(path)
         assert record["fastpath_reason"] == reason
         assert record["fastpath"] == ("speculated" if reason == "ok" else "fallback")
+        schema = load_schema("ledger")
+        assert validate_jsonl(path.read_text().splitlines(), schema) == []
+
+    def test_engine_is_the_engine_that_ran(self, tmp_path):
+        # A unit that left the kernel ran on the event engine, and its
+        # record says so, next to a unit the kernel ran.
+        path = tmp_path / "ledger.jsonl"
+        spec = SimSpec(
+            schemes=("Select-4:2+trunc", "Hybrid"), workloads=("mcf",),
+            target_requests=1_000,
+        )
+        tele = Telemetry(ledger=RunLedger(path))
+        execute_plan(build_plan([spec]), telemetry=tele)
+        tele.ledger.close()
+        records = {r["scheme"]: r for r in _ledger_records(path)}
+        provenance = {
+            scheme: (r["engine"], r["fastpath"], r["fastpath_reason"])
+            for scheme, r in records.items()
+        }
+        assert provenance == {
+            "Select-4:2+trunc": ("event", "fallback", "ineligible"),
+            "Hybrid": ("batch", "speculated", "ok"),
+        }
+        assert all(r["schema"] == LEDGER_SCHEMA_VERSION == 2 for r in records.values())
         schema = load_schema("ledger")
         assert validate_jsonl(path.read_text().splitlines(), schema) == []
 

@@ -11,9 +11,16 @@ numpy follows the same rule one layer down: the package ``__init__``s
 export lazily, registering a scheme imports no numeric module and
 ``list`` reads the artifact index without loading a driver, so
 ``--help``, ``list``, ``schemes`` and a fully cached ``sweep`` import no
-numpy either. Each check runs
-in a fresh interpreter, because this test process has long since imported
-numpy and scipy through other tests.
+numpy either.
+
+One layer further down, each command imports only the modules it runs.
+The registry declares the built-in schemes with lazily imported
+factories, so listing or validating scheme names imports no policy
+implementation; the CLI builds only the invoked command's options and
+sets up logging and telemetry only where they are used; and ``run <id>``
+imports only the drivers it renders. Each check runs in a fresh
+interpreter, because this test process has long since imported numpy
+and scipy through other tests.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from repro.reliability.scrub_analysis import ScrubSetting, table5
 
 _SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-_CLI_PROBE = """
+_CLI_MAIN = """
 import contextlib, json, sys
 from repro.cli import main
 with contextlib.redirect_stdout(open("stdout.txt", "w")):
@@ -42,6 +49,13 @@ with contextlib.redirect_stdout(open("stdout.txt", "w")):
     except SystemExit as exc:
         if exc.code not in (0, None):
             raise
+"""
+
+_MODULES_PROBE = _CLI_MAIN + """
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
+"""
+
+_CLI_PROBE = _CLI_MAIN + """
 print(json.dumps({
     "numpy": any(m == "numpy" or m.startswith("numpy.") for m in sys.modules),
     "scipy": any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
@@ -108,6 +122,28 @@ def _cli(cwd: Path, argv: list) -> dict:
     return _run(_CLI_PROBE, cwd, json.dumps(argv))
 
 
+def _modules_under(cwd: Path, argv: list, packages: tuple) -> list:
+    """The modules under ``packages`` that ``main(argv)`` imported."""
+    return [
+        module
+        for module in _run(_MODULES_PROBE, cwd, json.dumps(argv))
+        if any(module == p or module.startswith(p + ".") for p in packages)
+    ]
+
+
+#: Packages the listing commands never need: the scheme implementations,
+#: telemetry, and the memory and device models.
+_NOT_FOR_LISTING = (
+    "repro.core.policies",
+    "repro.baselines",
+    "repro.obs",
+    "repro.memsim.config",
+    "repro.pcm",
+)
+
+_POLICY_PACKAGES = ("repro.core.policies", "repro.baselines")
+
+
 def _scipy(loaded: dict) -> dict:
     return {key: value for key, value in loaded.items() if key != "numpy"}
 
@@ -166,3 +202,36 @@ def test_first_model_call_imports_scipy_and_matches(tmp_path):
     settings = [ScrubSetting(R_METRIC, 8, 8.0, 1), ScrubSetting(M_METRIC, 8, 640.0, 1)]
     assert fresh["ler"] == ler_table(R_METRIC, _INTERVALS, _STRENGTHS).ler.tolist()
     assert fresh["table5"] == [[r.risk_ii, r.risk_iii] for r in table5(settings)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["list"], ["schemes"], ["schemes", "--json"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_listing_imports_no_policy_telemetry_or_model(tmp_path, argv):
+    assert _modules_under(tmp_path, argv, _NOT_FOR_LISTING) == []
+
+
+def test_warm_sweep_imports_no_policy(tmp_path):
+    # The cold fill builds policies; the warm sweep only canonicalizes
+    # scheme names and reads the disk tier.
+    assert _modules_under(tmp_path, _TINY_SWEEP, _POLICY_PACKAGES) != []
+    cold = (tmp_path / "stdout.txt").read_text()
+    assert _modules_under(tmp_path, _TINY_SWEEP, _POLICY_PACKAGES) == []
+    assert (tmp_path / "stdout.txt").read_text() == cold
+
+
+def test_run_imports_only_the_drivers_it_runs(tmp_path):
+    drivers = (
+        "repro.experiments.tables",
+        "repro.experiments.figures",
+        "repro.experiments.ablations",
+        "repro.experiments.extras",
+        "repro.experiments.faults",
+    )
+    assert _modules_under(tmp_path, ["run", "table1"], drivers) == [
+        "repro.experiments.tables",
+        "repro.experiments.tables.table1",
+    ]
+    assert (tmp_path / "stdout.txt").read_text().startswith("== table1:")
