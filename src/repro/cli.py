@@ -21,8 +21,8 @@ Subcommands:
   event-level oracle), rewrite ``results/BENCH_sweep.json`` through
   the same code path the ``benchmarks/`` harness uses, and append one
   entry to ``results/BENCH_history.jsonl`` (see docs/PERFORMANCE.md).
-  ``--dist`` benchmarks the distributed topology instead
-  (``results/BENCH_dist.json``); ``--explore`` benchmarks the
+  ``--serve`` load-tests the daemon instead
+  (``results/BENCH_serve.json``); ``--explore`` benchmarks the
   design-space explorer (``results/BENCH_explore.json``: requests
   saved vs an exhaustive grid, warm-rerun gate).
 * ``explore`` — design-space exploration: successive halving with
@@ -45,13 +45,8 @@ Subcommands:
   accepting :class:`~repro.experiments.spec.SimSpec` documents,
   coalescing concurrent identical requests by run hash, streaming
   per-unit progress, and applying per-client backpressure (see
-  docs/SERVING.md). ``--distributed`` additionally turns the daemon
-  into a lease coordinator for ``readduo worker`` processes (see
-  docs/DISTRIBUTED.md).
-* ``worker`` — a distributed execution worker: polls a coordinator
-  (``readduo serve --distributed``) for leased run-unit batches,
-  resolves them through its local cache hierarchy plus the shared
-  remote store, and pushes results back (see docs/DISTRIBUTED.md).
+  docs/SERVING.md). Its units run on its own ``--jobs`` pool, as a
+  ``sweep``'s do.
 
 The execution-shaped subcommands (``run``/``sweep``/``faults``) are thin
 clients of :class:`repro.service.ExecutionService` — the same facade the
@@ -690,30 +685,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .experiments.bench import (
         run_bench_suite,
-        run_dist_bench,
         run_explore_bench,
         run_serve_bench,
     )
 
     def say(msg: str) -> None:
         print(msg, file=sys.stderr)
-
-    if args.dist:
-        payload = run_dist_bench(
-            results_dir=args.results_dir,
-            sim_requests=min(args.requests, 3_000),
-            log=say,
-        )
-        dist = payload["distributed"]
-        scaling = dist["scaling"]
-        best = max(scaling.values())
-        say(
-            f"wrote {args.results_dir}/BENCH_dist.json: "
-            f"{len(dist['rounds'])} round(s), "
-            f"{best:.2f}x best scaling, "
-            f"digests {'match' if dist['digests_match'] else 'DIVERGED'}"
-        )
-        return 0 if dist["digests_match"] else 1
 
     if args.explore:
         payload = run_explore_bench(
@@ -800,43 +777,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         ledger=args.ledger,
         executor_workers=args.executor_workers,
-        distributed=args.distributed,
-        lease_ttl_s=args.lease_ttl,
-        lease_units=args.lease_units,
-        max_requeues=args.max_requeues,
     )
     print(
         f"readduo serve on http://{config.host}:{config.port} "
-        f"(jobs={config.jobs}, cache={'on' if not args.no_cache else 'off'}"
-        + (", distributed" if config.distributed else "")
-        + "); Ctrl-C to stop",
+        f"(jobs={config.jobs}, cache={'on' if not args.no_cache else 'off'}); "
+        "Ctrl-C to stop",
         file=sys.stderr,
     )
     return run_server(config)
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Run a distributed execution worker (see docs/DISTRIBUTED.md)."""
-    from .service.execution import CacheSpec
-    from .service.worker import WorkerConfig, run_worker
-
-    cache: CacheSpec = not args.no_cache
-    if args.cache_dir is not None:
-        if args.no_cache:
-            print("--cache-dir conflicts with --no-cache", file=sys.stderr)
-            return 2
-        cache = args.cache_dir
-    config = WorkerConfig(
-        coordinator=args.coordinator,
-        worker_id=args.worker_id,
-        jobs=args.jobs,
-        cache=cache,
-        max_units=args.max_units,
-        poll_interval_s=args.poll_interval,
-        exit_after_idle_s=args.exit_after_idle,
-        memo_capacity=args.memo_capacity,
-    )
-    return run_worker(config)
 
 
 def _run_arguments(p_run: argparse.ArgumentParser) -> None:
@@ -941,13 +889,6 @@ def _bench_arguments(p_bench: argparse.ArgumentParser) -> None:
              "warm-re-explore cache behavior; writes "
              "results/BENCH_explore.json and exits 1 if the warm "
              "re-explore simulated any unit",
-    )
-    p_bench.add_argument(
-        "--dist", action="store_true",
-        help="run the distributed-execution benchmark instead "
-             "(coordinator + real worker subprocesses); writes "
-             "results/BENCH_dist.json and exits 1 on any cross-round "
-             "result divergence",
     )
 
 
@@ -1101,72 +1042,7 @@ def _serve_arguments(p_serve: argparse.ArgumentParser) -> None:
              "(default: 4; each thread may itself fan out --jobs "
              "processes)",
     )
-    p_serve.add_argument(
-        "--distributed", action="store_true",
-        help="act as a lease coordinator: decompose owned submits into "
-             "run-unit batches and lease them to `readduo worker` "
-             "processes (see docs/DISTRIBUTED.md)",
-    )
-    p_serve.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="lease time-to-live; a worker that stops heartbeating for "
-             "this long has its units requeued (default: 30)",
-    )
-    p_serve.add_argument(
-        "--lease-units", type=_positive_int, default=8, metavar="N",
-        help="largest unit batch granted per lease (default: 8)",
-    )
-    p_serve.add_argument(
-        "--max-requeues", type=int, default=3, metavar="N",
-        help="requeue attempts per unit before the daemon executes it "
-             "locally itself (default: 3)",
-    )
     _add_sweep_execution_flags(p_serve)
-
-
-def _worker_arguments(p_worker: argparse.ArgumentParser) -> None:
-    p_worker.add_argument(
-        "--coordinator", default="http://127.0.0.1:8787", metavar="URL",
-        help="coordinator base URL (default: http://127.0.0.1:8787)",
-    )
-    p_worker.add_argument(
-        "--worker-id", default=None, metavar="ID",
-        help="stable worker identity (default: <hostname>-<pid>)",
-    )
-    p_worker.add_argument(
-        "--max-units", type=_positive_int, default=8, metavar="N",
-        help="largest batch to request per lease (default: 8)",
-    )
-    p_worker.add_argument(
-        "--poll-interval", type=float, default=0.5, metavar="SECONDS",
-        help="sleep between empty lease polls (default: 0.5)",
-    )
-    p_worker.add_argument(
-        "--exit-after-idle", type=float, default=None, metavar="SECONDS",
-        help="exit cleanly after this long without work "
-             "(default: run forever)",
-    )
-    p_worker.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="local granular-cache directory (default: "
-             "results/.sweep-cache/; the read-through tier in front of "
-             "the coordinator's shared store)",
-    )
-    p_worker.add_argument(
-        "--memo-capacity", type=_positive_int, default=None, metavar="N",
-        help="LRU bound on the in-process run memo (default: planner "
-             "default, 4096 runs)",
-    )
-    p_worker.add_argument(
-        "-v", "--verbose", action="count", default=0, dest="verbose",
-        help="log progress to stderr (-v INFO, -vv DEBUG)",
-    )
-    p_worker.add_argument(
-        "--log-level", default=None, metavar="LEVEL",
-        help="explicit stderr log level (DEBUG/INFO/WARNING/ERROR); "
-             "overrides -v",
-    )
-    _add_sweep_execution_flags(p_worker)
 
 
 #: Subcommand -> (help, argument builder, handler), in ``--help`` order.
@@ -1219,13 +1095,6 @@ _COMMANDS: Dict[
         "with request coalescing (see docs/SERVING.md)",
         _serve_arguments,
         _cmd_serve,
-    ),
-    "worker": (
-        "run a distributed execution worker against a "
-        "`readduo serve --distributed` coordinator "
-        "(see docs/DISTRIBUTED.md)",
-        _worker_arguments,
-        _cmd_worker,
     ),
 }
 

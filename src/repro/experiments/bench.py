@@ -30,13 +30,11 @@ __all__ = [
     "bench_telemetry_overhead",
     "bench_batch_kernel",
     "bench_serve",
-    "bench_distributed",
     "merge_into_bench_json",
     "append_bench_history",
     "load_bench_history",
     "run_bench_suite",
     "run_serve_bench",
-    "run_dist_bench",
     "bench_explore",
     "run_explore_bench",
 ]
@@ -417,160 +415,6 @@ def run_serve_bench(
             executor_workers=1,
             log=log,
         )
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
-
-
-def bench_distributed(
-    worker_counts: Tuple[int, ...] = (1, 2),
-    sim_requests: int = 3_000,
-    lease_units: int = 2,
-    log: Optional[Callable[[str], None]] = None,
-) -> Dict:
-    """Drain one cold sweep through real ``readduo worker`` processes.
-
-    For each worker count N: stand up an in-process coordinator
-    (``SimServer`` with ``distributed=True``) over a fresh cache
-    directory, spawn N worker subprocesses with private local caches,
-    submit an 8-unit sweep (4 schemes x 2 workloads), and time the
-    drain. A warm resubmit afterwards must lease zero units (the
-    coordinator's store already has everything).
-
-    Records per-round wall time, unit throughput, and the coordinator's
-    counters, plus ``scaling`` (round N throughput over round 1) and
-    ``digests_match`` — every round must produce the byte-identical
-    response payload, workers or not. On a single-CPU host the scaling
-    number is honest, not aspirational: ``meta.cpu_count`` in the
-    results file is part of the claim.
-    """
-    import asyncio
-    import hashlib
-    import subprocess
-    import sys
-    import tempfile
-
-    from ..service.client import ServeClient
-    from ..service.server import ServeConfig, SimServer
-
-    def say(msg: str) -> None:
-        if log is not None:
-            log(msg)
-
-    spec = {
-        "schemes": ["Ideal", "Scrubbing", "M-metric", "Hybrid"],
-        "workloads": ["gcc", "mcf"],
-        "target_requests": sim_requests,
-        "seed": 42,
-    }
-    distinct_units = len(spec["schemes"]) * len(spec["workloads"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-
-    async def one_round(workers: int, tmp: Path) -> Dict:
-        server = SimServer(ServeConfig(
-            port=0,
-            cache=str(tmp / "server-cache"),
-            distributed=True,
-            lease_ttl_s=15.0,
-            lease_units=lease_units,
-            executor_workers=2,
-        ))
-        await server.start()
-        procs = []
-        try:
-            for index in range(workers):
-                cache_dir = tmp / f"worker-{index}-cache"
-                procs.append(subprocess.Popen(
-                    [
-                        sys.executable, "-m", "repro", "worker",
-                        "--coordinator", f"http://127.0.0.1:{server.port}",
-                        "--worker-id", f"bench-w{index}",
-                        "--cache-dir", str(cache_dir),
-                        "--max-units", str(lease_units),
-                        "--poll-interval", "0.05",
-                    ],
-                    cwd=str(tmp), env=env,
-                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                ))
-            client = ServeClient(port=server.port, client_id="bench-dist")
-            started = time.perf_counter()
-            payload = await client.submit(spec)
-            elapsed = time.perf_counter() - started
-            cold = server.stats()["coordinator"]["counters"]
-            warm_started = time.perf_counter()
-            warm_payload = await client.submit(spec)
-            warm_elapsed = time.perf_counter() - warm_started
-            warm = server.stats()["coordinator"]["counters"]
-            # Digest only the simulation results: the response's plan
-            # accounting (tier counts, leased units) legitimately varies
-            # with topology; the runs must not.
-            blob = json.dumps(
-                payload["runs"], sort_keys=True, separators=(",", ":")
-            )
-            return {
-                "workers": workers,
-                "units": distinct_units,
-                "seconds": elapsed,
-                "units_per_s": distinct_units / elapsed if elapsed else 0.0,
-                "units_leased": cold["units_leased"],
-                "units_requeued": cold["units_requeued"],
-                "units_fallback": cold["units_fallback"],
-                "warm_seconds": warm_elapsed,
-                "warm_units_leased": warm["units_leased"] - cold["units_leased"],
-                "payload_digest": hashlib.sha256(blob.encode()).hexdigest(),
-                "warm_matches_cold": warm_payload["runs"] == payload["runs"],
-            }
-        finally:
-            for proc in procs:
-                proc.terminate()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-            await server.stop()
-
-    rounds = []
-    for workers in worker_counts:
-        say(
-            f"distributed: {distinct_units} cold units at "
-            f"{sim_requests} requests, {workers} worker(s) ..."
-        )
-        with tempfile.TemporaryDirectory(prefix="readduo-dist-") as tmpdir:
-            round_result = asyncio.run(one_round(workers, Path(tmpdir)))
-        rounds.append(round_result)
-        say(
-            f"  {round_result['seconds']:.2f}s "
-            f"({round_result['units_per_s']:.2f} units/s), "
-            f"{round_result['units_leased']} leased, "
-            f"warm rerun leased {round_result['warm_units_leased']}"
-        )
-    digests = {r["payload_digest"] for r in rounds}
-    base = rounds[0]["units_per_s"] or 1.0
-    return {
-        "spec": spec,
-        "lease_units": lease_units,
-        "rounds": rounds,
-        "digests_match": len(digests) == 1,
-        "scaling": {
-            str(r["workers"]): r["units_per_s"] / base for r in rounds
-        },
-    }
-
-
-def run_dist_bench(
-    results_dir: Path,
-    sim_requests: int = 3_000,
-    log: Optional[Callable[[str], None]] = None,
-) -> Dict:
-    """Run the distributed bench and write ``results/BENCH_dist.json``."""
-    results_dir = Path(results_dir)
-    results_dir.mkdir(exist_ok=True)
-    payload = {
-        "meta": bench_meta(sim_requests, 1),
-        "distributed": bench_distributed(sim_requests=sim_requests, log=log),
-    }
-    path = results_dir / "BENCH_dist.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 

@@ -62,9 +62,9 @@ RUN_CACHE_SUBDIR = "runs"
 _DEFAULT_GZIP_MIN_BYTES = 4096
 
 #: Fixed compression level. Together with ``mtime=0`` this makes the
-#: compressed bytes a pure function of the payload, so two workers storing
-#: the same run produce byte-identical files (the distributed store's
-#: last-write-wins safety argument needs exactly this).
+#: compressed bytes a pure function of the payload, so two processes
+#: storing the same run produce byte-identical files and a concurrent
+#: last-write-wins store rewrites the same bytes.
 _GZIP_LEVEL = 6
 
 #: gzip stream magic; entries are sniffed on read so both formats coexist.
@@ -123,9 +123,8 @@ class RunStore(abc.ABC):
     built on it) resolves every run unit through a store of this shape
     before simulating anything. :class:`RunCache` is the filesystem
     backend; :class:`~repro.service.store.MemoryRunStore` keeps entries
-    in-process, and a remote/S3-style backend only needs to implement
-    this interface to plug into the same cache hierarchy (the seam
-    ROADMAP's distributed-sweep item needs).
+    in-process; any other backend only needs to implement this
+    interface to plug into the same cache hierarchy.
 
     Contract: ``load`` returns the bit-exact :class:`RunStats` previously
     passed to ``store`` under the same key, or ``None`` — never raises on

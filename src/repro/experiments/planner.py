@@ -52,7 +52,6 @@ __all__ = [
     "plan_units",
     "build_plan",
     "execute_plan",
-    "lease_batch",
     "lookup_cached",
 ]
 
@@ -252,59 +251,14 @@ def build_plan(specs: Sequence[SimSpec]) -> ExecutionPlan:
     return ExecutionPlan(specs=specs, units=units, stats=stats)
 
 
-def lease_batch(
-    pending: Sequence[RunUnit], max_units: int
-) -> List[RunUnit]:
-    """Slice one lease-sized batch off an ordered pending-unit sequence.
-
-    The distributed coordinator hands work to remote workers in batches;
-    this is the slicing policy, and it mirrors the work-stealing
-    executor's sticky same-workload assignment: the batch starts at the
-    oldest pending unit and greedily takes further units of the *same
-    workload* (anywhere in the queue) before padding with the oldest
-    remaining units. A worker that receives a same-workload batch
-    generates that workload's trace once (its process-local trace memo)
-    instead of once per unit — the same locality argument that shaped
-    :func:`~repro.experiments.parallel.run_units`.
-
-    Args:
-        pending: Units awaiting lease, oldest first.
-        max_units: Batch size bound (>= 1).
-
-    Returns:
-        The selected units, in queue order; empty when nothing pends.
-    """
-    if max_units < 1:
-        raise ValueError("max_units must be >= 1")
-    if not pending:
-        return []
-    anchor_workload = pending[0].workload
-    batch: List[RunUnit] = []
-    skipped: List[RunUnit] = []
-    for unit in pending:
-        if len(batch) >= max_units:
-            break
-        if unit.workload == anchor_workload:
-            batch.append(unit)
-        else:
-            skipped.append(unit)
-    for unit in skipped:
-        if len(batch) >= max_units:
-            break
-        batch.append(unit)
-    return batch
-
-
 def lookup_cached(
     units: Sequence[RunUnit], memo: RunMemo, store: Optional[RunStore] = None
 ) -> Tuple[Dict[str, RunStats], Dict[str, str]]:
     """Resolve units through memo → granular store, simulating nothing.
 
     The one cache-resolution chain: :func:`execute_plan` runs it before
-    simulating the remainder, and the distributed coordinator calls it
-    before leasing anything, so a warm daemon answers from its cache
-    hierarchy and only genuinely new units travel to workers ("a warm
-    rerun leases zero units"). Store hits are promoted into ``memo``.
+    simulating the remainder, so only units that neither tier holds are
+    simulated. Store hits are promoted into ``memo``.
 
     Returns:
         ``(results, tiers)`` where ``tiers`` maps each resolved unit's

@@ -41,11 +41,13 @@ __all__ = ["LEDGER_RECORD_KIND", "LEDGER_SCHEMA_VERSION", "RunLedger"]
 #: ``kind`` field of every unit record (the schema's discriminator).
 LEDGER_RECORD_KIND = "run"
 
-#: ``schema`` field of every unit record. Version 2: ``engine`` is the
+#: ``schema`` field of every unit record. Version 3 drops ``worker`` and
+#: ``lease``, which version 2 carried (always null since units run only
+#: in-process or on the ``--jobs`` pool). Version 2: ``engine`` is the
 #: engine that ran, so a unit that fell back from the kernel says
 #: ``"event"``. Records without the field are version 1, whose ``engine``
 #: was the engine the spec selected.
-LEDGER_SCHEMA_VERSION = 2
+LEDGER_SCHEMA_VERSION = 3
 
 
 class RunLedger:
@@ -133,8 +135,6 @@ class RunLedger:
         raw_bytes: Optional[int] = None,
         faults: Optional[Dict[str, Any]] = None,
         trace: Optional[str] = None,
-        worker: Optional[str] = None,
-        lease: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Append one unit record; returns the record dict written.
 
@@ -143,11 +143,7 @@ class RunLedger:
         say whether and why a simulated unit took or left the kernel
         (``"ok"`` on the kernel, else the fall-back reason).
         ``raw_bytes`` is the uncompressed size of the granular cache
-        entry (equal to ``cached_bytes`` for plain entries); ``worker``
-        and ``lease`` attribute units resolved through the distributed
-        coordinator to the worker id and lease that produced them —
-        ``None`` for local execution, and both are stripped along with
-        the timing fields when comparing ledgers for determinism.
+        entry (equal to ``cached_bytes`` for plain entries).
         """
         record = {
             "kind": LEDGER_RECORD_KIND,
@@ -167,8 +163,6 @@ class RunLedger:
             "raw_bytes": raw_bytes,
             "faults": faults,
             "trace": trace,
-            "worker": worker,
-            "lease": lease,
         }
         if self._explore is not None:
             record["candidate"] = self._explore["candidates"].get(run_hash)

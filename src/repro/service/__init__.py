@@ -16,23 +16,18 @@ telemetry. This package owns that wiring once, behind two surfaces:
   machinery, and applies per-client backpressure;
 * :mod:`repro.service.store` — pluggable
   :class:`~repro.experiments.cache.RunStore` backends (filesystem and
-  in-memory today; the interface is the seam a remote/S3-style backend
-  plugs into);
+  in-memory) and the wire form of one store entry;
 * :mod:`repro.service.client` — a dependency-free HTTP/JSON client for
   the daemon (used by the load-test benchmark, the smoke tests, and any
-  script that wants to talk to a running server);
-* :mod:`repro.service.coordinator` + :mod:`repro.service.worker` —
-  distributed execution: the daemon (``--distributed``) leases
-  content-addressed run-unit batches to ``readduo worker`` processes
-  with TTL/requeue resilience, and the workers share one granular
-  cache through :class:`~repro.service.store.RemoteRunStore`.
+  script that wants to talk to a running server).
 
-See docs/SERVING.md for the HTTP API and coalescing semantics, and
-docs/DISTRIBUTED.md for the lease protocol and its runbook.
+Every unit runs in-process or on the ``--jobs`` process pool of one
+:class:`ExecutionService`; the daemon is one more caller of it. See
+docs/SERVING.md for the HTTP API and coalescing semantics.
 """
 
 from .execution import ExecutionOutcome, ExecutionService, sweep_payload
-from .store import MemoryRunStore, RemoteRunStore, RunStore
+from .store import MemoryRunStore, RunStore
 
 __all__ = [
     "ExecutionOutcome",
@@ -40,5 +35,4 @@ __all__ = [
     "sweep_payload",
     "RunStore",
     "MemoryRunStore",
-    "RemoteRunStore",
 ]

@@ -170,43 +170,16 @@ class ServeClient:
             raise ServeError(0, {"error": "stream ended without a result"})
         return events, result
 
-    # ------------------------------------------------- distributed protocol
-
-    async def lease(
-        self, worker: str, max_units: Optional[int] = None
-    ) -> Dict[str, Any]:
-        """Request one unit batch; ``payload["lease"]`` is None when idle."""
-        body: Dict[str, Any] = {"worker": worker}
-        if max_units is not None:
-            body["max_units"] = max_units
-        return await self._json("POST", "/v1/lease", body)
-
-    async def heartbeat(self, lease: str, worker: str) -> Dict[str, Any]:
-        return await self._json(
-            "POST", "/v1/heartbeat", {"lease": lease, "worker": worker}
-        )
-
-    async def complete(
-        self, lease: str, worker: str, results: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        return await self._json(
-            "POST", "/v1/complete",
-            {"lease": lease, "worker": worker, "results": results},
-        )
+    # ---------------------------------------------------------------- store
 
     async def store_get(self, key: str) -> Optional[Dict[str, Any]]:
-        """One shared-store entry's wire payload, or ``None`` when absent."""
+        """One store entry's wire payload, or ``None`` when absent."""
         try:
             return await self._json("GET", f"/v1/store/{key}")
         except ServeError as exc:
             if exc.status == 404:
                 return None
             raise
-
-    async def store_put(
-        self, key: str, payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        return await self._json("PUT", f"/v1/store/{key}", payload)
 
     # ----------------------------------------------------------- sync sugar
 

@@ -18,15 +18,10 @@ JSON:
   ``result`` line;
 * ``POST /v1/memo/clear`` — drop the in-process run memo (memory-
   pressure hook);
-* ``GET/PUT /v1/store/{run_hash}`` — the shared granular run store,
-  read and written by distributed workers (and any cache-warming
-  client); entries are content-addressed, so writes are conflict-free;
-* ``POST /v1/lease`` / ``/v1/heartbeat`` / ``/v1/complete`` — the
-  distributed execution protocol (``distributed=True``): submitted
-  specs decompose into run units, warm units resolve from the local
-  cache hierarchy, and the remainder are leased to ``readduo worker``
-  processes with TTL + requeue resilience (see
-  :mod:`repro.service.coordinator` and docs/DISTRIBUTED.md).
+* ``GET  /v1/store/{run_hash}`` — one entry of the daemon's granular
+  run store, with its full statistics (``readduo explore --via-serve``
+  scores candidates from it). A key that is not a run hash (64
+  lowercase hex characters) gets ``404`` before the store is touched.
 
 **Coalescing.** Every submitted spec decomposes into run units keyed by
 :meth:`SimSpec.run_hash` — the same identity the planner, memo, and
@@ -60,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,15 +68,8 @@ from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
 from ..obs.ledger import RunLedger
 from ..experiments.cache import RunStore
-from ..experiments.planner import (
-    PlanStats,
-    RunMemo,
-    RunUnit,
-    lookup_cached,
-    plan_units,
-)
+from ..experiments.planner import RunMemo, RunUnit, plan_units
 from ..experiments.spec import SimSpec, SpecError
-from .coordinator import LeaseCoordinator
 from .execution import (
     CacheSpec,
     ExecutionOutcome,
@@ -88,7 +77,7 @@ from .execution import (
     open_store,
     unit_payload,
 )
-from .store import MemoryRunStore, parse_store_entry, store_entry_payload
+from .store import MemoryRunStore, store_entry_payload
 
 __all__ = ["ServeConfig", "SimServer", "run_server"]
 
@@ -98,6 +87,9 @@ _log = get_logger("service.server")
 _DONE = object()
 
 _MAX_HEADER_BYTES = 32 * 1024
+
+#: A store key: ``SimSpec.run_hash``, a sha256 hex digest.
+_RUN_HASH = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass
@@ -125,15 +117,6 @@ class ServeConfig:
             blocked behind a long simulation (the PR 8 p99 bottleneck);
             per-hash coalescing still guarantees each distinct unit
             executes once.
-        distributed: Enable the lease coordinator: owned units that the
-            local cache hierarchy cannot satisfy are leased to
-            ``readduo worker`` processes instead of executing on the
-            pool. Requires at least one worker polling ``/v1/lease``
-            (units exhausted by ``max_requeues`` fall back to the pool).
-        lease_ttl_s: Lease lifetime; workers heartbeat to extend it.
-        lease_units: Largest unit batch one lease may carry.
-        max_requeues: Expiry/abandonment requeues a unit survives before
-            local-fallback execution.
     """
 
     host: str = "127.0.0.1"
@@ -146,10 +129,6 @@ class ServeConfig:
     ledger: Optional[str] = None
     max_body_bytes: int = 1 << 20
     executor_workers: int = 4
-    distributed: bool = False
-    lease_ttl_s: float = 30.0
-    lease_units: int = 8
-    max_requeues: int = 3
 
 
 class _RelayLedger(RunLedger):
@@ -188,8 +167,6 @@ class SimServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self.service: Optional[ExecutionService] = None
         self.run_store: Optional[RunStore] = None
-        self.coordinator: Optional[LeaseCoordinator] = None
-        self._dist_plan: Optional[int] = None
         #: ``json.dumps(unit_payload(stats), sort_keys=True)`` per run
         #: hash; an entry never goes stale, because a run hash names its
         #: result.
@@ -229,9 +206,8 @@ class SimServer:
             thread_name_prefix="readduo-exec",
         )
         ledger = _RelayLedger(self.config.ledger, self._relay_record)
-        # The shared granular store behind GET/PUT /v1/store/{hash}: the
-        # configured persistent store, an in-process one otherwise, so
-        # workers share one cache either way.
+        # The granular store behind GET /v1/store/{hash}: the configured
+        # persistent store, an in-process one otherwise.
         store = open_store(self.config.cache)
         self.run_store = MemoryRunStore() if store is None else store
         self.service = ExecutionService(
@@ -241,23 +217,13 @@ class SimServer:
             memo_capacity=self.config.memo_capacity,
         )
         self._unit_json = RunMemo[str](self.service.memo.capacity)
-        if self.config.distributed:
-            self.coordinator = LeaseCoordinator(
-                ttl_s=self.config.lease_ttl_s,
-                max_units=self.config.lease_units,
-                max_requeues=self.config.max_requeues,
-                fallback=self._local_fallback,
-                on_complete=self._on_worker_complete,
-            )
-            self.coordinator.start()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host, port=self.config.port
         )
         _log.info(
-            "serving on %s:%d (%d executor thread(s)%s)",
+            "serving on %s:%d (%d executor thread(s))",
             self.config.host, self.port,
             max(1, self.config.executor_workers),
-            ", distributed" if self.config.distributed else "",
         )
 
     @property
@@ -272,9 +238,6 @@ class SimServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        if self.coordinator is not None:
-            await self.coordinator.stop()
-            self.coordinator = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -293,9 +256,9 @@ class SimServer:
     def _relay_record(self, record: Dict[str, Any]) -> None:
         """Ledger hook → event-loop broadcast.
 
-        A record written on the loop itself (a memo-hit submit, a
-        distributed cache hit) is broadcast at once: scheduled, it would
-        reach a streaming subscriber after the submit's end marker.
+        A record written on the loop itself (a memo-hit submit) is
+        broadcast at once: scheduled, it would reach a streaming
+        subscriber after the submit's end marker.
         """
         if self._loop is None:
             return
@@ -433,25 +396,18 @@ class SimServer:
             await self._handle_submit(body, client, stream, writer)
         elif path.startswith("/v1/store/"):
             key = path[len("/v1/store/"):]
-            if "/" in key or not key:
+            if not _RUN_HASH.fullmatch(key):
+                # Checked before any store access: a key that is not a
+                # run hash never reaches the filesystem.
                 await _send_json(writer, 404, {"error": "malformed store key"})
             elif method == "GET":
                 await self._handle_store_get(key, writer)
-            elif method == "PUT":
-                await self._handle_store_put(key, body, writer)
             else:
                 await _send_json(
                     writer, 405, {"error": f"method {method} not allowed"}
                 )
-        elif path == "/v1/lease" and method == "POST":
-            await self._handle_lease(body, writer)
-        elif path == "/v1/heartbeat" and method == "POST":
-            await self._handle_heartbeat(body, writer)
-        elif path == "/v1/complete" and method == "POST":
-            await self._handle_complete(body, writer)
         elif path in ("/v1/health", "/v1/schemes", "/v1/stats",
-                      "/v1/memo/clear", "/v1/submit", "/v1/lease",
-                      "/v1/heartbeat", "/v1/complete"):
+                      "/v1/memo/clear", "/v1/submit"):
             await _send_json(
                 writer, 405, {"error": f"method {method} not allowed"}
             )
@@ -480,14 +436,9 @@ class SimServer:
                 type(self.run_store).__name__
                 if self.run_store is not None else None
             ),
-            "distributed": self.config.distributed,
-            "coordinator": (
-                self.coordinator.snapshot()
-                if self.coordinator is not None else None
-            ),
         }
 
-    # ------------------------------------------------------ store endpoints
+    # ------------------------------------------------------- store endpoint
 
     async def _handle_store_get(
         self, key: str, writer: asyncio.StreamWriter
@@ -500,169 +451,6 @@ class SimServer:
         await _send_json(
             writer, 200, store_entry_payload(key, stats), sort_keys=False
         )
-
-    async def _handle_store_put(
-        self, key: str, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
-        assert self.run_store is not None
-        try:
-            payload = json.loads(body.decode("utf-8") or "{}")
-        except ValueError as exc:
-            await _send_json(writer, 400, {"error": str(exc)})
-            return
-        stats = (
-            parse_store_entry(payload, key)
-            if isinstance(payload, dict) else None
-        )
-        if stats is None:
-            await _send_json(writer, 400, {"error": "unusable store entry"})
-            return
-        self.run_store.store(key, stats)
-        await _send_json(writer, 200, {"stored": key})
-
-    # ------------------------------------------------- distributed protocol
-
-    def _parse_doc(self, body: bytes) -> Dict[str, Any]:
-        document = json.loads(body.decode("utf-8") or "{}")
-        if not isinstance(document, dict):
-            raise ValueError("expected a JSON object")
-        return document
-
-    async def _handle_lease(
-        self, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
-        if self.coordinator is None:
-            await _send_json(
-                writer, 409, {"error": "distributed mode disabled"}
-            )
-            return
-        try:
-            document = self._parse_doc(body)
-        except ValueError as exc:
-            await _send_json(writer, 400, {"error": str(exc)})
-            return
-        worker = str(document.get("worker") or "anonymous")
-        max_units = document.get("max_units")
-        granted = self.coordinator.lease(
-            worker, max_units if isinstance(max_units, int) else None
-        )
-        if granted is None:
-            await _send_json(writer, 200, {"lease": None, "units": []})
-            return
-        await _send_json(writer, 200, granted)
-
-    async def _handle_heartbeat(
-        self, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
-        if self.coordinator is None:
-            await _send_json(
-                writer, 409, {"error": "distributed mode disabled"}
-            )
-            return
-        try:
-            document = self._parse_doc(body)
-        except ValueError as exc:
-            await _send_json(writer, 400, {"error": str(exc)})
-            return
-        lease_id = str(document.get("lease") or "")
-        worker = str(document.get("worker") or "")
-        ttl = self.coordinator.heartbeat(lease_id, worker)
-        if ttl is None:
-            await _send_json(
-                writer, 404,
-                {"error": f"unknown lease {lease_id}", "lease": lease_id},
-            )
-            return
-        await _send_json(writer, 200, {"ok": True, "ttl_s": ttl})
-
-    async def _handle_complete(
-        self, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
-        if self.coordinator is None:
-            await _send_json(
-                writer, 409, {"error": "distributed mode disabled"}
-            )
-            return
-        try:
-            document = self._parse_doc(body)
-        except ValueError as exc:
-            await _send_json(writer, 400, {"error": str(exc)})
-            return
-        lease_id = str(document.get("lease") or "")
-        worker = str(document.get("worker") or "anonymous")
-        results = document.get("results")
-        valid: Dict[str, Dict[str, Any]] = {}
-        invalid = 0
-        if isinstance(results, dict):
-            for key, payload in results.items():
-                if not isinstance(payload, dict):
-                    invalid += 1
-                    continue
-                try:
-                    parsed = dict(payload)
-                    # Validate the stats BEFORE any future resolves with
-                    # them: a worker pushing garbage must not poison
-                    # waiting submits.
-                    parsed["stats"] = RunStats.from_dict(payload["stats"])
-                except (KeyError, TypeError, ValueError):
-                    invalid += 1
-                    continue
-                valid[str(key)] = parsed
-        outcome = self.coordinator.complete(lease_id, worker, valid)
-        outcome["invalid"] = invalid
-        await _send_json(writer, 200, outcome)
-
-    def _on_worker_complete(
-        self, unit: RunUnit, stats: RunStats, meta: Dict[str, Any]
-    ) -> None:
-        """Coordinator hook: persist + ledger one worker-resolved unit."""
-        assert self.run_store is not None
-        self.run_store.store(unit.key, stats)
-        ledger = (
-            self.service.telemetry.ledger
-            if self.service is not None and self.service.telemetry is not None
-            else None
-        )
-        if ledger is None:
-            return
-        if self._dist_plan is None:
-            self._dist_plan = ledger.begin_plan()
-        tier = meta.get("tier")
-        if tier not in ("memo", "disk", "simulated"):
-            tier = "simulated"
-        engine = meta.get("engine")
-        if engine not in ("batch", "event"):
-            engine = unit.spec.engine
-        ledger.record(
-            plan=self._dist_plan,
-            run_hash=unit.key,
-            workload=unit.workload,
-            scheme=unit.scheme,
-            tier=tier,
-            engine=engine,
-            fastpath=meta.get("fastpath"),
-            fastpath_reason=meta.get("fastpath_reason"),
-            wall_s=meta.get("wall_s"),
-            cached_bytes=self.run_store.entry_bytes(unit.key),
-            raw_bytes=self.run_store.entry_raw_bytes(unit.key),
-            worker=meta.get("worker"),
-            lease=meta.get("lease"),
-        )
-
-    async def _local_fallback(self, units: List[RunUnit]) -> None:
-        """Execute requeue-exhausted units on the daemon's own pool."""
-        assert (
-            self.service is not None
-            and self.coordinator is not None
-            and self._loop is not None
-        )
-        outcome = await self._loop.run_in_executor(
-            self._executor,
-            self.service.submit,
-            [unit.spec for unit in units],
-        )
-        for unit in units:
-            self.coordinator.resolve_local(unit.key, outcome.results[unit.key])
 
     # -------------------------------------------------------------- submit
 
@@ -795,15 +583,10 @@ class SimServer:
         plan_stats: Optional[Dict[str, Any]] = None
         if owned:
             try:
-                if self.coordinator is not None:
-                    plan_stats = await self._resolve_distributed(owned, futures)
-                else:
-                    outcome = await self._submit_owned(owned)
-                    plan_stats = outcome.stats.as_dict()
-                    for unit in owned:
-                        futures[unit.key].set_result(
-                            outcome.results[unit.key]
-                        )
+                outcome = await self._submit_owned(owned)
+                plan_stats = outcome.stats.as_dict()
+                for unit in owned:
+                    futures[unit.key].set_result(outcome.results[unit.key])
             except BaseException as exc:
                 for unit in owned:
                     if not futures[unit.key].done():
@@ -879,83 +662,6 @@ class SimServer:
             f'"runs": {{{grid}}}, "seed": {json.dumps(spec.seed)}, '
             f'"target_requests": {json.dumps(spec.target_requests)}}}'
         )
-
-    async def _resolve_distributed(
-        self,
-        owned: List[RunUnit],
-        futures: Dict[str, "asyncio.Future[Any]"],
-    ) -> Dict[str, Any]:
-        """Resolve owned units: local cache hierarchy first, leases after.
-
-        Warm units (in-process memo or the shared granular store) never
-        lease — that is what makes a warm rerun lease zero units — and
-        get ledger records exactly as local execution would write them.
-        The remainder enter the coordinator queue and resolve when a
-        worker completes them (or the bounded-retry fallback executes
-        them on the local pool).
-        """
-        assert (
-            self.service is not None
-            and self.coordinator is not None
-            and self._loop is not None
-            and self.run_store is not None
-        )
-        stats = PlanStats(units_total=len(owned))
-        cached, tiers = await self._loop.run_in_executor(
-            self._executor, lookup_cached, owned, self.service.memo,
-            self.run_store,
-        )
-        ledger = (
-            self.service.telemetry.ledger
-            if self.service.telemetry is not None else None
-        )
-        plan_no = ledger.begin_plan() if ledger is not None else 0
-        remaining: List[RunUnit] = []
-        for unit in owned:
-            hit = cached.get(unit.key)
-            if hit is None:
-                remaining.append(unit)
-                continue
-            tier = tiers[unit.key]
-            if tier == "memo":
-                stats.units_memo += 1
-            else:
-                stats.units_disk += 1
-            if ledger is not None:
-                on_disk = tier == "disk"
-                ledger.record(
-                    plan=plan_no,
-                    run_hash=unit.key,
-                    workload=unit.workload,
-                    scheme=unit.scheme,
-                    tier=tier,
-                    engine=unit.spec.engine,
-                    cached_bytes=(
-                        self.run_store.entry_bytes(unit.key)
-                        if on_disk else None
-                    ),
-                    raw_bytes=(
-                        self.run_store.entry_raw_bytes(unit.key)
-                        if on_disk else None
-                    ),
-                )
-            futures[unit.key].set_result(hit)
-        # From the daemon's perspective every leased unit is work it did
-        # not have cached; the worker may still satisfy some from its own
-        # hierarchy (its ledger records carry the true tier).
-        stats.units_simulated = len(remaining)
-        if remaining:
-            coord_futures = self.coordinator.enqueue(remaining)
-            for unit in remaining:
-                value = await asyncio.shield(coord_futures[unit.key])
-                result = (
-                    value if isinstance(value, RunStats)
-                    else RunStats.from_dict(value)
-                )
-                futures[unit.key].set_result(result)
-        payload = stats.as_dict()
-        payload["units_leased"] = len(remaining)
-        return payload
 
 
 # ----------------------------------------------------------- HTTP plumbing

@@ -9,44 +9,36 @@ module collects the concrete backends a service picks from:
   cache (one JSON file per run under ``<root>/runs/``);
 * :class:`MemoryRunStore` — entries held in-process as serialized JSON.
   Useful for tests, for hermetic daemons, and as the reference for what
-  a remote backend must do: round-trip :class:`RunStats` bit-for-bit
+  any backend must do: round-trip :class:`RunStats` bit-for-bit
   through its serialized form, never raise on unusable entries.
-
-* :class:`RemoteRunStore` — the daemon's granular cache over HTTP
-  (``GET``/``PUT /v1/store/{run_hash}``), with read-through to an
-  optional local store. This is how distributed workers share one
-  cache: keys are content hashes, so concurrent writers are
-  conflict-free (last-write-wins overwrites a byte-identical entry)
-  and network failures degrade to cache misses, never errors.
 
 Every backend implements the same four methods and plugs into
 :func:`~repro.experiments.planner.execute_plan` via its ``store=``
 parameter or :class:`~repro.service.ExecutionService`'s ``cache=``
 argument; nothing else in the execution stack changes.
+
+:func:`store_entry_payload` and :func:`parse_store_entry` are the wire
+form of one entry, as the daemon's ``GET /v1/store/{run_hash}`` serves
+it and ``readduo explore --via-serve`` reads it back.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
-from urllib.parse import urlsplit
+from typing import Any, Dict, Optional
 
 from ..memsim.stats import RunStats
 from ..experiments.cache import CacheCounters, RunStore
-from ..obs import get_logger
 
 __all__ = [
     "RunStore",
     "MemoryRunStore",
-    "RemoteRunStore",
     "STORE_WIRE_FORMAT",
     "store_entry_payload",
     "parse_store_entry",
 ]
 
-_log = get_logger("service.store")
-
-#: Version of the ``/v1/store`` JSON body shape (both directions).
+#: Version of the ``GET /v1/store`` JSON body shape.
 STORE_WIRE_FORMAT = 1
 
 
@@ -101,7 +93,7 @@ class MemoryRunStore(RunStore):
 
 
 def store_entry_payload(key: str, stats: RunStats) -> Dict[str, Any]:
-    """The ``/v1/store`` wire body for one entry (both directions).
+    """The ``GET /v1/store`` wire body for one entry.
 
     No sort_keys when serializing, as everywhere else: insertion order
     keeps order-sensitive float sums bit-identical after the round trip.
@@ -131,126 +123,3 @@ def parse_store_entry(
         return RunStats.from_dict(payload["stats"])
     except (KeyError, TypeError, ValueError):
         return None
-
-
-class RemoteRunStore(RunStore):
-    """HTTP-backed run store speaking the daemon's ``/v1/store`` API.
-
-    Used by distributed workers so every worker reads and writes one
-    shared granular cache. Resolution order on :meth:`load` is local
-    store first (read-through), then the daemon (with a write-through
-    into the local store on a hit); :meth:`store` writes through to
-    both. All network failures — connection refused, timeouts, garbage
-    responses — degrade to cache misses and are counted in
-    ``network_errors``, honoring the :class:`RunStore` never-raise
-    contract: a worker with a dead coordinator link still simulates.
-
-    Args:
-        base_url: Daemon endpoint, e.g. ``http://127.0.0.1:8787``.
-        local: Optional local store (typically a
-            :class:`~repro.experiments.cache.RunCache`) consulted
-            before the network and kept warm by remote hits.
-        timeout_s: Per-request socket timeout.
-        client_id: Optional identity sent as ``X-Client-Id`` (the
-            worker id), for the daemon's logs.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        local: Optional[RunStore] = None,
-        timeout_s: float = 10.0,
-        client_id: Optional[str] = None,
-    ) -> None:
-        parts = urlsplit(base_url if "//" in base_url else f"//{base_url}")
-        self.host = parts.hostname or "127.0.0.1"
-        self.port = parts.port or 8787
-        self.local = local
-        self.timeout_s = timeout_s
-        self.client_id = client_id
-        self.counters = CacheCounters()
-        self.network_errors = 0
-
-    # ------------------------------------------------------------ transport
-
-    def _request(
-        self, method: str, path: str, body: Optional[Dict[str, Any]] = None
-    ) -> Tuple[Optional[int], Optional[Dict[str, Any]]]:
-        """One sync round trip; ``(None, None)`` on any network failure."""
-        import http.client
-
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            headers = {"Connection": "close"}
-            if self.client_id:
-                headers["X-Client-Id"] = self.client_id
-            blob = None
-            if body is not None:
-                blob = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=blob, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            self.network_errors += 1
-            _log.warning(
-                "remote store %s %s failed (%s); treating as miss",
-                method, path, exc,
-            )
-            return None, None
-        finally:
-            conn.close()
-        try:
-            payload = json.loads(raw.decode("utf-8")) if raw else {}
-        except ValueError:
-            self.network_errors += 1
-            return response.status, None
-        if not isinstance(payload, dict):
-            payload = {"value": payload}
-        return response.status, payload
-
-    # ------------------------------------------------------------- RunStore
-
-    def load(self, key: str) -> Optional[RunStats]:
-        if self.local is not None:
-            hit = self.local.load(key)
-            if hit is not None:
-                self.counters.hits += 1
-                return hit
-        status, payload = self._request("GET", f"/v1/store/{key}")
-        if status == 200 and payload is not None:
-            stats = parse_store_entry(payload, key)
-            if stats is None:
-                self.counters.stale += 1
-                self.counters.misses += 1
-                return None
-            if self.local is not None:
-                self.local.store(key, stats)
-            self.counters.hits += 1
-            return stats
-        self.counters.misses += 1
-        return None
-
-    def store(self, key: str, stats: RunStats) -> str:
-        if self.local is not None:
-            self.local.store(key, stats)
-        status, _payload = self._request(
-            "PUT", f"/v1/store/{key}", store_entry_payload(key, stats)
-        )
-        if status == 200:
-            self.counters.stores += 1
-        return key
-
-    def entry_bytes(self, key: str) -> Optional[int]:
-        return self.local.entry_bytes(key) if self.local is not None else None
-
-    def entry_raw_bytes(self, key: str) -> Optional[int]:
-        if self.local is not None:
-            return self.local.entry_raw_bytes(key)
-        return None
-
-    def clear(self) -> int:
-        """Drop local entries only; the shared remote cache is left alone."""
-        return self.local.clear() if self.local is not None else 0

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.experiments.cache import RunCache
+from repro.experiments.planner import build_plan, execute_plan
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
 from repro.memsim.config import MemoryConfig
@@ -344,3 +345,26 @@ class TestRunCacheGzip:
         cache = self._cache(tmp_path, 0)
         path = cache.store("k1", one_stats)
         assert path.read_bytes()[:1] == b"{"
+
+
+class TestDeterministicCacheBytes:
+    def test_independent_executions_write_identical_entry_files(
+        self, tmp_path
+    ):
+        spec = SimSpec(
+            schemes=("Ideal", "Hybrid"), workloads=("gcc",),
+            target_requests=300,
+        )
+        entries = {}
+        for name in ("run-a", "run-b"):
+            plan = build_plan([spec])
+            execute_plan(plan, jobs=1, store=RunCache(tmp_path / name))
+            runs_dir = tmp_path / name / "runs"
+            entries[name] = {
+                path.name: path.read_bytes()
+                for path in sorted(runs_dir.glob("*.json"))
+            }
+        assert entries["run-a"].keys() == entries["run-b"].keys()
+        assert len(entries["run-a"]) == 2
+        # Byte-identical, so a concurrent last-write-wins store is a no-op.
+        assert entries["run-a"] == entries["run-b"]

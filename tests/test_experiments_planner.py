@@ -295,40 +295,6 @@ class TestPlanCacheHitCounter:
         assert counters["plan.units_simulated"] == 0
 
 
-class TestLeaseBatch:
-    """Coordinator batch selection: workload affinity, bounded size."""
-
-    def test_empty_pending_gives_empty_batch(self):
-        from repro.experiments.planner import lease_batch
-
-        assert lease_batch([], 4) == []
-
-    def test_max_units_must_be_positive(self):
-        from repro.experiments.planner import lease_batch
-
-        with pytest.raises(ValueError):
-            lease_batch(build_plan([SMALL]).units, 0)
-
-    def test_prefers_anchor_workload_then_pads_oldest(self):
-        from repro.experiments.planner import lease_batch
-
-        units = build_plan([SMALL]).units  # gcc x2 then mcf x2
-        batch = lease_batch(units, 3)
-        assert len(batch) == 3
-        anchor = units[0].workload
-        # Both anchor-workload units come first (trace-memo locality),
-        # then the oldest remaining unit pads the batch.
-        assert [u.workload for u in batch[:2]] == [anchor, anchor]
-        assert batch[2].workload != anchor
-
-    def test_cap_respected(self):
-        from repro.experiments.planner import lease_batch
-
-        units = build_plan([SMALL]).units
-        assert len(lease_batch(units, 1)) == 1
-        assert len(lease_batch(units, 100)) == len(units)
-
-
 class TestLookupCached:
     def test_memo_then_disk_tiers(self, tmp_path):
         service = ExecutionService(cache=tmp_path)

@@ -156,7 +156,8 @@ class TestExecutePlanLedger:
             "Select-4:2+trunc": ("event", "fallback", "ineligible"),
             "Hybrid": ("batch", "speculated", "ok"),
         }
-        assert all(r["schema"] == LEDGER_SCHEMA_VERSION == 2 for r in records.values())
+        assert all(r["schema"] == LEDGER_SCHEMA_VERSION == 3 for r in records.values())
+        assert not any({"worker", "lease"} & set(r) for r in records.values())
         schema = load_schema("ledger")
         assert validate_jsonl(path.read_text().splitlines(), schema) == []
 

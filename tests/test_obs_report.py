@@ -144,6 +144,48 @@ class TestSummarizeLedger:
             assert needle in text
 
 
+class TestCacheBytes:
+    """``cache_bytes`` from a real run's ledger, entries gzip-compressed."""
+
+    def test_gzipped_entries_summarize_stored_below_raw(self, tmp_path, capsys):
+        from repro.experiments.cache import RunCache
+        from repro.experiments.planner import build_plan, execute_plan
+        from repro.experiments.spec import SimSpec
+        from repro.obs import Telemetry
+        from repro.obs.ledger import RunLedger
+
+        store = RunCache(tmp_path / "cache")
+        store.gzip_min_bytes = 1  # compress every entry
+        path = tmp_path / "ledger.jsonl"
+        spec = SimSpec(
+            schemes=("Ideal", "Hybrid"), workloads=("gcc",),
+            target_requests=600,
+        )
+        telemetry = Telemetry(ledger=RunLedger(path))
+        execute_plan(build_plan([spec]), store=store, telemetry=telemetry)
+        telemetry.ledger.close()
+        entries = sorted((tmp_path / "cache" / "runs").glob("*.json"))
+        assert entries and all(
+            entry.read_bytes()[:2] == b"\x1f\x8b" for entry in entries
+        )
+
+        summary = summarize_ledger(
+            parse_ledger_lines(path.read_text().splitlines())
+        )
+        cache_bytes = summary["cache_bytes"]
+        assert cache_bytes["entries"] == len(entries) == 2
+        assert cache_bytes["stored"] == sum(e.stat().st_size for e in entries)
+        assert 0 < cache_bytes["stored"] <= cache_bytes["raw"]
+        ratio = cache_bytes["stored"] / cache_bytes["raw"]
+        assert cache_bytes["ratio"] == ratio
+
+        assert main(["report", "--ledger", str(path)]) == 0
+        assert (
+            f"granular cache entries: 2 sized, {cache_bytes['stored']} B "
+            f"stored / {cache_bytes['raw']} B raw ({100.0 * ratio:.1f}% of raw)"
+        ) in capsys.readouterr().out
+
+
 class TestExploreSection:
     def _explore_record(self, run_hash, candidate, rung, budget, tier):
         record = _record(run_hash, tier)
@@ -267,6 +309,22 @@ class TestReportCli:
         assert main(["report", "--ledger", str(path)]) == 0
         out = capsys.readouterr().out
         assert "2 distinct unit(s)" in out
+
+    def test_schema_2_ledger_still_summarizes(self, tmp_path, capsys):
+        # Version 2 records also carry ``worker`` and ``lease`` (always
+        # null); the report reads them as it reads version 3 records.
+        records = [
+            _record("h1", "simulated", fastpath="speculated", wall_s=0.5),
+            _record("h2", "memo"),
+        ]
+        path = tmp_path / "l.jsonl"
+        self._write_ledger(path, [
+            dict(r, schema=2, worker=None, lease=None) for r in records
+        ])
+        assert main(["report", "--ledger", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(
+            json.dumps(summarize_ledger(records))
+        )
 
     def test_last_flag_limits_to_final_invocation(self, tmp_path, capsys):
         path = tmp_path / "l.jsonl"

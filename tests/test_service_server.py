@@ -466,6 +466,91 @@ class TestStats:
         assert len(store) == 1
 
 
+class TestStoreEndpoints:
+    """``GET /v1/store/<run_hash>``: entries, misses and malformed keys."""
+
+    @staticmethod
+    def _doc_key_and_stats():
+        from repro.experiments.spec import SimSpec
+        from repro.service import ExecutionService
+
+        spec = SimSpec.from_dict(DOC)
+        key = spec.run_hash("gcc", "Ideal")
+        service = ExecutionService(jobs=1, cache=False)
+        try:
+            return key, service.submit([spec]).results[key]
+        finally:
+            service.close()
+
+    def test_get_missing_entry_is_none(self):
+        from repro.experiments.spec import SimSpec
+
+        key = SimSpec.from_dict(DOC).run_hash("gcc", "Ideal")
+
+        async def body(server, client):
+            return await client.store_get(key)
+
+        assert run(body) is None
+
+    def test_get_present_entry_returns_its_payload(self, tmp_path):
+        from repro.service.store import parse_store_entry, store_entry_payload
+
+        key, stats = self._doc_key_and_stats()
+
+        async def body(server, client):
+            # Seed the daemon's store directly; nothing else writes it.
+            server.run_store.store(key, stats)
+            status, _headers, blob = await client.request(
+                "GET", f"/v1/store/{key}"
+            )
+            return status, blob
+
+        status, blob = run(body, cache=str(tmp_path))
+        assert status == 200
+        # The body keeps RunStats.to_dict()'s insertion order
+        # (order-sensitive float sums): no key sorting on the wire.
+        assert blob == json.dumps(store_entry_payload(key, stats)).encode()
+        fetched = parse_store_entry(json.loads(blob), key)
+        assert fetched is not None
+        assert fetched.to_dict() == stats.to_dict()
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "ab\x00cd",
+            "a" * 300,
+            "..",
+            "ABCDEF0123456789" * 4,
+            "0123456789abcdef" * 4,
+        ],
+        ids=["nul-byte", "300-chars", "dot-dot", "uppercase-hex", "missing-hash"],
+    )
+    def test_bad_or_missing_key_gets_4xx_without_error(self, tmp_path, key):
+        async def body(server, client):
+            status, _headers, blob = await client.request(
+                "GET", f"/v1/store/{key}"
+            )
+            return status, json.loads(blob), server.counters["errors"]
+
+        status, payload, errors = run(body, cache=str(tmp_path))
+        assert 400 <= status < 500
+        assert "error" in payload
+        assert errors == 0
+        # Nothing reached the store's directory: no entry, no quarantine.
+        assert not any(path.is_file() for path in tmp_path.rglob("*"))
+
+    def test_put_is_not_allowed(self):
+        key = "0123456789abcdef" * 4
+
+        async def body(server, client):
+            status, _headers, _blob = await client.request(
+                "PUT", f"/v1/store/{key}", {"format": 1}
+            )
+            return status, len(server.run_store)
+
+        assert run(body) == (405, 0)
+
+
 class TestExecutorPool:
     """The bounded submit-executor pool (serve's tail-latency fix)."""
 
@@ -475,8 +560,7 @@ class TestExecutorPool:
 
         stats = run(body, executor_workers=3)
         assert stats["limits"]["executor_workers"] == 3
-        assert stats["distributed"] is False
-        assert stats["coordinator"] is None
+        assert "distributed" not in stats and "coordinator" not in stats
 
     @staticmethod
     def _warm_submit_finishes_first(executor_workers):
