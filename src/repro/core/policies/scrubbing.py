@@ -46,9 +46,7 @@ class ScrubbingPolicy(BaseDriftPolicy):
         w: int = 1,
         r_params=None,
     ) -> None:
-        import numpy as np
-
-        from ..sampler import DriftErrorSampler
+        from ..sampler import DriftErrorSampler, renewal_tables
 
         super().__init__(ctx)
         if w not in (0, 1):
@@ -63,17 +61,12 @@ class ScrubbingPolicy(BaseDriftPolicy):
         self.w = w
         self.name = "Scrubbing-W0" if w == 0 else "Scrubbing"
         self._survived: Dict[int, int] = {}
-        # Survival curve: P(zero errors at age m*S) for a 256-cell line.
-        ages = interval_s * np.arange(1, self._MAX_INTERVALS + 1)
-        p_cell = np.asarray(
-            [self.sampler.cell_error_probability(a, "R") for a in ages]
+        # Hazard q(m): P(first error during interval m | survived so far),
+        # and the stationary CDF of survived intervals, shared by every
+        # policy on the same tables and interval.
+        self._hazard, self._stationary_cdf = renewal_tables(
+            self.sampler.tables, interval_s, self._MAX_INTERVALS, DATA_CELLS
         )
-        survival = np.concatenate([[1.0], (1.0 - p_cell) ** DATA_CELLS])
-        # Hazard q(m): P(first error during interval m | survived so far).
-        self._hazard = 1.0 - survival[1:] / np.maximum(survival[:-1], 1e-300)
-        # Stationary distribution of survived intervals: pi(m) ~ survival(m).
-        weights = survival / survival.sum()
-        self._stationary_cdf = np.cumsum(weights)
 
     def _initial_survived(self, line: int) -> int:
         """Deterministic stationary survived-interval count for ``line``."""

@@ -6,11 +6,14 @@ each access's drift-error count from the *analytic* per-cell probability
 paper's Tables III/IV — evaluated at the line's age and fed through a
 binomial draw. Probabilities are precomputed on a log-age grid once per
 metric and interpolated; ages with negligible error probability skip the
-RNG entirely.
+RNG entirely. ``log10`` of an age is :func:`math.log10`, the C library's,
+which the compiled kernel calls too, so both engines share every bit of
+the probability path.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from ..pcm.params import M_METRIC, MetricParams, R_METRIC
 from ..reliability.drift_prob import mean_cell_error_probability
 
-__all__ = ["DriftErrorSampler", "SamplerTables", "sampler_tables"]
+__all__ = ["DriftErrorSampler", "SamplerTables", "renewal_tables", "sampler_tables"]
 
 
 class SamplerTables:
@@ -93,6 +96,48 @@ def sampler_tables(
     return found
 
 
+def _cell_error_probability(tables: SamplerTables, age_s: float, table: np.ndarray) -> float:
+    """``table`` interpolated at ``log10(age_s)``, clamped to the grid."""
+    if age_s <= tables.grid[0]:
+        return float(table[0])
+    if age_s >= tables.grid[-1]:
+        return float(table[-1])
+    return float(np.interp(math.log10(age_s), tables.log_grid, table))
+
+
+_RENEWAL_MEMO: Dict[Tuple[SamplerTables, float, int, int], Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def renewal_tables(
+    tables: SamplerTables, interval_s: float, horizon: int, cells: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Memoized ``(hazard, stationary_cdf)`` of the scrub renewal process.
+
+    A ``cells``-cell line scrubbed every ``interval_s`` survives scrub
+    ``m`` with probability ``(1 - p_R(m*S))**cells``; ``hazard[m]`` is
+    the probability of its first error during interval ``m`` given that
+    it survived so far, and ``stationary_cdf`` the cumulative stationary
+    distribution of survived intervals, over ``horizon`` intervals. Pure
+    functions of the arguments, so every policy with the same tables and
+    interval shares one read-only pair.
+    """
+    key = (tables, float(interval_s), horizon, cells)
+    found = _RENEWAL_MEMO.get(key)
+    if found is None:
+        ages = interval_s * np.arange(1, horizon + 1)
+        p_cell = np.asarray(
+            [_cell_error_probability(tables, a, tables.p_r) for a in ages]
+        )
+        survival = np.concatenate([[1.0], (1.0 - p_cell) ** cells])
+        hazard = 1.0 - survival[1:] / np.maximum(survival[:-1], 1e-300)
+        # Stationary distribution of survived intervals: pi(m) ~ survival(m).
+        cdf = np.cumsum(survival / survival.sum())
+        for arr in (hazard, cdf):
+            arr.setflags(write=False)
+        found = _RENEWAL_MEMO[key] = (hazard, cdf)
+    return found
+
+
 class DriftErrorSampler:
     """Samples line drift-error counts as a function of line age.
 
@@ -127,19 +172,11 @@ class DriftErrorSampler:
         self.tables = sampler_tables(
             r_params, m_params, self._log_lo, self._log_hi, grid_points
         )
-        self._grid = self.tables.grid
-        self._log_grid = self.tables.log_grid
-        self._p_r = self.tables.p_r
-        self._p_m = self.tables.p_m
 
     def cell_error_probability(self, age_s: float, metric: str = "R") -> float:
         """Interpolated per-cell error probability at ``age_s``."""
-        table = self._p_r if metric == "R" else self._p_m
-        if age_s <= self._grid[0]:
-            return float(table[0])
-        if age_s >= self._grid[-1]:
-            return float(table[-1])
-        return float(np.interp(np.log10(age_s), self._log_grid, table))
+        tables = self.tables
+        return _cell_error_probability(tables, age_s, tables.p_r if metric == "R" else tables.p_m)
 
     def sample_errors(self, age_s: float, metric: str = "R") -> int:
         """Draw the number of drifted cells in one line of age ``age_s``."""

@@ -24,6 +24,7 @@ import abc
 import gzip
 import json
 import os
+import re
 import struct
 import threading
 import zlib
@@ -36,6 +37,7 @@ from ..memsim.stats import RunStats
 from ..obs import get_logger
 
 __all__ = [
+    "RUN_HASH",
     "CacheCounters",
     "RunStore",
     "RunCache",
@@ -69,6 +71,10 @@ _GZIP_LEVEL = 6
 
 #: gzip stream magic; entries are sniffed on read so both formats coexist.
 _GZIP_MAGIC = b"\x1f\x8b"
+
+#: A run's key: :meth:`~repro.experiments.spec.SimSpec.run_hash`, a
+#: lowercase sha256 hex digest. Any other string never reaches a path.
+RUN_HASH = re.compile(r"[0-9a-f]{64}")
 
 
 def default_cache_dir() -> Path:
@@ -268,8 +274,12 @@ class RunCache(RunStore):
         name (e.g. a file copied to the wrong hash) — are *quarantined*:
         renamed to ``<name>.bad`` and counted, never raised. The caller
         simply re-simulates, and the subsequent store writes a fresh
-        entry.
+        entry. A key that is not a run hash is a miss that touches no
+        file.
         """
+        if not RUN_HASH.fullmatch(key):
+            self.counters.misses += 1
+            return None
         path = self.path_for(key)
         try:
             with open(path, "rb") as handle:

@@ -14,32 +14,35 @@
  *  - all accumulation in IEEE-754 doubles, in the scalar engine's order;
  *  - compiled without -ffast-math and with -ffp-contract=off so no FMA
  *    contraction changes a rounding;
- *  - log10 is numpy's own double loop (the one np.log10 dispatches to at
- *    run time), binomial and uniform draws are numpy's random_binomial
- *    and next_double on the policy's bit generator;
+ *  - log10 is the C library's, the one CPython's math.log10 calls (the
+ *    sampler's probability path); binomial and uniform draws are numpy's
+ *    random_binomial and next_double on the policy's bit generator;
  *  - Python's floor-mod and float floor-division are spelled out;
  *  - int(x) truncation on non-negative doubles is a plain cast;
- *  - the heap key (time, seq) is strictly ordered (seq is unique), so
+ *  - the event order (time, seq) is strictly ordered (seq is unique), so
  *    any correct binary heap pops in the same order as Python's heapq.
+ *    Two event kinds never have more than one pending event, so they are
+ *    registers beside the heap instead of heap entries: the scrub
+ *    sweep's next tick and the channel's completion. Each takes its seq
+ *    where the event engine pushes it, and the loop runs whichever of
+ *    the heap's top and the two registers comes first.
  *
- * Per-line policy state lives in two places. The lines the scrub pointer
- * reaches keep their slots in one dense window, indexed by the pointer's
- * offset from its start (total_lines / 2), so a sweep visit costs an
- * append, not a hash insert. Every other line - demand and preloaded
- * lines, including those the pointer reaches after them - lives in one
- * open-addressing map keyed by line, sized by the trace footprint.
+ * Per-line policy state lives in two dense arrays, with no lookup by
+ * line. Every line of the trace and of the pre-run state has a slot in
+ * `dense`, indexed by its rank among those lines (sorted ascending); each
+ * request carries its line's slot. The scrub pointer only moves forward,
+ * so a cursor over the sorted lines finds the dense slot of a line it
+ * visits. Every other line the pointer visits gets a slot in `win`, in
+ * visit order during the first lap; later laps visit the same lines in
+ * the same order and reuse those slots. A slot's `ref` (its index across
+ * dense then win) is what the lw/tr/surv logs record, in first-insertion
+ * order.
  * The run returns an opaque handle; the caller sizes its output arrays
- * from the counters in Out, copies them with export_timeline and releases
- * the handle with free_timeline.
+ * from the counters in Out and copies them with export_timeline. A
+ * handle passed to the next run_timeline keeps its buffers for it; a
+ * caller releases it with free_timeline.
  */
 
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
-#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
-#define NO_IMPORT_ARRAY
-#define NO_IMPORT_UFUNC
-#include <numpy/ndarraytypes.h>
-#include <numpy/ufuncobject.h>
 #include <numpy/random/distributions.h>
 
 #include <math.h>
@@ -51,14 +54,15 @@
 #define DQ_CAP 128 /* channel demand queue; bounded by num_cores */
 #define SQ_CAP 72 /* channel scrub queue; bounded by backlog cap (gated) */
 
-enum { EV_CORE = 0, EV_BANK_DONE = 1, EV_SCRUB = 2, EV_CHANNEL_DONE = 3 };
+enum { EV_CORE = 0, EV_BANK_DONE = 1 };
 enum { JOB_NONE = -1, JOB_READ = 0, JOB_WRITE = 1 };
 enum {
     ERR_RQ = 2,
     ERR_WAIT = 4,
     ERR_DQ = 5,
     ERR_SQ = 6,
-    ERR_ALLOC = 11
+    ERR_ALLOC = 11,
+    ERR_PRE = 12 /* a pre-run line without a dense slot */
 };
 
 /* Scheme families, one per exact policy type (fastpath.speculation_plan). */
@@ -94,6 +98,9 @@ typedef struct {
     const int8_t *ops;
     const int64_t *lines;
     const double *gaps_ns; /* pre-scaled by cycle_ns */
+    const int32_t *slots;  /* each request's dense slot */
+    int64_t n_slots;
+    const int64_t *slot_lines; /* the dense slots' lines, ascending */
     int32_t op_read;
     int32_t family;
     int64_t num_banks;
@@ -138,8 +145,6 @@ typedef struct {
     int64_t cells;
     int64_t corr; /* repro.ecc.regimes.CORRECTABLE_ERRORS */
     int64_t det;  /* repro.ecc.regimes.DETECTABLE_ERRORS */
-    void *log10_fn;
-    void *log10_data;
     void *bitgen;
     /* ScrubbingPolicy W=1 renewal model */
     uint64_t surv_seed;
@@ -271,6 +276,7 @@ typedef struct {
     int32_t rq_core[RQ_CAP];
     int32_t rq_depth[RQ_CAP];
     int64_t rq_line[RQ_CAP];
+    int32_t rq_slot[RQ_CAP];
     double rq_enq[RQ_CAP];
     int32_t rq_head, rq_len;
     WrJob *wq; /* growable ring: conversions are not depth-limited */
@@ -283,6 +289,7 @@ typedef struct {
     int32_t jp_core;
     int32_t jp_depth;
     int64_t jp_line; /* read payload line */
+    int32_t jp_slot;
     double jp_enq;
     Dec jp_dec;
     WrJob jp_w; /* write payload */
@@ -292,6 +299,7 @@ typedef struct {
 typedef struct {
     int32_t core, depth;
     int64_t line;
+    int32_t slot;
     double enq, start;
     Dec dec;
 } RdPay;
@@ -306,19 +314,14 @@ typedef struct {
 enum { F_LW = 1, F_TR = 2, F_SURV = 4, F_BIRTH = 8 };
 
 typedef struct {
-    int64_t key;
+    int64_t key; /* the line */
     uint32_t flags;
-    int32_t pad;
+    int32_t ref; /* index across dense then win, as the logs record it */
     double lw;
     double birth;
     double tr;
     int64_t surv;
 } Slot;
-
-typedef struct {
-    Slot *slots;
-    int64_t cap, mask, used;
-} Map;
 
 typedef struct {
     int64_t *v;
@@ -336,24 +339,30 @@ typedef struct {
     double *finish;
     uint8_t *done;
     int64_t active_cores;
-    Map map;
-    Log lw_log, tr_log, surv_log;
+    Slot *dense; /* n_slots, the trace's and pre-run state's lines */
+    int64_t dense_cap;
+    Log lw_log, tr_log, surv_log; /* slot refs */
     TraceRec *recs;
     int64_t rec_cap;
     binomial_t binom;
+    /* The channel's one pending completion: (chan_busy_until, chan_seq)
+     * while chan_active. */
     double chan_busy_until;
-    int64_t chan_token;
+    int64_t chan_seq;
     int32_t chan_active;
     int32_t chan_last_was_scrub;
     RdPay dq[DQ_CAP];
     int32_t dq_head, dq_len;
     ScrubOp sq[SQ_CAP];
     int32_t sq_head, sq_len;
+    /* The scrub sweep: the next tick's (time, seq), the pointer, the
+     * first dense line at or after it, and the next win slot of this lap. */
+    double scrub_t;
+    int64_t scrub_seq;
     int64_t scrub_pointer;
-    /* The scrub window: win[i] is the slot of the i-th line the pointer
-     * reached, or key -1 when the map already held that line. */
-    Slot *win;
-    int64_t win_len, win_cap;
+    int64_t cursor, cursor_zero;
+    Slot *win; /* the pointer's non-dense lines, in first-lap visit order */
+    int64_t win_len, win_cap, win_pos;
     int64_t err;
 } Sim;
 
@@ -370,115 +379,59 @@ static int grow(void **buf, int64_t *cap, size_t elem, int64_t need) {
     return 1;
 }
 
-static void log_push(Sim *s, Log *log, int64_t line) {
+static void log_push(Sim *s, Log *log, int64_t ref) {
     if (!grow((void **)&log->v, &log->cap, sizeof(int64_t), log->len + 1)) {
         s->err = ERR_ALLOC;
         return;
     }
-    log->v[log->len++] = line;
+    log->v[log->len++] = ref;
 }
 
-/* ------------------------------------------------------------------ map */
+/* ---------------------------------------------------------------- slots */
 
-static uint64_t map_hash(int64_t key) {
-    uint64_t v = (uint64_t)key;
-    v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    v = (v ^ (v >> 27)) * 0x94D049BB133111EBULL;
-    return v ^ (v >> 31);
-}
-
-static int map_alloc(Map *m, int64_t cap) {
-    m->slots = (Slot *)malloc(sizeof(Slot) * (size_t)cap);
-    if (!m->slots) return 0;
-    for (int64_t i = 0; i < cap; i++) m->slots[i].key = -1;
-    m->cap = cap;
-    m->mask = cap - 1;
-    m->used = 0;
-    return 1;
-}
-
-static int map_grow(Map *m) {
-    Map old = *m;
-    if (!map_alloc(m, old.cap << 1)) {
-        *m = old;
-        return 0;
+/* The first dense slot whose line is >= ``line`` (bisect_left). */
+static int64_t first_slot_at(const Params *p, int64_t line) {
+    int64_t lo = 0, hi = p->n_slots;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (p->slot_lines[mid] < line)
+            lo = mid + 1;
+        else
+            hi = mid;
     }
-    for (int64_t i = 0; i < old.cap; i++) {
-        if (old.slots[i].key == -1) continue;
-        uint64_t j = map_hash(old.slots[i].key) & (uint64_t)m->mask;
-        while (m->slots[j].key != -1) j = (j + 1) & (uint64_t)m->mask;
-        m->slots[j] = old.slots[i];
-    }
-    m->used = old.used;
-    free(old.slots);
-    return 1;
+    return lo;
 }
 
-/* ``line``'s own slot in the scrub window, or NULL when the pointer has
- * not reached it yet or the map holds it. */
-static Slot *win_find(const Sim *s, int64_t line) {
-    int64_t off = line - s->p->half_lines; /* the pointer's start */
-    if (off < 0) off += s->p->total_lines;
-    if (off < 0 || off >= s->win_len) return NULL;
-    Slot *slot = &s->win[off];
-    return slot->key == line ? slot : NULL;
+/* The dense slot of ``line``, or -1. */
+static int64_t dense_index(const Params *p, int64_t line) {
+    int64_t j = first_slot_at(p, line);
+    return j < p->n_slots && p->slot_lines[j] == line ? j : -1;
 }
 
-/* The slot of ``line``: its window slot, else its map slot, inserted
- * empty on first touch. The pointer is valid until the next slot_of or
- * scrub_slot call. */
-static Slot *slot_of(Sim *s, int64_t line) {
-    Slot *held = win_find(s, line);
-    if (held) return held;
-    Map *m = &s->map;
-    uint64_t i = map_hash(line) & (uint64_t)m->mask;
-    for (;;) {
-        Slot *slot = &m->slots[i];
-        if (slot->key == line) return slot;
-        if (slot->key == -1) break;
-        i = (i + 1) & (uint64_t)m->mask;
-    }
-    if ((m->used + 1) * 10 >= m->cap * 7) {
-        if (!map_grow(m)) {
-            s->err = ERR_ALLOC;
-            return NULL;
-        }
-        i = map_hash(line) & (uint64_t)m->mask;
-        while (m->slots[i].key != -1) i = (i + 1) & (uint64_t)m->mask;
-    }
-    Slot *slot = &m->slots[i];
-    memset(slot, 0, sizeof(*slot));
-    slot->key = line;
-    m->used++;
-    return slot;
+/* The slot behind a log entry. */
+static Slot *slot_ref(const Sim *s, int64_t ref) {
+    return ref < s->p->n_slots ? &s->dense[ref] : &s->win[ref - s->p->n_slots];
 }
 
-static Slot *map_find(const Map *m, int64_t line) {
-    uint64_t i = map_hash(line) & (uint64_t)m->mask;
-    for (;;) {
-        Slot *slot = &m->slots[i];
-        if (slot->key == line) return slot;
-        if (slot->key == -1) return NULL;
-        i = (i + 1) & (uint64_t)m->mask;
-    }
-}
-
-/* The slot of the line the scrub pointer visits now. Until the pointer
- * wraps, each visit appends one window entry: the line's own slot, or a
- * mark when the map already holds the line (demand or the preload
- * reached it first), whose state then stays in the map. Once the window
- * covers every line, visits look lines up like any other touch. */
+/* The slot of the line the scrub pointer visits now: its dense slot when
+ * the cursor sits on it, else its win slot, appended on the first lap. */
 static Slot *scrub_slot(Sim *s, int64_t line) {
-    if (s->win_len >= s->p->total_lines) return slot_of(s, line);
-    if (!grow((void **)&s->win, &s->win_cap, sizeof(Slot), s->win_len + 1)) {
+    const Params *p = s->p;
+    if (s->cursor < p->n_slots && p->slot_lines[s->cursor] == line)
+        return &s->dense[s->cursor++];
+    if (s->win_pos < s->win_len) return &s->win[s->win_pos++];
+    if (p->n_slots + s->win_len >= INT32_MAX ||
+        !grow((void **)&s->win, &s->win_cap, sizeof(Slot), s->win_len + 1)) {
         s->err = ERR_ALLOC;
         return NULL;
     }
-    Slot *slot = &s->win[s->win_len++];
-    memset(slot, 0, sizeof(*slot));
-    Slot *held = map_find(&s->map, line);
-    slot->key = held ? -1 : line;
-    return held ? held : slot;
+    Slot *slot = &s->win[s->win_len];
+    slot->key = line;
+    slot->flags = 0;
+    slot->ref = (int32_t)(p->n_slots + s->win_len);
+    s->win_len++;
+    s->win_pos++;
+    return slot;
 }
 
 /* ------------------------------------------------------ policy state */
@@ -519,7 +472,7 @@ static double last_write_of(const Params *p, Slot *slot) {
 static void set_lw(Sim *s, Slot *slot, double t) {
     if (!(slot->flags & F_LW)) {
         slot->flags |= F_LW;
-        log_push(s, &s->lw_log, slot->key);
+        log_push(s, &s->lw_log, slot->ref);
     }
     slot->lw = t;
 }
@@ -527,7 +480,7 @@ static void set_lw(Sim *s, Slot *slot, double t) {
 static void set_tr(Sim *s, Slot *slot, double t) {
     if (!(slot->flags & F_TR)) {
         slot->flags |= F_TR;
-        log_push(s, &s->tr_log, slot->key);
+        log_push(s, &s->tr_log, slot->ref);
     }
     slot->tr = t;
 }
@@ -535,7 +488,7 @@ static void set_tr(Sim *s, Slot *slot, double t) {
 static void set_surv(Sim *s, Slot *slot, int64_t m) {
     if (!(slot->flags & F_SURV)) {
         slot->flags |= F_SURV;
-        log_push(s, &s->surv_log, slot->key);
+        log_push(s, &s->surv_log, slot->ref);
     }
     slot->surv = m;
 }
@@ -547,17 +500,21 @@ static int64_t survived_of(Sim *s, Slot *slot) {
     if (slot->flags & F_SURV) return slot->surv;
     uint64_t h = splitmix64(((uint64_t)slot->key << 2) ^ p->surv_seed ^ 0xA5A5ULL);
     double u = (double)(h >> 11) / 9007199254740992.0;
-    /* np.searchsorted(cdf, u), side='left' */
-    int64_t lo = 0, hi = p->n_cdf;
-    while (lo < hi) {
-        int64_t mid = (lo + hi) >> 1;
-        if (p->cdf[mid] < u)
-            lo = mid + 1;
-        else
-            hi = mid;
+    /* np.searchsorted(cdf, u), side='left', without data-dependent
+     * branches: u is uniform, so a branchy bisect mispredicts. */
+    int64_t m = 0;
+    if (p->n_cdf > 0) {
+        const double *base = p->cdf;
+        int64_t len = p->n_cdf;
+        while (len > 1) {
+            int64_t half = len >> 1;
+            base += half & -(int64_t)(base[half - 1] < u);
+            len -= half;
+        }
+        m = (base - p->cdf) + (*base < u);
     }
-    set_surv(s, slot, lo);
-    return lo;
+    set_surv(s, slot, m);
+    return m;
 }
 
 /* BaseDriftPolicy.scrub_pass_age, float-op for float-op. */
@@ -590,50 +547,35 @@ static int64_t py_floordiv(double vx, double wx) {
 
 /* ------------------------------------------------------------ sampling */
 
-typedef void (*LoopFn)(char **, npy_intp const *, npy_intp const *, void *);
-
-/* np.log10 on one double, through numpy's own inner loop. */
-static double np_log10(void *fn, void *data, double x) {
-    double out;
-    char *args[2] = {(char *)&x, (char *)&out};
-    npy_intp dims[1] = {1};
-    npy_intp steps[2] = {sizeof(double), sizeof(double)};
-    ((LoopFn)fn)(args, dims, steps, data);
-    return out;
-}
-
-/* DriftErrorSampler.sample_errors: bisect-lerp probability (equal to its
- * np.interp), then the binomial draw. */
-static int64_t sample_errors(Sim *s, double age, int metric_m) {
-    const Params *p = s->p;
+/* DriftErrorSampler.cell_error_probability: libm log10, then a
+ * bisect-lerp over the table slopes (equal to its np.interp). */
+static double cell_probability(const Params *p, double age, int metric_m) {
     const double *pt = metric_m ? p->p_m : p->p_r;
     const double *slope = metric_m ? p->slope_m : p->slope_r;
     int64_t n = p->n_grid;
-    double prob;
-    if (age <= p->lo_age) {
-        prob = pt[0];
-    } else if (age >= p->hi_age) {
-        prob = pt[n - 1];
-    } else {
-        double x = np_log10(p->log10_fn, p->log10_data, age);
-        int64_t lo = 0, hi = n; /* bisect_right */
-        while (lo < hi) {
-            int64_t mid = (lo + hi) >> 1;
-            if (x < p->xs[mid])
-                hi = mid;
-            else
-                lo = mid + 1;
-        }
-        int64_t j = lo - 1;
-        if (j >= n - 1) {
-            prob = pt[n - 1];
-        } else {
-            /* Python's negative index, should log10 ever undershoot. */
-            int64_t js = j < 0 ? j + n - 1 : j;
-            int64_t jx = j < 0 ? j + n : j;
-            prob = slope[js] * (x - p->xs[jx]) + pt[jx];
-        }
+    if (age <= p->lo_age) return pt[0];
+    if (age >= p->hi_age) return pt[n - 1];
+    double x = log10(age);
+    int64_t lo = 0, hi = n; /* bisect_right */
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (x < p->xs[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
     }
+    int64_t j = lo - 1;
+    if (j >= n - 1) return pt[n - 1];
+    /* Python's negative index, should log10 ever undershoot. */
+    int64_t js = j < 0 ? j + n - 1 : j;
+    int64_t jx = j < 0 ? j + n : j;
+    return slope[js] * (x - p->xs[jx]) + pt[jx];
+}
+
+/* DriftErrorSampler.sample_errors: the probability, then the binomial. */
+static int64_t sample_errors(Sim *s, double age, int metric_m) {
+    const Params *p = s->p;
+    double prob = cell_probability(p, age, metric_m);
     if (prob <= p->neg_p) return 0;
     return random_binomial((bitgen_t *)p->bitgen, prob, p->cells, &s->binom);
 }
@@ -688,13 +630,12 @@ static int conv_should_convert(Sim *s) {
 
 /* ------------------------------------------------------ policy hooks */
 
-/* SchemePolicy.on_read for the family; NULL slot means an alloc error. */
-static void on_read(Sim *s, int64_t line, double now_s, Dec *d) {
+/* SchemePolicy.on_read for the family, on the line's dense slot. */
+static void on_read(Sim *s, Slot *slot, double now_s, Dec *d) {
     const Params *p = s->p;
     memset(d, 0, sizeof(*d));
     if (p->family == FAM_CONST) return;
-    Slot *slot = slot_of(s, line);
-    if (!slot) return;
+    int64_t line = slot->key;
     double age;
     int64_t errors;
     switch (p->family) {
@@ -756,11 +697,9 @@ static void on_read(Sim *s, int64_t line, double now_s, Dec *d) {
 }
 
 /* SchemePolicy.on_write: returns cells written, sets *flag_update. */
-static int64_t on_write(Sim *s, int64_t line, double now_s, int *flag_update) {
+static int64_t on_write(Sim *s, Slot *slot, double now_s, int *flag_update) {
     const Params *p = s->p;
     *flag_update = 0;
-    Slot *slot = slot_of(s, line);
-    if (!slot) return 0;
     if (p->family == FAM_SELECT) {
         double last = (slot->flags & F_TR) ? slot->tr : last_write_of(p, slot);
         if (py_floordiv(now_s, p->sub_len_s) - py_floordiv(last, p->sub_len_s) < p->s) {
@@ -991,11 +930,13 @@ static void advance_core(Sim *s, int32_t core_id, double now) {
 
 static void try_start_bank(Sim *s, Bank *bank, int64_t bank_id, double now);
 
+/* Issue the write request ``idx`` (an index into the flattened trace). */
 static void issue_write(Sim *s, Bank *bank, int64_t bank_id, int32_t core_id,
-                        int64_t line, double now) {
+                        int64_t idx, double now) {
     const Params *p = s->p;
     int flag_update;
-    WrJob w = {line, on_write(s, line, p->epoch_s + now * 1e-9, &flag_update),
+    WrJob w = {p->lines[idx],
+               on_write(s, &s->dense[p->slots[idx]], p->epoch_s + now * 1e-9, &flag_update),
                CAUSE_DEMAND, 0};
     if (s->err) return;
     wq_append(s, bank, w);
@@ -1014,16 +955,17 @@ static void try_start_bank(Sim *s, Bank *bank, int64_t bank_id, double now) {
     if (bank->rq_len > 0) {
         int32_t core_id = bank->rq_core[bank->rq_head];
         int64_t line = bank->rq_line[bank->rq_head];
+        int32_t slot = bank->rq_slot[bank->rq_head];
         double enq = bank->rq_enq[bank->rq_head];
         int32_t d = bank->rq_depth[bank->rq_head];
         bank->rq_head = (bank->rq_head + 1) % RQ_CAP;
         bank->rq_len -= 1;
-        on_read(s, line, p->epoch_s + now * 1e-9, &bank->jp_dec);
-        if (s->err) return;
+        on_read(s, &s->dense[slot], p->epoch_s + now * 1e-9, &bank->jp_dec);
         bank->job_kind = JOB_READ;
         bank->job_start = now;
         bank->jp_core = core_id;
         bank->jp_line = line;
+        bank->jp_slot = slot;
         bank->jp_enq = enq;
         bank->jp_depth = d;
         bank->busy_until = now + p->read_ns[bank->jp_dec.mode];
@@ -1041,8 +983,7 @@ static void try_start_bank(Sim *s, Bank *bank, int64_t bank_id, double now) {
             int32_t waiter = bank->waiters[bank->wa_head];
             bank->wa_head = (bank->wa_head + 1) % RQ_CAP;
             bank->wa_len -= 1;
-            int64_t wl = p->lines[p->core_off[waiter] + s->pos[waiter]];
-            issue_write(s, bank, bank_id, waiter, wl, now);
+            issue_write(s, bank, bank_id, waiter, p->core_off[waiter] + s->pos[waiter], now);
             if (s->err) return;
         }
         bank->job_kind = JOB_WRITE;
@@ -1063,12 +1004,12 @@ static void try_start_channel(Sim *s, double now) {
     int32_t take_scrub = scrub && (!demand || !s->chan_last_was_scrub);
     s->chan_last_was_scrub = take_scrub;
     s->chan_active = 1;
-    s->chan_token += 1;
     if (take_scrub)
         s->chan_busy_until = now + s->sq[s->sq_head].duration;
     else
         s->chan_busy_until = now + p->bus_ns;
-    heap_push(s, s->chan_busy_until, EV_CHANNEL_DONE, 0, s->chan_token);
+    s->o->seq += 1; /* the seq the event engine's push takes */
+    s->chan_seq = s->o->seq;
 }
 
 /* MemorySystemSim._complete_read. */
@@ -1095,8 +1036,7 @@ static void complete_read(Sim *s, const RdPay *pay, double now) {
     if (d->uncorr) o->n_uncorrectable += 1;
     if (d->convert) {
         /* on_conversion_write: a full, tracked write. */
-        Slot *slot = slot_of(s, pay->line);
-        if (!slot) return;
+        Slot *slot = &s->dense[pay->slot];
         double now_s = p->epoch_s + now * 1e-9;
         set_lw(s, slot, now_s);
         set_tr(s, slot, now_s);
@@ -1112,9 +1052,12 @@ static void complete_read(Sim *s, const RdPay *pay, double now) {
     advance_core(s, pay->core, now);
 }
 
-static void scrub_tick(Sim *s, double now) {
+/* One scrub operation at the register's time; ends by moving the
+ * register to the next tick, with the seq the event engine's push takes. */
+static void scrub_tick(Sim *s) {
     const Params *p = s->p;
     Out *o = s->o;
+    double now = s->scrub_t;
     double now_s = p->epoch_s + now * 1e-9;
     ScrubOp op = {0.0, p->lines_per_scrub_op, 0};
     for (int64_t i = 0; i < p->lines_per_scrub_op; i++) {
@@ -1125,6 +1068,8 @@ static void scrub_tick(Sim *s, double now) {
             op.duration += p->write_ns;
         }
         if (s->err) return;
+        if (s->scrub_pointer == 0) s->cursor = s->cursor_zero;
+        if (s->scrub_pointer == p->half_lines) s->win_pos = 0; /* a lap ends */
     }
     op.duration += p->scrub_metric_read_ns;
     int32_t skipped = 0;
@@ -1147,7 +1092,9 @@ static void scrub_tick(Sim *s, double now) {
     if (p->trace_on)
         emit_rec(s, 3, (int32_t)op.lines, (int32_t)op.rewrites, skipped, 0, now,
                  op.duration, 0.0);
-    heap_push(s, now + p->scrub_tick_ns, EV_SCRUB, 0, 0);
+    o->seq += 1;
+    s->scrub_seq = o->seq;
+    s->scrub_t = now + p->scrub_tick_ns;
 }
 
 static void on_core(Sim *s, int32_t core_id, double now) {
@@ -1166,7 +1113,7 @@ static void on_core(Sim *s, int32_t core_id, double now) {
             bank->waiters[(bank->wa_head + bank->wa_len) % RQ_CAP] = core_id;
             bank->wa_len += 1;
         } else {
-            issue_write(s, bank, bank_id, core_id, line, now);
+            issue_write(s, bank, bank_id, core_id, idx, now);
         }
         return;
     }
@@ -1199,44 +1146,40 @@ static void on_core(Sim *s, int32_t core_id, double now) {
     int32_t tail = (bank->rq_head + bank->rq_len) % RQ_CAP;
     bank->rq_core[tail] = core_id;
     bank->rq_line[tail] = line;
+    bank->rq_slot[tail] = p->slots[idx];
     bank->rq_enq[tail] = now;
     bank->rq_depth[tail] = d;
     bank->rq_len += 1;
     try_start_bank(s, bank, bank_id, now);
 }
 
+/* The dict entries from before the run, each in its line's dense slot. */
 static int preload(Sim *s) {
     const Params *p = s->p;
     for (int64_t i = 0; i < p->n_pre_lw; i++) {
-        Slot *slot = slot_of(s, p->pre_lw_lines[i]);
-        if (!slot) return 0;
-        set_lw(s, slot, p->pre_lw_vals[i]);
+        int64_t j = dense_index(p, p->pre_lw_lines[i]);
+        if (j < 0) return 0;
+        set_lw(s, &s->dense[j], p->pre_lw_vals[i]);
     }
     for (int64_t i = 0; i < p->n_pre_tr; i++) {
-        Slot *slot = slot_of(s, p->pre_tr_lines[i]);
-        if (!slot) return 0;
-        set_tr(s, slot, p->pre_tr_vals[i]);
+        int64_t j = dense_index(p, p->pre_tr_lines[i]);
+        if (j < 0) return 0;
+        set_tr(s, &s->dense[j], p->pre_tr_vals[i]);
     }
     for (int64_t i = 0; i < p->n_pre_surv; i++) {
-        Slot *slot = slot_of(s, p->pre_surv_lines[i]);
-        if (!slot) return 0;
-        set_surv(s, slot, p->pre_surv_vals[i]);
+        int64_t j = dense_index(p, p->pre_surv_lines[i]);
+        if (j < 0) return 0;
+        set_surv(s, &s->dense[j], p->pre_surv_vals[i]);
     }
-    return !s->err;
+    return 1;
 }
 
 /* -------------------------------------------------------------- the API */
 
 void free_timeline(Sim *s) {
     if (!s) return;
-    if (s->banks)
-        for (int64_t i = 0; i < s->p->num_banks; i++) free(s->banks[i].wq);
     free(s->heap);
-    free(s->banks);
-    free(s->pos);
-    free(s->finish);
-    free(s->done);
-    free(s->map.slots);
+    free(s->dense);
     free(s->win);
     free(s->lw_log.v);
     free(s->tr_log.v);
@@ -1245,38 +1188,113 @@ void free_timeline(Sim *s) {
     free(s);
 }
 
-/* Run the whole timeline. Returns the handle (NULL only when the handle
- * itself cannot be allocated); ``o->error`` is non-zero on failure. The
- * conversion controller ``conv`` is updated in place. */
-Sim *run_timeline(const Params *p, Conv *conv, Out *o) {
-    memset(o, 0, sizeof(*o));
-    Sim *s = (Sim *)calloc(1, sizeof(Sim));
-    if (!s) {
-        o->error = ERR_ALLOC;
-        return NULL;
+/* Clear ``s`` for a new run, keeping its growable buffers: a thread that
+ * runs unit after unit reuses them instead of faulting in fresh pages. */
+static void reset(Sim *s) {
+    Sim keep = *s;
+    memset(s, 0, sizeof(*s));
+    s->heap = keep.heap;
+    s->heap_cap = keep.heap_cap;
+    s->dense = keep.dense;
+    s->dense_cap = keep.dense_cap;
+    s->win = keep.win;
+    s->win_cap = keep.win_cap;
+    s->lw_log.v = keep.lw_log.v;
+    s->lw_log.cap = keep.lw_log.cap;
+    s->tr_log.v = keep.tr_log.v;
+    s->tr_log.cap = keep.tr_log.cap;
+    s->surv_log.v = keep.surv_log.v;
+    s->surv_log.cap = keep.surv_log.cap;
+    s->recs = keep.recs;
+    s->rec_cap = keep.rec_cap;
+}
+
+/* MemorySystemSim._handle_channel_done at the channel register's time. */
+static void channel_done(Sim *s) {
+    double now = s->chan_busy_until;
+    s->chan_active = 0;
+    if (s->chan_last_was_scrub) {
+        ScrubOp op = s->sq[s->sq_head];
+        s->sq_head = (s->sq_head + 1) % SQ_CAP;
+        s->sq_len -= 1;
+        account_scrub(s, &op);
+    } else {
+        RdPay pay = s->dq[s->dq_head];
+        s->dq_head = (s->dq_head + 1) % DQ_CAP;
+        s->dq_len -= 1;
+        complete_read(s, &pay, now);
     }
-    s->p = p;
-    s->conv = conv;
-    s->o = o;
-    s->banks = (Bank *)calloc((size_t)p->num_banks, sizeof(Bank));
-    s->pos = (int64_t *)calloc((size_t)p->n_cores, sizeof(int64_t));
-    s->finish = (double *)calloc((size_t)p->n_cores, sizeof(double));
-    s->done = (uint8_t *)calloc((size_t)p->n_cores, sizeof(uint8_t));
-    if (!s->banks || !s->pos || !s->finish || !s->done ||
+    try_start_channel(s, now);
+}
+
+/* The heap's next event: a core's request or a bank completion. */
+static void heap_event(Sim *s) {
+    const Params *p = s->p;
+    Ev ev = heap_pop(s);
+    double now = ev.t;
+    if (ev.kind == EV_CORE) {
+        on_core(s, ev.a, now);
+        return;
+    }
+    Bank *bank = &s->banks[ev.a];
+    if (ev.b != bank->token || bank->job_kind == JOB_NONE) return;
+    int32_t jkind = bank->job_kind;
+    bank->job_kind = JOB_NONE;
+    if (jkind == JOB_READ) {
+        if (s->dq_len >= DQ_CAP) {
+            s->err = ERR_DQ;
+            return;
+        }
+        RdPay *pay = &s->dq[(s->dq_head + s->dq_len) % DQ_CAP];
+        pay->core = bank->jp_core;
+        pay->depth = bank->jp_depth;
+        pay->line = bank->jp_line;
+        pay->slot = bank->jp_slot;
+        pay->enq = bank->jp_enq;
+        pay->start = bank->job_start;
+        pay->dec = bank->jp_dec;
+        s->dq_len += 1;
+        try_start_channel(s, now);
+    } else {
+        complete_write(s, &bank->jp_w);
+        if (p->trace_on)
+            emit_rec(s, 1, ev.a, 0, bank->jp_w.cause, bank->jp_w.line, bank->job_start, now,
+                     0.0);
+    }
+    try_start_bank(s, bank, ev.a, now);
+}
+
+/* (t1, q1) < (t2, q2): the event engine's heap order. */
+static inline int before(double t1, int64_t q1, double t2, int64_t q2) {
+    return t1 < t2 || (t1 == t2 && q1 < q2);
+}
+
+static void run(Sim *s) {
+    const Params *p = s->p;
+    Out *o = s->o;
+    if (!s->banks || !s->pos || !s->finish || !s->done || p->n_slots >= INT32_MAX ||
+        !grow((void **)&s->dense, &s->dense_cap, sizeof(Slot), p->n_slots) ||
         !grow((void **)&s->heap, &s->heap_cap, sizeof(Ev), 256) ||
         /* about one record per request; growing from small costs more */
         (p->trace_on && !grow((void **)&s->recs, &s->rec_cap, sizeof(TraceRec),
-                              p->core_off[p->n_cores] + 1024)) ||
-        !map_alloc(&s->map, 1024)) {
-        o->error = ERR_ALLOC;
-        return s;
+                              p->core_off[p->n_cores] + 1024))) {
+        s->err = ERR_ALLOC;
+        return;
+    }
+    for (int64_t i = 0; i < p->n_slots; i++) {
+        Slot *slot = &s->dense[i];
+        slot->key = p->slot_lines[i];
+        slot->flags = 0;
+        slot->ref = (int32_t)i;
     }
     for (int64_t i = 0; i < p->num_banks; i++) s->banks[i].job_kind = JOB_NONE;
     if (!preload(s)) {
-        o->error = ERR_ALLOC;
-        return s;
+        if (!s->err) s->err = ERR_PRE;
+        return;
     }
-    s->scrub_pointer = p->total_lines / 2;
+    s->scrub_pointer = p->half_lines;
+    s->cursor = first_slot_at(p, p->half_lines);
+    s->cursor_zero = first_slot_at(p, 0);
 
     for (int64_t c = 0; c < p->n_cores; c++) {
         if (p->core_off[c + 1] == p->core_off[c])
@@ -1286,59 +1304,36 @@ Sim *run_timeline(const Params *p, Conv *conv, Out *o) {
     }
     for (int64_t c = 0; c < p->n_cores; c++)
         if (!s->done[c]) heap_push(s, p->gaps_ns[p->core_off[c]], EV_CORE, (int32_t)c, 0);
-    if (p->scrub_on) heap_push(s, p->scrub_tick_ns, EV_SCRUB, 0, 0);
-
-    while (s->heap_len > 0 && s->active_cores > 0 && !s->err) {
-        Ev ev = heap_pop(s);
-        double now = ev.t;
-        if (ev.kind == EV_CORE) {
-            on_core(s, ev.a, now);
-        } else if (ev.kind == EV_BANK_DONE) {
-            Bank *bank = &s->banks[ev.a];
-            if (ev.b != bank->token || bank->job_kind == JOB_NONE) continue;
-            int32_t jkind = bank->job_kind;
-            bank->job_kind = JOB_NONE;
-            if (jkind == JOB_READ) {
-                if (s->dq_len >= DQ_CAP) {
-                    s->err = ERR_DQ;
-                    break;
-                }
-                RdPay *pay = &s->dq[(s->dq_head + s->dq_len) % DQ_CAP];
-                pay->core = bank->jp_core;
-                pay->depth = bank->jp_depth;
-                pay->line = bank->jp_line;
-                pay->enq = bank->jp_enq;
-                pay->start = bank->job_start;
-                pay->dec = bank->jp_dec;
-                s->dq_len += 1;
-                try_start_channel(s, now);
-            } else {
-                complete_write(s, &bank->jp_w);
-                if (p->trace_on)
-                    emit_rec(s, 1, ev.a, 0, bank->jp_w.cause, bank->jp_w.line,
-                             bank->job_start, now, 0.0);
-            }
-            try_start_bank(s, bank, ev.a, now);
-        } else if (ev.kind == EV_CHANNEL_DONE) {
-            if (ev.b != s->chan_token || !s->chan_active) continue;
-            s->chan_active = 0;
-            if (s->chan_last_was_scrub) {
-                ScrubOp op = s->sq[s->sq_head];
-                s->sq_head = (s->sq_head + 1) % SQ_CAP;
-                s->sq_len -= 1;
-                account_scrub(s, &op);
-            } else {
-                RdPay pay = s->dq[s->dq_head];
-                s->dq_head = (s->dq_head + 1) % DQ_CAP;
-                s->dq_len -= 1;
-                complete_read(s, &pay, now);
-            }
-            try_start_channel(s, now);
-        } else {
-            scrub_tick(s, now);
-        }
+    if (p->scrub_on) {
+        o->seq += 1;
+        s->scrub_seq = o->seq;
+        s->scrub_t = p->scrub_tick_ns;
     }
 
+    /* Three event sources, each in (time, seq) order: the heap (core
+     * requests, bank completions), the channel register and the scrub
+     * register. The earliest of their heads is the event engine's next
+     * heap pop. */
+    while (s->active_cores > 0 && !s->err) {
+        int have = s->heap_len > 0;
+        double t = have ? s->heap[0].t : 0.0;
+        int64_t q = have ? s->heap[0].seq : 0;
+        int chan = s->chan_active && (!have || before(s->chan_busy_until, s->chan_seq, t, q));
+        if (chan) {
+            t = s->chan_busy_until;
+            q = s->chan_seq;
+            have = 1;
+        }
+        if (p->scrub_on && (!have || before(s->scrub_t, s->scrub_seq, t, q))) {
+            scrub_tick(s);
+        } else if (chan) {
+            channel_done(s);
+        } else if (have) {
+            heap_event(s);
+        } else {
+            break;
+        }
+    }
     if (!s->err) {
         /* Flush pending writes exactly as the scalar engine does. */
         for (int64_t i = 0; i < p->num_banks; i++) {
@@ -1360,14 +1355,42 @@ Sim *run_timeline(const Params *p, Conv *conv, Out *o) {
         o->n_tr = s->tr_log.len;
         o->n_surv = s->surv_log.len;
     }
-    o->error = s->err;
-    return s;
 }
 
-/* The slot of a line the run touched, wherever it lives. */
-static Slot *slot_at(const Sim *s, int64_t line) {
-    Slot *slot = win_find(s, line);
-    return slot ? slot : map_find(&s->map, line);
+/* Run the whole timeline on ``reuse`` (a handle of an earlier run, whose
+ * buffers it keeps) or on a new handle. Returns the handle (NULL only when
+ * a new handle cannot be allocated); ``o->error`` is non-zero on failure.
+ * The conversion controller ``conv`` is updated in place. The handle
+ * stays valid for export_timeline until the next run on it. */
+Sim *run_timeline(const Params *p, Conv *conv, Out *o, Sim *reuse) {
+    memset(o, 0, sizeof(*o));
+    Sim *s = reuse;
+    if (s) {
+        reset(s);
+    } else if (!(s = (Sim *)calloc(1, sizeof(Sim)))) {
+        o->error = ERR_ALLOC;
+        return NULL;
+    }
+    s->p = p;
+    s->conv = conv;
+    s->o = o;
+    s->banks = (Bank *)calloc((size_t)p->num_banks, sizeof(Bank));
+    s->pos = (int64_t *)calloc((size_t)p->n_cores, sizeof(int64_t));
+    s->finish = (double *)calloc((size_t)p->n_cores, sizeof(double));
+    s->done = (uint8_t *)calloc((size_t)p->n_cores, sizeof(uint8_t));
+    run(s);
+    if (s->banks)
+        for (int64_t i = 0; i < p->num_banks; i++) free(s->banks[i].wq);
+    free(s->banks);
+    free(s->pos);
+    free(s->finish);
+    free(s->done);
+    s->banks = NULL;
+    s->pos = NULL;
+    s->finish = NULL;
+    s->done = NULL;
+    o->error = s->err;
+    return s;
 }
 
 /* Copy the run's buffers out. Each array must hold the count Out
@@ -1378,31 +1401,26 @@ void export_timeline(const Sim *s, TraceRec *recs, int64_t *lw_lines, double *lw
     const Out *o = s->o;
     if (o->n_rec) memcpy(recs, s->recs, sizeof(TraceRec) * (size_t)o->n_rec);
     for (int64_t i = 0; i < s->lw_log.len; i++) {
-        lw_lines[i] = s->lw_log.v[i];
-        lw_vals[i] = slot_at(s, lw_lines[i])->lw;
+        const Slot *slot = slot_ref(s, s->lw_log.v[i]);
+        lw_lines[i] = slot->key;
+        lw_vals[i] = slot->lw;
     }
     for (int64_t i = 0; i < s->tr_log.len; i++) {
-        tr_lines[i] = s->tr_log.v[i];
-        tr_vals[i] = slot_at(s, tr_lines[i])->tr;
+        const Slot *slot = slot_ref(s, s->tr_log.v[i]);
+        tr_lines[i] = slot->key;
+        tr_vals[i] = slot->tr;
     }
     for (int64_t i = 0; i < s->surv_log.len; i++) {
-        surv_lines[i] = s->surv_log.v[i];
-        surv_vals[i] = slot_at(s, surv_lines[i])->surv;
+        const Slot *slot = slot_ref(s, s->surv_log.v[i]);
+        surv_lines[i] = slot->key;
+        surv_vals[i] = slot->surv;
     }
 }
 
-/* The inner loop and its data pointer of ``ufunc`` for type signature
- * ``index`` (``ufunc.types.index(...)``); non-zero when out of range. */
-int64_t ufunc_loop(PyObject *ufunc, int64_t index, void **fn, void **data) {
-    PyUFuncObject *u = (PyUFuncObject *)ufunc;
-    if (index < 0 || index >= u->ntypes || !u->functions) return 1;
-    *fn = (void *)u->functions[index];
-    *data = u->data ? u->data[index] : NULL;
-    return 0;
-}
-
-/* The kernel's log10 over an array, one element per loop call as the
- * sampler calls it (for the contract test against np.log10). */
-void kernel_log10(void *fn, void *data, const double *in, double *out, int64_t n) {
-    for (int64_t i = 0; i < n; i++) out[i] = np_log10(fn, data, in[i]);
+/* The kernel's per-cell error probability over an array of ages, from
+ * the sampler fields of ``p`` (for the contract test against
+ * DriftErrorSampler.cell_error_probability). */
+void kernel_probability(const Params *p, int32_t metric_m, const double *ages, double *out,
+                        int64_t n) {
+    for (int64_t i = 0; i < n; i++) out[i] = cell_probability(p, ages[i], metric_m);
 }

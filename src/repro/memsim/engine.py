@@ -253,7 +253,7 @@ class MemorySystemSim:
         self.stats.execution_time_ns = max(
             (c.finish_ns for c in self._cores), default=0.0
         )
-        self.stats.instructions = int(self.trace.gap.sum()) + len(self.trace)
+        self.stats.instructions = self.trace.instructions()
         if self._tele is not None and self._tele.metrics is not None:
             _snapshot_metrics(
                 self._tele.metrics, self.stats, self._seq, self._tracer, self._faults

@@ -9,10 +9,11 @@ every policy decision, in event order, in one pass.
 The kernel is exact, not speculative. It transcribes each eligible
 policy class's hooks and draws from the policy's own ``Generator``
 through numpy's shipped distribution library (``random_binomial``,
-``next_double``), with probabilities taken through numpy's own ``log10``
-inner loop and a bisect-lerp over the sampler's table slopes that
-reproduces ``np.interp`` bit for bit. It therefore consumes the random
-stream exactly as the event engine does; ``tests/test_batch_equivalence.py``
+``next_double``), with probabilities taken through the C library's
+``log10`` (the one :func:`math.log10` calls in the sampler) and a
+bisect-lerp over the sampler's table slopes that reproduces ``np.interp``
+bit for bit. It therefore consumes the random stream exactly as the
+event engine does; ``tests/test_batch_equivalence.py``
 checks the two against each other, every family and rare branch
 included. At commit the policy's state is left as the event engine
 leaves it. The conversion controller's fields are written back. The
@@ -22,6 +23,12 @@ Scrubbing's ``_survived``) are handed to their owners as the kernel's
 dict on its first read, so a sweep unit's policy, discarded after its
 run, never pays for them. The RNG state is shared, so it is already
 current.
+
+What a unit pays beyond its requests is built once and kept: a trace's
+flattened per-core request arrays and dense line slots live with the
+trace (:meth:`~repro.traces.trace.Trace.derived`), so every scheme of a
+workload runs on the same arrays and they go when the trace goes; a
+thread's kernel handle keeps its buffers from one run to the next.
 
 Eligibility is by exact policy type (subclasses, and instances whose
 attributes shadow a hook, take the event engine):
@@ -39,25 +46,27 @@ attributes shadow a hook, take the event engine):
 Cost on a traced ``sim-cold`` run (``python3 perfbench/run.py --workload
 sim-cold --seed 205 --seconds 25 --trace 1``: gcc + mcf at 10k requests, a
 2-CPU x86-64 host with AVX-512), in us per request, both columns measured
-back to back. "Hashed" gave every line the scrub pointer visits a
-hash-map slot and built the policy dicts at commit; "now" keeps those
-lines in the dense scrub window and defers the dicts (docs/PERFORMANCE.md,
-"Scrub sweep state"):
+back to back. "Before" looked every line up in a hash map, scheduled
+every scrub tick and channel completion on the heap, called numpy's
+``log10`` loop and rebuilt the trace inputs per unit; "now" carries dense
+line slots, keeps the two events in registers, calls libm's ``log10`` and
+builds the inputs once per trace (docs/PERFORMANCE.md, "Per-request
+kernel cost"):
 
 ==============  ======  =====
-scheme          hashed  now
+scheme          before  now
 ==============  ======  =====
-Ideal             0.28   0.26
-TLC               0.27   0.26
-Hybrid            0.54   0.54
-Scrubbing-W0      2.17   0.96
-Scrubbing         1.62   1.09
-M-metric          0.58   0.55
-LWT-2             0.63   0.59
-LWT-4             0.62   0.58
-LWT-4-noconv      0.63   0.60
-Select-4:1        0.63   0.62
-Select-4:2        0.61   0.62
+Ideal             0.27   0.22
+TLC               0.26   0.21
+Hybrid            0.55   0.42
+Scrubbing-W0      0.98   0.53
+Scrubbing         1.08   0.69
+M-metric          0.57   0.38
+LWT-2             0.59   0.47
+LWT-4             0.59   0.47
+LWT-4-noconv      0.60   0.48
+Select-4:1        0.64   0.53
+Select-4:2        0.65   0.53
 ==============  ======  =====
 
 Fault injection always takes the event engine: fault streams are
@@ -72,6 +81,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..baselines.tlc import TlcPolicy
+from ..core.policies.base import DATA_CELLS, IdealPolicy
+from ..core.policies.hybrid import HybridPolicy
+from ..core.policies.lwt import LwtPolicy
+from ..core.policies.mmetric import MMetricPolicy
+from ..core.policies.scrubbing import ScrubbingPolicy
+from ..core.policies.select import SelectPolicy
+from ..core.sampler import DriftErrorSampler
 from ..ecc.regimes import CORRECTABLE_ERRORS, DETECTABLE_ERRORS
 from ..faults.injector import FaultInjector
 from ..obs import Telemetry
@@ -85,7 +102,6 @@ from .native import (
     TimelineOut,
     TimelineParams,
     load_timeline,
-    log10_loop,
 )
 from .policy import SchemePolicy
 from .stats import RunStats
@@ -93,6 +109,7 @@ from .stats import RunStats
 __all__ = [
     "try_simulate_speculative",
     "speculation_plan",
+    "kernel_cell_error_probability",
     "last_attempt",
     "last_run",
     "record_event_run",
@@ -138,6 +155,27 @@ def _miss(reason: str) -> None:
 
 def _hit() -> None:
     _STATE.last = ("batch", "speculated", "ok")
+
+
+class _Handle:
+    """This thread's kernel handle: each run reuses the buffers of the
+    thread's earlier runs, and they are freed when the thread ends."""
+
+    __slots__ = ("handle", "_free")
+
+    def __init__(self, lib: Any) -> None:
+        self.handle: Optional[int] = None
+        self._free = lib.free_timeline
+
+    def __del__(self) -> None:
+        self._free(self.handle)
+
+
+def _handles(lib: Any) -> _Handle:
+    handles = getattr(_STATE, "handles", None)
+    if handles is None:
+        handles = _STATE.handles = _Handle(lib)
+    return handles
 
 
 _ECAT_NAMES = ("read", "write", "scrub_read", "scrub_write", "flags", "conversion")
@@ -187,14 +225,6 @@ def speculation_plan(policy: SchemePolicy) -> Optional[_Plan]:
     so may instance attributes (:func:`_patched_hook`); both take the
     event engine.
     """
-    from ..baselines.tlc import TlcPolicy
-    from ..core.policies.base import IdealPolicy
-    from ..core.policies.hybrid import HybridPolicy
-    from ..core.policies.lwt import LwtPolicy
-    from ..core.policies.mmetric import MMetricPolicy
-    from ..core.policies.scrubbing import ScrubbingPolicy
-    from ..core.policies.select import SelectPolicy
-
     kind = type(policy)
     scrub_on = policy.scrub_interval_s is not None and policy.scrub_interval_s > 0
     rng = getattr(policy, "rng", None)
@@ -291,6 +321,77 @@ def _f64(values: Any) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64)
 
 
+class _TraceInputs:
+    """One trace's requests as the kernel reads them: flattened core by
+    core in issue order (``offsets`` holds ``num_cores + 1`` bounds), gaps
+    scaled to ns, and each request's dense line slot, the rank of its line
+    among the trace's distinct lines ``slot_lines`` (ascending)."""
+
+    __slots__ = ("offsets", "ops", "lines", "gaps", "slots", "slot_lines")
+
+    def __init__(self, trace: Trace, num_cores: int, cycle_ns: float) -> None:
+        counts = np.bincount(trace.core, minlength=num_cores)[:num_cores]
+        self.offsets = np.zeros(num_cores + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+        # A stable sort by core keeps each core's requests in issue order;
+        # cores at or past num_cores sort last and are left out.
+        order = np.argsort(trace.core, kind="stable")[: self.offsets[-1]]
+        self.ops = np.ascontiguousarray(trace.op[order], dtype=np.int8)
+        self.lines = np.ascontiguousarray(trace.line[order], dtype=np.int64)
+        self.gaps = _f64(trace.gap[order].astype(np.float64) * cycle_ns)
+        self.slot_lines, slots = np.unique(self.lines, return_inverse=True)
+        self.slots = slots.astype(np.int32)
+
+
+def _trace_inputs(trace: Trace, num_cores: int, cycle_ns: float) -> _TraceInputs:
+    """``trace``'s kernel inputs, built once and kept with the trace: the
+    schemes of one workload share them, and they go when the trace goes."""
+    return trace.derived(
+        ("kernel", num_cores, cycle_ns), lambda t: _TraceInputs(t, num_cores, cycle_ns)
+    )
+
+
+def _sampler_params(p: TimelineParams, sampler: DriftErrorSampler, arr: Any) -> None:
+    """Fill ``p``'s DriftErrorSampler fields; ``arr`` keeps each array the
+    kernel points into alive and returns its address."""
+    tables = sampler.tables
+    p.n_grid = len(tables.log_grid)
+    p.xs = arr(_f64(tables.log_grid))
+    p.p_r = arr(_f64(tables.p_r))
+    p.p_m = arr(_f64(tables.p_m))
+    p.slope_r = arr(_f64(tables.slope_r))
+    p.slope_m = arr(_f64(tables.slope_m))
+    p.lo_age = float(tables.grid[0])
+    p.hi_age = float(tables.grid[-1])
+    p.neg_p = sampler._negligible_p
+    p.cells = sampler.cells
+
+
+def kernel_cell_error_probability(
+    sampler: DriftErrorSampler, ages: np.ndarray, metric: str = "R"
+) -> np.ndarray:
+    """The kernel's per-cell error probability of ``sampler`` at each of
+    ``ages``: the path each sampled read takes (``log10``, then the
+    bisect-lerp), to hold against ``sampler.cell_error_probability``."""
+    lib = load_timeline()
+    if lib is None:
+        raise RuntimeError("the native kernel is not available")
+    ages = _f64(ages)
+    out = np.empty_like(ages)
+    keep: List[np.ndarray] = []
+
+    def arr(values: np.ndarray) -> int:
+        keep.append(values)
+        return values.ctypes.data
+
+    p = TimelineParams()
+    _sampler_params(p, sampler, arr)
+    lib.kernel_probability(
+        ctypes.byref(p), 0 if metric == "R" else 1, ages.ctypes.data, out.ctypes.data, len(ages)
+    )
+    return out
+
+
 #: Instance attribute under which an owner of per-line state keeps dicts
 #: handed back as arrays, by attribute name; the owner's ``__getattr__``
 #: (``BaseDriftPolicy``, ``QuantizedTracker``) builds each on first read.
@@ -299,6 +400,8 @@ _DEFERRED = "_deferred"
 #: Value dtype of each per-line dict the kernel preloads and exports, by
 #: its ``Params`` prefix, in ``export_timeline``'s argument order.
 _STATE_DTYPES = {"lw": np.float64, "tr": np.float64, "surv": np.int64}
+
+_REC_DTYPE = np.dtype(TRACE_REC_DTYPE)
 
 
 def _state_arrays(owner: Any, name: str, dtype: Any) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -388,34 +491,16 @@ def _attempt(
         tracer = None
 
     timing = config.timing
-    cycle_ns = timing.cycle_ns
-    num_cores = config.num_cores
-
-    # Flatten the per-core request streams for the kernel.
-    per_core = trace.per_core_indices()
-    offsets = np.zeros(num_cores + 1, dtype=np.int64)
-    parts = []
-    for core in range(num_cores):
-        idx = per_core.get(core)
-        count = 0 if idx is None else len(idx)
-        offsets[core + 1] = offsets[core] + count
-        if count:
-            parts.append(idx)
-    if offsets[-1] == 0:
+    inputs = _trace_inputs(trace, config.num_cores, timing.cycle_ns)
+    if inputs.offsets[-1] == 0:
         # Empty trace: let the event engine produce the stats.
         return _miss("empty_trace")
-    order = np.concatenate(parts)
-    ops = np.ascontiguousarray(trace.op[order], dtype=np.int8)
-    lines = np.ascontiguousarray(trace.line[order], dtype=np.int64)
-    gaps = _f64(trace.gap[order].astype(np.float64) * cycle_ns)
 
     stats = RunStats(scheme=policy.name, workload=trace.name)
     stats.energy.params = config.energy
     stats.wear.cells_per_line = config.cells_per_line_write
     data_bits = stats.energy.data_bits
     eparams = config.energy
-    sampler = policy.sampler
-    tables = sampler.tables
     ages_model = policy.ages
     profile = ages_model.profile
     mask64 = (1 << 64) - 1
@@ -426,11 +511,11 @@ def _attempt(
         return values.ctypes.data
 
     p = TimelineParams()
-    p.n_cores = num_cores
-    p.core_off = arr(offsets)
-    p.ops = arr(ops)
-    p.lines = arr(lines)
-    p.gaps_ns = arr(gaps)
+    p.n_cores = config.num_cores
+    p.core_off = arr(inputs.offsets)
+    p.ops = arr(inputs.ops)
+    p.lines = arr(inputs.lines)
+    p.gaps_ns = arr(inputs.gaps)
     p.op_read = int(OP_READ)
     p.family = plan.family
     p.num_banks = config.num_banks
@@ -464,19 +549,9 @@ def _attempt(
     p.hot_age_scale_s = profile.hot_age_scale_s
     p.min_age_s = ages_model.min_age_s
     p.age_seed = ages_model.seed & mask64
-    p.n_grid = len(tables.log_grid)
-    p.xs = arr(_f64(tables.log_grid))
-    p.p_r = arr(_f64(tables.p_r))
-    p.p_m = arr(_f64(tables.p_m))
-    p.slope_r = arr(_f64(tables.slope_r))
-    p.slope_m = arr(_f64(tables.slope_m))
-    p.lo_age = float(tables.grid[0])
-    p.hi_age = float(tables.grid[-1])
-    p.neg_p = sampler._negligible_p
-    p.cells = sampler.cells
+    _sampler_params(p, policy.sampler, arr)
     p.corr = CORRECTABLE_ERRORS
     p.det = DETECTABLE_ERRORS
-    p.log10_fn, p.log10_data = log10_loop()
     p.bitgen = policy.rng.bit_generator.ctypes.bit_generator.value
 
     family = plan.family
@@ -499,8 +574,6 @@ def _attempt(
         p.sub_len_s = tracker.sub_len_s
         p.k = policy.k
         if family == _FAM_SELECT:
-            from ..core.policies.base import DATA_CELLS
-
             p.s = policy.s
             p.check_cells = policy._check_cells
             p.data_cells = DATA_CELLS
@@ -519,7 +592,10 @@ def _attempt(
         c.prev_p = conv._prev_p if conv._prev_p is not None else 0.0
         c.improvement_factor = conv.improvement_factor
         c.enabled = 1 if conv.enabled else 0
-    # Dict entries from before the run (none for a fresh policy).
+    # Dict entries from before the run (none for a fresh policy). Their
+    # lines join the trace's in the dense slots.
+    slot_lines, slots = inputs.slot_lines, inputs.slots
+    pre_lines = []
     for prefix, (owner, name) in owners.items():
         entries = _state_arrays(owner, name, _STATE_DTYPES[prefix])
         if entries is not None:
@@ -527,11 +603,21 @@ def _attempt(
             setattr(p, "n_pre_" + prefix, len(keys))
             setattr(p, "pre_%s_lines" % prefix, arr(keys))
             setattr(p, "pre_%s_vals" % prefix, arr(vals))
+            pre_lines.append(keys)
+    if pre_lines:
+        extra = np.setdiff1d(np.concatenate(pre_lines), slot_lines)
+        if extra.size:
+            slot_lines = np.union1d(slot_lines, extra)
+            slots = np.searchsorted(slot_lines, inputs.lines).astype(np.int32)
+    p.slots = arr(slots)
+    p.n_slots = len(slot_lines)
+    p.slot_lines = arr(slot_lines)
     p.trace_on = 1 if tracer is not None else 0
     hists = (stats.read_latency_hist, stats.queue_depth_hist)
-    counts = [np.zeros(len(hist.counts), dtype=np.int64) for hist in hists]
     if tele is not None:
-        # The kernel buckets each value as Histogram.record does.
+        # The kernel buckets each value as Histogram.record does, into
+        # the fresh stats' (all-zero) counts.
+        counts = [np.zeros(len(hist.counts), dtype=np.int64) for hist in hists]
         p.tele_on = 1
         p.n_lat_edges, p.n_depth_edges = (len(hist.boundaries) for hist in hists)
         p.lat_edges, p.depth_edges = (arr(_f64(hist.boundaries)) for hist in hists)
@@ -539,29 +625,28 @@ def _attempt(
 
     out = TimelineOut()
     bit_generator = policy.rng.bit_generator
-    with maybe_span("fastpath.timeline", requests=len(ops)):
+    handles = _handles(lib)
+    with maybe_span("fastpath.timeline", requests=len(inputs.ops)):
         with bit_generator.lock:
             saved_state = bit_generator.state
-            handle = lib.run_timeline(ctypes.byref(p), ctypes.byref(c), ctypes.byref(out))
+            handle = handles.handle = lib.run_timeline(
+                ctypes.byref(p), ctypes.byref(c), ctypes.byref(out), handles.handle
+            )
             if handle is None or out.error:
                 # The kernel drew from the Generator; rewind it so the
                 # event engine replays the run from the same stream.
                 bit_generator.state = saved_state
-                lib.free_timeline(handle)
                 return _miss("kernel_error")
-        try:
-            recs = np.empty(out.n_rec, dtype=TRACE_REC_DTYPE)
-            exported = {}
-            for prefix, dtype in _STATE_DTYPES.items():
-                n = getattr(out, "n_" + prefix)
-                exported[prefix] = (np.empty(n, dtype=np.int64), np.empty(n, dtype=dtype))
-            lib.export_timeline(
-                handle,
-                recs.ctypes.data,
-                *(a.ctypes.data for pair in exported.values() for a in pair),
-            )
-        finally:
-            lib.free_timeline(handle)
+        recs = np.empty(out.n_rec, dtype=_REC_DTYPE)
+        exported = {}
+        for prefix, dtype in _STATE_DTYPES.items():
+            n = getattr(out, "n_" + prefix)
+            exported[prefix] = (np.empty(n, dtype=np.int64), np.empty(n, dtype=dtype))
+        lib.export_timeline(
+            handle,
+            recs.ctypes.data,
+            *(a.ctypes.data for pair in exported.values() for a in pair),
+        )
 
     # ---- commit: policy state as the event engine leaves it, then the stats
     for prefix, (owner, name) in owners.items():
@@ -586,7 +671,7 @@ def _attempt(
     stats.cancelled_writes = out.n_cancelled
     stats.total_read_latency_ns = out.total_read_latency
     stats.execution_time_ns = out.exec_time_ns
-    stats.instructions = int(trace.gap.sum()) + len(trace)
+    stats.instructions = trace.instructions()
     # Dicts are rebuilt in the kernel's first-touch order so their
     # (serialized) insertion order matches the scalar engine's.
     for i in range(out.n_mode):
@@ -605,9 +690,9 @@ def _attempt(
         for hist, bucket_counts, n, total in zip(
             hists, counts, (out.n_lat, out.n_depth), (out.lat_sum, out.depth_sum)
         ):
-            hist.counts[:] = [a + b for a, b in zip(hist.counts, bucket_counts.tolist())]
-            hist.count += n
-            hist.sum += total
+            hist.counts = bucket_counts.tolist()
+            hist.count = n
+            hist.sum = total
         if tracer is not None:
             _defer_trace_records(tracer, recs, config.num_banks)
         if tele.metrics is not None:

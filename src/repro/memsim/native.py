@@ -6,7 +6,8 @@ is compiled on first use with the system C compiler into a per-user cache
 directory and loaded through :mod:`ctypes`. It includes numpy's headers
 and links numpy's shipped random-distribution library
 (``numpy/random/lib/libnpyrandom.a``) so it draws from a policy's
-``Generator`` exactly as numpy does. When no compiler, header or library
+``Generator`` exactly as numpy does, and takes ``log10`` from the C
+library, as :func:`math.log10` does. When no compiler, header or library
 is available :func:`load_timeline` returns ``None`` and the batch engine
 transparently falls back to the event engine — slower, but bit-identical,
 so the presence of a compiler can never change a result.
@@ -28,7 +29,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 __all__ = [
     "TimelineParams",
@@ -36,7 +37,6 @@ __all__ = [
     "TimelineOut",
     "TRACE_REC_DTYPE",
     "load_timeline",
-    "log10_loop",
     "native_available",
 ]
 
@@ -57,6 +57,9 @@ class TimelineParams(ctypes.Structure):
         ("ops", _C_VOIDP),
         ("lines", _C_VOIDP),
         ("gaps_ns", _C_VOIDP),
+        ("slots", _C_VOIDP),
+        ("n_slots", _C_INT64),
+        ("slot_lines", _C_VOIDP),
         ("op_read", _C_INT32),
         ("family", _C_INT32),
         ("num_banks", _C_INT64),
@@ -99,8 +102,6 @@ class TimelineParams(ctypes.Structure):
         ("cells", _C_INT64),
         ("corr", _C_INT64),
         ("det", _C_INT64),
-        ("log10_fn", _C_VOIDP),
-        ("log10_data", _C_VOIDP),
         ("bitgen", _C_VOIDP),
         ("surv_seed", _C_UINT64),
         ("n_cdf", _C_INT64),
@@ -211,7 +212,6 @@ _OUT = "<out>"
 
 _UNSET = object()
 _lib: object = _UNSET
-_log10: Optional[Tuple[int, int]] = None
 
 
 def _compiler() -> Optional[str]:
@@ -252,7 +252,6 @@ def _compile_command(cc: str) -> Optional[List[str]]:
     )
     needed = (
         os.path.join(np_include, "numpy", "random", "distributions.h"),
-        os.path.join(np_include, "numpy", "ufuncobject.h"),
         os.path.join(py_include, "Python.h"),
         random_lib,
     )
@@ -323,16 +322,16 @@ def _build() -> Optional[str]:
         return None
 
 
-def _bind(lib) -> Optional[Tuple[int, int]]:
-    """Declare the kernel's signatures; returns numpy's ``log10`` double
-    loop as ``(function, data)`` addresses, or ``None``."""
-    import numpy as np
-
+def _bind(lib) -> None:
+    """Declare the kernel's signatures."""
     lib.run_timeline.restype = _C_VOIDP
+    # params, conversion controller, out, and the handle of an earlier run
+    # on this thread (or None), whose buffers the run reuses.
     lib.run_timeline.argtypes = [
         ctypes.POINTER(TimelineParams),
         ctypes.POINTER(TimelineConv),
         ctypes.POINTER(TimelineOut),
+        _C_VOIDP,
     ]
     lib.export_timeline.restype = None
     # handle, then the addresses of: trace records, last-write lines and
@@ -340,26 +339,14 @@ def _bind(lib) -> Optional[Tuple[int, int]]:
     lib.export_timeline.argtypes = [_C_VOIDP] * 8
     lib.free_timeline.restype = None
     lib.free_timeline.argtypes = [_C_VOIDP]
-    lib.kernel_log10.restype = None
-    lib.kernel_log10.argtypes = [_C_VOIDP, _C_VOIDP, _C_VOIDP, _C_VOIDP, _C_INT64]
-    lib.ufunc_loop.restype = _C_INT64
-    lib.ufunc_loop.argtypes = [
-        ctypes.py_object,
+    lib.kernel_probability.restype = None
+    lib.kernel_probability.argtypes = [
+        ctypes.POINTER(TimelineParams),
+        _C_INT32,
+        _C_VOIDP,
+        _C_VOIDP,
         _C_INT64,
-        ctypes.POINTER(_C_VOIDP),
-        ctypes.POINTER(_C_VOIDP),
     ]
-    try:
-        index = np.log10.types.index("d->d")
-    except ValueError:
-        return None
-    fn = _C_VOIDP()
-    data = _C_VOIDP()
-    if lib.ufunc_loop(np.log10, index, ctypes.byref(fn), ctypes.byref(data)) != 0:
-        return None
-    if not fn.value:
-        return None
-    return fn.value, data.value or 0
 
 
 def load_timeline():
@@ -368,7 +355,7 @@ def load_timeline():
     Memoized (including the failure case) so the compile/probe cost is
     paid at most once per process.
     """
-    global _lib, _log10
+    global _lib
     if _lib is not _UNSET:
         return _lib
     _lib = None
@@ -377,22 +364,11 @@ def load_timeline():
         return None
     try:
         lib = ctypes.CDLL(so_path)
-        log10 = _bind(lib)
+        _bind(lib)
     except (OSError, AttributeError):
         return None
-    if log10 is None:
-        return None
-    _log10 = log10
     _lib = lib
     return lib
-
-
-def log10_loop() -> Tuple[int, int]:
-    """``(function, data)`` addresses of numpy's ``log10`` double loop,
-    as the kernel calls it; valid once :func:`load_timeline` succeeded."""
-    if _log10 is None:
-        raise RuntimeError("the native kernel is not loaded")
-    return _log10
 
 
 def native_available() -> bool:

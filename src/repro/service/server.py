@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,7 +66,7 @@ from ..core.registry import scheme_catalog
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
 from ..obs.ledger import RunLedger
-from ..experiments.cache import RunStore
+from ..experiments.cache import RUN_HASH, RunStore
 from ..experiments.planner import RunMemo, RunUnit, plan_units
 from ..experiments.spec import SimSpec, SpecError
 from .execution import (
@@ -87,9 +86,6 @@ _log = get_logger("service.server")
 _DONE = object()
 
 _MAX_HEADER_BYTES = 32 * 1024
-
-#: A store key: ``SimSpec.run_hash``, a sha256 hex digest.
-_RUN_HASH = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass
@@ -396,7 +392,7 @@ class SimServer:
             await self._handle_submit(body, client, stream, writer)
         elif path.startswith("/v1/store/"):
             key = path[len("/v1/store/"):]
-            if not _RUN_HASH.fullmatch(key):
+            if not RUN_HASH.fullmatch(key):
                 # Checked before any store access: a key that is not a
                 # run hash never reaches the filesystem.
                 await _send_json(writer, 404, {"error": "malformed store key"})

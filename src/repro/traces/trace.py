@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Union
+from typing import Any, Callable, Dict, Hashable, Union
 
 import numpy as np
 
@@ -82,6 +82,7 @@ class Trace:
             raise ValueError("op values must be 0 (read) or 1 (write)")
         if n and self.gap.min() < 0:
             raise ValueError("gaps must be non-negative")
+        self._derived: Dict[Hashable, Any] = {}
 
     def __len__(self) -> int:
         return len(self.op)
@@ -89,6 +90,18 @@ class Trace:
     def num_cores(self) -> int:
         """Number of distinct cores issuing requests."""
         return int(self.core.max()) + 1 if len(self) else 0
+
+    def derived(self, key: Hashable, build: Callable[["Trace"], Any]) -> Any:
+        """``build(self)``, computed once per ``key`` and kept with this
+        trace, so whatever bounds the trace's lifetime bounds it too."""
+        found = self._derived.get(key)
+        if found is None:
+            found = self._derived[key] = build(self)
+        return found
+
+    def instructions(self) -> int:
+        """Total instructions across cores (gaps + requests)."""
+        return self.derived("instructions", lambda t: int(t.gap.sum()) + len(t))
 
     def per_core_indices(self) -> Dict[int, np.ndarray]:
         """Indices of each core's requests, in issue order."""
@@ -100,7 +113,7 @@ class Trace:
         """Compute the summary statistics of this trace."""
         reads = int(np.count_nonzero(self.op == OP_READ))
         writes = len(self) - reads
-        instructions = int(self.gap.sum()) + len(self)
+        instructions = self.instructions()
         kilo = max(instructions / 1000.0, 1e-12)
         return TraceStats(
             requests=len(self),

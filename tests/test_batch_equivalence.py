@@ -132,6 +132,23 @@ def test_batch_equals_event_telemetry(trace_and_config):
     assert batch[3] == event[3]
 
 
+def test_batch_equals_event_telemetry_beyond_one_record_per_request(trace_and_config):
+    """Scrubbing-W0 traces one record per 8 s sweep tick, far more than the
+    one per request the kernel first sizes its record buffer for: the
+    records past that size still match the event engine's, in order."""
+    from repro.obs import Telemetry, Tracer
+
+    trace, config, profile = trace_and_config
+    records = {}
+    for engine in ENGINES:
+        tele = Telemetry(tracer=Tracer(max_events=10**6))
+        simulate(trace, _fresh_policy("Scrubbing-W0", profile, config), config,
+                 telemetry=tele, engine=engine)
+        records[engine] = tele.tracer.records
+    assert len(records["event"]) > len(trace) + 1024
+    assert records["batch"] == records["event"]
+
+
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_batch_equals_fallback_without_native(scheme, trace_and_config, monkeypatch):
     """With no compiled kernel the batch engine falls back to the event
@@ -556,6 +573,71 @@ def test_scrub_window_meets_demand_and_preloaded_lines(scheme, small_trace_and_c
         assert results["event"].scrub_ops > SMALL_LINES
         assert results["batch"].to_dict() == results["event"].to_dict()
         assert _policy_state(policies["batch"]) == _policy_state(policies["event"])
+
+
+def _trace_of_lines(trace, keep):
+    """The requests of ``trace`` whose line is in ``keep``, in order."""
+    from repro.traces.trace import Trace
+
+    mask = np.isin(trace.line, list(keep))
+    return Trace(trace.op[mask], trace.core[mask], trace.line[mask], trace.gap[mask],
+                 name=trace.name)
+
+
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_continuation_with_pre_run_lines_outside_the_trace(scheme, small_trace_and_config):
+    """A second run on half the lines starts from a state that holds lines
+    its trace never touches (the first run's demand and sweep): those get
+    dense slots of their own, the pointer wraps onto the trace's lines, and
+    the kernel equals the oracle on stats and post-state, order included."""
+    from repro.memsim import fastpath
+    from repro.memsim.native import native_available
+
+    trace, config, profile, _ = small_trace_and_config
+    second = _trace_of_lines(trace, range(SMALL_LINES // 2))
+    policies = {e: _fresh_policy(scheme, profile, config) for e in ENGINES}
+    for engine, policy in policies.items():
+        simulate(trace, policy, config, engine=engine)
+    held = {line for line, _ in _policy_state(policies["event"])["last_write_s"]}
+    assert held - set(second.line.tolist())
+    results = {}
+    for engine, policy in policies.items():
+        results[engine] = simulate(second, policy, config, engine=engine)
+        if engine == "batch" and native_available():
+            assert fastpath.last_attempt() == ("speculated", "ok")
+    if policies["event"].scrub_interval_s:
+        assert results["event"].scrub_ops > SMALL_LINES
+    assert results["batch"].to_dict() == results["event"].to_dict()
+    assert _policy_state(policies["batch"]) == _policy_state(policies["event"])
+
+
+def test_kernel_inputs_are_shared_across_schemes_and_freed_with_the_trace():
+    """The flattened per-trace kernel inputs are built once per trace: the
+    schemes of one workload run on the very same arrays, and they live
+    exactly as long as the trace does."""
+    import gc
+    import weakref
+
+    from repro.memsim import fastpath
+    from repro.memsim.native import native_available
+
+    if not native_available():
+        pytest.skip("compiled kernel unavailable")
+    config = MemoryConfig()
+    trace, profile = _trace(WORKLOAD, 600, config)
+    key = (config.num_cores, config.timing.cycle_ns)
+    seen = []
+    for scheme in ("Ideal", "Scrubbing", "LWT-4"):
+        simulate(trace, _fresh_policy(scheme, profile, config), config, engine="batch")
+        assert fastpath.last_attempt() == ("speculated", "ok")
+        seen.append(fastpath._trace_inputs(trace, *key))
+    assert all(inputs is seen[0] for inputs in seen)
+    arrays = [weakref.ref(getattr(seen[0], name)) for name in ("ops", "lines", "gaps", "slots")]
+    dead_trace = weakref.ref(trace)
+    del trace, seen
+    gc.collect()
+    assert dead_trace() is None
+    assert all(ref() is None for ref in arrays)
 
 
 @pytest.mark.parametrize("scheme", SMALL_SCHEMES)

@@ -21,6 +21,11 @@ SMALL = SimSpec(
     target_requests=1_200,
 )
 
+#: Stand-alone store keys; the cache serves only run-hash-shaped keys.
+K1 = "1" * 64
+PLAIN_KEY = "a" * 64
+GZ_KEY = "b" * 64
+
 
 def _flat(grid):
     return [
@@ -144,6 +149,23 @@ class TestRoundTrip:
         cache.path_for(key).write_text("{not json")
         assert cache.load(key) is None
 
+    @pytest.mark.parametrize(
+        "key",
+        ["ab\0cd" + "0" * 58, "0" * 300, "..", "A" * 64],
+        ids=["nul-byte", "300-chars", "dotdot", "uppercase-hex"],
+    )
+    def test_malformed_key_is_a_counted_miss_without_file_access(self, tmp_path, key):
+        """A key that is not a run hash is a miss, never a quarantine or a
+        raise, and nothing under the cache root is created or renamed."""
+        _sweep(tmp_path)
+        cache = RunCache(tmp_path)
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert cache.load(key) is None
+        assert cache.counters.as_dict() == {
+            "hits": 0, "misses": 1, "stale": 0, "stores": 0, "quarantined": 0,
+        }
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
     def test_clear_removes_entries(self, tmp_path):
         _sweep(tmp_path)
         cache = RunCache(tmp_path)
@@ -251,7 +273,7 @@ class TestConcurrentStores:
             start.wait()
             for _ in range(stores):
                 try:
-                    cache.store("k1", stats)
+                    cache.store(K1, stats)
                 except Exception as exc:  # collected, asserted below
                     errors.append(exc)
 
@@ -261,8 +283,8 @@ class TestConcurrentStores:
         for thread in pool:
             thread.join()
         assert errors == []
-        assert RunCache(tmp_path).load("k1").to_dict() == stats.to_dict()
-        assert sorted(p.name for p in cache.cache_dir.iterdir()) == ["k1.json"]
+        assert RunCache(tmp_path).load(K1).to_dict() == stats.to_dict()
+        assert sorted(p.name for p in cache.cache_dir.iterdir()) == [K1 + ".json"]
 
 
 class TestRunCacheGzip:
@@ -284,26 +306,26 @@ class TestRunCacheGzip:
 
     def test_below_threshold_stays_plain_json(self, tmp_path, one_stats):
         cache = self._cache(tmp_path, 10**9)
-        path = cache.store("k1", one_stats)
+        path = cache.store(K1, one_stats)
         blob = path.read_bytes()
         assert blob[:1] == b"{"  # plain JSON, no gzip magic
-        assert cache.load("k1").to_dict() == one_stats.to_dict()
-        assert cache.entry_raw_bytes("k1") == len(blob)
-        assert cache.entry_bytes("k1") == len(blob)
+        assert cache.load(K1).to_dict() == one_stats.to_dict()
+        assert cache.entry_raw_bytes(K1) == len(blob)
+        assert cache.entry_bytes(K1) == len(blob)
 
     def test_above_threshold_compresses_and_round_trips(
         self, tmp_path, one_stats
     ):
         cache = self._cache(tmp_path, 1)
-        path = cache.store("k1", one_stats)
+        path = cache.store(K1, one_stats)
         blob = path.read_bytes()
         assert blob[:2] == b"\x1f\x8b"  # gzip magic
-        loaded = cache.load("k1")
+        loaded = cache.load(K1)
         assert loaded is not None
         assert loaded.to_dict() == one_stats.to_dict()
         # Raw size comes from the gzip ISIZE trailer, stored from st_size.
-        raw = cache.entry_raw_bytes("k1")
-        stored = cache.entry_bytes("k1")
+        raw = cache.entry_raw_bytes(K1)
+        stored = cache.entry_bytes(K1)
         assert stored == len(blob)
         assert raw > stored  # run stats compress well
 
@@ -313,37 +335,37 @@ class TestRunCacheGzip:
         # Bit-for-bit: the decompressed payload must preserve insertion
         # order so order-sensitive float sums reload to the last ulp.
         cache = self._cache(tmp_path, 1)
-        cache.store("k1", one_stats)
-        assert list(cache.load("k1").to_dict()) == list(one_stats.to_dict())
+        cache.store(K1, one_stats)
+        assert list(cache.load(K1).to_dict()) == list(one_stats.to_dict())
 
     def test_compressed_bytes_are_deterministic(self, tmp_path, one_stats):
         a = self._cache(tmp_path / "a", 1)
         b = self._cache(tmp_path / "b", 1)
-        path_a = a.store("k1", one_stats)
-        path_b = b.store("k1", one_stats)
+        path_a = a.store(K1, one_stats)
+        path_b = b.store(K1, one_stats)
         # mtime=0 in the gzip header: independent writers emit identical
         # bytes, so concurrent last-write-wins stores are a no-op.
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_both_formats_coexist_transparently(self, tmp_path, one_stats):
         plain = self._cache(tmp_path, 10**9)
-        plain.store("plain-key", one_stats)
+        plain.store(PLAIN_KEY, one_stats)
         mixed = self._cache(tmp_path, 1)
-        mixed.store("gz-key", one_stats)
-        for key in ("plain-key", "gz-key"):
+        mixed.store(GZ_KEY, one_stats)
+        for key in (PLAIN_KEY, GZ_KEY):
             loaded = mixed.load(key)
             assert loaded is not None
             assert loaded.to_dict() == one_stats.to_dict()
 
     def test_truncated_gzip_entry_is_a_miss(self, tmp_path, one_stats):
         cache = self._cache(tmp_path, 1)
-        path = cache.store("k1", one_stats)
+        path = cache.store(K1, one_stats)
         path.write_bytes(path.read_bytes()[:20])  # truncate mid-stream
-        assert cache.load("k1") is None
+        assert cache.load(K1) is None
 
     def test_zero_disables_compression(self, tmp_path, one_stats):
         cache = self._cache(tmp_path, 0)
-        path = cache.store("k1", one_stats)
+        path = cache.store(K1, one_stats)
         assert path.read_bytes()[:1] == b"{"
 
 

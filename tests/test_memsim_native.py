@@ -1,9 +1,11 @@
-"""The native kernel's build key, its graceful absence, and its log10.
+"""The native kernel's build key, its graceful absence, and its
+probability path.
 
-The compiled kernel must equal the event engine on every host, so it takes
-``log10`` from numpy's own inner loop (SIMD where numpy dispatches to it,
-libm elsewhere) rather than from libm, and a cached library is reused
-only for the exact source, compile command and numpy it was built with.
+The compiled kernel must equal the event engine on every host. Both take
+``log10`` from the C library (the sampler through :func:`math.log10`), so
+the per-read probability is the same double in both, and a cached library
+is reused only for the exact source, compile command and numpy it was
+built with.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.sampler import sampler_tables
+from repro.core.sampler import DriftErrorSampler, sampler_tables
 from repro.memsim import native
 
 
@@ -90,22 +92,21 @@ def _contract_ages():
     return np.concatenate([spread, np.asarray(near_top[1:])]), tables
 
 
-def test_kernel_log10_is_numpy_log10_bit_for_bit():
-    lib = native.load_timeline()
-    if lib is None:
+@pytest.mark.parametrize("metric", ["R", "M"])
+def test_kernel_probability_is_the_samplers_bit_for_bit(metric):
+    """The kernel's probability path (log10, then the bisect-lerp over the
+    table slopes) gives the sampler's ``cell_error_probability`` to the
+    bit, across the grid, at its clamps and just below its top, where
+    ``log10`` collapses adjacent doubles onto the last grid point."""
+    from repro.memsim.fastpath import kernel_cell_error_probability
+
+    if native.load_timeline() is None:
         pytest.skip("compiled kernel unavailable")
     ages, tables = _contract_ages()
-    got = np.empty_like(ages)
-    fn, data = native.log10_loop()
-    lib.kernel_log10(
-        fn,
-        data,
-        ages.ctypes.data,
-        got.ctypes.data,
-        len(ages),
-    )
-    # The sampler calls np.log10 on one Python float at a time.
-    want = np.asarray([np.log10(age) for age in ages.tolist()])
+    ages = np.concatenate([ages, [0.5, float(tables.grid[0]), 2e8]])
+    sampler = DriftErrorSampler()
+    got = kernel_cell_error_probability(sampler, ages, metric)
+    want = np.asarray([sampler.cell_error_probability(age, metric) for age in ages.tolist()])
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     top = float(tables.log_grid[-1])
-    assert np.count_nonzero(got[len(ages) - 2_000:] == top) > 0
+    assert any(math.log10(age) == top for age in ages[-2_003:-3].tolist())

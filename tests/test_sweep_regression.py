@@ -11,6 +11,7 @@ or simulation semantics were changed deliberately (recompute the digest
 and say so in the changelog).
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -47,6 +48,13 @@ def test_sweep_output_matches_pre_refactor_pin():
     # whole planner path (plan -> serial execute -> fan-out) to the
     # pre-planner serial digest.
     grid = run_sweep(PINNED_SPEC)
+    assert _digest(grid) == PINNED_DIGEST
+
+
+def test_event_engine_matches_pin():
+    # The event-stepped oracle gives the pinned digest on its own, so the
+    # pin holds for both engines and not only for the compiled kernel.
+    grid = run_sweep(dataclasses.replace(PINNED_SPEC, engine="event"))
     assert _digest(grid) == PINNED_DIGEST
 
 
