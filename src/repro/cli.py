@@ -278,8 +278,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.quick and name in SWEEP_EXPERIMENTS:
                 kwargs["target_requests"] = args.quick_requests
             started = time.perf_counter()
-            result = service.run_experiment(name, **kwargs)
-            print(result.render())
+            print(service.render_experiment(name, **kwargs))
             print()
             _log().info("%s done in %.2fs", name, time.perf_counter() - started)
     return 0

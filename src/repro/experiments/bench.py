@@ -29,6 +29,7 @@ __all__ = [
     "bench_single_run",
     "bench_telemetry_overhead",
     "bench_batch_kernel",
+    "bench_cli_run_all_warm",
     "bench_serve",
     "merge_into_bench_json",
     "append_bench_history",
@@ -194,6 +195,48 @@ def bench_batch_kernel(requests: int) -> Dict:
         "batch_requests_per_s": batch_rps,
         "speedup": scalar_s / batch_s,
         "equivalence_check": "bit-for-bit",
+    }
+
+
+def bench_cli_run_all_warm(repeats: int = 3) -> Dict:
+    """Time a warm ``readduo run all --quick`` process.
+
+    One cold fill in a fresh temporary cache, then ``repeats`` warm
+    processes against it; records their median wall time
+    (``cli.run_all_warm_s`` in the history) and raises
+    ``AssertionError`` if a warm process printed other bytes than the
+    cold fill.
+    """
+    import statistics
+    import subprocess
+    import sys
+    import tempfile
+
+    source_root = str(Path(__file__).resolve().parents[2])
+    argv = [sys.executable, "-m", "repro", "run", "all", "--quick"]
+    with tempfile.TemporaryDirectory(prefix="readduo-bench-run-") as tmp:
+        env = dict(os.environ, READDUO_SWEEP_CACHE=str(Path(tmp) / "cache"))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (source_root, os.environ.get("PYTHONPATH")) if p
+        )
+
+        def run() -> Tuple[bytes, float]:
+            start = time.perf_counter()
+            done = subprocess.run(
+                argv, cwd=tmp, env=env, capture_output=True, check=True
+            )
+            return done.stdout, time.perf_counter() - start
+
+        cold, cold_s = run()
+        warm = [run() for _ in range(repeats)]
+    assert all(out == cold for out, _ in warm), (
+        "a warm `run all --quick` printed other bytes than the cold fill"
+    )
+    return {
+        "command": "run all --quick",
+        "run_all_cold_s": cold_s,
+        "run_all_warm_s": statistics.median(seconds for _, seconds in warm),
+        "warm_runs": repeats,
     }
 
 
@@ -594,7 +637,7 @@ def run_bench_suite(
     jobs: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> Dict:
-    """Run the single-run, telemetry, and batch-kernel scenarios.
+    """Run the single-run, telemetry, batch-kernel and warm-CLI scenarios.
 
     Writes each section into ``results/BENCH_sweep.json`` as it
     completes (so a crash mid-suite still records finished sections) and
@@ -631,6 +674,14 @@ def run_bench_suite(
         f"  {kernel['speedup']:.1f}x over scalar "
         f"({kernel['batch_requests_per_s']:.0f} vs "
         f"{kernel['scalar_requests_per_s']:.0f} requests/s)"
+    )
+
+    say("cli: warm `readduo run all --quick` after a cold fill ...")
+    cli = bench_cli_run_all_warm()
+    merge_into_bench_json(results_dir, {"cli": cli})
+    say(
+        f"  {cli['run_all_warm_s']:.2f}s warm "
+        f"({cli['run_all_cold_s']:.2f}s cold fill)"
     )
 
     payload = json.loads(

@@ -8,6 +8,7 @@ the first lookup of its id: iterating the ids imports none, and
 ``readduo run table1`` imports only Table I's driver.
 """
 
+import sys
 from importlib import import_module
 from typing import Any, Dict, Iterator, Mapping, MutableMapping, Tuple
 
@@ -19,11 +20,18 @@ __all__ = ["EXPERIMENTS", "EXPERIMENT_SPECS", "SWEEP_EXPERIMENTS"]
 class _LazyTable(MutableMapping[str, Any]):
     """Id -> the attribute an :mod:`.index` table locates, imported on first
     lookup. Iteration follows the index's order and imports nothing; an
-    id set by hand (a test's stand-in driver) shadows its location."""
+    id set by hand (a test's stand-in driver) shadows its location until
+    the located attribute itself is set back."""
 
     def __init__(self, locations: Mapping[str, Tuple[str, str]]) -> None:
+        self._index = dict(locations)
         self._locations: Dict[str, Any] = dict(locations)
         self._values: Dict[str, Any] = {}
+
+    def located(self, key: str) -> bool:
+        """Whether ``key`` resolves to its index location, not a value set
+        by hand; answering imports nothing."""
+        return self._locations.get(key) is not None
 
     def __getitem__(self, key: str) -> Any:
         if key not in self._values:
@@ -34,12 +42,20 @@ class _LazyTable(MutableMapping[str, Any]):
         return self._values[key]
 
     def __setitem__(self, key: str, value: Any) -> None:
-        self._locations[key] = None
+        location = self._index.get(key)
+        if location is not None:
+            module = sys.modules.get(f"{__package__}.{location[0]}")
+            if getattr(module, location[1], None) is not value:
+                location = None
+        self._locations[key] = location
         self._values[key] = value
 
     def __delitem__(self, key: str) -> None:
         del self._locations[key]
         self._values.pop(key, None)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._locations
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._locations)
@@ -49,7 +65,7 @@ class _LazyTable(MutableMapping[str, Any]):
 
 
 #: Experiment id -> driver, ``run(**kwargs) -> ExperimentResult``.
-EXPERIMENTS: MutableMapping[str, Any] = _LazyTable(DRIVERS)
+EXPERIMENTS = _LazyTable(DRIVERS)
 
 #: Spec collectors: experiment id -> callable returning the SimSpecs that
 #: experiment's driver will feed to run_sweep (see

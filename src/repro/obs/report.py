@@ -352,6 +352,7 @@ BENCH_COMPARISONS = (
     ("batch_kernel", "speedup", +1),
     ("telemetry_overhead", "enabled_overhead_pct", -1),
     ("explore", "requests_saved_ratio", +1),
+    ("cli", "run_all_warm_s", -1),
 )
 
 

@@ -10,11 +10,12 @@ through. The service owns all of that behind a handful of methods:
   and fully resolved run results out;
 * :meth:`ExecutionService.sweep` — one spec's canonical grid (the
   ``readduo sweep`` payload comes from :func:`sweep_payload` over it);
-* :meth:`ExecutionService.prewarm` / :meth:`run_experiment` — the
+* :meth:`ExecutionService.prewarm` / :meth:`render_experiment` — the
   ``readduo run`` workflow: union all requested artifacts' specs,
   execute each distinct unit once, then let the drivers, which receive
   this service as their ``service`` argument, render from the
-  prewarmed memo;
+  prewarmed memo; closed-form artifacts are served as rendered text
+  from the run store's root when it is a :class:`RunCache`;
 * :meth:`ExecutionService.fault_density_study` — the ``readduo faults``
   workflow, wired the same way.
 
@@ -35,7 +36,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
-from ..experiments.cache import RunCache, RunStore
+from ..experiments.cache import RunCache, RunStore, artifact_key
 from ..experiments.planner import (
     ExecutionPlan,
     RunMemo,
@@ -283,6 +284,34 @@ class ExecutionService:
         if name in EXPERIMENT_SPECS:
             kwargs["service"] = self
         return EXPERIMENTS[name](**kwargs)
+
+    def render_experiment(self, name: str, **kwargs: Any) -> str:
+        """One experiment's rendered text, as ``readduo run`` prints it.
+
+        A closed-form or Monte-Carlo artifact (an id without a spec
+        collector, called without arguments) is a pure function of the
+        package's code, so a :class:`RunCache` store serves its text
+        under :func:`~repro.experiments.cache.artifact_key` and stores
+        it on a miss. Every other case renders
+        :meth:`run_experiment`: sweep-backed artifacts, calls with
+        arguments, a store that is not a :class:`RunCache` (or none)
+        and a driver set by hand in ``EXPERIMENTS``.
+        """
+        from ..experiments.catalog import EXPERIMENT_SPECS, EXPERIMENTS
+
+        if (
+            kwargs
+            or not isinstance(self.store, RunCache)
+            or name in EXPERIMENT_SPECS
+            or not EXPERIMENTS.located(name)
+        ):
+            return self.run_experiment(name, **kwargs).render()
+        key = artifact_key(name)
+        text = self.store.load_artifact(key)
+        if text is None:
+            text = self.run_experiment(name).render()
+            self.store.store_artifact(key, name, text)
+        return text
 
     def fault_density_study(self, **kwargs: Any):
         """The ``readduo faults`` study under this service's wiring."""

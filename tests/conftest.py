@@ -9,6 +9,20 @@ from repro.memsim.config import MemoryConfig
 from repro.traces.spec import WorkloadProfile
 
 
+@pytest.fixture(autouse=True)
+def _isolated_run_cache(tmp_path_factory, monkeypatch) -> None:
+    """Point the default run cache at a fresh directory for every test.
+
+    ``readduo run``/``sweep`` without ``--no-cache`` write the cache at
+    ``$READDUO_SWEEP_CACHE``, else under ``./results/.sweep-cache``: a
+    test that sets no location would otherwise fill the checkout's.
+    Tests of the default location ``monkeypatch.delenv`` it.
+    """
+    monkeypatch.setenv(
+        "READDUO_SWEEP_CACHE", str(tmp_path_factory.mktemp("sweep-cache"))
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic randomness for the test."""

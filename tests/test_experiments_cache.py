@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.cache import RunCache
+from repro.experiments import cache as cache_module
+from repro.experiments.cache import RunCache, artifact_key, default_cache_dir
 from repro.experiments.planner import build_plan, execute_plan
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
@@ -20,6 +22,11 @@ SMALL = SimSpec(
     workloads=("gcc",),
     target_requests=1_200,
 )
+
+#: Counters of a store nothing has touched.
+UNTOUCHED = {
+    "hits": 0, "misses": 0, "stale": 0, "stores": 0, "quarantined": 0,
+}
 
 #: Stand-alone store keys; the cache serves only run-hash-shaped keys.
 K1 = "1" * 64
@@ -390,3 +397,86 @@ class TestDeterministicCacheBytes:
         assert len(entries["run-a"]) == 2
         # Byte-identical, so a concurrent last-write-wins store is a no-op.
         assert entries["run-a"] == entries["run-b"]
+
+
+class TestArtifactStore:
+    """Rendered closed-form artifacts under ``<root>/artifacts/``."""
+
+    def test_default_location_is_beside_the_runs(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("READDUO_SWEEP_CACHE")
+        default = Path("results") / ".sweep-cache"
+        assert default_cache_dir() == default
+        assert RunCache().artifact_dir == default / "artifacts"
+        monkeypatch.setenv("READDUO_SWEEP_CACHE", str(tmp_path))
+        assert RunCache().artifact_dir == tmp_path / "artifacts"
+
+    def test_store_then_fresh_instance_serves_the_text(self, tmp_path):
+        key = artifact_key("table1")
+        RunCache(tmp_path).store_artifact(key, "table1", "== table1: x ==")
+        cache = RunCache(tmp_path)
+        assert cache.load_artifact(key) == "== table1: x =="
+        assert cache.artifact_counters.hits == 1
+        assert cache.artifact_path(key).parent == tmp_path / "artifacts"
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "wrong-key", "no-text"],
+    )
+    def test_unusable_entry_is_quarantined_without_raising(self, tmp_path, damage):
+        cache = RunCache(tmp_path)
+        key = artifact_key("table1")
+        path = cache.store_artifact(key, "table1", "text")
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:10])
+        elif damage == "wrong-key":
+            other = cache.store_artifact(artifact_key("table2"), "table2", "t2")
+            path.write_bytes(other.read_bytes())
+        else:
+            payload = json.loads(path.read_text())
+            del payload["text"]
+            path.write_text(json.dumps(payload))
+        assert cache.load_artifact(key) is None
+        assert cache.artifact_counters.as_dict() == {
+            "hits": 0, "misses": 1, "stale": 1,
+            "stores": 2 if damage == "wrong-key" else 1, "quarantined": 1,
+        }
+        assert not path.exists()
+        assert path.with_name(path.name + ".bad").exists()
+        # Artifact traffic is not run traffic.
+        assert cache.counters.as_dict() == UNTOUCHED
+
+    def test_missing_entry_is_a_counted_miss(self, tmp_path):
+        cache = RunCache(tmp_path)
+        assert cache.load_artifact(artifact_key("table1")) is None
+        assert cache.load_artifact("not-a-key") is None
+        assert cache.artifact_counters.misses == 2
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_key_changes_with_the_source_digest(self, monkeypatch):
+        key = artifact_key("table3")
+        assert key != artifact_key("table4")
+        assert artifact_key("table3") == key
+        monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+        assert artifact_key("table3") != key
+
+    def test_source_digest_is_computed_once_per_process(self):
+        cache_module.source_digest()
+        before = cache_module.source_digest.cache_info()
+        artifact_key("table1")
+        artifact_key("figure6")
+        after = cache_module.source_digest.cache_info()
+        assert after.misses == before.misses
+        assert after.currsize == 1
+
+    def test_clear_removes_artifact_entries(self, tmp_path):
+        _sweep(tmp_path)
+        cache = RunCache(tmp_path)
+        key = artifact_key("table1")
+        cache.store_artifact(key, "table1", "text")
+        bad = cache.store_artifact(artifact_key("table2"), "table2", "t2")
+        bad.write_text("{")
+        assert cache.load_artifact(artifact_key("table2")) is None
+        n_runs = len(SMALL.schemes) * len(SMALL.workloads)
+        assert cache.clear() == n_runs + 2
+        assert list((tmp_path / "artifacts").iterdir()) == []
+        assert cache.load_artifact(key) is None

@@ -273,6 +273,15 @@ class TestBenchComparison:
                    if r["metric"] == "telemetry_overhead.enabled_overhead_pct")
         assert row["regressed"] and row["better"] == "lower"
 
+    def test_warm_run_all_time_rising_regresses(self):
+        rows = compare_bench_entries(
+            {"cli": {"run_all_warm_s": 0.40}},
+            {"cli": {"run_all_warm_s": 0.60}},
+            threshold_pct=5.0,
+        )
+        row = next(r for r in rows if r["metric"] == "cli.run_all_warm_s")
+        assert row["regressed"] and row["better"] == "lower"
+
     def test_missing_metric_never_flags(self):
         rows = compare_bench_entries({}, _bench_entry(1.0, 1.0, 1.0))
         assert all(row["delta_pct"] is None for row in rows)

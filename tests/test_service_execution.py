@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.experiments import EXPERIMENT_SPECS, EXPERIMENTS, SWEEP_EXPERIMENTS
-from repro.experiments.cache import RunCache
+from repro.experiments.cache import RunCache, artifact_key
 from repro.experiments.planner import DEFAULT_RUN_MEMO_CAPACITY
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
@@ -213,3 +213,90 @@ class TestMemoPolicy:
         in_memory = ExecutionService(cache=MemoryRunStore()).describe()
         assert in_memory["cache_dir"] is None
         assert in_memory["store"] == "MemoryRunStore"
+
+
+class _Rendered:
+    def __init__(self, text):
+        self.text = text
+
+    def render(self):
+        return self.text
+
+
+class TestRenderExperiment:
+    """Closed-form artifacts come back from a RunCache as rendered text."""
+
+    def test_miss_computes_and_stores_then_the_store_serves(self, tmp_path):
+        expected = ExecutionService(cache=False).run_experiment("table1").render()
+        first = ExecutionService(cache=tmp_path)
+        assert first.render_experiment("table1") == expected
+        assert first.store.artifact_counters.stores == 1
+        warm = ExecutionService(cache=tmp_path)
+        assert warm.render_experiment("table1") == expected
+        assert warm.store.artifact_counters.as_dict() == {
+            "hits": 1, "misses": 0, "stale": 0, "stores": 0, "quarantined": 0,
+        }
+        assert warm.store.counters.as_dict()["misses"] == 0
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-key"])
+    def test_unusable_entry_is_recomputed_and_rewritten(self, tmp_path, damage):
+        expected = ExecutionService(cache=False).run_experiment("table1").render()
+        store = RunCache(tmp_path)
+        path = store.artifact_path(artifact_key("table1"))
+        if damage == "truncated":
+            store.store_artifact(artifact_key("table1"), "table1", expected)
+            path.write_bytes(path.read_bytes()[:-7])
+        else:
+            other = store.store_artifact(artifact_key("table2"), "table2", "t2")
+            path.write_bytes(other.read_bytes())
+        service = ExecutionService(cache=RunCache(tmp_path))
+        assert service.render_experiment("table1") == expected
+        assert service.store.artifact_counters.quarantined == 1
+        assert service.store.artifact_counters.stores == 1
+        assert path.with_name(path.name + ".bad").exists()
+        assert RunCache(tmp_path).load_artifact(artifact_key("table1")) == expected
+
+    def test_no_cache_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        root = tmp_path / "cache"
+        monkeypatch.setenv("READDUO_SWEEP_CACHE", str(root))
+        assert main(["run", "table1", "table8", "--no-cache"]) == 0
+        assert capsys.readouterr().out.startswith("== table1:")
+        assert not root.exists()
+
+    def test_hand_set_driver_is_called_not_served(self, tmp_path, monkeypatch):
+        store = RunCache(tmp_path)
+        store.store_artifact(artifact_key("table3"), "table3", "stored")
+        calls = []
+
+        def stand_in(**kwargs):
+            calls.append(kwargs)
+            return _Rendered("stand-in")
+
+        with monkeypatch.context() as patch:
+            patch.setitem(EXPERIMENTS, "table3", stand_in)
+            service = ExecutionService(cache=store)
+            assert service.render_experiment("table3") == "stand-in"
+            assert calls == [{}]
+            assert store.artifact_counters.hits == 0
+        # Setting the located driver back serves the store again.
+        assert EXPERIMENTS.located("table3")
+        assert ExecutionService(cache=store).render_experiment("table3") == "stored"
+
+    def test_other_stores_and_arguments_always_compute(self, tmp_path, monkeypatch):
+        calls = []
+
+        def driver(**kwargs):
+            calls.append(kwargs)
+            return _Rendered("computed")
+
+        monkeypatch.setitem(EXPERIMENTS, "fake-closed-form", driver)
+        assert not EXPERIMENTS.located("fake-closed-form")
+        assert ExecutionService(cache=MemoryRunStore()).render_experiment(
+            "fake-closed-form"
+        ) == "computed"
+        store = RunCache(tmp_path)
+        store.store_artifact(artifact_key("table8"), "table8", "stored")
+        assert ExecutionService(cache=store).render_experiment("table8") == "stored"
+        assert calls == [{}]

@@ -11,7 +11,8 @@ numpy follows the same rule one layer down: the package ``__init__``s
 export lazily, registering a scheme imports no numeric module and
 ``list`` reads the artifact index without loading a driver, so
 ``--help``, ``list``, ``schemes`` and a fully cached ``sweep`` import no
-numpy either.
+numpy either. A warm ``run`` imports neither: the closed-form artifacts
+come back from the run cache as rendered text.
 
 One layer further down, each command imports only the modules it runs.
 The registry declares the built-in schemes with lazily imported
@@ -77,6 +78,14 @@ _TINY_SWEEP = [
 ]
 
 _ANALYTIC_RUN = ["run", "table3", "table5", "figure6", "--quick"]
+
+#: perfbench ``cli-warm``'s warm ``run``: every table and figure.
+_TABLES_AND_FIGURES_RUN = [
+    "run",
+    *(f"table{n}" for n in (1, 2, 3, 4, 5, 7, 8, 9, 10)),
+    *(f"figure{n}" for n in (1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15)),
+    "--quick", "--quick-requests", "300",
+]
 
 _INTERVALS = [8.0, 64.0, 640.0]
 _STRENGTHS = [0, 4, 8]
@@ -186,12 +195,23 @@ def test_warm_sweep_does_not_import_numpy(tmp_path):
 
 
 def test_warm_analytic_run_does_not_import_scipy_stats(tmp_path):
-    # Tables III and V and Figure 6 evaluate the model in every run.
+    # The cold run evaluates the model for Tables III and V and Figure 6;
+    # the warm run serves their rendered text from the run cache.
     assert _scipy(_cli(tmp_path, _ANALYTIC_RUN)) == _SPECIAL_ONLY
     cold = (tmp_path / "stdout.txt").read_text()
     assert "== table3:" in cold
-    assert _scipy(_cli(tmp_path, _ANALYTIC_RUN)) == _SPECIAL_ONLY
+    assert _cli(tmp_path, _ANALYTIC_RUN) == _NO_NUMERIC
     assert (tmp_path / "stdout.txt").read_text() == cold
+
+
+def test_warm_run_of_every_table_and_figure_imports_no_numeric_module(tmp_path):
+    # Closed-form artifacts come back as stored text, sweep-backed ones
+    # render from the run store: neither needs numpy or scipy.
+    assert _cli(tmp_path, _TABLES_AND_FIGURES_RUN)["scipy_special"] is True
+    cold = (tmp_path / "stdout.txt").read_bytes()
+    assert cold.startswith(b"== table1:") and b"\n== figure15:" in cold
+    assert _cli(tmp_path, _TABLES_AND_FIGURES_RUN) == _NO_NUMERIC
+    assert (tmp_path / "stdout.txt").read_bytes() == cold
 
 
 def test_first_model_call_imports_scipy_and_matches(tmp_path):
