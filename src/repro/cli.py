@@ -22,14 +22,12 @@ Subcommands:
   the same code path the ``benchmarks/`` harness uses, and append one
   entry to ``results/BENCH_history.jsonl`` (see docs/PERFORMANCE.md).
   ``--serve`` load-tests the daemon instead
-  (``results/BENCH_serve.json``); ``--explore`` benchmarks the
-  design-space explorer (``results/BENCH_explore.json``: requests
-  saved vs an exhaustive grid, warm-rerun gate).
-* ``explore`` — design-space exploration: successive halving with
-  Pareto (non-dominated) promotion over (scheme x ECC strength x scrub
-  interval x config) candidates, scoring EDAP vs TLC, analytic FIT
-  margin, and wear vs Ideal; writes ``results/frontier.json`` and a
-  frontier table. Resolves through the same execution layer as
+  (``results/BENCH_serve.json``).
+* ``explore`` — design-space exploration: scores every (scheme x ECC
+  strength x scrub interval x config) candidate once at the full
+  budget on EDAP vs TLC, analytic FIT margin, and wear vs Ideal, and
+  keeps the Pareto (non-dominated) set; writes ``results/frontier.json``
+  and a frontier table. Resolves through the same execution layer as
   ``sweep`` (or a daemon with ``--via-serve URL``), so reruns and
   killed-and-resumed explorations re-simulate nothing
   (see docs/EXPLORE.md).
@@ -578,7 +576,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    """Successive-halving Pareto exploration (see docs/EXPLORE.md)."""
+    """Full-budget Pareto exploration (see docs/EXPLORE.md)."""
     from .explore import (
         ExploreError,
         ExploreSpace,
@@ -647,8 +645,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 result = explore(
                     space,
                     args.budget,
-                    base_budget=args.base_budget,
-                    eta=args.eta,
                     backend=ServeExploreBackend(client),
                     telemetry=tele,
                 )
@@ -658,8 +654,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                     result = explore(
                         space,
                         args.budget,
-                        base_budget=args.base_budget,
-                        eta=args.eta,
                         backend=LocalExploreBackend(service),
                         telemetry=tele,
                     )
@@ -682,28 +676,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .experiments.bench import (
-        run_bench_suite,
-        run_explore_bench,
-        run_serve_bench,
-    )
+    from .experiments.bench import run_bench_suite, run_serve_bench
 
     def say(msg: str) -> None:
         print(msg, file=sys.stderr)
-
-    if args.explore:
-        payload = run_explore_bench(
-            results_dir=args.results_dir,
-            log=say,
-        )
-        section = payload["explore"]
-        say(
-            f"wrote {args.results_dir}/BENCH_explore.json: "
-            f"{section['requests_saved_ratio']:.3f} of exhaustive-grid "
-            f"requests saved, warm re-explore simulated "
-            f"{section['warm_units_simulated']} unit(s)"
-        )
-        return 0 if section["warm_units_simulated"] == 0 else 1
 
     if args.serve:
         payload = run_serve_bench(
@@ -881,14 +857,6 @@ def _bench_arguments(p_bench: argparse.ArgumentParser) -> None:
         help="daemon executor pool size for --serve (default: 4; set 1 "
              "to reproduce the pre-pool tail latency)",
     )
-    p_bench.add_argument(
-        "--explore", action="store_true",
-        help="run the design-space-exploration benchmark instead: "
-             "requests saved vs an exhaustive grid (pruning + dedup) and "
-             "warm-re-explore cache behavior; writes "
-             "results/BENCH_explore.json and exits 1 if the warm "
-             "re-explore simulated any unit",
-    )
 
 
 def _report_arguments(p_report: argparse.ArgumentParser) -> None:
@@ -973,17 +941,9 @@ def _explore_arguments(p_explore: argparse.ArgumentParser) -> None:
     )
     p_explore.add_argument(
         "--budget", type=_positive_int, default=8_000,
-        help="final simulated requests per candidate (default: 8000); "
+        help="simulated requests per candidate (default: 8000); "
              "frontier members' stats are bit-identical to a direct run "
              "at this budget",
-    )
-    p_explore.add_argument(
-        "--base-budget", type=_positive_int, default=None, metavar="N",
-        help="first-rung budget (default: budget // eta^2)",
-    )
-    p_explore.add_argument(
-        "--eta", type=int, default=2,
-        help="geometric rung growth factor (default: 2)",
     )
     p_explore.add_argument(
         "--output", default="results/frontier.json", metavar="FILE",
@@ -1079,8 +1039,7 @@ _COMMANDS: Dict[
     ),
     "explore": (
         "search the scheme/ECC/scrub design space for the "
-        "EDAP / FIT / wear Pareto frontier via successive halving "
-        "(see docs/EXPLORE.md)",
+        "EDAP / FIT / wear Pareto frontier (see docs/EXPLORE.md)",
         _explore_arguments,
         _cmd_explore,
     ),

@@ -36,8 +36,6 @@ __all__ = [
     "load_bench_history",
     "run_bench_suite",
     "run_serve_bench",
-    "bench_explore",
-    "run_explore_bench",
 ]
 
 #: Append-only per-invocation history beside BENCH_sweep.json; the input
@@ -459,128 +457,6 @@ def run_serve_bench(
             log=log,
         )
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
-
-
-def bench_explore(
-    budget: int = 1_200,
-    base_budget: int = 300,
-    log: Optional[Callable[[str], None]] = None,
-) -> Dict:
-    """Measure what successive halving saves over an exhaustive grid.
-
-    Runs one cold exploration of a 16-candidate space against a fresh
-    cache directory and compares its simulated-request spend against the
-    naive exhaustive grid (every candidate plus the per-config TLC/Ideal
-    baselines at the full budget) — the saving combines rung pruning
-    with the planner's dedup of candidates that share a run unit. A warm
-    re-exploration against the same cache must then simulate zero units
-    (``warm_units_simulated`` is the number it actually simulated; the
-    CLI exits nonzero if it is not 0).
-    """
-    import tempfile
-
-    from ..explore import ExploreSpace, LocalExploreBackend, explore
-    from ..service import ExecutionService
-
-    def say(msg: str) -> None:
-        if log is not None:
-            log(msg)
-
-    space = ExploreSpace(
-        schemes=("LWT-2", "LWT-4", "Select-4:1", "Select-4:2"),
-        ecc_strengths=(4, 8),
-        scrub_intervals_s=(8.0, 640.0),
-        workload="mcf",
-        seed=7,
-    )
-    candidates = len(space.candidates())
-    configs = len(space.configs)
-    say(f"explore: cold successive halving over {space.describe()} ...")
-    with tempfile.TemporaryDirectory(prefix="readduo-bench-explore-") as tmp:
-        with ExecutionService(jobs=1, cache=tmp) as service:
-            result, cold_wall_s = _time(
-                lambda: explore(
-                    space,
-                    budget,
-                    base_budget=base_budget,
-                    backend=LocalExploreBackend(service),
-                )
-            )
-        requests_simulated = sum(
-            int(r.exec_stats.get("units_simulated") or 0) * r.budget
-            for r in result.rungs
-        )
-        # The naive exhaustive grid simulates every candidate plus the
-        # TLC and Ideal baselines at the full budget, one run each —
-        # what sweeping the space without the explorer (no rung pruning,
-        # no content-addressed dedup of candidates differing only in the
-        # analytic ECC/scrub dimensions) would cost.
-        distinct_units = len({
-            space.spec_for(c, budget).run_hash(space.workload, c.scheme)
-            for c in space.candidates()
-        })
-        requests_exhaustive = (candidates + 2 * configs) * budget
-        say("explore: warm re-exploration against the same cache ...")
-        with ExecutionService(jobs=1, cache=tmp) as service:
-            warm_result, warm_wall_s = _time(
-                lambda: explore(
-                    space,
-                    budget,
-                    base_budget=base_budget,
-                    backend=LocalExploreBackend(service),
-                )
-            )
-    if warm_result.frontier_digest() != result.frontier_digest():
-        raise RuntimeError("warm re-exploration diverged from cold frontier")
-    return {
-        "budget": budget,
-        "base_budget": base_budget,
-        "rungs": [r.budget for r in result.rungs],
-        "candidates": candidates,
-        "distinct_units": distinct_units,
-        "frontier_size": len(result.frontier),
-        "frontier_digest": result.frontier_digest(),
-        "pruned": len(result.pruned),
-        "units_simulated": int(result.units.get("units_simulated") or 0),
-        "requests_simulated": requests_simulated,
-        "requests_exhaustive": requests_exhaustive,
-        "requests_saved_ratio": (
-            1.0 - requests_simulated / requests_exhaustive
-            if requests_exhaustive
-            else 0.0
-        ),
-        "cold_wall_s": cold_wall_s,
-        "warm_wall_s": warm_wall_s,
-        "warm_units_simulated": int(
-            warm_result.units.get("units_simulated") or 0
-        ),
-    }
-
-
-def run_explore_bench(
-    results_dir: Path,
-    budget: int = 1_200,
-    log: Optional[Callable[[str], None]] = None,
-) -> Dict:
-    """Run the exploration bench; write ``results/BENCH_explore.json``.
-
-    The ``explore`` section is also merged into ``BENCH_sweep.json`` and
-    the merged payload appended to the benchmark history, so ``readduo
-    report --bench`` gates ``explore.requests_saved_ratio`` alongside
-    the engine metrics.
-    """
-    results_dir = Path(results_dir)
-    results_dir.mkdir(exist_ok=True)
-    section = bench_explore(budget=budget, log=log)
-    payload = {"meta": bench_meta(budget, 1), "explore": section}
-    path = results_dir / "BENCH_explore.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    merge_into_bench_json(results_dir, {"explore": section})
-    history_payload = json.loads(
-        (results_dir / "BENCH_sweep.json").read_text()
-    )
-    append_bench_history(results_dir, history_payload)
     return payload
 
 

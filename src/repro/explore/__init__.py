@@ -2,11 +2,10 @@
 
 The explorer (ROADMAP item 4) searches the (scheme-family params x ECC
 strength x scrub interval x MemoryConfig) space for the EDAP / FIT /
-lifetime Pareto frontier using successive halving: every candidate
-starts at a small simulation budget, each rung promotes exactly the
-non-dominated survivors to the next (larger) budget, and the final rung
-runs at the full requested budget. Candidates materialize as ordinary
-:class:`~repro.experiments.spec.SimSpec` documents and resolve through
+lifetime Pareto frontier: every candidate is scored once at the full
+requested budget and the non-dominated set is kept. Candidates
+materialize as ordinary :class:`~repro.experiments.spec.SimSpec`
+documents and resolve through
 :class:`~repro.service.ExecutionService` (or a running ``readduo
 serve`` daemon), so the whole cache hierarchy applies — a killed and
 restarted exploration re-simulates zero completed units, and the same
@@ -19,10 +18,8 @@ from .engine import (
     FrontierEntry,
     LocalExploreBackend,
     PrunedCandidate,
-    RungReport,
     ServeExploreBackend,
     explore,
-    rung_budgets,
 )
 from .pareto import dominates, pareto_indices
 from .space import Candidate, ExploreError, ExploreSpace
@@ -35,10 +32,8 @@ __all__ = [
     "FrontierEntry",
     "LocalExploreBackend",
     "PrunedCandidate",
-    "RungReport",
     "ServeExploreBackend",
     "dominates",
     "explore",
     "pareto_indices",
-    "rung_budgets",
 ]

@@ -1,23 +1,20 @@
-"""Successive-halving Pareto search over an :class:`ExploreSpace`.
+"""Full-budget Pareto search over an :class:`ExploreSpace`.
 
 The algorithm (docs/EXPLORE.md):
 
-1. Build the budget ladder: geometric rungs ``base_budget * eta^r``
-   capped by — and always ending exactly at — the requested ``budget``
-   (budget = simulated requests per candidate).
-2. At each rung, materialize every surviving candidate as a
-   :class:`~repro.experiments.spec.SimSpec` at the rung budget, plus one
-   TLC+Ideal baseline spec per distinct config variant, and resolve the
-   whole batch through the execution backend. Candidates differing only
-   in the analytic dimensions (ECC strength, scrub interval) share one
-   run unit; the planner dedups them, and the granular cache makes every
+1. Materialize every candidate as a
+   :class:`~repro.experiments.spec.SimSpec` at the requested ``budget``
+   (simulated requests per candidate), plus one TLC+Ideal baseline spec
+   per distinct config variant, and resolve the whole batch once
+   through the execution backend. Candidates differing only in the
+   analytic dimensions (ECC strength, scrub interval) share one run
+   unit; the planner dedups them, and the granular cache makes every
    completed unit free on a resumed or re-run exploration.
-3. Score each survivor on three minimized objectives — EDAP vs TLC,
-   FIT margin vs the DRAM target, wear vs Ideal — and promote exactly
-   the non-dominated set. Pruned candidates are recorded with the
-   frontier member that dominated them (the prune audit).
-4. The survivors of the final rung, scored at the full budget, are the
-   frontier.
+2. Score each candidate on three minimized objectives — EDAP vs TLC,
+   FIT margin vs the DRAM target, wear vs Ideal.
+3. The non-dominated set, in candidate order, is the frontier. Every
+   other candidate is recorded with its score and the first frontier
+   member that dominates it (the prune audit).
 
 Determinism: scores read only bit-for-bit pinned
 :class:`~repro.memsim.stats.RunStats` plus closed-form reliability/area
@@ -32,18 +29,10 @@ import asyncio
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..memsim.stats import RunStats
 from ..metrics.edap import compute_edap
@@ -66,14 +55,12 @@ __all__ = [
     "OBJECTIVES",
     "FrontierEntry",
     "PrunedCandidate",
-    "RungReport",
     "ExploreResult",
     "LocalExploreBackend",
     "ServeExploreBackend",
     "area_budget_for",
     "explore",
     "metric_for_scheme",
-    "rung_budgets",
     "score_objectives",
     "write_frontier",
 ]
@@ -81,7 +68,7 @@ __all__ = [
 _log = get_logger("explore.engine")
 
 #: Version stamp of the frontier artifact (results/frontier.json).
-FRONTIER_FORMAT = 1
+FRONTIER_FORMAT = 2
 
 #: Objective names, in vector order; all minimized.
 OBJECTIVES: Tuple[str, ...] = ("edap", "fit_margin", "wear")
@@ -173,45 +160,11 @@ def score_objectives(
     return (edap, fit_margin, wear)
 
 
-def rung_budgets(
-    budget: int, base_budget: Optional[int] = None, eta: int = 2
-) -> Tuple[int, ...]:
-    """The successive-halving budget ladder, ending exactly at ``budget``.
-
-    Rungs grow geometrically from ``base_budget`` by ``eta`` and the
-    final rung always runs at the full ``budget`` (so frontier members'
-    stats are exactly the stats of a direct full-budget run — the
-    differential tests rely on this). The default base is
-    ``budget // eta**2``, giving a three-rung ladder.
-    """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise ExploreError("budget must be an int >= 1")
-    if not isinstance(eta, int) or isinstance(eta, bool) or eta < 2:
-        raise ExploreError("eta must be an int >= 2")
-    if base_budget is None:
-        base_budget = max(budget // (eta * eta), 1)
-    if (
-        not isinstance(base_budget, int)
-        or isinstance(base_budget, bool)
-        or base_budget < 1
-    ):
-        raise ExploreError("base_budget must be an int >= 1")
-    if base_budget > budget:
-        raise ExploreError("base_budget must not exceed budget")
-    ladder: List[int] = []
-    rung = base_budget
-    while rung < budget:
-        ladder.append(rung)
-        rung *= eta
-    ladder.append(budget)
-    return tuple(ladder)
-
-
 # --------------------------------------------------------------- backends
 
 
 class LocalExploreBackend:
-    """Resolve rung batches through an in-process ExecutionService."""
+    """Resolve the candidate batch through an in-process ExecutionService."""
 
     name = "local"
 
@@ -226,7 +179,7 @@ class LocalExploreBackend:
 
 
 class ServeExploreBackend:
-    """Resolve rung batches through a running ``readduo serve`` daemon.
+    """Resolve the candidate batch through a running ``readduo serve`` daemon.
 
     Specs are submitted as ordinary ``/v1/submit`` documents (the daemon
     coalesces and caches by run hash) and the full per-run
@@ -301,47 +254,17 @@ class FrontierEntry:
 
 @dataclass(frozen=True)
 class PrunedCandidate:
-    """One prune event: who fell, where, and who dominated them."""
+    """One pruned candidate: its score and the member that dominated it."""
 
     candidate: Candidate
-    rung: int
-    budget: int
     objectives: Tuple[float, float, float]
     dominated_by: str
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "id": self.candidate.cid,
-            "rung": self.rung,
-            "budget": self.budget,
             "objectives": dict(zip(OBJECTIVES, self.objectives)),
             "dominated_by": self.dominated_by,
-        }
-
-
-@dataclass
-class RungReport:
-    """Per-rung accounting: scores, promotions, and execution stats."""
-
-    rung: int
-    budget: int
-    survivors_in: int
-    survivors_out: int
-    scores: Dict[str, Tuple[float, float, float]]
-    exec_stats: Dict[str, Any]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rung": self.rung,
-            "budget": self.budget,
-            "survivors_in": self.survivors_in,
-            "survivors_out": self.survivors_out,
-            "pruned": self.survivors_in - self.survivors_out,
-            "scores": {
-                cid: dict(zip(OBJECTIVES, vec))
-                for cid, vec in self.scores.items()
-            },
-            "exec": self.exec_stats,
         }
 
 
@@ -349,19 +272,18 @@ class RungReport:
 class ExploreResult:
     """Everything one exploration produced.
 
-    ``to_dict()`` splits into a deterministic core (space, ladder,
-    frontier, prune audit, per-rung scores) and a variable ``exec``
-    block (units simulated, wall time — cold vs warm runs legitimately
-    differ there). :meth:`frontier_digest` hashes only the
-    deterministic frontier, which is what the determinism gates in CI
-    and the property tests compare.
+    ``to_dict()`` splits into a deterministic core (space, budget,
+    frontier, prune audit) and a variable ``exec`` block (units
+    simulated, wall time — cold vs warm runs legitimately differ
+    there). :meth:`frontier_digest` hashes only the deterministic
+    frontier, which is what the determinism gates in CI and the
+    property tests compare.
     """
 
     space: ExploreSpace
-    budgets: Tuple[int, ...]
+    budget: int
     frontier: List[FrontierEntry]
     pruned: List[PrunedCandidate]
-    rungs: List[RungReport]
     units: Dict[str, Any]
     wall_s: float
 
@@ -386,12 +308,11 @@ class ExploreResult:
         return {
             "format": FRONTIER_FORMAT,
             "space": self.space.to_dict(),
-            "budgets": list(self.budgets),
+            "budget": self.budget,
             "objectives": list(OBJECTIVES),
             "frontier": self.frontier_payload(),
             "frontier_digest": self.frontier_digest(),
             "pruned": [p.to_dict() for p in self.pruned],
-            "rungs": [r.to_dict() for r in self.rungs],
             "exec": {
                 "units": self.units,
                 "wall_s": self.wall_s,
@@ -401,15 +322,9 @@ class ExploreResult:
     def render(self) -> str:
         """Human-readable frontier table."""
         lines: List[str] = []
-        candidates = (
-            len(self.space.candidates())
-            if self.space is not None
-            else self.rungs[0].survivors_in if self.rungs else 0
-        )
-        ladder = " -> ".join(str(b) for b in self.budgets)
         lines.append(
-            f"explored {candidates} candidate(s) over "
-            f"{len(self.budgets)} rung(s) (budgets {ladder}); "
+            f"explored {len(self.frontier) + len(self.pruned)} "
+            f"candidate(s) at budget {self.budget}; "
             f"frontier holds {len(self.frontier)}, "
             f"{len(self.pruned)} pruned"
         )
@@ -455,181 +370,107 @@ def write_frontier(
 # ----------------------------------------------------------------- engine
 
 
-def _ledger_of(telemetry: Optional[Telemetry]):
-    return telemetry.ledger if telemetry is not None else None
-
-
-def _accumulate_units(
-    total: Dict[str, Any], rung_stats: Mapping[str, Any]
-) -> None:
-    for key, value in rung_stats.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            total[key] = total.get(key, 0) + value
-
-
 def explore(
     space: ExploreSpace,
     budget: int,
     *,
-    base_budget: Optional[int] = None,
-    eta: int = 2,
     backend: Any,
     telemetry: Optional[Telemetry] = None,
 ) -> ExploreResult:
-    """Run one successive-halving exploration to its Pareto frontier.
+    """Score every candidate at ``budget`` and keep the Pareto frontier.
 
     Args:
         space: The candidate space (see :class:`ExploreSpace`).
-        budget: Final simulated requests per candidate; frontier
-            members' stats are bit-identical to a direct run at this
-            budget.
-        base_budget: First-rung budget (default ``budget // eta**2``).
-        eta: Geometric rung growth factor (>= 2).
+        budget: Simulated requests per candidate; frontier members'
+            stats are bit-identical to a direct run at this budget.
         backend: :class:`LocalExploreBackend` or
             :class:`ServeExploreBackend` — anything with
             ``resolve(specs) -> (results_by_run_hash, exec_stats)``.
-        telemetry: Optional :class:`~repro.obs.Telemetry`; rung spans
-            land in its tracer and per-unit ledger records gain the
-            explore provenance fields (candidate id, rung, budget).
+        telemetry: Optional :class:`~repro.obs.Telemetry`; the search
+            span lands in its tracer and per-unit ledger records gain
+            the candidate id they score.
 
     Returns:
         The :class:`ExploreResult`; raises :class:`ExploreError` on an
-        empty space or invalid budget ladder.
+        invalid budget.
     """
-    candidates = list(space.candidates())
-    if not candidates:
-        raise ExploreError("the space enumerates no candidates")
-    ladder = rung_budgets(budget, base_budget=base_budget, eta=eta)
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        raise ExploreError("budget must be an int >= 1")
     started = time.perf_counter()
-    survivors = candidates
-    pruned: List[PrunedCandidate] = []
-    rung_reports: List[RungReport] = []
-    units_total: Dict[str, Any] = {}
-    frontier_scored: List[Tuple[Candidate, Tuple[float, float, float], str, RunStats]] = []
-    ledger = _ledger_of(telemetry)
+    candidates = space.candidates()
+    baselines = {
+        label: space.baseline_spec(config, budget)
+        for label, config in space.configs
+    }
+    candidate_specs = [space.spec_for(c, budget) for c in candidates]
+    keys = [
+        spec.run_hash(space.workload, cand.scheme)
+        for spec, cand in zip(candidate_specs, candidates)
+    ]
+    ledger = telemetry.ledger if telemetry is not None else None
+    scope = (
+        ledger.explore_scope(dict(zip(keys, (c.cid for c in candidates))))
+        if ledger is not None
+        else nullcontext()
+    )
 
     with maybe_span(
-        "explore.search",
-        candidates=len(candidates),
-        rungs=len(ladder),
-        budget=budget,
-    ):
-        for rung_index, rung_budget in enumerate(ladder):
-            config_variants = list(
-                dict.fromkeys(c.config_label for c in survivors)
+        "explore.search", candidates=len(candidates), budget=budget
+    ) as span:
+        with scope:
+            results, exec_stats = backend.resolve(
+                list(baselines.values()) + candidate_specs
             )
-            configs_by_label = dict(space.configs)
-            baseline_specs = {
-                label: space.baseline_spec(
-                    configs_by_label[label], rung_budget
-                )
-                for label in config_variants
-            }
-            specs = list(baseline_specs.values()) + [
-                space.spec_for(c, rung_budget) for c in survivors
-            ]
-            candidate_by_hash = {
-                space.spec_for(c, rung_budget).run_hash(
-                    space.workload, c.scheme
-                ): c.cid
-                for c in survivors
-            }
-            scope = (
-                ledger.explore_scope(
-                    rung=rung_index,
-                    budget=rung_budget,
-                    candidates=candidate_by_hash,
-                )
-                if ledger is not None
-                else None
-            )
-            with maybe_span(
-                "explore.rung",
-                rung=rung_index,
-                budget=rung_budget,
-                survivors=len(survivors),
-            ) as rung_span:
-                if scope is not None:
-                    with scope:
-                        results, exec_stats = backend.resolve(specs)
-                else:
-                    results, exec_stats = backend.resolve(specs)
-
-                scored: List[
-                    Tuple[Candidate, Tuple[float, float, float], str, RunStats]
-                ] = []
-                for cand in survivors:
-                    spec = space.spec_for(cand, rung_budget)
-                    key = spec.run_hash(space.workload, cand.scheme)
-                    stats = results[key]
-                    baseline = baseline_specs[cand.config_label]
-                    tlc = results[baseline.run_hash(space.workload, "TLC")]
-                    ideal = results[
-                        baseline.run_hash(space.workload, "Ideal")
-                    ]
-                    vector = score_objectives(cand, stats, tlc, ideal)
-                    scored.append((cand, vector, key, stats))
-
-                front = pareto_indices([entry[1] for entry in scored])
-                front_set = set(front)
-                for i, (cand, vector, _key, _stats) in enumerate(scored):
-                    if i in front_set:
-                        continue
-                    dominator = next(
-                        scored[j][0].cid
-                        for j in front
-                        if dominates(scored[j][1], vector)
-                    )
-                    pruned.append(
-                        PrunedCandidate(
-                            candidate=cand,
-                            rung=rung_index,
-                            budget=rung_budget,
-                            objectives=vector,
-                            dominated_by=dominator,
-                        )
-                    )
-                rung_span.set_attr("promoted", len(front))
-                rung_span.set_attr("pruned", len(scored) - len(front))
-
-            _accumulate_units(units_total, exec_stats)
-            rung_reports.append(
-                RungReport(
-                    rung=rung_index,
-                    budget=rung_budget,
-                    survivors_in=len(survivors),
-                    survivors_out=len(front),
-                    scores={
-                        cand.cid: vector for cand, vector, _k, _s in scored
-                    },
-                    exec_stats=dict(exec_stats),
+        vectors = []
+        for cand, key in zip(candidates, keys):
+            baseline = baselines[cand.config_label]
+            vectors.append(
+                score_objectives(
+                    cand,
+                    results[key],
+                    results[baseline.run_hash(space.workload, "TLC")],
+                    results[baseline.run_hash(space.workload, "Ideal")],
                 )
             )
-            _log.info(
-                "rung %d/%d (budget %d): %d -> %d survivor(s), "
-                "%d unit(s) simulated",
-                rung_index + 1,
-                len(ladder),
-                rung_budget,
-                len(survivors),
-                len(front),
-                int(exec_stats.get("units_simulated") or 0),
+        front = pareto_indices(vectors)
+        front_set = set(front)
+        pruned = [
+            PrunedCandidate(
+                candidate=cand,
+                objectives=vector,
+                dominated_by=next(
+                    candidates[j].cid
+                    for j in front
+                    if dominates(vectors[j], vector)
+                ),
             )
-            frontier_scored = [scored[i] for i in front]
-            survivors = [scored[i][0] for i in front]
+            for i, (cand, vector) in enumerate(zip(candidates, vectors))
+            if i not in front_set
+        ]
+        span.set_attr("frontier", len(front))
+        span.set_attr("pruned", len(pruned))
 
-    frontier = [
-        FrontierEntry(
-            candidate=cand, objectives=vector, run_hash=key, stats=stats
-        )
-        for cand, vector, key, stats in frontier_scored
-    ]
+    _log.info(
+        "scored %d candidate(s) at budget %d: %d on the frontier, "
+        "%d unit(s) simulated",
+        len(candidates),
+        budget,
+        len(front),
+        int(exec_stats.get("units_simulated") or 0),
+    )
     return ExploreResult(
         space=space,
-        budgets=ladder,
-        frontier=frontier,
+        budget=budget,
+        frontier=[
+            FrontierEntry(
+                candidate=candidates[i],
+                objectives=vectors[i],
+                run_hash=keys[i],
+                stats=results[keys[i]],
+            )
+            for i in front
+        ],
         pruned=pruned,
-        rungs=rung_reports,
-        units=units_total,
+        units=dict(exec_stats),
         wall_s=time.perf_counter() - started,
     )

@@ -5,7 +5,7 @@ explore``: scheme spellings (plus whole parameterized families via
 :func:`~repro.core.registry.enumerate_family`), ECC strengths, scrub
 intervals, and memory-config variants, all crossed into an ordered
 :class:`Candidate` list. Candidate order is part of the contract — it
-is the deterministic iteration order of every rung, and candidate ids
+is the deterministic scoring and frontier order, and candidate ids
 (``Select-4:2|E8|S640|base``) are the stable keys that tie frontier
 artifacts, prune audits, and ledger records together.
 
@@ -219,7 +219,7 @@ class ExploreSpace:
         return tuple(out)
 
     def spec_for(self, candidate: Candidate, budget: int) -> SimSpec:
-        """One candidate's :class:`SimSpec` at one rung budget."""
+        """One candidate's :class:`SimSpec` at ``budget`` requests."""
         return SimSpec(
             schemes=(candidate.scheme,),
             workloads=(self.workload,),
@@ -233,11 +233,10 @@ class ExploreSpace:
     ) -> SimSpec:
         """The TLC+Ideal reference spec sharing one config variant.
 
-        Every rung scores candidates against the TLC baseline (EDAP
+        Candidates are scored against the TLC baseline (EDAP
         reference) and the Ideal baseline (wear reference) simulated
         under the *same* config and budget; one two-scheme spec per
-        distinct config joins each rung's batch and the planner dedups
-        it across candidates and rungs.
+        distinct config joins the exploration's batch.
         """
         return SimSpec(
             schemes=("TLC", "Ideal"),

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, Mapping, Optional, Union
@@ -67,7 +66,7 @@ class RunLedger:
         self._handle: Optional[IO[str]] = None
         self._plans = 0
         self.records_written = 0
-        self._explore: Optional[Dict[str, Any]] = None
+        self._explore: Optional[Dict[str, str]] = None
 
     # ----------------------------------------------------------- writing
 
@@ -91,28 +90,20 @@ class RunLedger:
 
     @contextmanager
     def explore_scope(
-        self,
-        rung: int,
-        budget: int,
-        candidates: Mapping[str, str],
+        self, candidates: Mapping[str, str]
     ) -> Iterator["RunLedger"]:
         """Stamp explore provenance onto records written inside the scope.
 
-        While active, every unit record gains ``rung`` and ``budget``
-        plus the exploring ``candidate`` id resolved from the
-        ``run_hash -> candidate id`` map (baseline units not owned by a
-        candidate record ``candidate: null``). Scopes do not nest — the
-        explorer drives one rung at a time — and the fields stay absent
-        outside a scope, so pre-explore ledgers keep validating
+        While active, every unit record gains the exploring
+        ``candidate`` id resolved from the ``run_hash -> candidate id``
+        map (baseline units not owned by a candidate record
+        ``candidate: null``). Scopes do not nest, and the field stays
+        absent outside a scope, so pre-explore ledgers keep validating
         unchanged.
         """
         if self._explore is not None:
             raise RuntimeError("explore_scope does not nest")
-        self._explore = {
-            "rung": int(rung),
-            "budget": int(budget),
-            "candidates": dict(candidates),
-        }
+        self._explore = dict(candidates)
         try:
             yield self
         finally:
@@ -165,9 +156,7 @@ class RunLedger:
             "trace": trace,
         }
         if self._explore is not None:
-            record["candidate"] = self._explore["candidates"].get(run_hash)
-            record["rung"] = self._explore["rung"]
-            record["budget"] = self._explore["budget"]
+            record["candidate"] = self._explore.get(run_hash)
         if self.path is not None:
             handle = self._ensure_open()
             handle.write(json.dumps(record, sort_keys=True))
@@ -187,7 +176,3 @@ class RunLedger:
     def __exit__(self, *_exc: Any) -> None:
         self.close()
 
-
-def utcnow_s() -> float:
-    """Wall-clock now (seconds since the epoch); indirection for tests."""
-    return time.time()

@@ -139,46 +139,21 @@ def summarize_ledger(
         reverse=True,
     )[: max(top, 0)]
 
-    # Explore provenance (candidate / rung / budget) appears only on
-    # records written inside a readduo explore rung; summarize it only
-    # when present so pre-explore ledger summaries keep their shape.
-    explore_records = [r for r in records if "rung" in r]
+    # Explore provenance (``candidate``) appears only on records written
+    # inside a readduo explore batch; summarize it only when present so
+    # other ledger summaries keep their shape. Older explore ledgers
+    # also carry ``rung``/``budget``; their records count the same way.
+    explore_records = [r for r in records if "candidate" in r]
     explore: Optional[Dict[str, Any]] = None
     if explore_records:
-        rungs: Dict[int, Dict[str, Any]] = {}
-        candidates = set()
-        for record in explore_records:
-            rung = record["rung"]
-            entry = rungs.setdefault(
-                rung,
-                {
-                    "rung": rung,
-                    "budget": record.get("budget"),
-                    "records": 0,
-                    "simulated": 0,
-                    "candidates": set(),
-                },
-            )
-            entry["records"] += 1
-            if record.get("tier") == "simulated":
-                entry["simulated"] += 1
-            cid = record.get("candidate")
-            if cid is not None:
-                entry["candidates"].add(cid)
-                candidates.add(cid)
         explore = {
             "records": len(explore_records),
-            "candidates": len(candidates),
-            "rungs": [
-                {
-                    "rung": entry["rung"],
-                    "budget": entry["budget"],
-                    "records": entry["records"],
-                    "simulated": entry["simulated"],
-                    "candidates": len(entry["candidates"]),
-                }
-                for entry in (rungs[r] for r in sorted(rungs))
-            ],
+            "simulated": sum(
+                1 for r in explore_records if r.get("tier") == "simulated"
+            ),
+            "candidates": len(
+                {r["candidate"] for r in explore_records} - {None}
+            ),
         }
 
     workers: Dict[int, Dict[str, Any]] = {}
@@ -309,16 +284,10 @@ def render_ledger_report(
     explore = summary.get("explore")
     if explore:
         lines.append(
-            f"explore: {explore['records']} record(s) across "
-            f"{len(explore['rungs'])} rung(s), "
-            f"{explore['candidates']} candidate(s)"
+            f"explore: {explore['candidates']} candidate(s), "
+            f"{explore['simulated']}/{explore['records']} record(s) "
+            "simulated"
         )
-        for entry in explore["rungs"]:
-            lines.append(
-                f"  rung {entry['rung']} (budget {entry['budget']}): "
-                f"{entry['candidates']} candidate(s), "
-                f"{entry['simulated']}/{entry['records']} simulated"
-            )
     if summary["workers"]:
         lines.append("workers:")
         for entry in summary["workers"]:
@@ -351,7 +320,6 @@ BENCH_COMPARISONS = (
     ("single_run", "requests_per_s", +1),
     ("batch_kernel", "speedup", +1),
     ("telemetry_overhead", "enabled_overhead_pct", -1),
-    ("explore", "requests_saved_ratio", +1),
     ("cli", "run_all_warm_s", -1),
 )
 

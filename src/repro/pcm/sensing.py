@@ -121,14 +121,6 @@ class HybridSenseAmplifier:
     m_amp: MSenseAmplifier = field(default_factory=MSenseAmplifier)
 
     @property
-    def r_latency_ns(self) -> float:
-        return self.r_amp.latency_ns
-
-    @property
-    def m_latency_ns(self) -> float:
-        return self.m_amp.latency_ns
-
-    @property
     def rm_latency_ns(self) -> float:
         """Latency of R-sensing that fails and falls back to M-sensing."""
         return self.r_amp.latency_ns + self.m_amp.latency_ns

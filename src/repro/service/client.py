@@ -4,9 +4,9 @@ Speaks the daemon's minimal HTTP/1.1 dialect (one request per
 connection, ``Connection: close``) with nothing beyond the standard
 library, so the load-test benchmark can hold thousands of concurrent
 requests in one process and the CI smoke can talk to a live server
-from a plain ``python -c`` one-liner. Synchronous convenience wrappers
-(:meth:`ServeClient.submit_sync` etc.) cover scripts that don't want to
-own an event loop.
+from a plain ``python -c`` one-liner. A synchronous convenience wrapper
+(:meth:`ServeClient.submit_sync`) covers scripts that don't want to own
+an event loop.
 """
 
 from __future__ import annotations
@@ -185,12 +185,3 @@ class ServeClient:
 
     def submit_sync(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         return asyncio.run(self.submit(spec))
-
-    def health_sync(self) -> Dict[str, Any]:
-        return asyncio.run(self.health())
-
-    def stats_sync(self) -> Dict[str, Any]:
-        return asyncio.run(self.stats())
-
-    def schemes_sync(self) -> Dict[str, Any]:
-        return asyncio.run(self.schemes())

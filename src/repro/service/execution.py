@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
@@ -344,8 +344,3 @@ class ExecutionService:
             "store": type(self.store).__name__ if self.store is not None else None,
             "memo_runs": len(self.memo),
         }
-
-
-def plan_pairs(plan: ExecutionPlan) -> Tuple[Tuple[str, str], ...]:
-    """The (workload, scheme) pairs of a plan, in unit order."""
-    return tuple((unit.workload, unit.scheme) for unit in plan.units)

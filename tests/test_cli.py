@@ -351,16 +351,20 @@ class TestSweepCommand:
 
 class TestExploreCommand:
     ARGV = ["explore", "--schemes", "LWT-2", "Select-4:2",
-            "--workload", "gcc", "--budget", "400", "--base-budget", "200",
-            "--no-cache"]
+            "--workload", "gcc", "--budget", "400", "--no-cache"]
 
     def test_explore_parses_with_defaults(self):
         args = build_parser().parse_args(["explore"])
         assert args.command == "explore"
         assert args.budget == 8_000
-        assert args.eta == 2
         assert args.output == "results/frontier.json"
         assert args.via_serve is None
+
+    def test_explore_rejects_base_budget(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["explore", "--base-budget", "300"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --base-budget" in capsys.readouterr().err
 
     def test_explore_writes_frontier_artifact(self, tmp_path, capsys):
         out = tmp_path / "frontier.json"
@@ -369,8 +373,8 @@ class TestExploreCommand:
         assert "frontier" in captured.out
         assert f"wrote {out}" in captured.err
         payload = json.loads(out.read_text())
-        assert payload["format"] == 1
-        assert payload["budgets"] == [200, 400]
+        assert payload["format"] == 2
+        assert payload["budget"] == 400
         assert payload["objectives"] == ["edap", "fit_margin", "wear"]
         assert payload["frontier"]
         for entry in payload["frontier"]:
@@ -381,6 +385,8 @@ class TestExploreCommand:
         ids = {e["id"] for e in payload["frontier"]}
         ids |= {p["id"] for p in payload["pruned"]}
         assert ids == {"LWT-2|E8|S640|base", "Select-4:2|E8|S640|base"}
+        for pruned in payload["pruned"]:
+            assert set(pruned) == {"id", "objectives", "dominated_by"}
 
     def test_explore_stdout_stays_pure_json(self, capsys):
         assert main(self.ARGV + ["--output", "-", "-v"]) == 0
@@ -410,8 +416,7 @@ class TestExploreCommand:
         }))
         out = tmp_path / "frontier.json"
         assert main(["explore", "--space", str(space), "--budget", "400",
-                     "--base-budget", "200", "--no-cache",
-                     "--output", str(out)]) == 0
+                     "--no-cache", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["space"]["schemes"] == ["Select-4:1", "Select-4:2"]
 

@@ -1,11 +1,12 @@
 """Property tests for the exploration engine (stdlib ``random`` only).
 
 Seed-parameterized random spaces and objective vectors check the
-invariants the differential test cannot: mutual non-dominance of every
-frontier, a dominating survivor for every prune at its own rung,
-frontier invariance across ``jobs`` degrees of parallelism, and
-bit-identical results between in-process execution and a real
-``readduo serve`` daemon resolving the same exploration.
+explorer beyond the pinned differential space: equality with the
+exhaustive-grid oracle, mutual non-dominance of every frontier, a
+dominating frontier member for every prune, frontier invariance across
+``jobs`` degrees of parallelism, and bit-identical results between
+in-process execution and a real ``readduo serve`` daemon resolving the
+same exploration.
 """
 
 import asyncio
@@ -27,6 +28,7 @@ from repro.service import ExecutionService
 from repro.service.client import ServeClient
 from repro.service.server import ServeConfig, SimServer
 
+from .explore_oracle import exhaustive_frontier
 
 
 # ------------------------------------------------------- pure Pareto maths
@@ -91,20 +93,25 @@ def _random_space(seed):
     )
 
 
-def _explore_local(space, cache, jobs=1, budget=600, base_budget=300):
+def _explore_local(space, cache, jobs=1, budget=600):
     with ExecutionService(jobs=jobs, cache=str(cache)) as service:
-        return explore(
-            space,
-            budget,
-            base_budget=base_budget,
-            backend=LocalExploreBackend(service),
-        )
+        return explore(space, budget, backend=LocalExploreBackend(service))
 
 
 # ------------------------------------------------------ engine invariants
 
 
 class TestExploreInvariants:
+    @pytest.mark.parametrize("seed", [11, 23, 37])
+    def test_frontier_equals_exhaustive_oracle(self, seed, tmp_path):
+        space = _random_space(seed)
+        result = _explore_local(space, tmp_path)
+        oracle, _outcome = exhaustive_frontier(space, 600, tmp_path)
+        assert result.frontier_ids == tuple(c.cid for c, _v in oracle)
+        assert [e.objectives for e in result.frontier] == [
+            vec for _c, vec in oracle
+        ]
+
     @pytest.mark.parametrize("seed", [11, 23, 37])
     def test_frontier_mutually_non_dominated(self, seed, tmp_path):
         result = _explore_local(_random_space(seed), tmp_path)
@@ -117,23 +124,11 @@ class TestExploreInvariants:
 
     @pytest.mark.parametrize("seed", [11, 23, 37])
     def test_every_prune_has_a_dominating_survivor(self, seed, tmp_path):
+        # The survivor is the frontier member the prune audit names.
         result = _explore_local(_random_space(seed), tmp_path)
+        frontier = {e.candidate.cid: e.objectives for e in result.frontier}
         for p in result.pruned:
-            rung = result.rungs[p.rung]
-            assert rung.budget == p.budget
-            assert p.candidate.cid in rung.scores
-            assert dominates(rung.scores[p.dominated_by], p.objectives)
-            # The dominator itself survived that rung.
-            promoted = {
-                cid
-                for cid, vec in rung.scores.items()
-                if not any(
-                    dominates(other, vec)
-                    for other_cid, other in rung.scores.items()
-                    if other_cid != cid
-                )
-            }
-            assert p.dominated_by in promoted
+            assert dominates(frontier[p.dominated_by], p.objectives)
 
     @pytest.mark.parametrize("seed", [11, 23, 37])
     def test_accounting_partitions_the_space(self, seed, tmp_path):
@@ -143,8 +138,7 @@ class TestExploreInvariants:
         pruned = {p.candidate.cid for p in result.pruned}
         assert frontier | pruned == {c.cid for c in space.candidates()}
         assert not frontier & pruned
-        # Budgets ladder ends exactly at the requested budget.
-        assert result.budgets[-1] == 600
+        assert result.budget == 600
 
 
 class TestTopologyInvariance:
@@ -186,10 +180,7 @@ class TestTopologyInvariance:
                 port=holder["server"].port, client_id="explore-test"
             )
             served = explore(
-                space,
-                600,
-                base_budget=300,
-                backend=ServeExploreBackend(client),
+                space, 600, backend=ServeExploreBackend(client)
             )
         finally:
             if "server" in holder:

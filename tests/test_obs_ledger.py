@@ -210,38 +210,35 @@ class TestObservesNeverPerturbs:
 
 
 class TestExploreScope:
-    """Explore provenance fields (candidate / rung / budget) on records."""
+    """The explore provenance field (``candidate``) on records."""
 
     def test_scope_stamps_explore_fields(self, tmp_path):
         path = tmp_path / "l.jsonl"
         with RunLedger(path) as ledger:
             plan = ledger.begin_plan()
-            with ledger.explore_scope(
-                rung=1, budget=600, candidates={"h1": "LWT-2|E8|S640|base"}
-            ):
+            with ledger.explore_scope({"h1": "LWT-2|E8|S640|base"}):
                 ledger.record(plan=plan, run_hash="h1", workload="mcf",
                               scheme="LWT-2", tier="simulated", engine="batch")
-                # Baseline units carry no candidate but keep rung/budget.
+                # Baseline units are owned by no candidate.
                 ledger.record(plan=plan, run_hash="h9", workload="mcf",
                               scheme="TLC", tier="simulated", engine="batch")
             ledger.record(plan=plan, run_hash="h2", workload="mcf",
                           scheme="TLC", tier="memo", engine="batch")
         inside, baseline, outside = _ledger_records(path)
         assert inside["candidate"] == "LWT-2|E8|S640|base"
-        assert inside["rung"] == 1 and inside["budget"] == 600
         assert baseline["candidate"] is None
-        assert baseline["rung"] == 1 and baseline["budget"] == 600
-        # Outside a scope the fields are absent (not null), so ledgers
+        assert "rung" not in inside and "budget" not in inside
+        # Outside a scope the field is absent (not null), so ledgers
         # written before the explorer existed stay shape-identical.
-        assert "candidate" not in outside and "rung" not in outside
+        assert "candidate" not in outside
         schema = load_schema("ledger")
         assert validate_jsonl(path.read_text().splitlines(), schema) == []
 
     def test_scope_does_not_nest(self, tmp_path):
         ledger = RunLedger(tmp_path / "l.jsonl")
-        with ledger.explore_scope(rung=0, budget=100, candidates={}):
+        with ledger.explore_scope({}):
             with pytest.raises(RuntimeError):
-                with ledger.explore_scope(rung=1, budget=200, candidates={}):
+                with ledger.explore_scope({}):
                     pass  # pragma: no cover
 
     def test_real_exploration_writes_schema_valid_provenance(self, tmp_path):
@@ -256,10 +253,9 @@ class TestExploreScope:
         with ExecutionService(
             jobs=1, cache=str(tmp_path / "cache"), telemetry=tele
         ) as service:
-            result = explore(
+            explore(
                 space,
                 400,
-                base_budget=200,
                 backend=LocalExploreBackend(service),
                 telemetry=tele,
             )
@@ -267,10 +263,11 @@ class TestExploreScope:
         records = _ledger_records(path)
         schema = load_schema("ledger")
         assert validate_jsonl(path.read_text().splitlines(), schema) == []
-        assert all("rung" in r and "budget" in r for r in records)
-        assert {r["budget"] for r in records} == set(result.budgets)
+        assert all("candidate" in r for r in records)
+        # One batch: two candidate units plus the TLC/Ideal baselines.
+        assert len(records) == 4
         candidate_ids = {r["candidate"] for r in records} - {None}
-        assert candidate_ids <= {c.cid for c in space.candidates()}
+        assert candidate_ids == {c.cid for c in space.candidates()}
         baseline = [r for r in records if r["candidate"] is None]
         assert {r["scheme"] for r in baseline} == {"TLC", "Ideal"}
 

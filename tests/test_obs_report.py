@@ -19,6 +19,7 @@ from repro.obs.report import (
     summarize_ledger,
     summarize_metrics,
 )
+from repro.obs.schema import load_schema, validate_jsonl
 
 
 def _record(run_hash, tier, plan=1, trace="t1", fastpath=None, wall_s=None,
@@ -187,24 +188,29 @@ class TestCacheBytes:
 
 
 class TestExploreSection:
-    def _explore_record(self, run_hash, candidate, rung, budget, tier):
+    def _explore_record(self, run_hash, candidate, tier):
         record = _record(run_hash, tier)
-        record.update(candidate=candidate, rung=rung, budget=budget)
+        record.update(candidate=candidate)
         return record
 
-    def test_summary_groups_by_rung(self):
+    def test_summary_counts_candidates(self):
         records = [
-            self._explore_record("h1", "LWT-2|E8|S640|base", 0, 300, "simulated"),
-            self._explore_record("h2", None, 0, 300, "simulated"),
-            self._explore_record("h1", "LWT-2|E8|S640|base", 1, 600, "simulated"),
+            self._explore_record("h1", "LWT-2|E8|S640|base", "simulated"),
+            self._explore_record("h2", "Select-4:2|E8|S640|base", "disk"),
+            self._explore_record("h3", None, "simulated"),
         ]
-        explore = summarize_ledger(records)["explore"]
-        assert explore["records"] == 3
-        assert explore["candidates"] == 1
-        assert [r["rung"] for r in explore["rungs"]] == [0, 1]
-        assert explore["rungs"][0] == {
-            "rung": 0, "budget": 300, "records": 2,
-            "simulated": 2, "candidates": 1,
+        assert summarize_ledger(records)["explore"] == {
+            "records": 3, "simulated": 2, "candidates": 2,
+        }
+
+    def test_older_schema3_record_with_rung_is_summarized(self):
+        # Explore ledgers written before the single full-budget pass
+        # stamped rung/budget too; they still validate and count.
+        record = self._explore_record("h1", "LWT-2|E8|S640|base", "simulated")
+        record.update(schema=3, pid=4242, rung=0, budget=300)
+        assert validate_jsonl([json.dumps(record)], load_schema("ledger")) == []
+        assert summarize_ledger([record])["explore"] == {
+            "records": 1, "simulated": 1, "candidates": 1,
         }
 
     def test_section_absent_without_explore_records(self):
@@ -213,11 +219,10 @@ class TestExploreSection:
 
     def test_render_mentions_explore(self):
         records = [
-            self._explore_record("h1", "LWT-2|E8|S640|base", 0, 300, "memo"),
+            self._explore_record("h1", "LWT-2|E8|S640|base", "memo"),
         ]
         text = render_ledger_report(summarize_ledger(records))
-        assert "explore:" in text
-        assert "rung 0 (budget 300)" in text
+        assert "explore: 1 candidate(s), 0/1 record(s) simulated" in text
 
 
 class TestSummarizeMetrics:
