@@ -329,6 +329,9 @@ def bench_serve(
             started = time.perf_counter()
             await asyncio.gather(*(one(i) for i in range(requests_total)))
             elapsed = time.perf_counter() - started
+            # The storm's accounting, before the probe below simulates
+            # one more unit of its own.
+            stats = server.stats()
 
             # Head-of-line probe: start one long *cold* simulation, then
             # serially submit known-warm duplicates while it runs. With a
@@ -355,8 +358,6 @@ def bench_serve(
                 probe.append(time.perf_counter() - probe_start)
             await long_task
             probe.sort()
-
-            stats = server.stats()
             latencies.sort()
             return {
                 "requests_total": requests_total,

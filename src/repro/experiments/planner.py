@@ -374,7 +374,9 @@ def execute_plan(
                     store.store(unit.key, simulated[unit.key])
 
         for unit in plan.units:
-            memo.put(unit.key, results[unit.key])
+            # A memo hit was refreshed by lookup_cached's get already.
+            if tiers[unit.key] != "memo":
+                memo.put(unit.key, results[unit.key])
         stats.schedule_wall_s += (
             time.perf_counter() - overhead_start - execute_elapsed
         )

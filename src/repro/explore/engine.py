@@ -204,11 +204,12 @@ class ServeExploreBackend:
         from ..service.store import parse_store_entry
 
         results: Dict[str, RunStats] = {}
-        units_simulated = 0
+        units = {"units_simulated": 0, "units_cached": 0}
         for spec in specs:
             payload = await self.client.submit(spec.to_dict())
             owned = (payload.get("plan") or {}).get("owned_stats") or {}
-            units_simulated += int(owned.get("units_simulated") or 0)
+            for name in units:
+                units[name] += int(owned.get(name) or 0)
             for workload in spec.effective_workloads():
                 for scheme in spec.schemes:
                     key = spec.run_hash(workload, scheme)
@@ -228,7 +229,7 @@ class ServeExploreBackend:
                             "(always on) to score candidates"
                         )
                     results[key] = stats
-        return results, {"units_simulated": units_simulated}
+        return results, units
 
 
 # ----------------------------------------------------------- result shapes

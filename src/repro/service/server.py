@@ -1,7 +1,7 @@
 """``readduo serve``: the simulator as an asyncio HTTP/JSON daemon.
 
-A deliberately dependency-free server — raw ``asyncio.start_server``
-plus a minimal HTTP/1.1 reader/writer, no ``http.server``, no web
+A deliberately dependency-free server — an :class:`asyncio.Protocol`
+framing one HTTP/1.1 request per connection, no ``http.server``, no web
 framework — exposing :class:`~repro.service.ExecutionService` over
 JSON:
 
@@ -34,13 +34,24 @@ ledger shows one ``simulated`` record — and N-1 requests pay only an
 await. Completed units additionally land in the service's run memo and
 the granular store.
 
+**Framing.** :class:`_HttpProtocol` buffers one request per connection:
+a head of at most 32 KiB and ``Content-Length`` bytes of body. A
+malformed request gets ``400``, a body over ``max_body_bytes`` gets
+``413`` and a request still incomplete after :data:`_READ_DEADLINE_S`
+gets ``408``; none of them counts as a server error. Every response is
+``Connection: close``.
+
 **Memo hits.** A submit whose owned units are all in the service's run
 memo makes the same ``ExecutionService.submit`` call on the event loop
 itself, with no hop to the pool: the plan, the ledger records and the
 tier counters are those of the pooled path. Each unit's JSON text is
 encoded once per run hash and kept in an LRU beside the memo; every
 response is joined from those texts, byte-identical to
-``json.dumps(payload, sort_keys=True)``.
+``json.dumps(payload, sort_keys=True)``. A second LRU, keyed by the raw
+submit body, keeps each valid body's parsed spec, its run units and,
+once built, its ``runs`` text, so a repeated body is neither decoded
+nor validated nor encoded again. It still makes the same
+``ExecutionService.submit`` call.
 
 **Backpressure.** Two admission bounds, both answered with ``429`` and
 ``Retry-After`` so clients can back off deterministically: a global
@@ -58,7 +69,9 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Awaitable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
@@ -86,6 +99,8 @@ _log = get_logger("service.server")
 _DONE = object()
 
 _MAX_HEADER_BYTES = 32 * 1024
+#: Seconds a connection has to deliver one complete request (``408``).
+_READ_DEADLINE_S = 10.0
 
 
 @dataclass
@@ -167,6 +182,8 @@ class SimServer:
         #: hash; an entry never goes stale, because a run hash names its
         #: result.
         self._unit_json: Optional["RunMemo[str]"] = None
+        #: The parsed :class:`_Submission` per valid raw submit body.
+        self._submissions: Optional["RunMemo[_Submission]"] = None
         #: One future per in-flight run unit, keyed by run hash.
         self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
         #: Live progress subscriptions (streaming submits).
@@ -213,8 +230,9 @@ class SimServer:
             memo_capacity=self.config.memo_capacity,
         )
         self._unit_json = RunMemo[str](self.service.memo.capacity)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
+        self._submissions = RunMemo[_Submission](self.service.memo.capacity)
+        self._server = await self._loop.create_server(
+            lambda: _HttpProtocol(self), host=self.config.host, port=self.config.port
         )
         _log.info(
             "serving on %s:%d (%d executor thread(s))",
@@ -278,85 +296,6 @@ class SimServer:
 
     # ------------------------------------------------------------- routing
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            try:
-                parsed = await self._read_request(reader)
-            except ValueError as exc:
-                # A malformed request is the client's error, not the
-                # daemon's: answer 400, log no traceback, count no error.
-                await _send_json(writer, 400, {"error": str(exc)})
-                return
-            if parsed is None:
-                return
-            method, target, headers, body = parsed
-            self.counters["requests_total"] += 1
-            peer = writer.get_extra_info("peername")
-            client = headers.get("x-client-id") or (
-                peer[0] if isinstance(peer, tuple) else "unknown"
-            )
-            await self._route(method, target, headers, body, client, writer)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except Exception as exc:  # pragma: no cover - defensive backstop
-            self.counters["errors"] += 1
-            _log.exception("request failed: %s", exc)
-            try:
-                await _send_json(writer, 500, {"error": "internal server error"})
-            except OSError:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.x request; None on an empty connection.
-
-        Raises:
-            ValueError: The request is malformed: a bad request line or
-                ``Content-Length``, an oversize head or body, or a head
-                or body cut short by the client.
-        """
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise ValueError("truncated request head") from exc
-        except asyncio.LimitOverrunError as exc:
-            raise ValueError("request head too large") from exc
-        if len(head) > _MAX_HEADER_BYTES:
-            raise ValueError("request head too large")
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split(" ", 2)
-        except ValueError as exc:
-            raise ValueError(f"malformed request line: {lines[0]!r}") from exc
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
-        if not (raw_length.isascii() and raw_length.isdigit()):
-            raise ValueError(f"bad Content-Length: {raw_length!r}")
-        length = int(raw_length)
-        if length > self.config.max_body_bytes:
-            raise ValueError("request body too large")
-        try:
-            body = await reader.readexactly(length) if length else b""
-        except asyncio.IncompleteReadError as exc:
-            raise ValueError("truncated request body") from exc
-        return method.upper(), target, headers, body
-
     async def _route(
         self,
         method: str,
@@ -364,7 +303,7 @@ class SimServer:
         headers: Dict[str, str],
         body: bytes,
         client: str,
-        writer: asyncio.StreamWriter,
+        writer: "_HttpProtocol",
     ) -> None:
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"
@@ -382,8 +321,10 @@ class SimServer:
             await _send_json(writer, 200, self.stats())
         elif path == "/v1/memo/clear" and method == "POST":
             assert self.service is not None and self._unit_json is not None
+            assert self._submissions is not None
             self.service.clear_memo()
             self._unit_json.clear()
+            self._submissions.clear()
             await _send_json(writer, 200, {
                 "cleared": True, "memo_runs": self.service.memo_size(),
             })
@@ -437,7 +378,7 @@ class SimServer:
     # ------------------------------------------------------- store endpoint
 
     async def _handle_store_get(
-        self, key: str, writer: asyncio.StreamWriter
+        self, key: str, writer: "_HttpProtocol"
     ) -> None:
         assert self.run_store is not None
         stats = self.run_store.load(key)
@@ -455,7 +396,7 @@ class SimServer:
         body: bytes,
         client: str,
         stream: bool,
-        writer: asyncio.StreamWriter,
+        writer: "_HttpProtocol",
     ) -> None:
         assert self.service is not None and self._loop is not None
         # Admission control first — reject before parsing bodies so an
@@ -476,12 +417,17 @@ class SimServer:
                 extra_headers={"Retry-After": "1"},
             )
             return
-        try:
-            document = json.loads(body.decode("utf-8") or "{}")
-            spec = self.service.spec_from_document(document)
-        except (ValueError, SpecError) as exc:
-            await _send_json(writer, 400, {"error": str(exc)})
-            return
+        assert self._submissions is not None
+        submission = self._submissions.get(body)
+        if submission is None:
+            try:
+                document = json.loads(body.decode("utf-8") or "{}")
+                spec = self.service.spec_from_document(document)
+            except (ValueError, SpecError) as exc:
+                await _send_json(writer, 400, {"error": str(exc)})
+                return
+            submission = _Submission(spec, plan_units(spec))
+            self._submissions.put(body, submission)
 
         self.counters["submits_total"] += 1
         self._pending += 1
@@ -489,18 +435,17 @@ class SimServer:
         queue: Optional["asyncio.Queue[Any]"] = None
         pump: Optional["asyncio.Task[None]"] = None
         try:
-            units = plan_units(spec)
-            hashes = {unit.key for unit in units}
             if stream:
                 queue = asyncio.Queue()
                 self._subscribers.append(queue)
                 await _send_stream_head(writer)
+                hashes = {unit.key for unit in submission.units}
                 pump = self._loop.create_task(
                     _pump_events(queue, hashes, writer)
                 )
-            results, plan = await self._resolve(units, queue)
+            results, plan = await self._resolve(submission.units, queue)
             text = self._response_text(
-                spec, results, plan, kind="result" if stream else None
+                submission, results, plan, kind="result" if stream else None
             )
             if stream:
                 assert queue is not None and pump is not None
@@ -511,6 +456,8 @@ class SimServer:
                 await writer.drain()
             else:
                 await _send_body(writer, 200, text.encode("utf-8"))
+        except ConnectionError:
+            pass  # the client went away: nothing failed, nobody to answer
         except Exception as exc:
             self.counters["errors"] += 1
             _log.exception("submit failed: %s", exc)
@@ -622,7 +569,7 @@ class SimServer:
 
     def _response_text(
         self,
-        spec: SimSpec,
+        submission: "_Submission",
         results: Mapping[str, RunStats],
         plan: Mapping[str, Any],
         kind: Optional[str] = None,
@@ -630,14 +577,29 @@ class SimServer:
         """The submit response, ``json.dumps(payload, sort_keys=True)``.
 
         ``payload`` is ``sweep_payload(spec, grid)`` plus ``plan`` (and
-        ``kind`` on a streamed ``result`` line). Each unit's text comes
-        from the per-run-hash LRU, so a memo hit formats no float again;
-        the rest is joined in sorted key order with ``json.dumps``'s
-        default separators.
+        ``kind`` on a streamed ``result`` line). The ``runs`` text is
+        built once per submission from the per-run-hash unit texts, so a
+        memo hit formats no float again; the rest is joined in sorted
+        key order with ``json.dumps``'s default separators.
         """
+        runs = submission.runs
+        if runs is None:
+            runs = submission.runs = self._runs_text(submission.units, results)
+        spec = submission.spec
+        head = "" if kind is None else f'"kind": {json.dumps(kind)}, '
+        return (
+            f'{{{head}"plan": {json.dumps(plan, sort_keys=True)}, '
+            f'"runs": {runs}, "seed": {json.dumps(spec.seed)}, '
+            f'"target_requests": {json.dumps(spec.target_requests)}}}'
+        )
+
+    def _runs_text(
+        self, units: Sequence[RunUnit], results: Mapping[str, RunStats]
+    ) -> str:
+        """The ``runs`` object of a response, from the unit-text LRU."""
         assert self._unit_json is not None
         runs: Dict[str, Dict[str, str]] = {}
-        for unit in plan_units(spec):
+        for unit in units:
             text = self._unit_json.get(unit.key)
             if text is None:
                 text = json.dumps(unit_payload(results[unit.key]), sort_keys=True)
@@ -652,21 +614,209 @@ class SimServer:
             + "}"
             for workload, per_scheme in sorted(runs.items())
         )
-        head = "" if kind is None else f'"kind": {json.dumps(kind)}, '
-        return (
-            f'{{{head}"plan": {json.dumps(plan, sort_keys=True)}, '
-            f'"runs": {{{grid}}}, "seed": {json.dumps(spec.seed)}, '
-            f'"target_requests": {json.dumps(spec.target_requests)}}}'
-        )
+        return f"{{{grid}}}"
+
+
+@dataclass
+class _Submission:
+    """One valid submit body, parsed once.
+
+    A run hash names its result, so the ``runs`` text built from the
+    units' results never goes stale either.
+    """
+
+    spec: SimSpec
+    units: Tuple[RunUnit, ...]
+    runs: Optional[str] = None
 
 
 # ----------------------------------------------------------- HTTP plumbing
+
+
+class _HttpProtocol(asyncio.Protocol):
+    """One connection: frame one HTTP/1.x request, answer it, close.
+
+    Bytes are buffered until the head and ``Content-Length`` bytes of
+    body have arrived; then one task routes the request with this
+    protocol as its writer (``write``, ``drain``, ``close``,
+    ``get_extra_info``). ``drain`` waits out ``pause_writing`` and
+    raises :class:`ConnectionResetError` once the connection is lost.
+    Bytes after the body are ignored.
+    """
+
+    def __init__(self, server: SimServer) -> None:
+        self._server = server
+        self._loop = asyncio.get_running_loop()
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        #: Buffer prefix already searched for the end of the head.
+        self._scanned = 0
+        #: ``(method, target, headers)`` once the head has arrived.
+        self._head: Optional[Tuple[str, str, Dict[str, str]]] = None
+        self._length = 0
+        self._task: Optional["asyncio.Task[None]"] = None
+        self._deadline: Optional[asyncio.TimerHandle] = None
+        self._paused = False
+        self._resumed: Optional["asyncio.Future[None]"] = None
+        self._lost = False
+
+    # --------------------------------------------------- asyncio.Protocol
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        self._deadline = self._loop.call_later(
+            _READ_DEADLINE_S, self._answer_error, 408,
+            "request incomplete after the read deadline",
+        )
+
+    def data_received(self, data: bytes) -> None:
+        if self._task is not None:
+            return
+        self._buffer += data
+        try:
+            self._parse()
+        except ValueError as exc:
+            # A malformed request is the client's error, not the
+            # daemon's: answer 400, log no traceback, count no error.
+            self._answer_error(400, str(exc))
+
+    def eof_received(self) -> Optional[bool]:
+        if self._task is not None:
+            return True  # keep the transport open for the reply
+        if not self._buffer and self._head is None:
+            return None  # an empty connection: close, no reply
+        part = "head" if self._head is None else "body"
+        self._answer_error(400, f"truncated request {part}")
+        return True
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._lost = True
+        if self._deadline is not None:
+            self._deadline.cancel()
+        if self._resumed is not None and not self._resumed.done():
+            self._resumed.set_exception(ConnectionResetError("connection lost"))
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self._resumed is not None and not self._resumed.done():
+            self._resumed.set_result(None)
+
+    # ------------------------------------------------------------- writer
+
+    def write(self, data: bytes) -> None:
+        if not self._lost:
+            assert self._transport is not None
+            self._transport.write(data)
+
+    async def drain(self) -> None:
+        if self._lost:
+            raise ConnectionResetError("connection lost")
+        if self._paused:
+            if self._resumed is None or self._resumed.done():
+                self._resumed = self._loop.create_future()
+            await self._resumed
+
+    def close(self) -> None:
+        if self._transport is not None:
+            self._transport.close()
+
+    def get_extra_info(self, name: str, default: Any = None) -> Any:
+        assert self._transport is not None
+        return self._transport.get_extra_info(name, default)
+
+    # ------------------------------------------------------------ framing
+
+    def _parse(self) -> None:
+        """Consume the head, then start the request once its body is in.
+
+        Raises:
+            ValueError: A bad request line or ``Content-Length``, or a
+                head over ``_MAX_HEADER_BYTES``.
+        """
+        buffer = self._buffer
+        if self._head is None:
+            end = buffer.find(b"\r\n\r\n", max(0, self._scanned - 3))
+            if end < 0:
+                self._scanned = len(buffer)
+                if len(buffer) > _MAX_HEADER_BYTES:
+                    raise ValueError("request head too large")
+                return
+            if end + 4 > _MAX_HEADER_BYTES:
+                raise ValueError("request head too large")
+            self._head, self._length = _parse_head(bytes(buffer[:end]))
+            del buffer[:end + 4]
+            if self._length > self._server.config.max_body_bytes:
+                self._answer_error(413, "request body too large")
+                return
+        if len(buffer) < self._length:
+            return
+        method, target, headers = self._head
+        server = self._server
+        server.counters["requests_total"] += 1
+        client = headers.get("x-client-id")
+        if not client:
+            peer = self.get_extra_info("peername")
+            client = peer[0] if isinstance(peer, tuple) else "unknown"
+        body = bytes(buffer[:self._length])
+        self._answer(server._route(method, target, headers, body, client, self))
+
+    def _answer_error(self, status: int, message: str) -> None:
+        self._answer(_send_json(self, status, {"error": message}))
+
+    def _answer(self, response: Awaitable[None]) -> None:
+        """Stop reading the request and send ``response`` in one task."""
+        assert self._deadline is not None
+        self._deadline.cancel()
+        self._task = self._loop.create_task(self._respond(response))
+
+    async def _respond(self, response: Awaitable[None]) -> None:
+        try:
+            await response
+        except ConnectionError:
+            pass
+        except Exception as exc:  # pragma: no cover - defensive backstop
+            self._server.counters["errors"] += 1
+            _log.exception("request failed: %s", exc)
+            try:
+                await _send_json(self, 500, {"error": "internal server error"})
+            except OSError:
+                pass
+        finally:
+            self.close()
+
+
+def _parse_head(head: bytes) -> Tuple[Tuple[str, str, Dict[str, str]], int]:
+    """``((method, target, headers), content_length)`` of one request head.
+
+    Raises:
+        ValueError: A malformed request line or ``Content-Length``.
+    """
+    lines = head.decode("latin-1").split("\r\n")
+    try:
+        method, target, _version = lines[0].split(" ", 2)
+    except ValueError as exc:
+        raise ValueError(f"malformed request line: {lines[0]!r}") from exc
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ValueError(f"bad Content-Length: {raw_length!r}")
+    return (method.upper(), target, headers), int(raw_length)
+
 
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -674,7 +824,7 @@ _STATUS_TEXT = {
 
 
 async def _send_json(
-    writer: asyncio.StreamWriter,
+    writer: "_HttpProtocol",
     status: int,
     payload: Dict[str, Any],
     extra_headers: Optional[Dict[str, str]] = None,
@@ -688,7 +838,7 @@ async def _send_json(
 
 
 async def _send_body(
-    writer: asyncio.StreamWriter,
+    writer: "_HttpProtocol",
     status: int,
     body: bytes,
     extra_headers: Optional[Dict[str, str]] = None,
@@ -706,7 +856,7 @@ async def _send_body(
     await writer.drain()
 
 
-async def _send_stream_head(writer: asyncio.StreamWriter) -> None:
+async def _send_stream_head(writer: "_HttpProtocol") -> None:
     """Start a JSONL streaming response (body framed by connection close)."""
     writer.write(
         b"HTTP/1.1 200 OK\r\n"
@@ -719,7 +869,7 @@ async def _send_stream_head(writer: asyncio.StreamWriter) -> None:
 async def _pump_events(
     queue: "asyncio.Queue[Any]",
     hashes: set,
-    writer: asyncio.StreamWriter,
+    writer: "_HttpProtocol",
 ) -> None:
     """Forward this request's run-unit events to the client as JSONL."""
     while True:

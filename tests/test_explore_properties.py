@@ -12,6 +12,7 @@ same exploration.
 import asyncio
 import random
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -141,6 +142,30 @@ class TestExploreInvariants:
         assert result.budget == 600
 
 
+@contextmanager
+def _live_daemon(cache):
+    """A ``readduo serve`` daemon on its own loop thread; yields a client."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    server = SimServer(
+        ServeConfig(
+            port=0, cache=str(cache), max_pending=64, max_inflight_per_client=64,
+        )
+    )
+    started = False
+    try:
+        asyncio.run_coroutine_threadsafe(server.start(), loop).result(timeout=60)
+        started = True
+        yield ServeClient(port=server.port, client_id="explore-test")
+    finally:
+        if started:
+            asyncio.run_coroutine_threadsafe(server.stop(), loop).result(timeout=60)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+        loop.close()
+
+
 class TestTopologyInvariance:
     @pytest.mark.parametrize("seed", [11, 23])
     def test_frontier_invariant_across_jobs(self, seed, tmp_path):
@@ -156,40 +181,10 @@ class TestTopologyInvariance:
     def test_explore_via_serve_matches_local(self, tmp_path):
         space = _random_space(23)
         local = _explore_local(space, tmp_path / "local")
-
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
-        thread.start()
-        holder = {}
-
-        async def boot():
-            server = SimServer(
-                ServeConfig(
-                    port=0,
-                    cache=str(tmp_path / "serve"),
-                    max_pending=64,
-                    max_inflight_per_client=64,
-                )
-            )
-            await server.start()
-            holder["server"] = server
-
-        try:
-            asyncio.run_coroutine_threadsafe(boot(), loop).result(timeout=60)
-            client = ServeClient(
-                port=holder["server"].port, client_id="explore-test"
-            )
+        with _live_daemon(tmp_path / "serve") as client:
             served = explore(
                 space, 600, backend=ServeExploreBackend(client)
             )
-        finally:
-            if "server" in holder:
-                asyncio.run_coroutine_threadsafe(
-                    holder["server"].stop(), loop
-                ).result(timeout=60)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=10)
-            loop.close()
 
         assert served.frontier_digest() == local.frontier_digest()
         assert served.frontier_ids == local.frontier_ids
@@ -197,6 +192,18 @@ class TestTopologyInvariance:
         assert [e.stats.to_dict() for e in served.frontier] == [
             e.stats.to_dict() for e in local.frontier
         ]
+
+    def test_warm_reexplore_via_serve_reports_cached_units(self, tmp_path):
+        space = _random_space(23)
+        with _live_daemon(tmp_path / "serve") as client:
+            cold = explore(space, 600, backend=ServeExploreBackend(client))
+            warm = explore(space, 600, backend=ServeExploreBackend(client))
+        assert warm.frontier_digest() == cold.frontier_digest()
+        assert cold.units["units_simulated"] > 0
+        # Every submit resolves the same units again, now from the memo.
+        resolved = cold.units["units_simulated"] + cold.units["units_cached"]
+        assert warm.units == {"units_simulated": 0, "units_cached": resolved}
+        assert f"0 unit(s) simulated, {resolved} cached" in warm.render()
 
 
 class TestSpaceProperties:

@@ -165,8 +165,16 @@ class TestMalformedRequests:
                 b"POST /v1/submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"sch",
                 True,
             ),
+            (
+                b"GET /v1/health HTTP/1.1\r\nX-Pad: " + b"a" * (33 * 1024)
+                + b"\r\n\r\n",
+                False,
+            ),
         ],
-        ids=["request-line", "length-abc", "length-negative", "truncated-body"],
+        ids=[
+            "request-line", "length-abc", "length-negative", "truncated-body",
+            "head-over-32k",
+        ],
     )
     def test_bad_input_gets_400_without_error(self, caplog, request_bytes, half_close):
         async def body(server, client):
@@ -181,6 +189,274 @@ class TestMalformedRequests:
         assert errors == 0
         assert health["status"] == "ok"
         assert not any(record.exc_info for record in caplog.records)
+
+
+class TestFraming:
+    """The protocol's request framing, deadlines and write backpressure."""
+
+    @staticmethod
+    def _submit_bytes(doc, trailer=b""):
+        payload = json.dumps(doc).encode()
+        return (
+            b"POST /v1/submit HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {len(payload)}\r\n\r\n".encode()
+            + payload + trailer
+        )
+
+    @staticmethod
+    def _status_and_body(raw):
+        head, _, blob = raw.partition(b"\r\n\r\n")
+        return head.split(b"\r\n", 1)[0], blob
+
+    def test_request_sent_one_byte_per_write(self):
+        request = self._submit_bytes(DOC)
+
+        async def body(server, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            for index in range(len(request)):
+                writer.write(request[index:index + 1])
+                await writer.drain()
+                await asyncio.sleep(0.001)
+            raw = await reader.read(-1)
+            writer.close()
+            return raw, await client.submit(DOC)
+
+        raw, reference = run(body)
+        status, blob = self._status_and_body(raw)
+        assert status == b"HTTP/1.1 200 OK"
+        assert json.loads(blob)["runs"] == reference["runs"]
+
+    @pytest.mark.parametrize("half_close", [False, True])
+    def test_bytes_after_the_body_are_ignored(self, half_close):
+        request = self._submit_bytes(DOC, trailer=b"GET /nope HTTP/1.1\r\n\r\n")
+
+        async def body(server, client):
+            raw = await _raw_exchange(server.port, request, half_close)
+            return raw, await client.submit(DOC), server.counters
+
+        raw, reference, counters = run(body)
+        status, blob = self._status_and_body(raw)
+        assert status == b"HTTP/1.1 200 OK"
+        assert json.loads(blob)["runs"] == reference["runs"]
+        assert counters["requests_total"] == 2 and counters["errors"] == 0
+
+    def test_empty_connection_gets_no_reply(self):
+        async def body(server, client):
+            raw = await _raw_exchange(server.port, b"", half_close=True)
+            return raw, server.counters, await client.health()
+
+        raw, counters, health = run(body)
+        assert raw == b""
+        assert counters["errors"] == 0 and counters["requests_total"] == 1
+        assert health["status"] == "ok"
+
+    def test_oversize_body_gets_413_without_error(self):
+        async def body(server, client):
+            raw = await _raw_exchange(
+                server.port, self._submit_bytes({"pad": "x" * 2048})
+            )
+            return raw, server.counters, await client.health()
+
+        raw, counters, health = run(body, max_body_bytes=1024)
+        status, blob = self._status_and_body(raw)
+        assert status == b"HTTP/1.1 413 Payload Too Large"
+        assert "too large" in json.loads(blob)["error"]
+        assert counters["errors"] == 0
+        assert health["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /v1/submit HTTP/1.1\r\nContent-",
+            b"POST /v1/submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"sch",
+        ],
+        ids=["stalled-head", "stalled-body"],
+    )
+    def test_stalled_request_gets_408(self, monkeypatch, partial):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "_READ_DEADLINE_S", 0.2)
+
+        async def body(server, client):
+            raw = await asyncio.wait_for(_raw_exchange(server.port, partial), 5)
+            return raw, server.counters, await client.health()
+
+        raw, counters, health = run(body)
+        status, blob = self._status_and_body(raw)
+        assert status == b"HTTP/1.1 408 Request Timeout"
+        assert "deadline" in json.loads(blob)["error"]
+        assert counters["errors"] == 0
+        assert health["status"] == "ok"
+
+    def test_slow_reader_pauses_writing_and_gets_every_byte(self, monkeypatch):
+        import socket
+
+        from repro.core.registry import scheme_catalog
+        from repro.service.server import _HttpProtocol
+
+        names = [entry["name"] for entry in scheme_catalog()["schemes"]]
+        doc = {
+            "schemes": names, "workloads": ["gcc", "mcf", "lbm", "milc"],
+            "target_requests": 200,
+        }
+        written = []
+        pauses = []
+        connection_made = _HttpProtocol.connection_made
+        write = _HttpProtocol.write
+        pause_writing = _HttpProtocol.pause_writing
+
+        def small_buffers(self, transport):
+            connection_made(self, transport)
+            sock = transport.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            transport.set_write_buffer_limits(high=2048)
+
+        def recorded_write(self, data):
+            written.append(bytes(data))
+            write(self, data)
+
+        def counted_pause(self):
+            pauses.append(self)
+            pause_writing(self)
+
+        monkeypatch.setattr(_HttpProtocol, "connection_made", small_buffers)
+        monkeypatch.setattr(_HttpProtocol, "write", recorded_write)
+        monkeypatch.setattr(_HttpProtocol, "pause_writing", counted_pause)
+
+        async def body(server, client):
+            await client.submit(doc)  # warm: the stream is written at once
+            written.clear()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(
+                sock, ("127.0.0.1", server.port)
+            )
+            reader, writer = await asyncio.open_connection(sock=sock, limit=1024)
+            payload = json.dumps(doc).encode()
+            writer.write(
+                b"POST /v1/submit?stream=1 HTTP/1.1\r\n"
+                + f"Content-Length: {len(payload)}\r\n\r\n".encode()
+                + payload
+            )
+            await writer.drain()
+            chunks = []
+            while True:
+                await asyncio.sleep(0.002)
+                chunk = await reader.read(1024)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+            writer.close()
+            return b"".join(chunks), server.counters["errors"]
+
+        async def bounded(server, client):
+            return await asyncio.wait_for(body(server, client), 60)
+
+        raw, errors = run(bounded)
+        assert pauses, "the slow reader never paused the daemon's writes"
+        # A drain waited for resume_writing.
+        assert any(p._resumed is not None and p._resumed.done() for p in pauses)
+        assert raw == b"".join(written)
+        lines = raw.partition(b"\r\n\r\n")[2].splitlines()
+        assert len(lines) == len(names) * 4 + 1
+        result = json.loads(lines[-1])
+        assert result["kind"] == "result"
+        assert result["plan"]["owned_stats"]["units_memo"] == len(names) * 4
+        assert errors == 0
+
+    def test_client_gone_mid_stream_counts_no_error(self):
+        cold = dict(GRID_DOC, seed=31)
+
+        async def body(server, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            payload = json.dumps(cold).encode()
+            writer.write(
+                b"POST /v1/submit?stream=1 HTTP/1.1\r\n"
+                + f"Content-Length: {len(payload)}\r\n\r\n".encode()
+                + payload
+            )
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            writer.transport.abort()
+            while server._pending:
+                await asyncio.sleep(0.01)
+            return head, server.stats(), await client.submit(cold)
+
+        head, stats, warm = run(body)
+        assert head.startswith(b"HTTP/1.1 200 OK")
+        assert stats["counters"]["errors"] == 0
+        assert stats["counters"]["tier_simulated"] == 6
+        assert warm["plan"]["owned_stats"]["units_memo"] == 6
+
+
+class TestSubmissionMemo:
+    """Submit bodies are parsed once; the memo holds only valid ones."""
+
+    def test_invalid_body_is_rejected_every_time_and_never_kept(self):
+        bad = {"schemes": ["NoSuchScheme"]}
+
+        async def body(server, client):
+            statuses = []
+            for _ in range(3):
+                try:
+                    await client.submit(bad)
+                except ServeError as exc:
+                    statuses.append(exc.status)
+            return statuses, len(server._submissions), server.counters
+
+        statuses, kept, counters = run(body)
+        assert statuses == [400, 400, 400]
+        assert kept == 0
+        assert counters["submits_total"] == 0 and counters["errors"] == 0
+
+    def test_two_spellings_of_one_spec_give_the_same_runs(self):
+        spellings = [
+            json.dumps(DOC).encode(),
+            json.dumps(dict(reversed(list(DOC.items()))), indent=2).encode(),
+        ]
+
+        async def body(server, client):
+            blobs = []
+            for payload in spellings * 2:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    b"POST /v1/submit HTTP/1.1\r\n"
+                    + f"Content-Length: {len(payload)}\r\n\r\n".encode()
+                    + payload
+                )
+                raw = await reader.read(-1)
+                writer.close()
+                blobs.append(raw.partition(b"\r\n\r\n")[2])
+            return blobs, len(server._submissions), server.stats()
+
+        blobs, kept, stats = run(body)
+        payloads = [json.loads(blob) for blob in blobs]
+        assert kept == 2
+        assert all(p["runs"] == payloads[0]["runs"] for p in payloads)
+        assert stats["counters"]["tier_simulated"] == 1
+        assert stats["counters"]["tier_memo"] == 3
+
+    def test_memo_clear_empties_the_submission_memo(self):
+        async def body(server, client):
+            await client.submit(DOC)
+            before = len(server._submissions)
+            await client.clear_memo()
+            after = len(server._submissions)
+            again = await client.submit(DOC)
+            return before, after, again
+
+        before, after, again = run(body)
+        assert (before, after) == (1, 0)
+        # The run memo went too: the unit comes back from the run store.
+        assert again["plan"]["owned_stats"]["units_memo"] == 0
+        assert again["plan"]["owned_stats"]["units_disk"] == 1
 
 
 class TestSubmit:
@@ -687,3 +963,18 @@ class TestLedger:
         assert stats["ledger_records"] == 2
         assert stats["counters"]["tier_simulated"] == 1
         assert stats["counters"]["tier_memo"] == 1
+
+
+class TestBenchServe:
+    def test_counts_the_storm_without_the_probe_unit(self):
+        from repro.experiments.bench import bench_serve
+
+        result = bench_serve(
+            requests_total=40, distinct_units=3, concurrency=8,
+            sim_requests=200, executor_workers=2,
+        )
+        assert result["completed"] == 40
+        assert result["rejected"] == result["errors"] == 0
+        # The head-of-line probe simulates one more unit after the storm.
+        assert result["units_simulated"] == result["distinct_units"] == 3
+        assert result["hol_probe_p99_ms"] > 0
