@@ -383,8 +383,12 @@ class TestFraming:
             await writer.drain()
             head = await reader.readuntil(b"\r\n\r\n")
             writer.transport.abort()
-            while server._pending:
-                await asyncio.sleep(0.01)
+
+            async def settled():
+                while server._pending:
+                    await asyncio.sleep(0.01)
+
+            await asyncio.wait_for(settled(), 60)
             return head, server.stats(), await client.submit(cold)
 
         head, stats, warm = run(body)
