@@ -142,7 +142,7 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
 
     serial_grid, serial_s = _time(lambda: run_sweep(settings, service))
 
-    service.clear_memo()  # the warm leg reads the disk tier
+    service.memo.clear()  # the warm leg reads the disk tier
     cached_grid, cached_s = _time(lambda: run_sweep(settings, service))
     assert _flat(cached_grid) == _flat(serial_grid)
 

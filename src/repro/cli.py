@@ -444,6 +444,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
+    from .experiments.faults import fault_density_study
     from .experiments.spec import SpecError
 
     scheme = canonical_scheme_name(args.scheme)
@@ -459,7 +460,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     with _cli_tracker(args, tele, "faults"), service:
         try:
-            result = service.fault_density_study(
+            result = fault_density_study(
+                service=service,
                 densities=tuple(densities),
                 workload_name=args.workload,
                 scheme=scheme,

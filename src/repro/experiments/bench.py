@@ -410,32 +410,12 @@ def run_serve_bench(
     executor_workers: int = 4,
     log: Optional[Callable[[str], None]] = None,
 ) -> Dict:
-    """Run the serve load test and write ``results/BENCH_serve.json``.
-
-    Before overwriting, the previous file's headline numbers (p50/p99
-    and its executor pool size) are carried into ``meta["previous"]`` so
-    a single results file still shows the change a pool-size bump made.
-    """
+    """Run the serve load test and write ``results/BENCH_serve.json``."""
     results_dir = Path(results_dir)
     results_dir.mkdir(exist_ok=True)
     path = results_dir / "BENCH_serve.json"
-    previous = None
-    if path.exists():
-        try:
-            old = json.loads(path.read_text()).get("serve", {})
-            previous = {
-                "latency_p50_ms": old.get("latency_p50_ms"),
-                "latency_p99_ms": old.get("latency_p99_ms"),
-                # Pre-pool builds ran a single owner-execution thread.
-                "executor_workers": old.get("executor_workers", 1),
-            }
-        except ValueError:
-            previous = None
-    meta = bench_meta(sim_requests, 1)
-    if previous is not None:
-        meta["previous"] = previous
     payload = {
-        "meta": meta,
+        "meta": bench_meta(sim_requests, 1),
         "serve": bench_serve(
             requests_total=requests_total,
             distinct_units=distinct_units,
@@ -445,18 +425,6 @@ def run_serve_bench(
             log=log,
         ),
     }
-    if executor_workers > 1:
-        # A same-run single-thread baseline makes the pool's effect
-        # auditable from this one file: compare serve.hol_probe_p99_ms
-        # against serve_pool1.hol_probe_p99_ms.
-        payload["serve_pool1"] = bench_serve(
-            requests_total=requests_total,
-            distinct_units=distinct_units,
-            concurrency=concurrency,
-            sim_requests=sim_requests,
-            executor_workers=1,
-            log=log,
-        )
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 

@@ -32,7 +32,6 @@ counted miss that never raises) and are counted apart, in
 
 from __future__ import annotations
 
-import abc
 import functools
 import gzip
 import hashlib
@@ -53,7 +52,6 @@ from ..obs import get_logger
 __all__ = [
     "RUN_HASH",
     "CacheCounters",
-    "RunStore",
     "RunCache",
     "artifact_key",
     "default_cache_dir",
@@ -132,7 +130,7 @@ def default_cache_dir() -> Path:
 
 @dataclass
 class CacheCounters:
-    """Hit/miss accounting for one :class:`RunStore` instance.
+    """Hit/miss accounting for one :class:`RunCache` instance.
 
     Counted in **runs** (one run = one (workload, scheme) pair): a cold
     sweep reports all misses, a warm rerun all hits, and runs the
@@ -167,60 +165,7 @@ class CacheCounters:
         }
 
 
-class RunStore(abc.ABC):
-    """Pluggable granular run-result store: ``run_hash -> RunStats``.
-
-    The execution planner (and the :class:`~repro.service.ExecutionService`
-    built on it) resolves every run unit through a store of this shape
-    before simulating anything. :class:`RunCache` is the filesystem
-    backend; :class:`~repro.service.store.MemoryRunStore` keeps entries
-    in-process; any other backend only needs to implement this
-    interface to plug into the same cache hierarchy.
-
-    Contract: ``load`` returns the bit-exact :class:`RunStats` previously
-    passed to ``store`` under the same key, or ``None`` — never raises on
-    unusable entries (backends quarantine or drop them and count the
-    event in ``counters``). Keys are :meth:`SimSpec.run_hash` content
-    hashes, so a store never needs invalidation — superseded entries are
-    simply never asked for again.
-
-    Attributes:
-        counters: Per-instance :class:`CacheCounters`, counted in runs.
-    """
-
-    counters: CacheCounters
-
-    @abc.abstractmethod
-    def load(self, key: str) -> Optional[RunStats]:
-        """Return the stored statistics for one run hash, or ``None``."""
-
-    @abc.abstractmethod
-    def store(self, key: str, stats: RunStats) -> object:
-        """Persist one run's statistics; returns a backend-specific handle."""
-
-    def entry_bytes(self, key: str) -> Optional[int]:
-        """Serialized size of one entry, or ``None`` when unknown/absent.
-
-        Purely observability (the run ledger's ``cached_bytes`` field);
-        backends without a cheap answer keep the default.
-        """
-        return None
-
-    def entry_raw_bytes(self, key: str) -> Optional[int]:
-        """Uncompressed payload size of one entry, or ``None``.
-
-        Equal to :meth:`entry_bytes` for backends that store entries
-        plain (the default); compressing backends override this so the
-        ledger can report ``cached_bytes`` before and after compression.
-        """
-        return self.entry_bytes(key)
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many were removed."""
-        return 0
-
-
-class RunCache(RunStore):
+class RunCache:
     """Granular per-run persistent store: one file per (workload, scheme) run.
 
     Lives under ``<root>/runs/``, with one JSON file per run keyed by

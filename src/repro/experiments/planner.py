@@ -10,9 +10,8 @@ then resolves every unit through one chain before simulating anything
 
 1. the caller's in-process :class:`RunMemo` (one per
    :class:`~repro.service.ExecutionService`, shared across its plans);
-2. the granular :class:`~repro.experiments.cache.RunStore` — by default
-   the on-disk :class:`~repro.experiments.cache.RunCache`, one file per
-   run under ``<cache>/runs/``;
+2. the on-disk :class:`~repro.experiments.cache.RunCache`, one file per
+   run under ``<cache>/runs/``, when the caller has one;
 3. actual simulation through :func:`~repro.experiments.parallel.run_units`,
    in-process or on its work-stealing pool with ``workloads x schemes``
    way parallelism.
@@ -39,7 +38,7 @@ from typing import Any, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
 from ..obs.spans import SpanTracker, current_tracker, maybe_span, tracker_scope
-from .cache import RunStore
+from .cache import RunCache
 from .parallel import run_units
 from .spec import SimSpec
 
@@ -252,42 +251,42 @@ def build_plan(specs: Sequence[SimSpec]) -> ExecutionPlan:
 
 
 def lookup_cached(
-    units: Sequence[RunUnit], memo: RunMemo, store: Optional[RunStore] = None
+    keys: Sequence[str], memo: RunMemo, store: Optional[RunCache] = None
 ) -> Tuple[Dict[str, RunStats], Dict[str, str]]:
-    """Resolve units through memo → granular store, simulating nothing.
+    """Resolve run hashes through memo → run cache, simulating nothing.
 
-    The one cache-resolution chain: :func:`execute_plan` runs it before
-    simulating the remainder, so only units that neither tier holds are
-    simulated. Store hits are promoted into ``memo``.
+    The one cache-resolution chain: :func:`execute_plan` runs it over a
+    plan's unit keys before simulating the remainder, so only units that
+    neither tier holds are simulated, and the serve daemon's
+    ``GET /v1/store/{run_hash}`` runs it over one key. Cache hits are
+    promoted into ``memo``.
 
     Returns:
-        ``(results, tiers)`` where ``tiers`` maps each resolved unit's
-        key to ``"memo"`` or ``"disk"``; unresolved units appear in
-        neither mapping.
+        ``(results, tiers)`` where ``tiers`` maps each resolved key to
+        ``"memo"`` or ``"disk"``; unresolved keys appear in neither
+        mapping.
     """
     results: Dict[str, RunStats] = {}
     tiers: Dict[str, str] = {}
-    missing: List[RunUnit] = []
-    with maybe_span("cache.memo", units=len(units)) as span:
-        for unit in units:
-            hit = memo.get(unit.key)
+    missing: List[str] = []
+    with maybe_span("cache.memo", units=len(keys)) as span:
+        for key in keys:
+            hit = memo.get(key)
             if hit is None:
-                missing.append(unit)
+                missing.append(key)
             else:
-                results[unit.key] = hit
-                tiers[unit.key] = "memo"
+                results[key] = hit
+                tiers[key] = "memo"
         span.set_attr("hits", len(results))
     if store is not None:
-        for unit in missing:
-            with maybe_span(
-                "cache.disk", workload=unit.workload, scheme=unit.scheme
-            ) as span:
-                loaded = store.load(unit.key)
+        for key in missing:
+            with maybe_span("cache.disk", key=key) as span:
+                loaded = store.load(key)
                 span.set_attr("hit", loaded is not None)
             if loaded is not None:
-                results[unit.key] = loaded
-                tiers[unit.key] = "disk"
-                memo.put(unit.key, loaded)
+                results[key] = loaded
+                tiers[key] = "disk"
+                memo.put(key, loaded)
     return results, tiers
 
 
@@ -295,7 +294,7 @@ def execute_plan(
     plan: ExecutionPlan,
     jobs: int = 1,
     telemetry: Optional[Telemetry] = None,
-    store: Optional[RunStore] = None,
+    store: Optional[RunCache] = None,
     memo: Optional[RunMemo] = None,
 ) -> Dict[str, RunStats]:
     """Resolve every unit of a plan: memo → store → simulate.
@@ -311,10 +310,9 @@ def execute_plan(
             live, and — when it carries a
             :class:`~repro.obs.ledger.RunLedger` — one provenance record
             per planned unit, in plan order.
-        store: Optional :class:`~repro.experiments.cache.RunStore`
-            serving the granular tier (the on-disk
-            :class:`~repro.experiments.cache.RunCache`, or any other
-            backend); every simulated run is stored back into it.
+        store: Optional on-disk
+            :class:`~repro.experiments.cache.RunCache` serving the
+            granular tier; every simulated run is stored back into it.
             ``None`` resolves through the in-process memo only.
         memo: The :class:`RunMemo` consulted first and filled with every
             unit of the plan. ``None`` uses a fresh one, so nothing
@@ -348,7 +346,9 @@ def execute_plan(
         if store is not None:
             stale_before = store.counters.stale
             quarantined_before = store.counters.quarantined
-        results, tiers = lookup_cached(plan.units, memo, store)
+        results, tiers = lookup_cached(
+            [unit.key for unit in plan.units], memo, store
+        )
         pending = [unit for unit in plan.units if unit.key not in results]
         disk_hits = sum(1 for tier in tiers.values() if tier == "disk")
         stats.units_disk += disk_hits

@@ -223,10 +223,10 @@ class ServeExploreBackend:
                     )
                     if stats is None:
                         raise ExploreError(
-                            f"daemon returned no stored stats for run "
-                            f"{key} ({workload}/{scheme}); explore-via-"
-                            "serve needs the daemon's run store "
-                            "(always on) to score candidates"
+                            f"daemon no longer holds run {key} "
+                            f"({workload}/{scheme}): a daemon without a "
+                            "cache evicted it from its memo; raise "
+                            "--memo-capacity or run the daemon with a cache"
                         )
                     results[key] = stats
         return results, units

@@ -14,9 +14,8 @@ telemetry. This package owns that wiring once, behind two surfaces:
   documents, coalesces concurrent identical requests by run hash onto a
   single in-flight unit, streams per-unit progress from the run-ledger
   machinery, and applies per-client backpressure;
-* :mod:`repro.service.store` — pluggable
-  :class:`~repro.experiments.cache.RunStore` backends (filesystem and
-  in-memory) and the wire form of one store entry;
+* :mod:`repro.service.store` — the wire form of one run-store entry
+  (``GET /v1/store/{run_hash}``);
 * :mod:`repro.service.client` — a dependency-free HTTP/JSON client for
   the daemon (used by the load-test benchmark, the smoke tests, and any
   script that wants to talk to a running server).
@@ -27,12 +26,9 @@ docs/SERVING.md for the HTTP API and coalescing semantics.
 """
 
 from .execution import ExecutionOutcome, ExecutionService, sweep_payload
-from .store import MemoryRunStore, RunStore
 
 __all__ = [
     "ExecutionOutcome",
     "ExecutionService",
     "sweep_payload",
-    "RunStore",
-    "MemoryRunStore",
 ]

@@ -122,7 +122,7 @@ class ServeClient:
     async def stats(self) -> Dict[str, Any]:
         return await self._json("GET", "/v1/stats")
 
-    async def clear_memo(self) -> Dict[str, Any]:
+    async def memo_clear(self) -> Dict[str, Any]:
         return await self._json("POST", "/v1/memo/clear")
 
     async def submit(self, spec: Dict[str, Any]) -> Dict[str, Any]:

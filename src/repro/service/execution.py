@@ -15,15 +15,13 @@ through. The service owns all of that behind a handful of methods:
   execute each distinct unit once, then let the drivers, which receive
   this service as their ``service`` argument, render from the
   prewarmed memo; closed-form artifacts are served as rendered text
-  from the run store's root when it is a :class:`RunCache`;
-* :meth:`ExecutionService.fault_density_study` — the ``readduo faults``
-  workflow, wired the same way.
+  from the run cache's root when the service has one.
 
 The service is also where memory policy lives: it owns its own
 :class:`~repro.experiments.planner.RunMemo`, an LRU of completed runs
-that no other service shares, bounded by ``memo_capacity``, and
-:meth:`clear_memo` is the explicit drop hook (the serve daemon exposes
-it operationally). Everything here is synchronous — the asyncio daemon
+that no other service shares, bounded by ``memo_capacity``;
+``service.memo.clear()`` drops it (the serve daemon exposes that
+operationally). Everything here is synchronous — the asyncio daemon
 in :mod:`repro.service.server` layers request coalescing and
 backpressure on top.
 """
@@ -36,7 +34,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
-from ..experiments.cache import RunCache, RunStore, artifact_key
+from ..experiments.cache import RunCache, artifact_key
 from ..experiments.planner import (
     ExecutionPlan,
     RunMemo,
@@ -53,17 +51,17 @@ _log = get_logger("service.execution")
 
 #: What ``cache=`` accepts: True (the default on-disk location),
 #: False/None (no persistent store), a cache root path, or a
-#: :class:`RunStore` instance.
-CacheSpec = Union[None, bool, str, Path, RunStore]
+#: :class:`RunCache` instance.
+CacheSpec = Union[None, bool, str, Path, RunCache]
 
 
-def open_store(cache: CacheSpec) -> Optional[RunStore]:
-    """The :class:`RunStore` a ``cache=`` argument names, or ``None``."""
+def open_store(cache: CacheSpec) -> Optional[RunCache]:
+    """The :class:`RunCache` a ``cache=`` argument names, or ``None``."""
     if cache is None or cache is False:
         return None
     if cache is True:
         return RunCache()
-    if isinstance(cache, RunStore):
+    if isinstance(cache, RunCache):
         return cache
     return RunCache(cache)
 
@@ -135,12 +133,11 @@ class ExecutionService:
     Args:
         jobs: Worker processes for units that must simulate (1 =
             in-process serial, the default).
-        cache: The granular run store — ``True`` for the on-disk
+        cache: The on-disk run cache — ``True`` for a
             :class:`RunCache` at the default location
             (``results/.sweep-cache/runs/``), ``False``/``None`` for
-            none, a path for a :class:`RunCache` under that root, or any
-            :class:`RunStore` instance (e.g.
-            :class:`~repro.service.store.MemoryRunStore`).
+            none (memo only), a path for a :class:`RunCache` under that
+            root, or a :class:`RunCache` instance.
         telemetry: Optional :class:`~repro.obs.Telemetry` observed by
             every plan this service executes.
         memo_capacity: LRU bound of the service's run memo (default:
@@ -163,7 +160,7 @@ class ExecutionService:
             raise ValueError("jobs must be >= 1")
         self.jobs = int(jobs)
         self.telemetry = telemetry
-        #: The granular :class:`RunStore`, or ``None`` (memo only).
+        #: The :class:`RunCache`, or ``None`` (memo only).
         self.store = open_store(cache)
         #: The in-process :class:`RunMemo`, consulted before the store.
         self.memo = RunMemo() if memo_capacity is None else RunMemo(memo_capacity)
@@ -180,29 +177,16 @@ class ExecutionService:
     def __exit__(self, *_exc: Any) -> None:
         self.close()
 
-    def clear_memo(self) -> None:
-        """Drop the in-process run memo (operational memory-pressure hook).
-
-        Correctness is unaffected: evicted runs fall through to the
-        granular store (or re-simulate). The serve daemon calls this on
-        demand; batch callers rarely need it.
-        """
-        self.memo.clear()
-
-    def memo_size(self) -> int:
-        """Number of runs currently held by the in-process memo."""
-        return len(self.memo)
-
     # ------------------------------------------------------------ execution
 
     def submit(self, specs: Sequence[SimSpec]) -> ExecutionOutcome:
         """Plan, dedupe, and fully resolve a batch of specs.
 
         Every distinct (workload, scheme) run across all specs resolves
-        through memo → granular store → simulation (serial or the
+        through memo → run cache → simulation (serial or the
         work-stealing pool, per ``jobs``).
         Identical work across specs — and across *calls*, via the memo
-        and persistent store — executes exactly once.
+        and run cache — executes exactly once.
         """
         plan = build_plan(specs)
         results = execute_plan(
@@ -230,7 +214,7 @@ class ExecutionService:
         scheme) run exactly once — e.g. Figures 9–15 plus the
         scrub-interval extras cost one simulation per distinct run. The
         drivers then render from the prewarmed in-process memo and
-        per-run store.
+        run cache.
 
         Args:
             names: Experiment ids (unknown ids are ignored — drivers
@@ -275,7 +259,7 @@ class ExecutionService:
 
         Drivers that sweep (those with a spec collector in
         ``EXPERIMENT_SPECS``) receive this service as ``service``, so
-        their sweeps resolve through its memo, store and telemetry.
+        their sweeps resolve through its memo, run cache and telemetry.
         Unknown ids raise ``KeyError`` (the CLI validates names before
         dispatching).
         """
@@ -290,18 +274,18 @@ class ExecutionService:
 
         A closed-form or Monte-Carlo artifact (an id without a spec
         collector, called without arguments) is a pure function of the
-        package's code, so a :class:`RunCache` store serves its text
-        under :func:`~repro.experiments.cache.artifact_key` and stores
-        it on a miss. Every other case renders
+        package's code, so the service's :class:`RunCache` serves its
+        text under :func:`~repro.experiments.cache.artifact_key` and
+        stores it on a miss. Every other case renders
         :meth:`run_experiment`: sweep-backed artifacts, calls with
-        arguments, a store that is not a :class:`RunCache` (or none)
-        and a driver set by hand in ``EXPERIMENTS``.
+        arguments, a service without a run cache and a driver set by
+        hand in ``EXPERIMENTS``.
         """
         from ..experiments.catalog import EXPERIMENT_SPECS, EXPERIMENTS
 
         if (
             kwargs
-            or not isinstance(self.store, RunCache)
+            or self.store is None
             or name in EXPERIMENT_SPECS
             or not EXPERIMENTS.located(name)
         ):
@@ -313,34 +297,13 @@ class ExecutionService:
             self.store.store_artifact(key, name, text)
         return text
 
-    def fault_density_study(self, **kwargs: Any):
-        """The ``readduo faults`` study under this service's wiring."""
-        from ..experiments.faults import fault_density_study
-
-        return fault_density_study(service=self, **kwargs)
-
     # ------------------------------------------------------------- helpers
-
-    def spec_from_document(self, document: Mapping[str, Any]) -> SimSpec:
-        """Validate one JSON document into a :class:`SimSpec`.
-
-        Thin indirection so transport layers (the HTTP daemon) never
-        import spec internals; :class:`~repro.experiments.spec.SpecError`
-        propagates for the caller to map onto its error channel.
-        """
-        return SimSpec.from_dict(document)
 
     def describe(self) -> Dict[str, Any]:
         """Operational snapshot (the daemon's ``/v1/stats`` backbone)."""
         return {
             "jobs": self.jobs,
-            "cache_dir": (
-                str(self.store.root)
-                if isinstance(self.store, RunCache)
-                else None
-            ),
-            # `is not None`, not truthiness: an *empty* MemoryRunStore
-            # has __len__() == 0 and would otherwise report as absent.
+            "cache_dir": str(self.store.root) if self.store is not None else None,
             "store": type(self.store).__name__ if self.store is not None else None,
             "memo_runs": len(self.memo),
         }

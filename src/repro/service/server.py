@@ -18,10 +18,12 @@ JSON:
   ``result`` line;
 * ``POST /v1/memo/clear`` — drop the in-process run memo (memory-
   pressure hook);
-* ``GET  /v1/store/{run_hash}`` — one entry of the daemon's granular
-  run store, with its full statistics (``readduo explore --via-serve``
-  scores candidates from it). A key that is not a run hash (64
-  lowercase hex characters) gets ``404`` before the store is touched.
+* ``GET  /v1/store/{run_hash}`` — one completed run with its full
+  statistics (``readduo explore --via-serve`` scores candidates from
+  it), resolved like every run unit: the service's run memo, then its
+  run cache if it has one. A daemon without a cache answers only for
+  runs its memo still holds. A key that is not a run hash (64
+  lowercase hex characters) gets ``404`` before either is touched.
 
 **Coalescing.** Every submitted spec decomposes into run units keyed by
 :meth:`SimSpec.run_hash` — the same identity the planner, memo, and
@@ -32,7 +34,7 @@ while it is in flight *joins* the future instead of executing. N
 concurrent identical requests therefore simulate exactly once — the
 ledger shows one ``simulated`` record — and N-1 requests pay only an
 await. Completed units additionally land in the service's run memo and
-the granular store.
+its run cache.
 
 **Framing.** :class:`_HttpProtocol` buffers one request per connection:
 a head of at most 32 KiB and ``Content-Length`` bytes of body. A
@@ -79,17 +81,16 @@ from ..core.registry import scheme_catalog
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
 from ..obs.ledger import RunLedger
-from ..experiments.cache import RUN_HASH, RunStore
-from ..experiments.planner import RunMemo, RunUnit, plan_units
+from ..experiments.cache import RUN_HASH
+from ..experiments.planner import RunMemo, RunUnit, lookup_cached, plan_units
 from ..experiments.spec import SimSpec, SpecError
 from .execution import (
     CacheSpec,
     ExecutionOutcome,
     ExecutionService,
-    open_store,
     unit_payload,
 )
-from .store import MemoryRunStore, store_entry_payload
+from .store import store_entry_payload
 
 __all__ = ["ServeConfig", "SimServer", "run_server"]
 
@@ -177,7 +178,6 @@ class SimServer:
         self._loop_thread: Optional[int] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self.service: Optional[ExecutionService] = None
-        self.run_store: Optional[RunStore] = None
         #: ``json.dumps(unit_payload(stats), sort_keys=True)`` per run
         #: hash; an entry never goes stale, because a run hash names its
         #: result.
@@ -219,13 +219,9 @@ class SimServer:
             thread_name_prefix="readduo-exec",
         )
         ledger = _RelayLedger(self.config.ledger, self._relay_record)
-        # The granular store behind GET /v1/store/{hash}: the configured
-        # persistent store, an in-process one otherwise.
-        store = open_store(self.config.cache)
-        self.run_store = MemoryRunStore() if store is None else store
         self.service = ExecutionService(
             jobs=self.config.jobs,
-            cache=self.run_store,
+            cache=self.config.cache,
             telemetry=Telemetry(ledger=ledger),
             memo_capacity=self.config.memo_capacity,
         )
@@ -322,11 +318,11 @@ class SimServer:
         elif path == "/v1/memo/clear" and method == "POST":
             assert self.service is not None and self._unit_json is not None
             assert self._submissions is not None
-            self.service.clear_memo()
+            self.service.memo.clear()
             self._unit_json.clear()
             self._submissions.clear()
             await _send_json(writer, 200, {
-                "cleared": True, "memo_runs": self.service.memo_size(),
+                "cleared": True, "memo_runs": len(self.service.memo),
             })
         elif path == "/v1/submit" and method == "POST":
             stream = query.get("stream", ["0"])[0] not in ("", "0", "false")
@@ -334,8 +330,8 @@ class SimServer:
         elif path.startswith("/v1/store/"):
             key = path[len("/v1/store/"):]
             if not RUN_HASH.fullmatch(key):
-                # Checked before any store access: a key that is not a
-                # run hash never reaches the filesystem.
+                # Checked before the memo or cache is read: a key that
+                # is not a run hash never reaches the filesystem.
                 await _send_json(writer, 404, {"error": "malformed store key"})
             elif method == "GET":
                 await self._handle_store_get(key, writer)
@@ -357,8 +353,9 @@ class SimServer:
         requested = self.counters["units_requested"]
         coalesced = self.counters["units_coalesced"]
         ledger = self.service.telemetry.ledger if self.service.telemetry else None
+        service = self.service.describe()
         return {
-            "service": self.service.describe(),
+            "service": service,
             "counters": dict(self.counters),
             "coalescing_ratio": (coalesced / requested) if requested else 0.0,
             "pending": self._pending,
@@ -369,10 +366,7 @@ class SimServer:
                 "max_inflight_per_client": self.config.max_inflight_per_client,
                 "executor_workers": max(1, self.config.executor_workers),
             },
-            "store": (
-                type(self.run_store).__name__
-                if self.run_store is not None else None
-            ),
+            "store": service["store"],
         }
 
     # ------------------------------------------------------- store endpoint
@@ -380,8 +374,11 @@ class SimServer:
     async def _handle_store_get(
         self, key: str, writer: "_HttpProtocol"
     ) -> None:
-        assert self.run_store is not None
-        stats = self.run_store.load(key)
+        assert self.service is not None
+        results, _tiers = lookup_cached(
+            (key,), self.service.memo, self.service.store
+        )
+        stats = results.get(key)
         if stats is None:
             await _send_json(writer, 404, {"error": f"no entry for {key}"})
             return
@@ -422,7 +419,7 @@ class SimServer:
         if submission is None:
             try:
                 document = json.loads(body.decode("utf-8") or "{}")
-                spec = self.service.spec_from_document(document)
+                spec = SimSpec.from_dict(document)
             except (ValueError, SpecError) as exc:
                 await _send_json(writer, 400, {"error": str(exc)})
                 return

@@ -299,22 +299,22 @@ class TestLookupCached:
     def test_memo_then_disk_tiers(self, tmp_path):
         service = ExecutionService(cache=tmp_path)
         service.sweep(SMALL)  # warm memo + disk
-        units = build_plan([SMALL]).units
+        keys = [unit.key for unit in build_plan([SMALL]).units]
         store = RunCache(tmp_path)
 
-        cached, tiers = lookup_cached(units, service.memo, store)
-        assert set(cached) == {u.key for u in units}
+        cached, tiers = lookup_cached(keys, service.memo, store)
+        assert set(cached) == set(keys)
         assert all(tier == "memo" for tier in tiers.values())
 
         memo = RunMemo()
-        cached, tiers = lookup_cached(units, memo, store)
-        assert set(cached) == {u.key for u in units}
+        cached, tiers = lookup_cached(keys, memo, store)
+        assert set(cached) == set(keys)
         assert all(tier == "disk" for tier in tiers.values())
         # Disk hits are promoted: a second lookup is memo-tier.
-        _cached, tiers = lookup_cached(units, memo, store)
+        _cached, tiers = lookup_cached(keys, memo, store)
         assert all(tier == "memo" for tier in tiers.values())
 
     def test_unresolved_units_are_absent(self):
-        units = build_plan([SMALL]).units
-        cached, tiers = lookup_cached(units, RunMemo(), None)
+        keys = [unit.key for unit in build_plan([SMALL]).units]
+        cached, tiers = lookup_cached(keys, RunMemo(), None)
         assert cached == {} and tiers == {}

@@ -34,7 +34,7 @@ class TestRunSweep:
     def test_cache_cleared(self):
         service = ExecutionService(cache=False)
         first = run_sweep(SMALL, service)
-        service.clear_memo()
+        service.memo.clear()
         second = run_sweep(SMALL, service)
         assert not any(a is b for a, b in zip(_cells(first), _cells(second)))
 

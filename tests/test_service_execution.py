@@ -9,7 +9,7 @@ from repro.experiments.cache import RunCache, artifact_key
 from repro.experiments.planner import DEFAULT_RUN_MEMO_CAPACITY
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import SimSpec
-from repro.service import ExecutionService, MemoryRunStore, sweep_payload
+from repro.service import ExecutionService, sweep_payload
 
 
 SPEC = SimSpec(
@@ -50,12 +50,12 @@ class TestSubmit:
         assert warm.stats.units_simulated == 0
         assert warm.stats.units_memo == 2
 
-    def test_explicit_store_backend(self):
-        store = MemoryRunStore()
+    def test_explicit_store_backend(self, tmp_path):
+        store = RunCache(tmp_path)
         service = ExecutionService(cache=store)
         service.submit([SPEC])
-        assert len(store) == 2
-        service.clear_memo()
+        assert store.counters.stores == 2
+        service.memo.clear()
         warm = service.submit([SPEC])
         assert warm.stats.units_simulated == 0
         assert warm.stats.units_disk == 2
@@ -82,7 +82,7 @@ class TestSweep:
         )
 
     def test_sweep_with_custom_store_matches_filesystem_path(self, tmp_path):
-        with_store = ExecutionService(cache=MemoryRunStore())
+        with_store = ExecutionService(cache=RunCache(tmp_path))
         grid_store = with_store.sweep(SPEC)
         plain = ExecutionService(cache=False)
         grid_plain = plain.sweep(SPEC)
@@ -169,8 +169,8 @@ class TestMemoPolicy:
         with ExecutionService(cache=False, memo_capacity=3) as service:
             assert service.memo.capacity == 3
             service.submit([SPEC, OTHER])  # 3 distinct units
-            assert service.memo_size() == 3
-        assert service.memo_size() == 0
+            assert len(service.memo) == 3
+        assert len(service.memo) == 0
         assert ExecutionService(cache=False).memo.capacity == (
             DEFAULT_RUN_MEMO_CAPACITY
         )
@@ -181,28 +181,28 @@ class TestMemoPolicy:
         large = ExecutionService(cache=False, memo_capacity=2)
         small.submit([SPEC])
         large.submit([SPEC])
-        assert (small.memo_size(), large.memo_size()) == (1, 2)
+        assert (len(small.memo), len(large.memo)) == (1, 2)
         order = [small, large] if first_closed == "small" else [large, small]
         for service in order:
             service.close()
-        assert (small.memo_size(), large.memo_size()) == (0, 0)
+        assert (len(small.memo), len(large.memo)) == (0, 0)
         after = ExecutionService(cache=False)
         assert after.memo.capacity == DEFAULT_RUN_MEMO_CAPACITY
-        assert after.memo_size() == 0
+        assert len(after.memo) == 0
 
     def test_close_is_idempotent(self):
         service = ExecutionService(cache=False, memo_capacity=5)
         service.submit([SPEC])
         service.close()
         service.close()
-        assert service.memo_size() == 0
+        assert len(service.memo) == 0
 
-    def test_clear_memo_drops_entries(self):
+    def test_memo_clear_drops_entries(self):
         service = ExecutionService(cache=False)
         service.submit([SPEC])
-        assert service.memo_size() >= 2
-        service.clear_memo()
-        assert service.memo_size() == 0
+        assert len(service.memo) >= 2
+        service.memo.clear()
+        assert len(service.memo) == 0
 
     def test_describe_snapshot(self, tmp_path):
         snapshot = ExecutionService(jobs=2, cache=tmp_path).describe()
@@ -210,9 +210,9 @@ class TestMemoPolicy:
         assert snapshot["cache_dir"] == str(tmp_path)
         assert snapshot["store"] == "RunCache"
         assert isinstance(snapshot["memo_runs"], int)
-        in_memory = ExecutionService(cache=MemoryRunStore()).describe()
-        assert in_memory["cache_dir"] is None
-        assert in_memory["store"] == "MemoryRunStore"
+        memo_only = ExecutionService(cache=False).describe()
+        assert memo_only["cache_dir"] is None
+        assert memo_only["store"] is None
 
 
 class _Rendered:
@@ -293,7 +293,7 @@ class TestRenderExperiment:
 
         monkeypatch.setitem(EXPERIMENTS, "fake-closed-form", driver)
         assert not EXPERIMENTS.located("fake-closed-form")
-        assert ExecutionService(cache=MemoryRunStore()).render_experiment(
+        assert ExecutionService(cache=False).render_experiment(
             "fake-closed-form"
         ) == "computed"
         store = RunCache(tmp_path)

@@ -12,6 +12,8 @@ from collections import Counter
 
 import pytest
 
+from repro.experiments.cache import RunCache
+from repro.experiments.spec import SimSpec
 from repro.service.client import ServeClient, ServeError
 from repro.service.server import ServeConfig, SimServer
 
@@ -116,11 +118,7 @@ class TestEndpoints:
 
     def test_invalid_json_400(self):
         async def body(server, client):
-            status, _headers, _blob = await client.request(
-                "POST", "/v1/submit", body=None
-            )
-            # An empty body parses as {} (a valid default spec would be
-            # huge); send actual garbage through a raw socket instead.
+            # Not JSON at all, through a raw socket.
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port
             )
@@ -447,18 +445,18 @@ class TestSubmissionMemo:
         assert stats["counters"]["tier_simulated"] == 1
         assert stats["counters"]["tier_memo"] == 3
 
-    def test_memo_clear_empties_the_submission_memo(self):
+    def test_memo_clear_empties_the_submission_memo(self, tmp_path):
         async def body(server, client):
             await client.submit(DOC)
             before = len(server._submissions)
-            await client.clear_memo()
+            await client.memo_clear()
             after = len(server._submissions)
             again = await client.submit(DOC)
             return before, after, again
 
-        before, after, again = run(body)
+        before, after, again = run(body, cache=RunCache(tmp_path))
         assert (before, after) == (1, 0)
-        # The run memo went too: the unit comes back from the run store.
+        # The run memo went too: the unit comes back from the run cache.
         assert again["plan"]["owned_stats"]["units_memo"] == 0
         assert again["plan"]["owned_stats"]["units_disk"] == 1
 
@@ -538,7 +536,6 @@ class TestSubmit:
 
         served = run(body)
 
-        from repro.experiments.spec import SimSpec
         from repro.service import ExecutionService, sweep_payload
 
         service = ExecutionService(cache=False)
@@ -570,7 +567,6 @@ class TestSubmit:
 
         cold, warm, warm_stream, cold_stream = run(body)
 
-        from repro.experiments.spec import SimSpec
         from repro.service import ExecutionService, sweep_payload
 
         service = ExecutionService(cache=False)
@@ -692,8 +688,8 @@ class TestMemoControl:
     def test_memo_clear_endpoint(self):
         async def body(server, client):
             await client.submit(DOC)
-            before = server.service.memo_size()
-            cleared = await client.clear_memo()
+            before = len(server.service.memo)
+            cleared = await client.memo_clear()
             return before, cleared
 
         before, cleared = run(body)
@@ -712,7 +708,7 @@ class TestMemoControl:
 
         service, inside = run(body, memo_capacity=17)
         assert inside == 17
-        assert service.memo_size() == 0
+        assert len(service.memo) == 0
         assert ExecutionService(cache=False).memo.capacity == (
             DEFAULT_RUN_MEMO_CAPACITY
         )
@@ -730,20 +726,25 @@ class TestStats:
         assert stats["ledger_records"] == 1
         assert 0.0 <= stats["coalescing_ratio"] <= 1.0
 
-    def test_configured_store_instance_is_the_shared_store(self):
-        # ``cache=`` may name a store instance, even an empty one; the
-        # daemon serves /v1/store from it and executes through it.
-        from repro.service import MemoryRunStore
-
-        store = MemoryRunStore()
+    def test_configured_store_instance_is_the_shared_store(self, tmp_path):
+        # ``cache=`` may name a RunCache instance; the daemon executes
+        # through it and names it in /v1/stats.
+        store = RunCache(tmp_path)
 
         async def body(server, client):
             await client.submit(DOC)
-            return server.run_store, server.service.store
+            return server.service.store, await client.stats()
 
-        served, executing = run(body, cache=store)
-        assert served is store and executing is store
-        assert len(store) == 1
+        executing, stats = run(body, cache=store)
+        assert executing is store
+        assert store.counters.stores == 1
+        assert stats["store"] == "RunCache"
+
+    def test_memo_only_daemon_reports_no_store(self):
+        async def body(server, client):
+            return await client.stats()
+
+        assert run(body)["store"] is None
 
 
 class TestStoreEndpoints:
@@ -751,7 +752,6 @@ class TestStoreEndpoints:
 
     @staticmethod
     def _doc_key_and_stats():
-        from repro.experiments.spec import SimSpec
         from repro.service import ExecutionService
 
         spec = SimSpec.from_dict(DOC)
@@ -763,8 +763,6 @@ class TestStoreEndpoints:
             service.close()
 
     def test_get_missing_entry_is_none(self):
-        from repro.experiments.spec import SimSpec
-
         key = SimSpec.from_dict(DOC).run_hash("gcc", "Ideal")
 
         async def body(server, client):
@@ -778,8 +776,8 @@ class TestStoreEndpoints:
         key, stats = self._doc_key_and_stats()
 
         async def body(server, client):
-            # Seed the daemon's store directly; nothing else writes it.
-            server.run_store.store(key, stats)
+            # Seed the daemon's run cache directly; nothing else writes it.
+            server.service.store.store(key, stats)
             status, _headers, blob = await client.request(
                 "GET", f"/v1/store/{key}"
             )
@@ -826,9 +824,37 @@ class TestStoreEndpoints:
             status, _headers, _blob = await client.request(
                 "PUT", f"/v1/store/{key}", {"format": 1}
             )
-            return status, len(server.run_store)
+            return status, len(server.service.memo)
 
         assert run(body) == (405, 0)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["memo-only", "run-cache"])
+    def test_store_reads_resolve_through_memo_then_run_cache(self, tmp_path, cached):
+        # Six distinct runs through a two-run memo: a daemon without a
+        # cache holds only the last two, and none after a memo clear.
+        docs = [dict(DOC, seed=100 + index) for index in range(6)]
+        keys = [
+            SimSpec.from_dict(doc).run_hash("gcc", "Ideal") for doc in docs
+        ]
+
+        async def body(server, client):
+            async def status(key):
+                code, _headers, _blob = await client.request(
+                    "GET", f"/v1/store/{key}"
+                )
+                return code
+
+            for doc in docs:
+                await client.submit(doc)
+            first, last = await status(keys[0]), await status(keys[-1])
+            await client.memo_clear()
+            cleared = await status(keys[-1])
+            return [first, last, cleared], server.counters["errors"]
+
+        cache = RunCache(tmp_path) if cached else False
+        statuses, errors = run(body, cache=cache, memo_capacity=2)
+        assert statuses == ([200, 200, 200] if cached else [404, 200, 404])
+        assert errors == 0
 
 
 class TestExecutorPool:
